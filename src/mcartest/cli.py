@@ -19,15 +19,9 @@ from pathlib import Path
 
 from .data import ColumnRoles, load_csv, write_csv
 from .errors import McartestError
-from .harness import Scenario, resolve_test, run_grid, results_to_csv
+from .harness import Scenario, resolve_test, results_to_csv, run_grid, run_test
 from .numerics import rng_stream
 from .plotting import render_rate_chart
-from .stats import (
-    bivariate_mcar_test,
-    little_mcar_general,
-    little_mcar_univariate,
-    ustat_mcar_test,
-)
 from .synthesis import (
     DistributionSpec,
     MechanismSpec,
@@ -65,27 +59,16 @@ def _check_alpha(alpha: float, parser) -> float:
     return alpha
 
 
-def _run_selected_tests(ds, roles, tags, alpha):
-    results = []
-    for tag in tags:
-        resolved = resolve_test(tag, roles.q)
-        if any(r.method == resolved for _, r in results):
-            continue
-        if resolved == "an":
-            result = ustat_mcar_test(ds, roles, alpha)
-        elif resolved == "dn":
-            result = bivariate_mcar_test(ds, roles, alpha)
-        elif resolved == "d2_univariate":
-            result = little_mcar_univariate(ds, roles, alpha)
-        else:
-            result = little_mcar_general(ds, alpha)
-        results.append((tag, result))
-    return results
+def _run_selected_tests(ds, roles, tags, alpha) -> list:
+    return [
+        run_test(tag, ds, roles, alpha)
+        for tag in dict.fromkeys(resolve_test(t, roles.q) for t in tags)
+    ]
 
 
 def _write_test_report(results, out_path) -> None:
     path = Path(out_path)
-    records = [r.to_record() for _, r in results]
+    records = [r.to_record() for r in results]
     if path.suffix.lower() == ".json":
         with path.open("w", encoding="utf-8") as fh:
             json.dump(records, fh, indent=2, sort_keys=True)
@@ -117,7 +100,7 @@ def _cmd_test(args, parser) -> int:
 
     name = Path(args.input).name
     print(f"{name}: n={ds.n} rows, {roles.p} complete, {roles.q} incomplete columns")
-    for _, r in results:
+    for r in results:
         decision = "reject MCAR" if r.reject else "no evidence against MCAR"
         print(
             f"  {r.method:>14}: statistic={r.statistic:.6g} df={r.df} "

@@ -13,7 +13,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DegenerateDataError, SingularMatrixError
 
-__all__ = ["EmResult", "em_mvn"]
+__all__ = ["EmResult", "em_mvn", "group_patterns"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _RIDGE_SCALE = 1e-8
@@ -61,8 +61,13 @@ def _chol(a: np.ndarray, flag: _RidgeFlag) -> np.ndarray:
         ) from None
 
 
-def _group_patterns(mask: np.ndarray) -> list:
-    """(observed column indices, row indices) per distinct missingness pattern."""
+def group_patterns(mask: np.ndarray) -> list:
+    """(observed column indices, row indices) per distinct missingness pattern.
+
+    Patterns are listed in order of first appearance and each pattern's rows
+    in ascending order, so every pass over the groups visits the data in one
+    fixed order.
+    """
     groups: dict[bytes, list[int]] = {}
     for i in range(mask.shape[0]):
         groups.setdefault(mask[i].tobytes(), []).append(i)
@@ -148,7 +153,7 @@ def em_mvn(ds: Dataset, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
     scale = max(float(var.max()), 1.0)
     sigma = np.diag(np.maximum(var, _VAR_FLOOR * scale))
 
-    patterns = _group_patterns(mask)
+    patterns = group_patterns(mask)
     flag = _RidgeFlag()
     trace: list[float] = []
     converged = False

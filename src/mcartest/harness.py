@@ -44,6 +44,7 @@ __all__ = [
     "CellResult",
     "KNOWN_TESTS",
     "resolve_test",
+    "run_test",
     "wilson_interval",
     "run_cell",
     "run_grid",
@@ -206,7 +207,8 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
     return (low, high)
 
 
-def _run_one_test(tag: str, ds: Dataset, roles: ColumnRoles, alpha: float):
+def run_test(tag: str, ds: Dataset, roles: ColumnRoles, alpha: float):
+    """Run one test, named by its resolved wire name (see ``resolve_test``)."""
     if tag == "an":
         return ustat_mcar_test(ds, roles, alpha)
     if tag == "dn":
@@ -233,16 +235,13 @@ def _replicate(scenario: Scenario, rep: int) -> dict:
     ds = apply_mechanism(full, roles, scenario.mechanism, amp_rng)
 
     out = {}
-    for tag in scenario.tests:
-        resolved = resolve_test(tag, scenario.q)
-        if resolved in out:
-            continue
+    for tag in dict.fromkeys(resolve_test(t, scenario.q) for t in scenario.tests):
         try:
-            result = _run_one_test(resolved, ds, roles, scenario.alpha)
+            result = run_test(tag, ds, roles, scenario.alpha)
         except (SingularMatrixError, DegenerateDataError):
-            out[resolved] = None
+            out[tag] = None
         else:
-            out[resolved] = (result.reject, result.statistic)
+            out[tag] = (result.reject, result.statistic)
     return out
 
 
@@ -271,15 +270,9 @@ def run_cell(scenario: Scenario, workers: int = 1) -> CellResult:
     else:
         outcomes = [_replicate(scenario, r) for r in range(n_rep)]
 
-    tags = []
-    for tag in scenario.tests:
-        resolved = resolve_test(tag, scenario.q)
-        if resolved not in tags:
-            tags.append(resolved)
-
     per_test = {}
     statistics = {}
-    for tag in tags:
+    for tag in dict.fromkeys(resolve_test(t, scenario.q) for t in scenario.tests):
         rejections = 0
         valid = 0
         values = []

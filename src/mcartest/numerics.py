@@ -1,7 +1,7 @@
 """Small numerical kernel used by the test statistics and the simulator.
 
 Moments and covariances in unbiased and maximum-likelihood flavors,
-Kronecker products, symmetric-matrix inverse and inverse square root,
+Kronecker products and their eigenvalues, symmetric-matrix inverse,
 chi-squared and standard-normal distribution functions, midranks, and
 deterministic per-task random streams.
 """
@@ -13,12 +13,11 @@ from .errors import DegenerateDataError, SingularMatrixError
 
 __all__ = [
     "rng_stream",
-    "column_mean",
     "column_var",
     "cov_matrix",
     "kronecker",
+    "kron_spd_eigh",
     "inverse",
-    "inv_sqrt",
     "chi2_sf",
     "chi2_quantile",
     "normal_cdf",
@@ -46,13 +45,6 @@ def _check_mode(mode: str) -> int:
     if mode == "ml":
         return 0
     raise ValueError(f"mode must be 'unbiased' or 'ml', got {mode!r}")
-
-
-def column_mean(x) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.size < 1:
-        raise DegenerateDataError("mean requires at least one value")
-    return float(x.mean())
 
 
 def column_var(x, mode: str = "unbiased") -> float:
@@ -107,6 +99,16 @@ def _pd_threshold(eigenvalues: np.ndarray) -> float:
     return 1e-10 * max(float(eigenvalues.max(initial=0.0)), 1.0)
 
 
+def _require_positive(eigenvalues: np.ndarray) -> None:
+    smallest = float(eigenvalues.min())
+    if smallest <= _pd_threshold(eigenvalues):
+        raise SingularMatrixError(
+            f"matrix is singular or not positive definite "
+            f"(smallest eigenvalue {smallest:.3e})",
+            eigenvalue=smallest,
+        )
+
+
 def _require_symmetric(a: np.ndarray, rtol: float = 1e-12) -> None:
     scale = max(float(np.abs(a).max(initial=0.0)), 1.0)
     if a.shape[0] != a.shape[1] or np.abs(a - a.T).max(initial=0.0) > rtol * scale:
@@ -124,25 +126,34 @@ def spd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.atleast_2d(np.asarray(a, float))
     _require_symmetric(a)
     w, v = np.linalg.eigh(a)
-    if w.min() <= _pd_threshold(w):
-        raise SingularMatrixError(
-            f"matrix is singular or not positive definite "
-            f"(smallest eigenvalue {w.min():.3e})",
-            eigenvalue=float(w.min()),
-        )
+    _require_positive(w)
     return w, v
+
+
+def kron_spd_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecomposition of A (x) B from those of the symmetric factors.
+
+    Returns (W, V_a, V_b) with W = outer(w_a, w_b): W[u, v] is the
+    eigenvalue of A (x) B for the eigenvector kron(V_a[:, u], V_b[:, v]).
+    The symmetry check, threshold and SingularMatrixError are those of
+    ``spd_eigh(kronecker(a, b))``, applied to W, so the product matrix is
+    never formed.
+    """
+    a = np.atleast_2d(np.asarray(a, float))
+    b = np.atleast_2d(np.asarray(b, float))
+    _require_symmetric(a)
+    _require_symmetric(b)
+    w_a, v_a = np.linalg.eigh(a)
+    w_b, v_b = np.linalg.eigh(b)
+    w = np.outer(w_a, w_b)
+    _require_positive(w)
+    return w, v_a, v_b
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix."""
     w, v = spd_eigh(a)
     return (v / w) @ v.T
-
-
-def inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root: inv_sqrt(A) @ inv_sqrt(A) @ A = I."""
-    w, v = spd_eigh(a)
-    return (v / np.sqrt(w)) @ v.T
 
 
 def chi2_sf(x, df: int):

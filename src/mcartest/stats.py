@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ColumnRoles, Dataset, response_matrix
-from .em import em_mvn
+from .em import em_mvn, group_patterns
 from .errors import DegenerateDataError
 from .numerics import (
     chi2_sf,
     column_var,
     cov_matrix,
     inverse,
+    kron_spd_eigh,
     kronecker,
     normal_cdf,
     spd_eigh,
@@ -119,6 +120,12 @@ def mean_product_gap(x, r) -> tuple[float, float]:
     return float(biased * n / (n - 1.0)), float(biased)
 
 
+def _columns(ds: Dataset, roles: ColumnRoles) -> tuple[np.ndarray, np.ndarray]:
+    """Complete-column values and float response indicators."""
+    r = response_matrix(ds, roles).astype(float)
+    return ds.values[:, list(roles.complete)], r
+
+
 def gap_matrix(ds: Dataset, roles: ColumnRoles) -> GapStats:
     """All p*q mean-product gaps, vectorized.
 
@@ -127,8 +134,7 @@ def gap_matrix(ds: Dataset, roles: ColumnRoles) -> GapStats:
     """
     if ds.n < 2:
         raise DegenerateDataError("gap statistics require n >= 2")
-    r = response_matrix(ds, roles).astype(float)
-    x = ds.values[:, list(roles.complete)]
+    x, r = _columns(ds, roles)
     n = ds.n
     biased = np.outer(x.mean(axis=0), r.mean(axis=0)) - (x.T @ r) / n
     return GapStats(unbiased=biased * (n / (n - 1.0)), biased=biased, n=n)
@@ -146,8 +152,7 @@ def gap_covariance(ds: Dataset, roles: ColumnRoles, mode: str = "unbiased") -> n
     (constant complete column, response column without variation, or a
     perfectly correlated pair).
     """
-    r = response_matrix(ds, roles).astype(float)
-    x = ds.values[:, list(roles.complete)]
+    x, r = _columns(ds, roles)
     sigma = kronecker(cov_matrix(x, mode), cov_matrix(r, mode))
     spd_eigh(sigma)  # eager singularity check; carries the offending eigenvalue
     return sigma
@@ -157,33 +162,30 @@ def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> Tes
     """Quadratic-form MCAR test over all (complete, incomplete) column pairs.
 
     The statistic is n * g' S^-1 g, where g is the vector of unbiased
-    mean-product gaps and S the matching covariance estimate; under MCAR it
-    is asymptotically chi-squared with p*q degrees of freedom.  Large values
-    indicate association between observed values and missingness.
+    mean-product gaps and S = Cov(X) (x) Cov(R) the matching covariance
+    estimate (``gap_covariance``); under MCAR it is asymptotically
+    chi-squared with p*q degrees of freedom.  Large values indicate
+    association between observed values and missingness.
 
-    Diagnostics carry the standardized component vector (the inverse
-    square root of S applied to sqrt(n) g), the equivalent statistic
-    computed from the maximum-likelihood moment pair, and the condition
-    number of S.  All three computation routes agree to rounding error.
+    S is never formed.  With Cov(X) = V_x diag(w_x) V_x', Cov(R) =
+    V_r diag(w_r) V_r' and W = outer(w_x, w_r) the eigenvalues of S, the
+    statistic is n * sum(H**2) for H = V_x' G V_r / sqrt(W), G the p x q
+    gap matrix.  Diagnostics carry the standardized component vector
+    S^(-1/2) (sqrt(n) g) = sqrt(n) vec(V_x H V_r'), whose squared sum is
+    the statistic, and the condition number of S.  The test suite checks
+    the statistic against the pq x pq route and the maximum-likelihood
+    moment pair.
     """
     _check_alpha(alpha)
     if ds.n < 3:
         raise DegenerateDataError("the quadratic-form test requires n >= 3")
     gaps = gap_matrix(ds, roles)
     n = gaps.n
-    g = gaps.unbiased.reshape(-1)
-    g_ml = gaps.biased.reshape(-1)
-
-    sigma = gap_covariance(ds, roles, "unbiased")
-    w, v = spd_eigh(sigma)
-    statistic = float(n * g @ ((v / w) @ v.T) @ g)
-
-    # standardized components: S^(-1/2) (sqrt(n) g); their squared sum is
-    # the statistic again
-    components = ((v / np.sqrt(w)) @ v.T) @ (np.sqrt(n) * g)
-
-    sigma_ml = gap_covariance(ds, roles, "ml")
-    stat_ml = float(n * g_ml @ inverse(sigma_ml) @ g_ml)
+    x, r = _columns(ds, roles)
+    w, v_x, v_r = kron_spd_eigh(cov_matrix(x), cov_matrix(r))
+    h = (v_x.T @ gaps.unbiased @ v_r) / np.sqrt(w)
+    statistic = float(n * np.sum(h**2))
+    components = np.sqrt(n) * (v_x @ h @ v_r.T).reshape(-1)
 
     df = roles.p * roles.q
     p_value = chi2_sf(statistic, df)
@@ -196,8 +198,6 @@ def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> Tes
         reject=p_value <= alpha,
         diagnostics={
             "components": [float(c) for c in components],
-            "stat_ml_route": stat_ml,
-            "stat_component_route": float(np.sum(components**2)),
             "sigma_condition": float(w.max() / w.min()),
             "n": n,
         },
@@ -312,9 +312,7 @@ def little_mcar_general(
         ds = Dataset(ds.values[keep], ds.mask[keep], ds.column_names)
     n, d = ds.n, ds.d
 
-    patterns: dict[bytes, list[int]] = {}
-    for i in range(n):
-        patterns.setdefault(ds.mask[i].tobytes(), []).append(i)
+    patterns = group_patterns(ds.mask)
     if len(patterns) < 2:
         raise DegenerateDataError(
             "Little's test is undefined for a single missingness pattern"
@@ -323,12 +321,11 @@ def little_mcar_general(
     fit = em_mvn(ds, tol=tol, max_iter=max_iter)
     statistic = 0.0
     df = -d
-    for key, rows in patterns.items():
-        obs = np.flatnonzero(np.frombuffer(key, dtype=bool))
+    for obs, rows in patterns:
         df += obs.size
         dev = ds.values[np.ix_(rows, obs)].mean(axis=0) - fit.mu[obs]
         block = fit.sigma[np.ix_(obs, obs)]
-        statistic += len(rows) * float(dev @ inverse(block) @ dev)
+        statistic += rows.size * float(dev @ inverse(block) @ dev)
     if df <= 0:
         raise DegenerateDataError("Little's test has no degrees of freedom here")
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mcartest import ColumnRoles, Dataset
+from mcartest import ColumnRoles, Dataset, gap_covariance, gap_matrix
+from mcartest.numerics import spd_eigh
 
 # one line per acceptance criterion, emitted after the test run so the
 # PASS/FAIL verdicts survive pytest's output capture
@@ -48,3 +49,21 @@ def make_dataset(rng, n, p, q, miss_prob=0.25, clayton=False):
     ds = Dataset(values, mask, names)
     roles = ColumnRoles(tuple(range(p)), tuple(range(p, d)))
     return ds, roles
+
+
+def reference_routes(ds, roles):
+    """The quadratic-form statistic by two routes the library does not take.
+
+    Returns ``(ml, eigen, components)``: the statistic from the
+    maximum-likelihood gaps and covariance with a linear solve, and the
+    statistic and standardized component vector S^(-1/2) (sqrt(n) g) from
+    an eigendecomposition of the pq x pq covariance S itself.
+    """
+    n = ds.n
+    gaps = gap_matrix(ds, roles)
+    g, g_ml = gaps.unbiased.reshape(-1), gaps.biased.reshape(-1)
+    ml = n * g_ml @ np.linalg.solve(gap_covariance(ds, roles, "ml"), g_ml)
+    w, v = spd_eigh(gap_covariance(ds, roles))
+    eigen = n * np.sum((v.T @ g) ** 2 / w)
+    components = ((v / np.sqrt(w)) @ v.T) @ (np.sqrt(n) * g)
+    return float(ml), float(eigen), components

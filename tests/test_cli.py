@@ -1,10 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mcartest
 from mcartest import Dataset, load_csv, ustat_mcar_test
 from mcartest.cli import main
 
@@ -268,10 +271,15 @@ class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "hand.csv"
         path.write_text(HAND_CSV)
+        # the child imports the same package as this process, installed or not
+        src = str(Path(mcartest.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "mcartest", "test", "--input", str(path), "--tests", "an"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "2.25" in proc.stdout

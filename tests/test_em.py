@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mcartest import ColumnRoles, Dataset, DegenerateDataError, em_mvn
+from mcartest.em import group_patterns
 
 from conftest import make_dataset
 
@@ -110,3 +111,17 @@ def test_iteration_cap_reported(rng):
     fit = em_mvn(ds, tol=1e-300, max_iter=4)
     assert not fit.converged
     assert fit.iterations == 4
+
+
+def test_group_patterns_order_and_partition(rng):
+    mask = rng.random((200, 4)) >= 0.3
+    groups = group_patterns(mask)
+    rows = np.concatenate([r for _, r in groups])
+    assert np.array_equal(np.sort(rows), np.arange(200))  # a partition
+    firsts = [int(r[0]) for _, r in groups]
+    assert firsts == sorted(firsts)  # first-seen order
+    for obs, r in groups:
+        assert np.all(np.diff(r) > 0)  # ascending rows
+        assert np.array_equal(obs, np.flatnonzero(mask[r[0]]))
+        assert (mask[r] == mask[r[0]]).all()
+    assert len(groups) == len({m.tobytes() for m in mask})

@@ -5,10 +5,9 @@ from mcartest.errors import SingularMatrixError
 from mcartest.numerics import (
     chi2_quantile,
     chi2_sf,
-    column_mean,
     column_var,
     cov_matrix,
-    inv_sqrt,
+    kron_spd_eigh,
     inverse,
     kronecker,
     normal_cdf,
@@ -34,9 +33,6 @@ def brute_cov(x, ddof):
 
 
 class TestMoments:
-    def test_mean(self):
-        assert column_mean(np.array([1.0, 2.0, 6.0])) == 3.0
-
     def test_var_hand_values(self):
         x = np.array([1.0, 2.0, 3.0])
         assert column_var(x, "unbiased") == pytest.approx(1.0, rel=1e-15)
@@ -104,12 +100,25 @@ class TestEigenBased:
         a = self.random_spd(rng, 4)
         np.testing.assert_allclose(a @ inverse(a), np.eye(4), atol=1e-10)
 
-    def test_inv_sqrt_squares_to_inverse(self, rng):
-        a = self.random_spd(rng, 4)
-        s = inv_sqrt(a)
-        np.testing.assert_allclose(s @ s, inverse(a), atol=1e-10)
-        # and it whitens: s a s = I
-        np.testing.assert_allclose(s @ a @ s, np.eye(4), atol=1e-10)
+    def test_kron_eigh_reconstructs_product(self, rng):
+        a = self.random_spd(rng, 3)
+        b = self.random_spd(rng, 2)
+        w, v_a, v_b = kron_spd_eigh(a, b)
+        v = np.kron(v_a, v_b)
+        np.testing.assert_allclose(
+            (v * w.reshape(-1)) @ v.T, kronecker(a, b), rtol=1e-12, atol=1e-9
+        )
+
+    def test_kron_eigh_singular_like_product(self, rng):
+        a = self.random_spd(rng, 2)
+        b = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(SingularMatrixError) as err:
+            kron_spd_eigh(a, b)
+        with pytest.raises(SingularMatrixError) as ref:
+            spd_eigh(kronecker(a, b))
+        assert err.value.eigenvalue == pytest.approx(ref.value.eigenvalue, abs=1e-12)
+        with pytest.raises(ValueError):
+            kron_spd_eigh(a, np.array([[1.0, 0.5], [0.2, 1.0]]))
 
     def test_singular_rejected(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])

@@ -1,22 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcartest import (
     ColumnRoles,
     Dataset,
     DegenerateDataError,
+    DistributionSpec,
+    MechanismSpec,
     SingularMatrixError,
+    apply_mechanism,
     bivariate_mcar_test,
     gap_covariance,
     gap_matrix,
+    generate,
     little_mcar_general,
     little_mcar_univariate,
     mean_product_gap,
     response_matrix,
+    rng_stream,
     ustat_mcar_test,
 )
+from mcartest.numerics import spd_eigh
 
-from conftest import make_dataset
+from conftest import make_dataset, reference_routes
 
 
 def brute_gap(x, r):
@@ -115,13 +123,61 @@ class TestQuadraticFormTest:
             n = int(rng.integers(30, 81))
             ds, roles = make_dataset(rng, n, p, q)
             r = ustat_mcar_test(ds, roles)
-            assert r.diagnostics["stat_ml_route"] == pytest.approx(
-                r.statistic, rel=1e-10
-            )
-            assert r.diagnostics["stat_component_route"] == pytest.approx(
-                r.statistic, rel=1e-10
-            )
+            ml, eigen, components = reference_routes(ds, roles)
+            assert ml == pytest.approx(r.statistic, rel=1e-10)
+            assert eigen == pytest.approx(r.statistic, rel=1e-10)
             assert len(r.diagnostics["components"]) == p * q
+            np.testing.assert_allclose(
+                r.diagnostics["components"], components, rtol=1e-10, atol=1e-10
+            )
+            assert np.sum(np.square(r.diagnostics["components"])) == pytest.approx(
+                r.statistic, rel=1e-10
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.integers(1, 3),
+        q=st.integers(1, 3),
+        n=st.integers(10, 200),
+        seed=st.integers(0, 2**32 - 1),
+        scales=st.lists(st.floats(0.1, 10.0), min_size=6, max_size=6),
+    )
+    def test_matches_pq_route_under_column_scaling(self, p, q, n, seed, scales):
+        # scales spread over two decades: the pq x pq reference itself
+        # drifts ~1e-8 relative once they spread over four
+        ds, roles = make_dataset(np.random.default_rng(seed), n, p, q)
+        values = ds.values * np.asarray(scales[: p + q])
+        scaled = Dataset(values, ds.mask, ds.column_names)
+        try:
+            _, eigen, _ = reference_routes(scaled, roles)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                ustat_mcar_test(scaled, roles)
+            return
+        assert ustat_mcar_test(scaled, roles).statistic == pytest.approx(
+            eigen, rel=1e-10
+        )
+
+    @pytest.mark.parametrize("p, q, n", [(1, 1, 10), (2, 2, 8)])
+    def test_degenerate_exactly_when_pq_route_is(self, p, q, n):
+        # small MCAR cells, where many replications have a response column
+        # without variation or two identical response columns
+        dist = DistributionSpec(kind="std_normal", dim=p + q)
+        mech = MechanismSpec(kind="mcar", miss_prob=0.12)
+        roles = ColumnRoles(tuple(range(p)), tuple(range(p, p + q)))
+        degenerate = 0
+        for rep in range(400):
+            full = generate(dist, n, rng_stream(7, rep, 0))
+            ds = apply_mechanism(full, roles, mech, rng_stream(7, rep, 1))
+            try:
+                spd_eigh(gap_covariance(ds, roles))
+            except SingularMatrixError:
+                degenerate += 1
+                with pytest.raises(SingularMatrixError):
+                    ustat_mcar_test(ds, roles)
+            else:
+                ustat_mcar_test(ds, roles)
+        assert 0 < degenerate < 400
 
     def test_equals_squared_bivariate(self, rng):
         for _ in range(40):
