@@ -22,6 +22,7 @@ from .errors import McartestError
 from .harness import Scenario, resolve_test, results_to_csv, run_grid, run_test
 from .numerics import rng_stream
 from .plotting import render_rate_chart
+from .stats import check_alpha
 from .synthesis import (
     DistributionSpec,
     MechanismSpec,
@@ -51,12 +52,6 @@ def _parse_tests(text: str, parser) -> tuple:
         except ValueError as exc:
             parser.error(str(exc))
     return tags
-
-
-def _check_alpha(alpha: float, parser) -> float:
-    if not 0.0 < alpha < 1.0:
-        parser.error(f"--alpha must be in (0, 1), got {alpha}")
-    return alpha
 
 
 def _run_selected_tests(ds, roles, tags, alpha) -> list:
@@ -91,12 +86,15 @@ def _write_test_report(results, out_path) -> None:
 
 
 def _cmd_test(args, parser) -> int:
-    alpha = _check_alpha(args.alpha, parser)
+    try:
+        check_alpha(args.alpha)
+    except ValueError as exc:
+        parser.error(str(exc))
     tags = _parse_tests(args.tests, parser)
     na_tokens = set(args.na_token) if args.na_token else None
     incomplete = _split_csv_list(args.roles) if args.roles else None
     ds, roles = load_csv(args.input, na_tokens=na_tokens, incomplete=incomplete)
-    results = _run_selected_tests(ds, roles, tags, alpha)
+    results = _run_selected_tests(ds, roles, tags, args.alpha)
 
     name = Path(args.input).name
     print(f"{name}: n={ds.n} rows, {roles.p} complete, {roles.q} incomplete columns")
@@ -245,7 +243,7 @@ def _scenario_from_args(args, parser) -> Scenario:
                 tests=_parse_tests(args.tests, parser),
                 replications=args.replications or 2000,
                 alpha=args.alpha,
-                master_seed=args.seed,
+                master_seed=0 if args.seed is None else args.seed,
             )
         except ValueError as exc:
             parser.error(str(exc))
@@ -310,7 +308,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         help="string treated as missing (repeatable; replaces NA/NaN/empty)",
     )
-    t.add_argument("--alpha", type=float, default=0.05)
+    t.add_argument(
+        "--alpha", type=float, default=0.05, help="significance level in (0, 1]"
+    )
     t.add_argument(
         "--tests",
         default="an,d2",
@@ -375,7 +375,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p-high")
     s.add_argument("--p-low")
     s.add_argument("--tests", default="an,d2")
-    s.add_argument("--alpha", type=float, default=0.05)
+    s.add_argument(
+        "--alpha", type=float, default=0.05, help="significance level in (0, 1]"
+    )
 
     p = sub.add_parser("plot", help="render a results CSV as SVG")
     p.add_argument("--input", required=True, help="results CSV from simulate")

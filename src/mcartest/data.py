@@ -7,6 +7,7 @@ stored under a masked cell is an unspecified placeholder and is never read.
 
 import csv
 from dataclasses import dataclass
+from itertools import chain, filterfalse
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,26 @@ def _resolve_incomplete(names, incomplete) -> list:
     return out
 
 
+def _raise_first_bad_cell(path, names, rows, tokens):
+    """Raise DataFormatError for the first unparsable or non-finite cell."""
+    for lineno, row in enumerate(rows, start=2):
+        for name, cell in zip(names, row):
+            if cell in tokens:
+                continue
+            try:
+                x = float(cell)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: line {lineno}, column {name!r}: "
+                    f"cannot parse {cell!r} as a number"
+                ) from None
+            if not np.isfinite(x):
+                raise DataFormatError(
+                    f"{path}: line {lineno}, column {name!r}: "
+                    f"non-finite value {cell!r}"
+                )
+
+
 def load_csv(path, na_tokens=None, incomplete=None):
     """Read a rectangular CSV with a header row into a Dataset plus roles.
 
@@ -168,38 +189,32 @@ def load_csv(path, na_tokens=None, incomplete=None):
             header = next(reader)
         except StopIteration:
             raise DataFormatError(f"{path}: empty file, expected a header row") from None
-        names = [h.strip() for h in header]
-        d = len(names)
-        values, mask = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d:
-                raise DataFormatError(
-                    f"{path}: line {lineno} has {len(row)} fields, expected {d}"
-                )
-            vrow = np.zeros(d)
-            mrow = np.ones(d, dtype=bool)
-            for j, cell in enumerate(row):
-                if cell in tokens:
-                    mrow[j] = False
-                    continue
-                try:
-                    x = float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: line {lineno}, column {names[j]!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-                if not np.isfinite(x):
-                    raise DataFormatError(
-                        f"{path}: line {lineno}, column {names[j]!r}: "
-                        f"non-finite value {cell!r}"
-                    )
-                vrow[j] = x
-            values.append(vrow)
-            mask.append(mrow)
-    if not values:
+        rows = list(reader)
+    names = [h.strip() for h in header]
+    d = len(names)
+    # cells are parsed up to the first ragged line; a bad cell among them
+    # comes first in the file, so it is reported instead of that line
+    n_good = next((i for i, row in enumerate(rows) if len(row) != d), len(rows))
+    parsed = rows[:n_good]
+    cells = list(chain.from_iterable(parsed))
+    mask = ~np.fromiter(map(tokens.__contains__, cells), bool, len(cells))
+    observed = filterfalse(tokens.__contains__, cells)
+    try:
+        numbers = np.fromiter(map(float, observed), float, mask.sum())
+    except ValueError:
+        numbers = None
+    if numbers is None or not np.isfinite(numbers).all():
+        _raise_first_bad_cell(path, names, parsed, tokens)
+    if n_good < len(rows):
+        raise DataFormatError(
+            f"{path}: line {n_good + 2} has {len(rows[n_good])} fields, expected {d}"
+        )
+    if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    ds = Dataset(np.asarray(values), np.asarray(mask), tuple(names))
+    values = np.zeros(len(cells))
+    values[mask] = numbers
+    shape = (len(rows), d)
+    ds = Dataset(values.reshape(shape), mask.reshape(shape), tuple(names))
 
     for j in range(ds.d):
         if not ds.mask[:, j].any():

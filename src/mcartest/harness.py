@@ -26,6 +26,7 @@ from .errors import DegenerateDataError, SingularMatrixError
 from .numerics import chi2_sf, rng_stream
 from .stats import (
     bivariate_mcar_test,
+    check_alpha,
     little_mcar_general,
     little_mcar_univariate,
     ustat_mcar_test,
@@ -108,8 +109,7 @@ class Scenario:
             raise ValueError(f"n must be at least 3, got {self.n}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        check_alpha(self.alpha)
         if not self.tests:
             raise ValueError("no tests selected")
         for tag in self.tests:
@@ -218,17 +218,15 @@ def run_test(tag: str, ds: Dataset, roles: ColumnRoles, alpha: float):
     return little_mcar_general(ds, alpha)
 
 
-def _replicate(scenario: Scenario, rep: int) -> dict:
+def _replicate(
+    scenario: Scenario, key: int, names: tuple, roles: ColumnRoles, rep: int
+) -> dict:
     """One replication: generate, amputate, test.
 
+    ``key``, ``names`` and ``roles`` are the scenario's content hash,
+    column names and column roles, computed once per cell by ``run_cell``.
     Returns {resolved tag: (reject, statistic) or None for degenerate}.
     """
-    names = pattern_names(scenario.p, scenario.q)
-    roles = ColumnRoles(
-        tuple(range(scenario.p)),
-        tuple(range(scenario.p, scenario.p + scenario.q)),
-    )
-    key = scenario.content_hash()
     gen_rng = rng_stream(scenario.master_seed, key, rep, _GEN_STREAM)
     full = generate(scenario.distribution, scenario.n, gen_rng, names)
     amp_rng = rng_stream(scenario.master_seed, key, rep, _AMP_STREAM)
@@ -257,18 +255,27 @@ def run_cell(scenario: Scenario, workers: int = 1) -> CellResult:
     requested test produced no valid replication at all.
     """
     n_rep = scenario.replications
+    fixed = (
+        scenario,
+        scenario.content_hash(),
+        pattern_names(scenario.p, scenario.q),
+        ColumnRoles(
+            tuple(range(scenario.p)),
+            tuple(range(scenario.p, scenario.p + scenario.q)),
+        ),
+    )
     if workers > 1:
         chunk = max(1, n_rep // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(
                 pool.map(
                     _replicate_star,
-                    ((scenario, r) for r in range(n_rep)),
+                    ((*fixed, r) for r in range(n_rep)),
                     chunksize=chunk,
                 )
             )
     else:
-        outcomes = [_replicate(scenario, r) for r in range(n_rep)]
+        outcomes = [_replicate(*fixed, r) for r in range(n_rep)]
 
     per_test = {}
     statistics = {}

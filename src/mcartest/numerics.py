@@ -4,10 +4,16 @@ Moments and covariances in unbiased and maximum-likelihood flavors,
 Kronecker products and their eigenvalues, symmetric-matrix inverse,
 chi-squared and standard-normal distribution functions, midranks, and
 deterministic per-task random streams.
+
+Only ``scipy.special`` is imported: the distribution functions rest on
+``gammaincc``, ``gammainccinv``, ``ndtr`` and ``ndtri``.  Midranks are
+computed here in numpy rather than with ``scipy.stats.rankdata``, because
+importing ``scipy.stats`` costs about a second per process and every CLI
+call would pay it.
 """
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import DegenerateDataError, SingularMatrixError
 
@@ -192,8 +198,22 @@ def normal_quantile(p):
 
 
 def ranks(x) -> np.ndarray:
-    """Midranks in [1, n]; ties receive the average of the ranks they cover."""
-    x = np.asarray(x, dtype=float)
+    """Midranks in [1, n]; ties receive the average of the ranks they cover.
+
+    Equal to ``scipy.stats.rankdata(x, method="average")`` bit for bit: a
+    tie run over sorted positions [start, end) gets (start + end + 1) / 2,
+    a half-integer and so exact in float64.  The input is flattened, and
+    any NaN makes every rank NaN.
+    """
+    x = np.asarray(x, dtype=float).ravel()
     if x.size < 1:
         raise DegenerateDataError("ranks require at least one value")
-    return stats.rankdata(x, method="average")
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], x.size)
+    out = np.empty(x.size)
+    out[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return out

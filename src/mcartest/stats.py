@@ -37,6 +37,7 @@ from .numerics import (
 __all__ = [
     "GapStats",
     "TestResult",
+    "check_alpha",
     "mean_product_gap",
     "gap_matrix",
     "gap_covariance",
@@ -92,7 +93,8 @@ class TestResult:
         }
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
+    """The one significance-level rule: raise ValueError unless 0 < alpha <= 1."""
     # alpha = 1 is allowed: it makes every test reject, which the Monte-Carlo
     # harness uses as a sanity probe
     if not 0.0 < alpha <= 1.0:
@@ -176,7 +178,7 @@ def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> Tes
     the statistic against the pq x pq route and the maximum-likelihood
     moment pair.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if ds.n < 3:
         raise DegenerateDataError("the quadratic-form test requires n >= 3")
     gaps = gap_matrix(ds, roles)
@@ -211,7 +213,7 @@ def bivariate_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) ->
     standard deviations is asymptotically standard normal under MCAR;
     the test is two-sided.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if roles.p != 1 or roles.q != 1:
         raise DegenerateDataError(
             "the bivariate test requires exactly one complete and one "
@@ -251,7 +253,7 @@ def little_mcar_univariate(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05)
     calibration with p degrees of freedom.  Requires both observed and
     missing rows to exist.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if roles.q != 1:
         raise DegenerateDataError(
             f"the closed form applies to exactly one incomplete column (got q={roles.q})"
@@ -306,7 +308,7 @@ def little_mcar_general(
     Raises DegenerateDataError when only one pattern is present (the test
     is undefined) and SingularMatrixError for a singular observed block.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     keep = ds.mask.any(axis=1)
     if not keep.all():
         ds = Dataset(ds.values[keep], ds.mask[keep], ds.column_names)

@@ -97,6 +97,30 @@ class TestTestCommand:
         path = write_hand(tmp_path)
         assert run_cli("test", "--input", str(path), "--tests", "zz") == 2
 
+    def test_alpha_one_accepted_by_test_and_simulate(self, tmp_path):
+        # one rule for both commands: alpha in (0, 1], and alpha = 1 rejects
+        path = write_hand(tmp_path)
+        out = tmp_path / "rep.json"
+        code = run_cli("test", "--input", str(path), "--alpha", "1", "--out", str(out))
+        assert code == 0
+        assert all(r["reject"] for r in json.loads(out.read_text()))
+        res = tmp_path / "res.csv"
+        code = run_cli(
+            "simulate", "--out", str(res), "--n", "40", "--replications", "10",
+            "--alpha", "1", "--seed", "2",
+        )
+        assert code == 0
+        with open(res, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(float(r["rate"]) == 1.0 for r in rows)
+
+    @pytest.mark.parametrize("alpha", ["0", "1.5"])
+    def test_alpha_outside_rule_is_usage_error_for_both(self, tmp_path, alpha):
+        path = write_hand(tmp_path)
+        assert run_cli("test", "--input", str(path), "--alpha", alpha) == 2
+        code = run_cli("simulate", "--out", str(tmp_path / "r.csv"), "--alpha", alpha)
+        assert code == 2
+
 
 class TestGenerateCommand:
     def test_byte_determinism(self, tmp_path):
@@ -166,6 +190,13 @@ class TestSimulateCommand:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4  # 2 cells x (an, d2)
+
+    def test_default_seed_is_zero(self, tmp_path):
+        outs = [tmp_path / "default.csv", tmp_path / "zero.csv"]
+        base = ("simulate", "--n", "30", "--replications", "5")
+        assert run_cli(*base, "--out", str(outs[0])) == 0
+        assert run_cli(*base, "--seed", "0", "--out", str(outs[1])) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_unknown_mechanism_usage_error(self, tmp_path):
         code = run_cli(
@@ -264,22 +295,36 @@ class TestPlotCommand:
         assert "mixes sweeps" in capsys.readouterr().err
 
 
+def child_env():
+    """Environment whose PYTHONPATH puts this process's package first."""
+    src = str(Path(mcartest.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoints:
     def test_no_args_usage(self):
         assert run_cli() == 2
+
+    def test_import_path_skips_scipy_stats(self):
+        # scipy.stats costs about a second to import; no CLI call needs it
+        code = (
+            "import mcartest, mcartest.cli, sys; "
+            "sys.exit('scipy.stats' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env())
+        assert proc.returncode == 0
 
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "hand.csv"
         path.write_text(HAND_CSV)
         # the child imports the same package as this process, installed or not
-        src = str(Path(mcartest.__file__).parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "mcartest", "test", "--input", str(path), "--tests", "an"],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "2.25" in proc.stdout

@@ -1,5 +1,11 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mcartest import (
     ColumnRoles,
@@ -123,6 +129,134 @@ def test_load_errors(tmp_path):
     blank.write_text("")
     with pytest.raises(DataFormatError, match="empty file"):
         load_csv(blank)
+
+
+def test_load_error_order_bad_cell_before_ragged_line(tmp_path):
+    path = tmp_path / "order.csv"
+    path.write_text("a,b\n1.0,2.0\n3.0,oops\n4.0,5.0\n6.0\n")
+    with pytest.raises(DataFormatError, match="line 3, column 'b'"):
+        load_csv(path)
+
+
+def test_load_error_order_ragged_line_before_bad_cell(tmp_path):
+    path = tmp_path / "order.csv"
+    path.write_text("a,b\n1.0,2.0\n3.0\n4.0,5.0\n6.0,oops\n")
+    with pytest.raises(DataFormatError, match="line 3 has 1 fields, expected 2"):
+        load_csv(path)
+
+
+def test_load_error_reports_leftmost_bad_cell(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("a,b,c\n1.0,2.0,3.0\n4.0,inf,oops\n")
+    with pytest.raises(DataFormatError, match="line 3, column 'b': non-finite"):
+        load_csv(path)
+    path.write_text("a,b,c\n1.0,2.0,3.0\n4.0,oops,inf\n")
+    with pytest.raises(DataFormatError, match="line 3, column 'b': cannot parse"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
+def test_load_non_finite(tmp_path, cell):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n")
+    message = f"line 3, column 'b': non-finite value '{cell}'"
+    with pytest.raises(DataFormatError, match=message):
+        load_csv(path)
+
+
+def test_load_parses_like_float(tmp_path):
+    cells = [" 1.5", "+.5", "1e5", "1_000", "-0"]
+    path = tmp_path / "floats.csv"
+    path.write_text("a,b\n" + "".join(f"{c},NA\n{c},7\n" for c in cells))
+    ds, _ = load_csv(path)
+    expected = [float(c) for c in cells for _ in range(2)]
+    assert ds.values[:, 0].tobytes() == np.array(expected).tobytes()
+
+
+def test_round_trip_quoted_header(tmp_path, rng):
+    ds, _ = make_dataset(rng, 12, 1, 2)
+    names = ("x, one", 'say "hi"', "  padded")
+    ds = Dataset(ds.values, ds.mask, names)
+    path = tmp_path / "quoted.csv"
+    write_csv(ds, path)
+    assert path.read_bytes().startswith(b'"x, one","say ""hi""",  padded\r\n')
+    back, _ = load_csv(path)
+    # header names are stripped of surrounding whitespace on load
+    assert back.column_names == ("x, one", 'say "hi"', "padded")
+    np.testing.assert_array_equal(back.mask, ds.mask)
+    np.testing.assert_array_equal(back.values[ds.mask], ds.values[ds.mask])
+
+
+def reference_parse(text, tokens=frozenset({"NA", "NaN", ""})):
+    """Cell-by-cell parse in file order: (values, mask) or the first error."""
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    names = [h.strip() for h in header]
+    values, mask = [], []
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(names):
+            return f"line {lineno} has {len(row)} fields, expected {len(names)}"
+        for name, cell in zip(names, row):
+            mask.append(cell not in tokens)
+            values.append(0.0)
+            if cell in tokens:
+                continue
+            try:
+                values[-1] = float(cell)
+            except ValueError:
+                return f"line {lineno}, column {name!r}: cannot parse {cell!r} as a number"
+            if not math.isfinite(values[-1]):
+                return f"line {lineno}, column {name!r}: non-finite value {cell!r}"
+    shape = (len(rows), len(names))
+    return np.reshape(values, shape), np.reshape(mask, shape)
+
+
+NUMBERS = ["1", "-2.5", "0", "-0", " 1.5", "+.5", "1e5", "1_000", "5e-324"]
+ODD = ["NA", "", "NaN", "nan", "inf", "-inf", "1e400", "x", "1,5", "1 000", "0x10"]
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    d=st.integers(1, 3),
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(NUMBERS),
+            st.lists(st.sampled_from(NUMBERS + ODD), min_size=4, max_size=4),
+            # how many fields the line has beyond the header's: mostly none
+            st.sampled_from([0, 0, 0, 0, -1, 1]),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_load_matches_cell_by_cell_parse(tmp_path, d, rows):
+    # the first column is always numeric, so a clean file has a complete
+    # column; the others draw odd cells, and some lines are ragged
+    lines = ["a" + "".join(f",c{j}" for j in range(d))]
+    lines += [
+        ",".join([first, *(f'"{c}"' for c in rest[: d + extra])])
+        for first, rest, extra in rows
+    ]
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "prop.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = reference_parse(text)
+    if isinstance(expected, str):
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: {expected}"
+        return
+    values, mask = expected
+    if not mask.any(axis=0).all():
+        with pytest.raises(DataFormatError, match="entirely missing"):
+            load_csv(path)
+        return
+    ds, _ = load_csv(path)
+    assert ds.mask.tobytes() == mask.tobytes()
+    assert ds.values.tobytes() == values.tobytes()
 
 
 def test_load_all_columns_incomplete(tmp_path):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from mcartest.errors import SingularMatrixError
 from mcartest.numerics import (
@@ -189,6 +192,33 @@ class TestRanks:
         np.testing.assert_array_equal(
             ranks(np.array([2.0, 1.0, 2.0])), np.array([2.5, 1.0, 2.5])
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                # a small pool forces tie runs; -0.0 must tie with 0.0
+                st.sampled_from([-0.0, 0.0, 1.0, -2.5, 1e300, -1e300]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_matches_rankdata_bit_for_bit(self, values):
+        x = np.array(values)
+        expected = rankdata(x, method="average")
+        got = ranks(x)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_single_value_and_large_repeats(self):
+        assert ranks(np.array([7.0])).tolist() == [1.0]
+        x = np.array([1e300] * 5 + [-1e300] * 4 + [0.0, -0.0])
+        assert ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+        # rankdata propagates NaN to every rank
+        x = np.array([2.0, np.nan, 1.0])
+        np.testing.assert_array_equal(ranks(x), rankdata(x, method="average"))
 
 
 class TestRngStream:
