@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .data import ColumnRoles, load_csv, write_csv
 from .errors import McartestError
-from .harness import Scenario, resolve_test, results_to_csv, run_grid, run_test
+from .harness import KNOWN_TESTS, Scenario, resolve_tests, results_to_csv, run_grid, run_test
 from .numerics import rng_stream
 from .plotting import render_rate_chart
 from .stats import check_alpha
@@ -37,6 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
+_TESTS_HELP = f"comma list from {','.join(KNOWN_TESTS)}"
+
 
 def _split_csv_list(text: str) -> list:
     return [item.strip() for item in text.split(",") if item.strip()]
@@ -46,19 +48,11 @@ def _parse_tests(text: str, parser) -> tuple:
     tags = tuple(_split_csv_list(text))
     if not tags:
         parser.error("--tests must name at least one test")
-    for tag in tags:
-        try:
-            resolve_test(tag, 1)
-        except ValueError as exc:
-            parser.error(str(exc))
+    try:
+        resolve_tests(tags, 1)
+    except ValueError as exc:
+        parser.error(str(exc))
     return tags
-
-
-def _run_selected_tests(ds, roles, tags, alpha) -> list:
-    return [
-        run_test(tag, ds, roles, alpha)
-        for tag in dict.fromkeys(resolve_test(t, roles.q) for t in tags)
-    ]
 
 
 def _write_test_report(results, out_path) -> None:
@@ -94,7 +88,7 @@ def _cmd_test(args, parser) -> int:
     na_tokens = set(args.na_token) if args.na_token else None
     incomplete = _split_csv_list(args.roles) if args.roles else None
     ds, roles = load_csv(args.input, na_tokens=na_tokens, incomplete=incomplete)
-    results = _run_selected_tests(ds, roles, tags, args.alpha)
+    results = [run_test(tag, ds, roles, args.alpha) for tag in resolve_tests(tags, roles.q)]
 
     name = Path(args.input).name
     print(f"{name}: n={ds.n} rows, {roles.p} complete, {roles.q} incomplete columns")
@@ -311,11 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument(
         "--alpha", type=float, default=0.05, help="significance level in (0, 1]"
     )
-    t.add_argument(
-        "--tests",
-        default="an,d2",
-        help="comma list from an,dn,d2,d2_univariate,d2_general",
-    )
+    t.add_argument("--tests", default="an,d2", help=_TESTS_HELP)
     t.add_argument(
         "--roles",
         help="comma list of column names to treat as incomplete "
@@ -374,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--controls")
     s.add_argument("--p-high")
     s.add_argument("--p-low")
-    s.add_argument("--tests", default="an,d2")
+    s.add_argument("--tests", default="an,d2", help=_TESTS_HELP)
     s.add_argument(
         "--alpha", type=float, default=0.05, help="significance level in (0, 1]"
     )

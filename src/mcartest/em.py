@@ -1,9 +1,11 @@
 """EM estimation of a multivariate normal mean and covariance under missingness.
 
-Rows are grouped by missingness pattern so each E-step solves one linear
-system per pattern instead of one per row.  The observed-data log-likelihood
-is evaluated at the parameters entering each E-step; EM guarantees the trace
-is non-decreasing, which the tests exploit.
+Rows are grouped by missingness pattern once per fit, and what a pattern
+fixes is built before the first iteration, so each E-step solves one linear
+system per pattern instead of one per row.  The fit returns its grouping for
+Little's d2.  The observed-data log-likelihood is evaluated at the
+parameters entering each E-step; EM guarantees the trace is non-decreasing,
+which the tests exploit.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,8 @@ class EmResult:
     ``sigma`` is the maximum-likelihood (1/n) estimate.  ``loglik_trace``
     holds the observed-data log-likelihood at the start of every iteration;
     ``ridged`` records whether any observed-block solve needed a diagonal
-    ridge to proceed.
+    ridge to proceed.  ``patterns`` is the fit's ``group_patterns`` grouping;
+    its rows index the kept rows, those with at least one observed cell.
     """
 
     mu: np.ndarray
@@ -36,6 +39,7 @@ class EmResult:
     converged: bool
     iterations: int
     ridged: bool
+    patterns: list
 
 
 class _RidgeFlag:
@@ -91,6 +95,7 @@ def _complete_fit(x: np.ndarray) -> EmResult:
         converged=True,
         iterations=1,
         ridged=flag.used,
+        patterns=[(np.arange(d), np.arange(n))],
     )
 
 
@@ -153,7 +158,17 @@ def em_mvn(ds: Dataset, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
     scale = max(float(var.max()), 1.0)
     sigma = np.diag(np.maximum(var, _VAR_FLOOR * scale))
 
+    # per pattern, fixed across iterations: missing columns, observed block,
+    # z with its observed columns filled, index pairs into sigma and s2
     patterns = group_patterns(mask)
+    blocks = []
+    for obs, rows in patterns:
+        mis = np.setdiff1d(np.arange(d), obs, assume_unique=True)
+        xo = x[np.ix_(rows, obs)]
+        z = np.empty((rows.size, d))
+        z[:, obs] = xo
+        pairs = (np.ix_(obs, obs), np.ix_(obs, mis), np.ix_(mis, mis), np.ix_(mis, obs))
+        blocks.append((obs, mis, xo, z, *pairs))
     flag = _RidgeFlag()
     trace: list[float] = []
     converged = False
@@ -164,27 +179,17 @@ def em_mvn(ds: Dataset, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
         s1 = np.zeros(d)
         s2 = np.zeros((d, d))
         ll = 0.0
-        for obs, rows in patterns:
-            mis = np.setdiff1d(np.arange(d), obs, assume_unique=True)
-            k = rows.size
-            xo = x[np.ix_(rows, obs)]
-            c = _chol(sigma[np.ix_(obs, obs)], flag)
+        for obs, mis, xo, z, oo, om, mm, mo in blocks:
+            k = xo.shape[0]
+            c = _chol(sigma[oo], flag)
             centered = xo - mu[obs]
             ll += _loglik_complete(centered, c, k, obs.size)
-
-            z = np.empty((k, d))
-            z[:, obs] = xo
             if mis.size:
                 # regression coefficients of missing on observed at the
                 # current parameters
-                beta = np.linalg.solve(
-                    c.T, np.linalg.solve(c, sigma[np.ix_(obs, mis)])
-                )
+                beta = np.linalg.solve(c.T, np.linalg.solve(c, sigma[om]))
                 z[:, mis] = mu[mis] + centered @ beta
-                cond_cov = (
-                    sigma[np.ix_(mis, mis)] - sigma[np.ix_(mis, obs)] @ beta
-                )
-                s2[np.ix_(mis, mis)] += k * cond_cov
+                s2[mm] += k * (sigma[mm] - sigma[mo] @ beta)
             s1 += z.sum(axis=0)
             s2 += z.T @ z
         trace.append(ll)
@@ -204,4 +209,5 @@ def em_mvn(ds: Dataset, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
         converged=converged,
         iterations=iterations,
         ridged=flag.used,
+        patterns=patterns,
     )

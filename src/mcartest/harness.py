@@ -45,6 +45,7 @@ __all__ = [
     "CellResult",
     "KNOWN_TESTS",
     "resolve_test",
+    "resolve_tests",
     "run_test",
     "wilson_interval",
     "run_cell",
@@ -69,6 +70,11 @@ def resolve_test(tag: str, q: int) -> str:
     if tag == "d2":
         return "d2_univariate" if q == 1 else "d2_general"
     return tag
+
+
+def resolve_tests(tags, q: int) -> tuple:
+    """Resolved wire names of ``tags``, each once, in first-seen order."""
+    return tuple(dict.fromkeys(resolve_test(t, q) for t in tags))
 
 
 @dataclass(frozen=True)
@@ -112,8 +118,7 @@ class Scenario:
         check_alpha(self.alpha)
         if not self.tests:
             raise ValueError("no tests selected")
-        for tag in self.tests:
-            resolve_test(tag, self.q)
+        resolve_tests(self.tests, self.q)
         if "dn" in self.tests and (self.p != 1 or self.q != 1):
             raise ValueError("the dn test requires p = q = 1")
 
@@ -219,12 +224,12 @@ def run_test(tag: str, ds: Dataset, roles: ColumnRoles, alpha: float):
 
 
 def _replicate(
-    scenario: Scenario, key: int, names: tuple, roles: ColumnRoles, rep: int
+    scenario: Scenario, key: int, names: tuple, roles: ColumnRoles, tags: tuple, rep: int
 ) -> dict:
     """One replication: generate, amputate, test.
 
-    ``key``, ``names`` and ``roles`` are the scenario's content hash,
-    column names and column roles, computed once per cell by ``run_cell``.
+    ``key``, ``names``, ``roles`` and ``tags`` (content hash, column names,
+    column roles, resolved tests) are computed once per cell by ``run_cell``.
     Returns {resolved tag: (reject, statistic) or None for degenerate}.
     """
     gen_rng = rng_stream(scenario.master_seed, key, rep, _GEN_STREAM)
@@ -233,7 +238,7 @@ def _replicate(
     ds = apply_mechanism(full, roles, scenario.mechanism, amp_rng)
 
     out = {}
-    for tag in dict.fromkeys(resolve_test(t, scenario.q) for t in scenario.tests):
+    for tag in tags:
         try:
             result = run_test(tag, ds, roles, scenario.alpha)
         except (SingularMatrixError, DegenerateDataError):
@@ -255,6 +260,7 @@ def run_cell(scenario: Scenario, workers: int = 1) -> CellResult:
     requested test produced no valid replication at all.
     """
     n_rep = scenario.replications
+    tags = resolve_tests(scenario.tests, scenario.q)
     fixed = (
         scenario,
         scenario.content_hash(),
@@ -263,6 +269,7 @@ def run_cell(scenario: Scenario, workers: int = 1) -> CellResult:
             tuple(range(scenario.p)),
             tuple(range(scenario.p, scenario.p + scenario.q)),
         ),
+        tags,
     )
     if workers > 1:
         chunk = max(1, n_rep // (workers * 4))
@@ -279,7 +286,7 @@ def run_cell(scenario: Scenario, workers: int = 1) -> CellResult:
 
     per_test = {}
     statistics = {}
-    for tag in dict.fromkeys(resolve_test(t, scenario.q) for t in scenario.tests):
+    for tag in tags:
         rejections = 0
         valid = 0
         values = []
@@ -332,7 +339,7 @@ def null_distribution_check(scenario: Scenario, workers: int = 1) -> float:
     """
     if scenario.mechanism.kind != "mcar":
         raise ValueError("null_distribution_check requires an MCAR mechanism")
-    if "an" not in [resolve_test(t, scenario.q) for t in scenario.tests]:
+    if "an" not in resolve_tests(scenario.tests, scenario.q):
         scenario = replace(scenario, tests=scenario.tests + ("an",))
     result = run_cell(scenario, workers=workers)
     return result.ks_vs_chi2

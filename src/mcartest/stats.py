@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ColumnRoles, Dataset, response_matrix
-from .em import em_mvn, group_patterns
+from .em import em_mvn
 from .errors import DegenerateDataError
 from .numerics import (
     chi2_sf,
@@ -299,33 +299,30 @@ def little_mcar_general(
 ) -> TestResult:
     """Little's d2 for arbitrary missingness patterns.
 
-    Rows are grouped by missingness pattern; the statistic sums, over
-    patterns, the Mahalanobis distance between the pattern's observed-column
-    means and the EM estimates of the corresponding means, weighted by the
-    pattern size.  Degrees of freedom: sum of per-pattern observed counts
-    minus the number of columns.
+    The statistic sums, over the missingness patterns of the EM fit, the
+    Mahalanobis distance between the pattern's observed-column means and
+    the EM estimates of the corresponding means, weighted by the pattern
+    size.  Degrees of freedom: sum of per-pattern observed counts minus the
+    number of columns.  Rows with no observed cell are dropped.
 
-    Raises DegenerateDataError when only one pattern is present (the test
-    is undefined) and SingularMatrixError for a singular observed block.
+    Raises DegenerateDataError when fewer than two patterns are present (the
+    test is undefined) and SingularMatrixError for a singular observed block.
     """
     check_alpha(alpha)
     keep = ds.mask.any(axis=1)
-    if not keep.all():
-        ds = Dataset(ds.values[keep], ds.mask[keep], ds.column_names)
-    n, d = ds.n, ds.d
-
-    patterns = group_patterns(ds.mask)
-    if len(patterns) < 2:
+    mask = ds.mask[keep]
+    if not mask.size or (mask == mask[0]).all():
         raise DegenerateDataError(
             "Little's test is undefined for a single missingness pattern"
         )
 
     fit = em_mvn(ds, tol=tol, max_iter=max_iter)
+    x = ds.values[keep]
     statistic = 0.0
-    df = -d
-    for obs, rows in patterns:
+    df = -ds.d
+    for obs, rows in fit.patterns:
         df += obs.size
-        dev = ds.values[np.ix_(rows, obs)].mean(axis=0) - fit.mu[obs]
+        dev = x[np.ix_(rows, obs)].mean(axis=0) - fit.mu[obs]
         block = fit.sigma[np.ix_(obs, obs)]
         statistic += rows.size * float(dev @ inverse(block) @ dev)
     if df <= 0:
@@ -340,10 +337,10 @@ def little_mcar_general(
         alpha=alpha,
         reject=p_value <= alpha,
         diagnostics={
-            "n_patterns": len(patterns),
+            "n_patterns": len(fit.patterns),
             "em_iterations": fit.iterations,
             "em_converged": fit.converged,
             "em_ridged": fit.ridged,
-            "n": n,
+            "n": x.shape[0],
         },
     )

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mcartest
 from mcartest import ColumnRoles, Dataset, gap_covariance, gap_matrix
 from mcartest.numerics import spd_eigh
 
@@ -14,6 +18,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def child_env():
+    """Environment whose PYTHONPATH puts this process's package first.
+
+    Child processes started with it import the same package as the test
+    run, installed or not, with or without PYTHONPATH set by the caller.
+    """
+    src = str(Path(mcartest.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

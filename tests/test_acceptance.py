@@ -44,7 +44,7 @@ from mcartest import (
 )
 from mcartest.harness import Scenario, null_distribution_check, run_cell, run_grid
 
-from conftest import ACCEPTANCE_LINES, make_dataset, reference_routes
+from conftest import ACCEPTANCE_LINES, child_env, make_dataset, reference_routes
 
 
 def report(num, ok, detail):
@@ -277,6 +277,7 @@ def test_11_cli_worker_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())

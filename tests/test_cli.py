@@ -1,15 +1,15 @@
 import csv
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import mcartest
 from mcartest import Dataset, load_csv, ustat_mcar_test
 from mcartest.cli import main
+from mcartest.harness import KNOWN_TESTS
+
+from conftest import child_env
 
 HAND_CSV = "x,y\n1.0,10.0\n2.0,11.0\n3.0,NA\n"
 
@@ -295,17 +295,15 @@ class TestPlotCommand:
         assert "mixes sweeps" in capsys.readouterr().err
 
 
-def child_env():
-    """Environment whose PYTHONPATH puts this process's package first."""
-    src = str(Path(mcartest.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 class TestEntryPoints:
     def test_no_args_usage(self):
         assert run_cli() == 2
+
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_tests_help_lists_known_tests(self, command, capsys):
+        assert run_cli(command, "--help") == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--tests TESTS comma list from " + ",".join(KNOWN_TESTS) in text
 
     def test_import_path_skips_scipy_stats(self):
         # scipy.stats costs about a second to import; no CLI call needs it

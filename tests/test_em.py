@@ -125,3 +125,20 @@ def test_group_patterns_order_and_partition(rng):
         assert np.array_equal(obs, np.flatnonzero(mask[r[0]]))
         assert (mask[r] == mask[r[0]]).all()
     assert len(groups) == len({m.tobytes() for m in mask})
+
+
+def test_fit_returns_grouping_of_kept_rows(rng):
+    ds = mcar_normal(rng, 120, 3, 0.3)
+    mask = np.array(ds.mask)
+    mask[[4, 50]] = False  # dropped, so later rows shift down by one or two
+    fit = em_mvn(ds.with_mask(mask))
+    expected = group_patterns(mask[mask.any(axis=1)])
+    assert len(fit.patterns) == len(expected)
+    for (obs, rows), (obs_e, rows_e) in zip(fit.patterns, expected):
+        assert np.array_equal(obs, obs_e)
+        assert np.array_equal(rows, rows_e)
+    assert sum(rows.size for _, rows in fit.patterns) == 118
+
+    (obs, rows), = em_mvn(ds.with_mask(np.ones((120, 3), bool))).patterns
+    assert np.array_equal(obs, np.arange(3))
+    assert np.array_equal(rows, np.arange(120))

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcartest.em
+import mcartest.stats
 from mcartest import (
     ColumnRoles,
     Dataset,
@@ -350,6 +352,60 @@ class TestLittleGeneral:
         full = ds.with_mask(np.ones((30, 3), dtype=bool))
         with pytest.raises(DegenerateDataError):
             little_mcar_general(full)
+
+    def test_no_observed_cell_rejected(self, rng):
+        # every row is dropped, which leaves no pattern at all
+        ds, _ = make_dataset(rng, 30, 2, 1)
+        empty = ds.with_mask(np.zeros((30, 3), dtype=bool))
+        with pytest.raises(DegenerateDataError, match="single missingness pattern"):
+            little_mcar_general(empty)
+
+    def test_groups_patterns_once(self, rng, monkeypatch):
+        calls = []
+        for module in (mcartest.em, mcartest.stats):
+            original = getattr(module, "group_patterns", None)
+            if original is None:
+                continue
+
+            def counted(mask, original=original):
+                calls.append(mask.shape)
+                return original(mask)
+
+            monkeypatch.setattr(module, "group_patterns", counted)
+        ds, _ = make_dataset(rng, 200, 2, 3, miss_prob=0.2)
+        little_mcar_general(ds)
+        assert len(calls) == 1
+
+    # (seed, mechanism, n) -> (repr(statistic), df, em_iterations,
+    # em_converged, em_ridged, n_patterns), pinned exactly: a change in the
+    # order of floating-point operations in EM or the d2 sum shows up here
+    GOLDEN = [
+        (1, "mcar", 100, ("31.346587070269948", 18, 16, True, False, 6)),
+        (2, "mcar", 100, ("11.436096622481921", 15, 16, True, False, 5)),
+        (3, "mcar", 100, ("12.924384485129977", 18, 11, True, False, 6)),
+        (4, "mcar", 100, ("12.143057707456038", 15, 9, True, False, 5)),
+        (5, "mar_1_to_x", 20000, ("2466.0125179053703", 23, 11, True, False, 8)),
+    ]
+
+    @pytest.mark.parametrize("seed, kind, n, expected", GOLDEN)
+    def test_golden_outputs(self, seed, kind, n, expected):
+        dist = DistributionSpec(kind="clayton", dim=5, theta=1.0, margins=("exp1",) * 5)
+        odds = 9.0 if kind == "mar_1_to_x" else None
+        mech = MechanismSpec(kind=kind, miss_prob=0.12, odds=odds)
+        roles = ColumnRoles((0, 1), (2, 3, 4))
+        full = generate(dist, n, rng_stream(seed, 0))
+        ds = apply_mechanism(full, roles, mech, rng_stream(seed, 1))
+        result = little_mcar_general(ds)
+        diag = result.diagnostics
+        got = (
+            repr(result.statistic),
+            result.df,
+            diag["em_iterations"],
+            diag["em_converged"],
+            diag["em_ridged"],
+            diag["n_patterns"],
+        )
+        assert got == expected
 
     def test_all_missing_rows_dropped(self, rng):
         ds, roles = make_dataset(rng, 120, 2, 2, miss_prob=0.3)
