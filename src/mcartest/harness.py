@@ -16,7 +16,6 @@ size estimates exactly where the tests are most fragile.
 import csv
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -272,6 +271,9 @@ def run_cell(scenario: Scenario, workers: int = 1) -> CellResult:
         tags,
     )
     if workers > 1:
+        # imported here: multiprocessing adds to every CLI call's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, n_rep // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(

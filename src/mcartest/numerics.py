@@ -5,15 +5,18 @@ Kronecker products and their eigenvalues, symmetric-matrix inverse,
 chi-squared and standard-normal distribution functions, midranks, and
 deterministic per-task random streams.
 
-Only ``scipy.special`` is imported: the distribution functions rest on
-``gammaincc``, ``gammainccinv``, ``ndtr`` and ``ndtri``.  Midranks are
-computed here in numpy rather than with ``scipy.stats.rankdata``, because
-importing ``scipy.stats`` costs about a second per process and every CLI
-call would pay it.
+Nothing here imports scipy at module level, because every CLI call would
+pay for it: ``scipy.stats`` costs about a second and ``scipy.special``
+about a quarter of one.  The MCAR tests' p-values need only the chi-squared
+tail at an integer df and the normal CDF, which have closed forms in
+``math.erfc`` and finite sums; midranks are computed in numpy.  Only
+``chi2_quantile`` (the ``chisq4`` margin) imports ``scipy.special``, when
+it is called.
 """
 
+import math
+
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateDataError, SingularMatrixError
 
@@ -27,7 +30,6 @@ __all__ = [
     "chi2_sf",
     "chi2_quantile",
     "normal_cdf",
-    "normal_quantile",
     "ranks",
 ]
 
@@ -162,38 +164,70 @@ def inverse(a: np.ndarray) -> np.ndarray:
     return (v / w) @ v.T
 
 
-def chi2_sf(x, df: int):
-    """Chi-squared survival function via the regularized upper incomplete gamma."""
+# math.erfc as a ufunc; it returns an object array, or a bare float for
+# 0-d input, so callers wrap it in np.asarray(..., dtype=float)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_TINY = math.ulp(0.0)
+_HUGE = np.finfo(float).max
+
+
+def _check_df(df) -> None:
     if df < 1 or int(df) != df:
         raise ValueError(f"df must be a positive integer, got {df}")
+
+
+def chi2_sf(x, df: int):
+    """Chi-squared survival function for an integer df, in closed form.
+
+    With y = x/2 (Abramowitz & Stegun 26.4.4 and 26.4.5):
+
+    * even df: Q = sum over j < df/2 of e^-y y^j / j!
+    * odd df:  Q = erfc(sqrt y) + sum over a = 1/2, 3/2, ... < df/2 of
+      e^-y y^a / Gamma(a + 1)
+
+    Each term is formed in log space, exp(a log y - y - lgamma(a + 1)), so
+    none overflows or underflows before the sum does.  Q is 1 at x = 0,
+    0 at x = inf and NaN at NaN.  Returns a float for 0-d input and an
+    array of the input's shape otherwise.
+    """
+    _check_df(df)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("chi2_sf requires x >= 0")
-    out = special.gammaincc(df / 2.0, x / 2.0)
-    return float(out) if out.ndim == 0 else out
+    # y within the positive finite doubles keeps log y finite, and then Q
+    # comes out exactly 1 at x = 0 and 0 at x = inf with no special case
+    y = np.minimum(np.maximum(x * 0.5, _TINY), _HUGE)
+    a = np.arange(df % 2 / 2.0, df / 2.0)
+    log_gamma = np.array([math.lgamma(v + 1.0) for v in a])
+    q = np.exp(a * np.log(y)[..., None] - y[..., None] - log_gamma).sum(axis=-1)
+    if df % 2:
+        q += np.asarray(_erfc(np.sqrt(y)), dtype=float)
+    # rounding can carry the sum one ulp past 1 for small x
+    q = np.minimum(q, 1.0)
+    return float(q) if q.ndim == 0 else q
 
 
 def chi2_quantile(p, df: int):
-    """Inverse of the chi-squared CDF."""
-    if df < 1 or int(df) != df:
-        raise ValueError(f"df must be a positive integer, got {df}")
+    """Inverse of the chi-squared CDF.
+
+    Imports ``scipy.special`` on first use, for ``gammainccinv``: only
+    the ``chisq4`` margin of the Clayton generator calls this.
+    """
+    from scipy.special import gammainccinv
+
+    _check_df(df)
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("chi2_quantile requires p in (0, 1)")
-    out = 2.0 * special.gammainccinv(df / 2.0, 1.0 - p)
+    out = 2.0 * gammainccinv(df / 2.0, 1.0 - p)
     return float(out) if out.ndim == 0 else out
 
 
 def normal_cdf(x):
-    out = special.ndtr(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def normal_quantile(p):
-    p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise ValueError("normal_quantile requires p in (0, 1)")
-    out = special.ndtri(p)
+    """Standard normal CDF, 0.5 erfc(-x / sqrt 2)."""
+    # multiplying by 1/sqrt 2, as scipy's ndtr does, rounds the argument
+    # alike; in the far left tail that rounding sets the relative error
+    out = 0.5 * np.asarray(_erfc(np.asarray(x, dtype=float) * -math.sqrt(0.5)), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import ColumnRoles, Dataset
 from .errors import DegenerateDataError
-from .numerics import chi2_quantile, normal_quantile, ranks
+from .numerics import chi2_quantile, ranks
 
 __all__ = [
     "DistributionSpec",

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -305,14 +306,67 @@ class TestEntryPoints:
         text = " ".join(capsys.readouterr().out.split())
         assert "--tests TESTS comma list from " + ",".join(KNOWN_TESTS) in text
 
-    def test_import_path_skips_scipy_stats(self):
-        # scipy.stats costs about a second to import; no CLI call needs it
-        code = (
-            "import mcartest, mcartest.cli, sys; "
-            "sys.exit('scipy.stats' in sys.modules)"
+    def test_cli_path_loads_no_scipy(self, tmp_path):
+        # scipy costs a quarter to a whole second of start-up per call; the
+        # import, a simulate, a generate and a test call must not load any of it
+        path = tmp_path / "tiny.csv"
+        rows = [f"{i / 3:.4f},{(i * 7) % 11 - 0.5 * i:.4f}" for i in range(24)]
+        for i in (2, 5, 9, 14, 20):
+            rows[i] = rows[i].split(",")[0] + ",NA"
+        path.write_text("x,y\n" + "\n".join(rows) + "\n")
+        code = textwrap.dedent(
+            f"""
+            import sys
+            import mcartest, mcartest.cli
+
+            def loaded(step):
+                names = sorted(m for m in sys.modules if m.startswith("scipy"))
+                if names:
+                    sys.exit(f"{{step}} loaded {{names}}")
+
+            loaded("import")
+            code = mcartest.cli.main([
+                "simulate", "--out", {str(tmp_path / "sim.csv")!r},
+                "--replications", "5", "--n", "40", "--tests", "an,d2",
+                "--mechanism", "mcar", "--dist", "clayton", "--margins", "exp1,uniform,exp1",
+            ])
+            assert code == 0, code
+            loaded("simulate")
+            code = mcartest.cli.main([
+                "generate", "--out", {str(tmp_path / "gen.csv")!r}, "--n", "60",
+                "--dist", "std_normal", "--mechanism", "mar_rank", "--miss-prob", "0.2",
+                "--seed", "2",
+            ])
+            assert code == 0, code
+            loaded("generate")
+            code = mcartest.cli.main(
+                ["test", "--input", {str(path)!r}, "--tests", "an,d2,dn"]
+            )
+            assert code == 0, code
+            loaded("test")
+            """
         )
-        proc = subprocess.run([sys.executable, "-c", code], env=child_env())
-        assert proc.returncode == 0
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "dn" in proc.stdout
+
+    def test_chisq4_margin_imports_scipy_when_used(self):
+        # the one caller left of scipy.special imports it on first use
+        code = (
+            "import sys, numpy as np; "
+            "from mcartest import DistributionSpec, generate; "
+            "spec = DistributionSpec(kind='clayton', dim=2, theta=1.0, "
+            "margins=('chisq4', 'exp1')); "
+            "ds = generate(spec, 50, np.random.default_rng(3)); "
+            "assert np.isfinite(ds.values).all() and (ds.values > 0).all(); "
+            "assert 'scipy.special' in sys.modules"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "hand.csv"
