@@ -20,7 +20,6 @@ from .harness import (
     CellResult,
     Scenario,
     TestCellStats,
-    null_distribution_check,
     results_to_csv,
     run_cell,
     run_grid,
@@ -31,7 +30,6 @@ from .stats import (
     GapStats,
     TestResult,
     bivariate_mcar_test,
-    gap_covariance,
     gap_matrix,
     little_mcar_general,
     little_mcar_univariate,
@@ -72,7 +70,6 @@ __all__ = [
     "CellResult",
     "Scenario",
     "TestCellStats",
-    "null_distribution_check",
     "results_to_csv",
     "run_cell",
     "run_grid",
@@ -81,7 +78,6 @@ __all__ = [
     "GapStats",
     "TestResult",
     "bivariate_mcar_test",
-    "gap_covariance",
     "gap_matrix",
     "little_mcar_general",
     "little_mcar_univariate",

@@ -14,16 +14,19 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .data import ColumnRoles, load_csv, write_csv
 from .errors import McartestError
-from .harness import KNOWN_TESTS, Scenario, resolve_tests, results_to_csv, run_grid, run_test
+from .harness import KNOWN_TESTS, Scenario, resolve_tests, results_to_csv, run_grid
+from .harness import run_test, sweep_scenarios
 from .numerics import rng_stream
 from .plotting import render_rate_chart
 from .stats import check_alpha
 from .synthesis import (
+    DISTRIBUTION_KINDS,
+    MARGIN_KINDS,
+    MECHANISM_KINDS,
     DistributionSpec,
     MechanismSpec,
     apply_mechanism,
@@ -149,7 +152,7 @@ def _parse_rates(text, parser, name):
     try:
         return tuple(float(v) for v in _split_csv_list(text))
     except ValueError:
-        parser.error(f"{name} must be a comma-separated list of numbers")
+        parser.error(f"{name} must be a comma-separated list of numbers, got {text!r}")
 
 
 def _build_mechanism(args, names, parser) -> MechanismSpec:
@@ -182,6 +185,8 @@ def _cmd_generate(args, parser) -> int:
         parser.error("need --p >= 1 and --q >= 1")
     if args.n < 1:
         parser.error("need --n >= 1")
+    if args.seed < 0:
+        parser.error(f"need --seed >= 0, got {args.seed}")
     names = pattern_names(args.p, args.q)
     dist = _build_distribution(args, parser)
     mech = _build_mechanism(args, names, parser)
@@ -218,51 +223,48 @@ def _scenario_from_args(args, parser) -> Scenario:
             parser.error(f"--scenario: {args.scenario} is not valid JSON ({exc})")
         except OSError as exc:
             parser.error(f"--scenario: {exc}")
-        try:
-            scenario = Scenario.from_dict(doc)
-        except ValueError as exc:
-            parser.error(f"--scenario: {exc}")
     else:
         names = pattern_names(args.p, args.q)
-        dist = _build_distribution(args, parser)
-        mech = _build_mechanism(args, names, parser)
-        try:
-            scenario = Scenario(
-                label=f"{args.p}X{args.q}Y",
-                distribution=dist,
-                p=args.p,
-                q=args.q,
-                n=args.n,
-                mechanism=mech,
-                tests=_parse_tests(args.tests, parser),
-                replications=args.replications or 2000,
-                alpha=args.alpha,
-                master_seed=0 if args.seed is None else args.seed,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-        return scenario
-
-    # file-based scenario still honors the override flags
-    if args.replications:
-        scenario = replace(scenario, replications=args.replications)
+        doc = {
+            "label": f"{args.p}X{args.q}Y",
+            "distribution": _build_distribution(args, parser).to_dict(),
+            "p": args.p,
+            "q": args.q,
+            "n": args.n,
+            "mechanism": _build_mechanism(args, names, parser).to_dict(),
+            "tests": _parse_tests(args.tests, parser),
+            "alpha": args.alpha,
+        }
+    # the override flags apply to a scenario file too
+    if args.replications is not None:
+        doc["replications"] = args.replications
     if args.seed is not None:
-        scenario = replace(scenario, master_seed=args.seed)
-    return scenario
+        doc["master_seed"] = args.seed
+    try:
+        return Scenario.from_dict(doc)
+    except ValueError as exc:
+        parser.error(f"--scenario: {exc}" if args.scenario else str(exc))
 
 
 def _cmd_simulate(args, parser) -> int:
+    if args.workers < 1:
+        parser.error(f"need --workers >= 1, got {args.workers}")
     scenario = _scenario_from_args(args, parser)
     if args.sweep_miss and args.sweep_n:
         parser.error("choose one of --sweep-miss and --sweep-n")
     if args.sweep_miss:
-        sweep = {"miss_prob": [float(v) for v in _split_csv_list(args.sweep_miss)]}
+        sweep = {"miss_prob": _parse_rates(args.sweep_miss, parser, "--sweep-miss")}
     elif args.sweep_n:
-        sweep = {"n": [int(v) for v in _split_csv_list(args.sweep_n)]}
+        sizes = _parse_rates(args.sweep_n, parser, "--sweep-n")
+        sweep = {"n": [int(v) if v.is_integer() else v for v in sizes]}
     elif scenario.mechanism.miss_prob is not None:
         sweep = {"miss_prob": [scenario.mechanism.miss_prob]}
     else:
         sweep = {"n": [scenario.n]}
+    try:
+        sweep_scenarios(scenario, sweep)  # every value, before the first cell runs
+    except ValueError as exc:
+        parser.error(str(exc))
 
     (field, values), = sweep.items()
     print(
@@ -285,6 +287,37 @@ def _cmd_plot(args, parser) -> int:
     render_rate_chart(rows, args.x, args.out, alpha=args.alpha)
     print(f"chart written to {args.out}")
     return EXIT_OK
+
+
+def _add_data_options(parser, miss_prob) -> None:
+    """The data-generating options ``generate`` and ``simulate`` share."""
+    parser.add_argument("--n", type=int, default=100, help="rows per dataset")
+    parser.add_argument("--p", type=int, default=1, help="complete columns")
+    parser.add_argument("--q", type=int, default=2, help="incomplete columns")
+    parser.add_argument(
+        "--dist", choices=DISTRIBUTION_KINDS, default="std_normal",
+        help="data-generating distribution",
+    )
+    parser.add_argument("--theta", type=float, default=1.0, help="Clayton parameter")
+    parser.add_argument(
+        "--margins",
+        help=f"comma list of {','.join(MARGIN_KINDS)} (one entry, or one per column)",
+    )
+    parser.add_argument(
+        "--mechanism", choices=MECHANISM_KINDS, default="mcar",
+        help="missingness mechanism",
+    )
+    parser.add_argument(
+        "--miss-prob", type=float, default=miss_prob,
+        help="missingness probability for mcar, mar_1_to_x and mar_rank",
+    )
+    parser.add_argument("--odds", type=float, help="odds x for mar_1_to_x (default 9)")
+    parser.add_argument(
+        "--controls",
+        help="comma list of control column names or indices, one per incomplete column",
+    )
+    parser.add_argument("--p-high", help="comma list, mar_mean high-group rates")
+    parser.add_argument("--p-low", help="comma list, mar_mean low-group rates")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -315,55 +348,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a synthetic dataset to CSV")
     g.add_argument("--out", required=True, help="output CSV path")
-    g.add_argument("--n", type=int, default=100)
-    g.add_argument("--p", type=int, default=1, help="complete columns")
-    g.add_argument("--q", type=int, default=2, help="incomplete columns")
-    g.add_argument("--dist", choices=["std_normal", "clayton"], default="std_normal")
-    g.add_argument("--theta", type=float, default=1.0, help="Clayton parameter")
-    g.add_argument(
-        "--margins",
-        help="comma list of exp1,chisq4,uniform (one entry, or one per column)",
-    )
-    g.add_argument(
-        "--mechanism",
-        choices=["mcar", "mar_1_to_x", "mar_rank", "mar_mean"],
-        default="mcar",
-    )
-    g.add_argument("--miss-prob", type=float)
-    g.add_argument("--odds", type=float, help="odds x for mar_1_to_x (default 9)")
-    g.add_argument(
-        "--controls",
-        help="comma list of control column names or indices, one per incomplete column",
-    )
-    g.add_argument("--p-high", help="comma list, mar_mean high-group rates")
-    g.add_argument("--p-low", help="comma list, mar_mean low-group rates")
+    _add_data_options(g, miss_prob=None)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--na-token", help="token for missing cells (default NA)")
 
     s = sub.add_parser("simulate", help="run a Monte-Carlo study")
     s.add_argument("--scenario", help="scenario JSON file")
     s.add_argument("--out", required=True, help="results CSV path")
-    s.add_argument("--replications", type=int)
-    s.add_argument("--workers", type=int, default=1)
-    s.add_argument("--seed", type=int, default=None, help="master seed override")
+    s.add_argument("--replications", type=int, help="replications per cell (default 2000)")
+    s.add_argument("--workers", type=int, default=1, help="worker processes")
+    s.add_argument("--seed", type=int, help="master seed override")
     s.add_argument("--sweep-miss", help="comma list of missingness probabilities")
     s.add_argument("--sweep-n", help="comma list of sample sizes")
-    s.add_argument("--n", type=int, default=100)
-    s.add_argument("--p", type=int, default=1)
-    s.add_argument("--q", type=int, default=2)
-    s.add_argument("--dist", choices=["std_normal", "clayton"], default="std_normal")
-    s.add_argument("--theta", type=float, default=1.0)
-    s.add_argument("--margins")
-    s.add_argument(
-        "--mechanism",
-        choices=["mcar", "mar_1_to_x", "mar_rank", "mar_mean"],
-        default="mcar",
-    )
-    s.add_argument("--miss-prob", type=float, default=0.12)
-    s.add_argument("--odds", type=float)
-    s.add_argument("--controls")
-    s.add_argument("--p-high")
-    s.add_argument("--p-low")
+    _add_data_options(s, miss_prob=0.12)
     s.add_argument("--tests", default="an,d2", help=_TESTS_HELP)
     s.add_argument(
         "--alpha", type=float, default=0.05, help="significance level in (0, 1]"

@@ -48,8 +48,8 @@ __all__ = [
     "run_test",
     "wilson_interval",
     "run_cell",
+    "sweep_scenarios",
     "run_grid",
-    "null_distribution_check",
     "results_to_csv",
 ]
 
@@ -113,13 +113,17 @@ class Scenario:
         if self.n < 3:
             raise ValueError(f"n must be at least 3, got {self.n}")
         if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         check_alpha(self.alpha)
         if not self.tests:
             raise ValueError("no tests selected")
         resolve_tests(self.tests, self.q)
         if "dn" in self.tests and (self.p != 1 or self.q != 1):
             raise ValueError("the dn test requires p = q = 1")
+        if "d2_univariate" in self.tests and self.q != 1:
+            raise ValueError("the d2_univariate test requires q = 1")
 
     def to_dict(self) -> dict:
         return {
@@ -333,30 +337,16 @@ def _ks_distance(values, df: int) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def null_distribution_check(scenario: Scenario, workers: int = 1) -> float:
-    """KS distance of the quadratic-form statistic from its chi-squared limit.
-
-    Only meaningful under the null, so the scenario must use MCAR; the
-    statistic values come from the same replication streams run_cell uses.
-    """
-    if scenario.mechanism.kind != "mcar":
-        raise ValueError("null_distribution_check requires an MCAR mechanism")
-    if "an" not in resolve_tests(scenario.tests, scenario.q):
-        scenario = replace(scenario, tests=scenario.tests + ("an",))
-    result = run_cell(scenario, workers=workers)
-    return result.ks_vs_chi2
-
-
-def run_grid(scenario: Scenario, sweep: dict, workers: int = 1) -> list:
-    """One CellResult per swept value.
+def sweep_scenarios(scenario: Scenario, sweep: dict) -> list:
+    """One Scenario per swept value, every value checked before any is run.
 
     ``sweep`` holds exactly one of:
 
     * ``{"miss_prob": [...]}`` -- vary the mechanism's missingness
       probability (mcar, mar_1_to_x, mar_rank only);
-    * ``{"n": [...]}`` -- vary the sample size.
+    * ``{"n": [...]}`` -- vary the sample size (integers).
 
-    Each grid point hashes differently, so cells draw independent data.
+    Raises ValueError for the first value the scenario cannot take.
     """
     if len(sweep) != 1:
         raise ValueError("sweep must contain exactly one of 'miss_prob' or 'n'")
@@ -372,13 +362,22 @@ def run_grid(scenario: Scenario, sweep: dict, workers: int = 1) -> list:
                     f"mechanism {scenario.mechanism.kind!r} has no miss_prob to sweep"
                 )
             mech = replace(scenario.mechanism, miss_prob=float(value))
-            cell_scenario = replace(scenario, mechanism=mech)
+            cells.append(replace(scenario, mechanism=mech))
         elif field == "n":
-            cell_scenario = replace(scenario, n=int(value))
+            if not float(value).is_integer():
+                raise ValueError(f"sample size must be an integer, got {value!r}")
+            cells.append(replace(scenario, n=int(value)))
         else:
             raise ValueError(f"unknown sweep field {field!r}")
-        cells.append(run_cell(cell_scenario, workers=workers))
     return cells
+
+
+def run_grid(scenario: Scenario, sweep: dict, workers: int = 1) -> list:
+    """One CellResult per swept value (see ``sweep_scenarios``).
+
+    Each grid point hashes differently, so cells draw independent data.
+    """
+    return [run_cell(s, workers=workers) for s in sweep_scenarios(scenario, sweep)]
 
 
 def _distribution_label(spec: DistributionSpec) -> str:

@@ -1,9 +1,9 @@
 """Small numerical kernel used by the test statistics and the simulator.
 
 Moments and covariances in unbiased and maximum-likelihood flavors,
-Kronecker products and their eigenvalues, symmetric-matrix inverse,
-chi-squared and standard-normal distribution functions, midranks, and
-deterministic per-task random streams.
+symmetric eigendecompositions (that of A (x) B taken from its factors),
+symmetric-matrix inverse, chi-squared and standard-normal distribution
+functions, midranks, and deterministic per-task random streams.
 
 Nothing here imports scipy at module level, because every CLI call would
 pay for it: ``scipy.stats`` costs about a second and ``scipy.special``
@@ -24,7 +24,6 @@ __all__ = [
     "rng_stream",
     "column_var",
     "cov_matrix",
-    "kronecker",
     "kron_spd_eigh",
     "inverse",
     "chi2_sf",
@@ -89,18 +88,6 @@ def cov_matrix(columns, mode: str = "unbiased") -> np.ndarray:
     return np.atleast_2d(c)
 
 
-def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two symmetric matrices.
-
-    (A (x) B)[(u-1)k2+v, (u'-1)k2+v'] = A[u,u'] * B[v,v'].
-    """
-    a = np.atleast_2d(np.asarray(a, float))
-    b = np.atleast_2d(np.asarray(b, float))
-    _require_symmetric(a)
-    _require_symmetric(b)
-    return np.kron(a, b)
-
-
 # Positive-definiteness threshold: scale-aware, floored so near-zero
 # matrices are still flagged.
 def _pd_threshold(eigenvalues: np.ndarray) -> float:
@@ -144,8 +131,8 @@ def kron_spd_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     Returns (W, V_a, V_b) with W = outer(w_a, w_b): W[u, v] is the
     eigenvalue of A (x) B for the eigenvector kron(V_a[:, u], V_b[:, v]).
     The symmetry check, threshold and SingularMatrixError are those of
-    ``spd_eigh(kronecker(a, b))``, applied to W, so the product matrix is
-    never formed.
+    ``spd_eigh`` applied to the product matrix, but act on W, so that
+    matrix is never formed.
     """
     a = np.atleast_2d(np.asarray(a, float))
     b = np.atleast_2d(np.asarray(b, float))

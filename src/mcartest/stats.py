@@ -29,9 +29,7 @@ from .numerics import (
     cov_matrix,
     inverse,
     kron_spd_eigh,
-    kronecker,
     normal_cdf,
-    spd_eigh,
 )
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "check_alpha",
     "mean_product_gap",
     "gap_matrix",
-    "gap_covariance",
     "ustat_mcar_test",
     "bivariate_mcar_test",
     "little_mcar_univariate",
@@ -131,8 +128,8 @@ def _columns(ds: Dataset, roles: ColumnRoles) -> tuple[np.ndarray, np.ndarray]:
 def gap_matrix(ds: Dataset, roles: ColumnRoles) -> GapStats:
     """All p*q mean-product gaps, vectorized.
 
-    Row-major layout: row u = complete column u, column v = incomplete
-    column v, matching the ordering used by ``gap_covariance``.
+    Row u = complete column u, column v = incomplete column v; flattened
+    row-major, this is the order of the pq x pq covariance Cov(X) (x) Cov(R).
     """
     if ds.n < 2:
         raise DegenerateDataError("gap statistics require n >= 2")
@@ -142,30 +139,12 @@ def gap_matrix(ds: Dataset, roles: ColumnRoles) -> GapStats:
     return GapStats(unbiased=biased * (n / (n - 1.0)), biased=biased, n=n)
 
 
-def gap_covariance(ds: Dataset, roles: ColumnRoles, mode: str = "unbiased") -> np.ndarray:
-    """Estimated covariance of the scaled gap vector.
-
-    The pq x pq matrix Cov(X) (x) Cov(R), with the covariance matrices of
-    the complete columns and of the response indicators estimated in the
-    requested mode.  For a single incomplete column this reduces to
-    Cov(X) * Var(R).
-
-    Raises SingularMatrixError when the estimate is not positive definite
-    (constant complete column, response column without variation, or a
-    perfectly correlated pair).
-    """
-    x, r = _columns(ds, roles)
-    sigma = kronecker(cov_matrix(x, mode), cov_matrix(r, mode))
-    spd_eigh(sigma)  # eager singularity check; carries the offending eigenvalue
-    return sigma
-
-
 def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> TestResult:
     """Quadratic-form MCAR test over all (complete, incomplete) column pairs.
 
     The statistic is n * g' S^-1 g, where g is the vector of unbiased
     mean-product gaps and S = Cov(X) (x) Cov(R) the matching covariance
-    estimate (``gap_covariance``); under MCAR it is asymptotically
+    estimate; under MCAR it is asymptotically
     chi-squared with p*q degrees of freedom.  Large values indicate
     association between observed values and missingness.
 
@@ -291,12 +270,7 @@ def little_mcar_univariate(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05)
     )
 
 
-def little_mcar_general(
-    ds: Dataset,
-    alpha: float = 0.05,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-) -> TestResult:
+def little_mcar_general(ds: Dataset, alpha: float = 0.05) -> TestResult:
     """Little's d2 for arbitrary missingness patterns.
 
     The statistic sums, over the missingness patterns of the EM fit, the
@@ -316,7 +290,7 @@ def little_mcar_general(
             "Little's test is undefined for a single missingness pattern"
         )
 
-    fit = em_mvn(ds, tol=tol, max_iter=max_iter)
+    fit = em_mvn(ds)
     x = ds.values[keep]
     statistic = 0.0
     df = -ds.d

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import mcartest
-from mcartest import ColumnRoles, Dataset, gap_covariance, gap_matrix
-from mcartest.numerics import spd_eigh
+from mcartest import ColumnRoles, Dataset, gap_matrix, response_matrix
+from mcartest.numerics import cov_matrix, spd_eigh
 
 # one line per acceptance criterion, emitted after the test run so the
 # PASS/FAIL verdicts survive pytest's output capture
@@ -67,19 +67,33 @@ def make_dataset(rng, n, p, q, miss_prob=0.25, clayton=False):
     return ds, roles
 
 
+def pq_covariance(ds, roles, mode="unbiased"):
+    """The pq x pq covariance S = Cov(X) (x) Cov(R) of the gap vector, formed.
+
+    X are the complete columns and R the response indicators, both
+    estimated in ``mode``; the library only ever works with the factors.
+    """
+    x = ds.values[:, list(roles.complete)]
+    r = response_matrix(ds, roles).astype(float)
+    return np.kron(cov_matrix(x, mode), cov_matrix(r, mode))
+
+
 def reference_routes(ds, roles):
     """The quadratic-form statistic by two routes the library does not take.
 
     Returns ``(ml, eigen, components)``: the statistic from the
     maximum-likelihood gaps and covariance with a linear solve, and the
     statistic and standardized component vector S^(-1/2) (sqrt(n) g) from
-    an eigendecomposition of the pq x pq covariance S itself.
+    an eigendecomposition of the pq x pq covariance S itself.  Raises
+    SingularMatrixError when either covariance is not positive definite.
     """
     n = ds.n
     gaps = gap_matrix(ds, roles)
     g, g_ml = gaps.unbiased.reshape(-1), gaps.biased.reshape(-1)
-    ml = n * g_ml @ np.linalg.solve(gap_covariance(ds, roles, "ml"), g_ml)
-    w, v = spd_eigh(gap_covariance(ds, roles))
+    s_ml = pq_covariance(ds, roles, "ml")
+    spd_eigh(s_ml)  # the singularity check, before the solve can hide it
+    ml = n * g_ml @ np.linalg.solve(s_ml, g_ml)
+    w, v = spd_eigh(pq_covariance(ds, roles))
     eigen = n * np.sum((v.T @ g) ** 2 / w)
     components = ((v / np.sqrt(w)) @ v.T) @ (np.sqrt(n) * g)
     return float(ml), float(eigen), components

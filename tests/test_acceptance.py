@@ -42,7 +42,7 @@ from mcartest import (
     rng_stream,
     ustat_mcar_test,
 )
-from mcartest.harness import Scenario, null_distribution_check, run_cell, run_grid
+from mcartest.harness import Scenario, run_cell, run_grid
 
 from conftest import ACCEPTANCE_LINES, child_env, make_dataset, reference_routes
 
@@ -208,7 +208,7 @@ def test_08_chi2_calibration():
         alpha=0.05,
         master_seed=1004,
     )
-    ks = null_distribution_check(scenario)
+    ks = run_cell(scenario).ks_vs_chi2
     report(8, ks < 0.035, f"KS distance vs chi2(2) = {ks:.4f} (< 0.035)")
 
 

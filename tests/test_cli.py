@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,6 +14,14 @@ from mcartest.harness import KNOWN_TESTS
 from conftest import child_env
 
 HAND_CSV = "x,y\n1.0,10.0\n2.0,11.0\n3.0,NA\n"
+
+DATA_OPTIONS = (
+    "--n", "--p", "--q", "--dist", "--theta", "--margins", "--mechanism",
+    "--miss-prob", "--odds", "--controls", "--p-high", "--p-low",
+)
+
+# a cheap valid simulate call; each bad case below overrides one part of it
+SIMULATE = ["simulate", "--n", "40", "--tests", "an", "--replications", "5"]
 
 
 def run_cli(*argv):
@@ -248,6 +257,59 @@ class TestSimulateCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            pytest.param(["generate", "--seed", "-1"], "-1", id="generate-seed"),
+            pytest.param(SIMULATE + ["--seed", "-1"], "-1", id="simulate-seed"),
+            pytest.param(
+                ["simulate", "--scenario", "{negative_seed}"], "-1", id="scenario-seed"
+            ),
+            pytest.param(SIMULATE + ["--replications", "0"], "got 0", id="replications"),
+            pytest.param(SIMULATE + ["--workers", "0"], "got 0", id="workers"),
+            pytest.param(
+                SIMULATE + ["--tests", "d2_univariate"], "d2_univariate", id="d2-univariate-q2"
+            ),
+            pytest.param(SIMULATE + ["--sweep-miss", "abc"], "'abc'", id="sweep-miss-text"),
+            pytest.param(SIMULATE + ["--sweep-n", "1.5"], "1.5", id="sweep-n-fraction"),
+            pytest.param(SIMULATE + ["--sweep-n", "2"], "got 2", id="sweep-n-small"),
+            pytest.param(
+                SIMULATE + ["--mechanism", "mar_mean", "--sweep-miss", "0.1"],
+                "mar_mean",
+                id="sweep-miss-mar-mean",
+            ),
+            pytest.param(
+                SIMULATE + ["--sweep-miss", "0.1,0.2,1.5"], "1.5", id="sweep-miss-late"
+            ),
+        ],
+    )
+    def test_exit_2_before_any_work(self, tmp_path, capsys, argv, names):
+        scenario = tmp_path / "negative_seed.json"
+        scenario.write_text(
+            json.dumps(
+                {
+                    "label": "1X2Y",
+                    "distribution": {"kind": "std_normal", "dim": 3},
+                    "p": 1,
+                    "q": 2,
+                    "n": 40,
+                    "mechanism": {"kind": "mcar", "miss_prob": 0.2},
+                    "replications": 5,
+                    "master_seed": -1,
+                }
+            )
+        )
+        out = tmp_path / "out.csv"
+        argv = [a.replace("{negative_seed}", str(scenario)) for a in argv]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert names in err
+        assert "done" not in err  # no cell ran
+        assert not out.exists()
+
+
 class TestPlotCommand:
     def make_results(self, tmp_path, sweep="0.06,0.12,0.18"):
         out = tmp_path / "res.csv"
@@ -303,8 +365,14 @@ class TestEntryPoints:
     @pytest.mark.parametrize("command", ["test", "simulate"])
     def test_tests_help_lists_known_tests(self, command, capsys):
         assert run_cli(command, "--help") == 0
-        text = " ".join(capsys.readouterr().out.split())
+        out = capsys.readouterr().out
+        text = " ".join(out.split())
         assert "--tests TESTS comma list from " + ",".join(KNOWN_TESTS) in text
+        if command == "simulate":
+            # the data options shared with generate carry the same help
+            for option in DATA_OPTIONS:
+                entry = re.search(rf"^  {option} \S+(.*(?:\n {{3,}}\S.*)*)", out, re.M)
+                assert entry and entry.group(1).strip(), option
 
     def test_cli_path_loads_no_scipy(self, tmp_path):
         # scipy costs a quarter to a whole second of start-up per call; the

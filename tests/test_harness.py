@@ -6,7 +6,6 @@ from mcartest import DegenerateDataError, DistributionSpec, MechanismSpec
 from mcartest.harness import (
     Scenario,
     _ks_distance,
-    null_distribution_check,
     resolve_test,
     results_to_csv,
     run_cell,
@@ -41,9 +40,15 @@ class TestScenario:
         with pytest.raises(ValueError, match="dim"):
             scenario(distribution=DistributionSpec(kind="std_normal", dim=4))
 
-    def test_dn_needs_single_pair(self):
-        with pytest.raises(ValueError, match="dn"):
-            scenario(tests=("dn",))
+    @pytest.mark.parametrize("tag", ["dn", "d2_univariate"])
+    def test_shape_bound_test_rejected(self, tag):
+        # 1X2Y fits neither test; rejected here, not after every replication
+        with pytest.raises(ValueError, match=tag):
+            scenario(tests=(tag,))
+
+    def test_negative_master_seed(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            scenario(master_seed=-1)
 
     def test_unknown_test(self):
         with pytest.raises(ValueError, match="unknown test"):
@@ -162,6 +167,8 @@ class TestRunGrid:
             run_grid(s, {"theta": [1.0]})
         with pytest.raises(ValueError):
             run_grid(s, {"miss_prob": [0.1], "n": [30]})
+        with pytest.raises(ValueError, match="integer"):
+            run_grid(s, {"n": [30, 40.5]})
         mm = scenario(
             mechanism=MechanismSpec(kind="mar_mean", p_high=(0.1, 0.1), p_low=(0.1, 0.1)),
             replications=5,
@@ -171,13 +178,8 @@ class TestRunGrid:
 
 
 class TestNullDistribution:
-    def test_requires_mcar(self):
-        s = scenario(mechanism=MechanismSpec(kind="mar_rank", miss_prob=0.15))
-        with pytest.raises(ValueError):
-            null_distribution_check(s)
-
     def test_ks_small_under_null(self):
-        ks = null_distribution_check(scenario(n=150, replications=400))
+        ks = run_cell(scenario(n=150, replications=400)).ks_vs_chi2
         assert ks < 0.08
 
     def test_df_mismatch_is_worse(self):
@@ -186,11 +188,6 @@ class TestNullDistribution:
         right = _ks_distance(cell.statistics["an"], 2)
         wrong = _ks_distance(cell.statistics["an"], 3)
         assert wrong > right
-
-    def test_added_an_tag(self):
-        # the check runs even when the scenario forgot to request "an"
-        ks = null_distribution_check(scenario(tests=("d2",), replications=30))
-        assert ks is not None
 
 
 class TestResultsCsv:

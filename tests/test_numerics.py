@@ -13,7 +13,6 @@ from mcartest.numerics import (
     cov_matrix,
     kron_spd_eigh,
     inverse,
-    kronecker,
     normal_cdf,
     ranks,
     rng_stream,
@@ -67,27 +66,6 @@ class TestMoments:
             cov_matrix(rng.standard_normal((5, 2)), "robust")
 
 
-class TestKronecker:
-    def test_identity(self):
-        a = np.eye(2)
-        b = np.eye(3)
-        assert np.array_equal(kronecker(a, b), np.eye(6))
-
-    def test_index_formula(self, rng):
-        m = rng.standard_normal((3, 3))
-        a = m @ m.T
-        w = rng.standard_normal((2, 2))
-        b = w @ w.T
-        k = kronecker(a, b)
-        for i in range(3):
-            for j in range(3):
-                for s in range(2):
-                    for t in range(2):
-                        assert k[i * 2 + s, j * 2 + t] == pytest.approx(
-                            a[i, j] * b[s, t], rel=1e-14
-                        )
-
-
 class TestEigenBased:
     def random_spd(self, rng, m):
         q, _ = np.linalg.qr(rng.standard_normal((m, m)))
@@ -109,7 +87,7 @@ class TestEigenBased:
         w, v_a, v_b = kron_spd_eigh(a, b)
         v = np.kron(v_a, v_b)
         np.testing.assert_allclose(
-            (v * w.reshape(-1)) @ v.T, kronecker(a, b), rtol=1e-12, atol=1e-9
+            (v * w.reshape(-1)) @ v.T, np.kron(a, b), rtol=1e-12, atol=1e-9
         )
 
     def test_kron_eigh_singular_like_product(self, rng):
@@ -118,7 +96,7 @@ class TestEigenBased:
         with pytest.raises(SingularMatrixError) as err:
             kron_spd_eigh(a, b)
         with pytest.raises(SingularMatrixError) as ref:
-            spd_eigh(kronecker(a, b))
+            spd_eigh(np.kron(a, b))
         assert err.value.eigenvalue == pytest.approx(ref.value.eigenvalue, abs=1e-12)
         with pytest.raises(ValueError):
             kron_spd_eigh(a, np.array([[1.0, 0.5], [0.2, 1.0]]))

@@ -14,7 +14,6 @@ from mcartest import (
     SingularMatrixError,
     apply_mechanism,
     bivariate_mcar_test,
-    gap_covariance,
     gap_matrix,
     generate,
     little_mcar_general,
@@ -26,7 +25,7 @@ from mcartest import (
 )
 from mcartest.numerics import spd_eigh
 
-from conftest import make_dataset, reference_routes
+from conftest import make_dataset, pq_covariance, reference_routes
 
 
 def brute_gap(x, r):
@@ -96,15 +95,15 @@ class TestGapMatrix:
     def test_covariance_hand_value(self):
         ds, roles = hand_dataset()
         # Var(x): 1 (unbiased), 2/3 (ml); Var(r): 1/3, 2/9
-        assert gap_covariance(ds, roles, "unbiased")[0, 0] == pytest.approx(1.0 / 3.0)
-        assert gap_covariance(ds, roles, "ml")[0, 0] == pytest.approx(4.0 / 27.0)
+        assert pq_covariance(ds, roles, "unbiased")[0, 0] == pytest.approx(1.0 / 3.0)
+        assert pq_covariance(ds, roles, "ml")[0, 0] == pytest.approx(4.0 / 27.0)
 
     def test_covariance_scale_relation(self, rng):
         ds, roles = make_dataset(rng, 35, 2, 2)
         n = ds.n
         np.testing.assert_allclose(
-            gap_covariance(ds, roles, "unbiased"),
-            gap_covariance(ds, roles, "ml") * (n / (n - 1)) ** 2,
+            pq_covariance(ds, roles, "unbiased"),
+            pq_covariance(ds, roles, "ml") * (n / (n - 1)) ** 2,
             rtol=1e-12,
         )
 
@@ -172,7 +171,7 @@ class TestQuadraticFormTest:
             full = generate(dist, n, rng_stream(7, rep, 0))
             ds = apply_mechanism(full, roles, mech, rng_stream(7, rep, 1))
             try:
-                spd_eigh(gap_covariance(ds, roles))
+                spd_eigh(pq_covariance(ds, roles))
             except SingularMatrixError:
                 degenerate += 1
                 with pytest.raises(SingularMatrixError):
