@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .data import ColumnRoles, load_csv, write_csv
 from .errors import McartestError
-from .harness import KNOWN_TESTS, Scenario, resolve_tests, results_to_csv, run_grid
-from .harness import run_test, sweep_scenarios
+from .harness import KNOWN_TESTS, TESTS, Scenario, resolve_tests, results_to_csv, run_grid
+from .harness import sweep_scenarios
 from .numerics import rng_stream
 from .plotting import render_rate_chart
 from .stats import check_alpha
@@ -91,7 +91,7 @@ def _cmd_test(args, parser) -> int:
     na_tokens = set(args.na_token) if args.na_token else None
     incomplete = _split_csv_list(args.roles) if args.roles else None
     ds, roles = load_csv(args.input, na_tokens=na_tokens, incomplete=incomplete)
-    results = [run_test(tag, ds, roles, args.alpha) for tag in resolve_tests(tags, roles.q)]
+    results = [TESTS[tag].run(ds, roles, args.alpha) for tag in resolve_tests(tags, roles.q)]
 
     name = Path(args.input).name
     print(f"{name}: n={ds.n} rows, {roles.p} complete, {roles.q} incomplete columns")
@@ -223,6 +223,8 @@ def _scenario_from_args(args, parser) -> Scenario:
             parser.error(f"--scenario: {args.scenario} is not valid JSON ({exc})")
         except OSError as exc:
             parser.error(f"--scenario: {exc}")
+        if not isinstance(doc, dict):
+            parser.error(f"--scenario: {args.scenario} does not hold a JSON object")
     else:
         names = pattern_names(args.p, args.q)
         doc = {

@@ -7,6 +7,14 @@ hash, replication index, purpose), so results are bit-identical for any
 worker count and any subset of the grid, and adding replications never
 changes earlier ones.
 
+Replications run in blocks of contiguous indices.  Each replication is
+generated and amputated alone, from its own streams; the closed-form tests
+(``an``, ``dn``, ``d2_univariate``) then run once over the stacked block,
+through batch kernels whose result for one dataset does not depend on what
+else is in the stack.  ``d2_general`` runs once per replication.  Which
+tests exist, which kernel each uses and which shapes each applies to is
+the one registry ``TESTS``.
+
 Replications where a test raises a singularity or degeneracy error (for
 example a response column with no missing cells at small n) are counted as
 degenerate for that test, never silently re-drawn: re-drawing would bias
@@ -17,17 +25,22 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .data import ColumnRoles, Dataset
+from .data import ColumnRoles
 from .errors import DegenerateDataError, SingularMatrixError
 from .numerics import chi2_sf, rng_stream
 from .stats import (
+    bivariate_batch,
     bivariate_mcar_test,
     check_alpha,
     little_mcar_general,
     little_mcar_univariate,
+    little_univariate_batch,
+    stack_columns,
+    ustat_batch,
     ustat_mcar_test,
 )
 from .synthesis import (
@@ -42,10 +55,11 @@ __all__ = [
     "Scenario",
     "TestCellStats",
     "CellResult",
+    "TestSpec",
+    "TESTS",
     "KNOWN_TESTS",
     "resolve_test",
     "resolve_tests",
-    "run_test",
     "wilson_interval",
     "run_cell",
     "sweep_scenarios",
@@ -53,12 +67,62 @@ __all__ = [
     "results_to_csv",
 ]
 
+
+@dataclass(frozen=True)
+class TestSpec:
+    """What the harness and the CLI need to know about one test.
+
+    ``run(ds, roles, alpha)`` tests one dataset.  ``batch(x, r)``, when
+    set, tests a stack of datasets at once (see ``stats.stack_columns``);
+    without it the harness calls ``run`` once per replication.  ``p`` and
+    ``q``, when set, are the only numbers of complete and incomplete
+    columns the test applies to.
+    """
+
+    run: Callable
+    batch: Callable = None
+    p: int = None
+    q: int = None
+
+    def check_shape(self, tag: str, p: int, q: int) -> None:
+        """Raise ValueError unless the test applies to p complete and q
+        incomplete columns."""
+        if self.p not in (None, p) or self.q not in (None, q):
+            needs = [f"{k} = {v}" for k, v in (("p", self.p), ("q", self.q)) if v]
+            raise ValueError(f"the {tag} test requires {' and '.join(needs)}")
+
+
+# The test registry, by resolved wire name.  ``run`` looks the test up in
+# this module when called, so a wrapper installed on the module attribute
+# (a profiler's, say) sees every call.
+TESTS = {
+    "an": TestSpec(
+        run=lambda ds, roles, alpha: ustat_mcar_test(ds, roles, alpha),
+        batch=ustat_batch,
+    ),
+    "dn": TestSpec(
+        run=lambda ds, roles, alpha: bivariate_mcar_test(ds, roles, alpha),
+        batch=bivariate_batch,
+        p=1,
+        q=1,
+    ),
+    "d2_univariate": TestSpec(
+        run=lambda ds, roles, alpha: little_mcar_univariate(ds, roles, alpha),
+        batch=little_univariate_batch,
+        q=1,
+    ),
+    "d2_general": TestSpec(run=lambda ds, roles, alpha: little_mcar_general(ds, alpha)),
+}
+
 # wire names; "d2" picks the closed form when q = 1 and the general
 # (EM-based) statistic otherwise
-KNOWN_TESTS = ("an", "dn", "d2", "d2_univariate", "d2_general")
+KNOWN_TESTS = (*TESTS, "d2")
 
 _GEN_STREAM = 0
 _AMP_STREAM = 1
+
+# at most this many stacked cells (replications x rows x columns) per block
+_BLOCK_CELLS = 1_000_000
 
 _Z95 = 1.959963984540054
 
@@ -119,11 +183,8 @@ class Scenario:
         check_alpha(self.alpha)
         if not self.tests:
             raise ValueError("no tests selected")
-        resolve_tests(self.tests, self.q)
-        if "dn" in self.tests and (self.p != 1 or self.q != 1):
-            raise ValueError("the dn test requires p = q = 1")
-        if "d2_univariate" in self.tests and self.q != 1:
-            raise ValueError("the d2_univariate test requires q = 1")
+        for tag in resolve_tests(self.tests, self.q):
+            TESTS[tag].check_shape(tag, self.p, self.q)
 
     def to_dict(self) -> dict:
         return {
@@ -141,6 +202,11 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        if not isinstance(d, dict):
+            raise ValueError("a scenario must be a JSON object")
+        for name in ("distribution", "mechanism"):
+            if name in d and not isinstance(d[name], dict):
+                raise ValueError(f"scenario field {name!r} must be a JSON object")
         try:
             return cls(
                 label=d["label"],
@@ -215,52 +281,70 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
     return (low, high)
 
 
-def run_test(tag: str, ds: Dataset, roles: ColumnRoles, alpha: float):
-    """Run one test, named by its resolved wire name (see ``resolve_test``)."""
-    if tag == "an":
-        return ustat_mcar_test(ds, roles, alpha)
-    if tag == "dn":
-        return bivariate_mcar_test(ds, roles, alpha)
-    if tag == "d2_univariate":
-        return little_mcar_univariate(ds, roles, alpha)
-    return little_mcar_general(ds, alpha)
-
-
-def _replicate(
-    scenario: Scenario, key: int, names: tuple, roles: ColumnRoles, tags: tuple, rep: int
+def _run_block(
+    scenario: Scenario, key: int, names: tuple, roles: ColumnRoles, tags: tuple,
+    start: int, stop: int,
 ) -> dict:
-    """One replication: generate, amputate, test.
+    """Replications [start, stop): generate and amputate each, then test.
 
     ``key``, ``names``, ``roles`` and ``tags`` (content hash, column names,
     column roles, resolved tests) are computed once per cell by ``run_cell``.
-    Returns {resolved tag: (reject, statistic) or None for degenerate}.
+    A test with a batch kernel runs once over the whole block; the others
+    run once per replication.  Returns {resolved tag: one entry per
+    replication, (reject, statistic) or None for degenerate}.
     """
-    gen_rng = rng_stream(scenario.master_seed, key, rep, _GEN_STREAM)
-    full = generate(scenario.distribution, scenario.n, gen_rng, names)
-    amp_rng = rng_stream(scenario.master_seed, key, rep, _AMP_STREAM)
-    ds = apply_mechanism(full, roles, scenario.mechanism, amp_rng)
+    datasets = []
+    for rep in range(start, stop):
+        gen_rng = rng_stream(scenario.master_seed, key, rep, _GEN_STREAM)
+        full = generate(scenario.distribution, scenario.n, gen_rng, names)
+        amp_rng = rng_stream(scenario.master_seed, key, rep, _AMP_STREAM)
+        datasets.append(apply_mechanism(full, roles, scenario.mechanism, amp_rng))
+    if any(TESTS[tag].batch is not None for tag in tags):
+        x, r = stack_columns(datasets, roles)
 
+    alpha = scenario.alpha
     out = {}
     for tag in tags:
-        try:
-            result = run_test(tag, ds, roles, scenario.alpha)
-        except (SingularMatrixError, DegenerateDataError):
-            out[tag] = None
-        else:
-            out[tag] = (result.reject, result.statistic)
+        spec = TESTS[tag]
+        if spec.batch is None:
+            out[tag] = [_outcome(spec.run, ds, roles, alpha) for ds in datasets]
+            continue
+        batch = spec.batch(x, r)
+        reject = (batch.p_value <= alpha).tolist()
+        out[tag] = [
+            None if error is not None else (rej, stat)
+            for error, rej, stat in zip(batch.errors, reject, batch.statistic.tolist())
+        ]
     return out
 
 
-def _replicate_star(args) -> dict:
-    return _replicate(*args)
+def _outcome(run, ds, roles, alpha):
+    try:
+        result = run(ds, roles, alpha)
+    except (SingularMatrixError, DegenerateDataError):
+        return None
+    return (result.reject, result.statistic)
+
+
+def _run_block_star(args) -> dict:
+    return _run_block(*args)
+
+
+def _blocks(n_rep: int, workers: int, cells_per_rep: int) -> list:
+    """Contiguous (start, stop) replication ranges: one per worker, split
+    further so that no block stacks more than ``_BLOCK_CELLS`` cells."""
+    size = max(1, min(-(-n_rep // workers), _BLOCK_CELLS // cells_per_rep))
+    return [(lo, min(lo + size, n_rep)) for lo in range(0, n_rep, size)]
 
 
 def run_cell(scenario: Scenario, workers: int = 1) -> CellResult:
     """Run every replication of a scenario and aggregate.
 
-    ``workers`` > 1 distributes replications over processes; the result is
-    identical for any worker count.  Raises DegenerateDataError if some
-    requested test produced no valid replication at all.
+    Replications run in blocks (see ``_blocks``); ``workers`` > 1
+    distributes the blocks over processes.  A replication's outcome does
+    not depend on its block, so the result is identical for any worker
+    count.  Raises DegenerateDataError if some requested test produced no
+    valid replication at all.
     """
     n_rep = scenario.replications
     tags = resolve_tests(scenario.tests, scenario.q)
@@ -274,21 +358,16 @@ def run_cell(scenario: Scenario, workers: int = 1) -> CellResult:
         ),
         tags,
     )
+    blocks = _blocks(n_rep, workers, scenario.n * (scenario.p + scenario.q))
     if workers > 1:
         # imported here: multiprocessing adds to every CLI call's start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, n_rep // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(
-                    _replicate_star,
-                    ((*fixed, r) for r in range(n_rep)),
-                    chunksize=chunk,
-                )
-            )
+            results = list(pool.map(_run_block_star, ((*fixed, *b) for b in blocks)))
     else:
-        outcomes = [_replicate(*fixed, r) for r in range(n_rep)]
+        results = [_run_block(*fixed, *b) for b in blocks]
+    outcomes = {tag: [cell for block in results for cell in block[tag]] for tag in tags}
 
     per_test = {}
     statistics = {}
@@ -296,8 +375,7 @@ def run_cell(scenario: Scenario, workers: int = 1) -> CellResult:
         rejections = 0
         valid = 0
         values = []
-        for outcome in outcomes:
-            cell = outcome[tag]
+        for cell in outcomes[tag]:
             if cell is None:
                 continue
             valid += 1

@@ -5,6 +5,12 @@ symmetric eigendecompositions (that of A (x) B taken from its factors),
 symmetric-matrix inverse, chi-squared and standard-normal distribution
 functions, midranks, and deterministic per-task random streams.
 
+The moments, covariances and eigendecompositions also take stacks of R
+datasets or matrices along a leading axis, for the harness's batch
+kernels.  The ``*_stack`` eigendecompositions report a singular matrix per
+entry of the stack instead of raising, so one degenerate replication does
+not discard its block.
+
 Nothing here imports scipy at module level, because every CLI call would
 pay for it: ``scipy.stats`` costs about a second and ``scipy.special``
 about a quarter of one.  The MCAR tests' p-values need only the chi-squared
@@ -24,6 +30,9 @@ __all__ = [
     "rng_stream",
     "column_var",
     "cov_matrix",
+    "spd_eigh_stack",
+    "spd_eigh",
+    "kron_spd_eigh_stack",
     "kron_spd_eigh",
     "inverse",
     "chi2_sf",
@@ -54,13 +63,17 @@ def _check_mode(mode: str) -> int:
     raise ValueError(f"mode must be 'unbiased' or 'ml', got {mode!r}")
 
 
-def column_var(x, mode: str = "unbiased") -> float:
-    """Sample variance; divides by n-1 ("unbiased") or n ("ml")."""
+def column_var(x, mode: str = "unbiased"):
+    """Sample variance along the last axis; divides by n-1 ("unbiased") or n ("ml").
+
+    A float for 1-D input, one variance per row for a stack of rows.
+    """
     ddof = _check_mode(mode)
     x = np.asarray(x, dtype=float)
-    if x.size < 1 + ddof:
+    if x.shape[-1] < 1 + ddof:
         raise DegenerateDataError(f"variance ({mode}) requires n >= {1 + ddof}")
-    return float(x.var(ddof=ddof))
+    out = x.var(axis=-1, ddof=ddof)
+    return float(out) if out.ndim == 0 else out
 
 
 def cov_matrix(columns, mode: str = "unbiased") -> np.ndarray:
@@ -68,81 +81,125 @@ def cov_matrix(columns, mode: str = "unbiased") -> np.ndarray:
 
     Parameters
     ----------
-    columns : array-like, shape (n, m)
+    columns : array-like, shape (n, m) or a stack (R, n, m)
         Observations in rows, variables in columns.
     mode : {"unbiased", "ml"}
         Divisor n-1 or n.
 
     Returns
     -------
-    (m, m) ndarray, symmetric.
+    (m, m) ndarray, or (R, m, m) for a stack; symmetric.
+
+    Each matrix of a stack is computed by the same operations as a lone
+    matrix with the same strides, so it is bitwise the same alone or
+    stacked.  With each column contiguous (``ds.values[:, cols]``) the
+    result is bitwise that of ``np.cov(columns, rowvar=False)``.
     """
     ddof = _check_mode(mode)
     a = np.asarray(columns, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
-    n = a.shape[0]
+    n = a.shape[-2]
     if n < 2:
         raise DegenerateDataError("covariance requires n >= 2")
-    c = np.cov(a, rowvar=False, ddof=ddof)
-    return np.atleast_2d(c)
-
-
-# Positive-definiteness threshold: scale-aware, floored so near-zero
-# matrices are still flagged.
-def _pd_threshold(eigenvalues: np.ndarray) -> float:
-    return 1e-10 * max(float(eigenvalues.max(initial=0.0)), 1.0)
-
-
-def _require_positive(eigenvalues: np.ndarray) -> None:
-    smallest = float(eigenvalues.min())
-    if smallest <= _pd_threshold(eigenvalues):
-        raise SingularMatrixError(
-            f"matrix is singular or not positive definite "
-            f"(smallest eigenvalue {smallest:.3e})",
-            eigenvalue=smallest,
-        )
+    c = a - a.mean(axis=-2, keepdims=True)
+    # a matrix times its own transpose: numpy hands this to BLAS syrk, as
+    # np.cov does, and syrk returns an exactly symmetric matrix
+    c = np.swapaxes(c, -1, -2) @ c
+    c *= np.true_divide(1, n - ddof)
+    return c
 
 
 def _require_symmetric(a: np.ndarray, rtol: float = 1e-12) -> None:
-    scale = max(float(np.abs(a).max(initial=0.0)), 1.0)
-    if a.shape[0] != a.shape[1] or np.abs(a - a.T).max(initial=0.0) > rtol * scale:
+    """Raise ValueError unless every matrix of the (..., m, m) stack ``a`` is
+    symmetric to ``rtol`` of its own scale."""
+    if a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix is not symmetric")
+    axes = (-2, -1)
+    scale = np.maximum(np.abs(a).max(axis=axes, initial=0.0), 1.0)
+    asymmetry = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=axes, initial=0.0)
+    if np.any(asymmetry > rtol * scale):
+        raise ValueError("matrix is not symmetric")
+
+
+def _singular_errors(eigenvalues: np.ndarray) -> tuple:
+    """Per matrix of a stack: None, or the SingularMatrixError it fails with.
+
+    Row i of ``eigenvalues`` (shape (R, ...)) holds every eigenvalue of
+    matrix i.  A matrix fails when its smallest eigenvalue is at or below
+    the positive-definiteness threshold, which is scale-aware and floored
+    so that near-zero matrices are still flagged: 1e-10 * max(largest, 1).
+    Degenerate data (a constant column, a response indicator without
+    variation, or perfectly correlated columns) surfaces here.
+    """
+    w = eigenvalues.reshape(len(eigenvalues), -1)
+    smallest = w.min(axis=1)
+    threshold = 1e-10 * np.maximum(w.max(axis=1, initial=0.0), 1.0)
+    errors = [None] * len(w)
+    for i in np.flatnonzero(smallest <= threshold):
+        errors[i] = SingularMatrixError(
+            f"matrix is singular or not positive definite "
+            f"(smallest eigenvalue {smallest[i]:.3e})",
+            eigenvalue=float(smallest[i]),
+        )
+    return tuple(errors)
+
+
+def _first_error(errors: tuple) -> None:
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def spd_eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Eigendecompositions of a (R, m, m) stack of symmetric matrices.
+
+    Returns (eigenvalues, eigenvectors, errors), ``errors`` as from
+    ``_singular_errors``.  Raises ValueError if any matrix is not symmetric.
+    """
+    _require_symmetric(a)
+    w, v = np.linalg.eigh(a)
+    return w, v, _singular_errors(w)
 
 
 def spd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric positive-definite matrix.
 
     Returns (eigenvalues, eigenvectors).  Raises SingularMatrixError if
-    any eigenvalue falls at or below the scale-aware threshold; degenerate
-    data (a constant column, a response indicator without variation, or
-    perfectly correlated columns) surfaces here.
+    any eigenvalue falls at or below the threshold of ``_singular_errors``.
     """
     a = np.atleast_2d(np.asarray(a, float))
-    _require_symmetric(a)
-    w, v = np.linalg.eigh(a)
-    _require_positive(w)
-    return w, v
+    w, v, errors = spd_eigh_stack(a[None])
+    _first_error(errors)
+    return w[0], v[0]
 
 
-def kron_spd_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecomposition of A (x) B from those of the symmetric factors.
+def kron_spd_eigh_stack(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Eigendecompositions of A_i (x) B_i from those of the symmetric factors.
 
-    Returns (W, V_a, V_b) with W = outer(w_a, w_b): W[u, v] is the
-    eigenvalue of A (x) B for the eigenvector kron(V_a[:, u], V_b[:, v]).
-    The symmetry check, threshold and SingularMatrixError are those of
-    ``spd_eigh`` applied to the product matrix, but act on W, so that
-    matrix is never formed.
+    ``a`` and ``b`` are (R, p, p) and (R, q, q) stacks.  Returns
+    (W, V_a, V_b, errors) with W[i] = outer(w_a[i], w_b[i]): W[i, u, v] is
+    the eigenvalue of A_i (x) B_i for the eigenvector
+    kron(V_a[i, :, u], V_b[i, :, v]).  The symmetry check and the
+    threshold act on the factors and on W, so no product matrix is formed;
+    ``errors`` is as from ``_singular_errors``.
     """
-    a = np.atleast_2d(np.asarray(a, float))
-    b = np.atleast_2d(np.asarray(b, float))
     _require_symmetric(a)
     _require_symmetric(b)
     w_a, v_a = np.linalg.eigh(a)
     w_b, v_b = np.linalg.eigh(b)
-    w = np.outer(w_a, w_b)
-    _require_positive(w)
-    return w, v_a, v_b
+    w = w_a[:, :, None] * w_b[:, None, :]
+    return w, v_a, v_b, _singular_errors(w)
+
+
+def kron_spd_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``kron_spd_eigh_stack`` for one pair of matrices: returns (W, V_a, V_b)
+    and raises the SingularMatrixError that ``spd_eigh`` raises for A (x) B."""
+    a = np.atleast_2d(np.asarray(a, float))
+    b = np.atleast_2d(np.asarray(b, float))
+    w, v_a, v_b, errors = kron_spd_eigh_stack(a[None], b[None])
+    _first_error(errors)
+    return w[0], v_a[0], v_b[0]
 
 
 def inverse(a: np.ndarray) -> np.ndarray:

@@ -28,18 +28,24 @@ from .numerics import (
     column_var,
     cov_matrix,
     inverse,
-    kron_spd_eigh,
+    kron_spd_eigh_stack,
     normal_cdf,
+    spd_eigh_stack,
 )
 
 __all__ = [
     "GapStats",
     "TestResult",
+    "BatchResult",
     "check_alpha",
     "mean_product_gap",
     "gap_matrix",
+    "stack_columns",
+    "ustat_batch",
     "ustat_mcar_test",
+    "bivariate_batch",
     "bivariate_mcar_test",
+    "little_univariate_batch",
     "little_mcar_univariate",
     "little_mcar_general",
 ]
@@ -98,31 +104,59 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
 
 
-def mean_product_gap(x, r) -> tuple[float, float]:
+def mean_product_gap(x, r):
     """Gap between the product of means and the mean of products.
 
     For a complete column ``x`` and a 0/1 response column ``r`` this
     estimates E(X)E(R) - E(XR), which is zero when the response is
     uncorrelated with the column.  Returns ``(unbiased, biased)``: the
     plug-in estimate and its n/(n-1) bias correction, computed in O(n).
+    Works along the last axis: floats for 1-D input, one gap per row for a
+    stack of rows.
 
     Raises DegenerateDataError for n < 2.
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     if n < 2:
         raise DegenerateDataError("mean_product_gap requires n >= 2")
     if r.shape != x.shape:
         raise ValueError("x and r must have the same length")
-    biased = x.mean() * r.mean() - (x * r).mean()
-    return float(biased * n / (n - 1.0)), float(biased)
+    biased = x.mean(axis=-1) * r.mean(axis=-1) - (x * r).mean(axis=-1)
+    unbiased = biased * n / (n - 1.0)
+    if biased.ndim == 0:
+        return float(unbiased), float(biased)
+    return unbiased, biased
+
+
+def stack_columns(datasets, roles: ColumnRoles) -> tuple[np.ndarray, np.ndarray]:
+    """Complete-column values and float response indicators of R datasets.
+
+    The datasets share n and the column layout.  Returns (R, n, p) and
+    (R, n, q) arrays whose columns are each contiguous, as
+    ``ds.values[:, cols]`` gives them for one dataset, so every dataset's
+    slice has the same strides in a stack of any size.  Roles are not
+    checked here; see ``_columns``.
+    """
+    values = np.stack([ds.values for ds in datasets]).transpose(0, 2, 1)
+    mask = np.stack([ds.mask for ds in datasets]).transpose(0, 2, 1)
+    x = np.ascontiguousarray(values[:, list(roles.complete)])
+    r = np.ascontiguousarray(mask[:, list(roles.incomplete)], dtype=float)
+    return x.transpose(0, 2, 1), r.transpose(0, 2, 1)
 
 
 def _columns(ds: Dataset, roles: ColumnRoles) -> tuple[np.ndarray, np.ndarray]:
-    """Complete-column values and float response indicators."""
-    r = response_matrix(ds, roles).astype(float)
-    return ds.values[:, list(roles.complete)], r
+    """``stack_columns`` of one dataset, after checking the roles against it."""
+    response_matrix(ds, roles)  # raises for roles that do not fit ds
+    return stack_columns([ds], roles)
+
+
+def _gaps(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Biased mean-product gaps, (R, p, q), of (R, n, p) and (R, n, q) stacks."""
+    n = x.shape[-2]
+    means = x.mean(axis=-2)[..., :, None] * r.mean(axis=-2)[..., None, :]
+    return means - (np.swapaxes(x, -1, -2) @ r) / n
 
 
 def gap_matrix(ds: Dataset, roles: ColumnRoles) -> GapStats:
@@ -133,10 +167,81 @@ def gap_matrix(ds: Dataset, roles: ColumnRoles) -> GapStats:
     """
     if ds.n < 2:
         raise DegenerateDataError("gap statistics require n >= 2")
-    x, r = _columns(ds, roles)
     n = ds.n
-    biased = np.outer(x.mean(axis=0), r.mean(axis=0)) - (x.T @ r) / n
+    biased = _gaps(*_columns(ds, roles))[0]
     return GapStats(unbiased=biased * (n / (n - 1.0)), biased=biased, n=n)
+
+
+@dataclass(frozen=True)
+class BatchResult:
+    """One test over a stack of R datasets, as its batch kernel returns it.
+
+    ``statistic`` and ``p_value`` have shape (R,).  ``errors[i]`` is None,
+    or the exception the test raises for dataset i alone; that entry's
+    statistic is a placeholder 0.0 (p-value 1).  ``diagnostics`` maps each
+    name to an array with one row per dataset.
+    """
+
+    method: str
+    df: int
+    n: int
+    statistic: np.ndarray
+    p_value: np.ndarray
+    errors: tuple
+    diagnostics: dict
+
+    def result(self, i: int, alpha: float) -> TestResult:
+        """Dataset i's TestResult; raises its exception if it has one."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        p_value = float(self.p_value[i])
+        diagnostics = {key: value[i].tolist() for key, value in self.diagnostics.items()}
+        return TestResult(
+            method=self.method,
+            statistic=float(self.statistic[i]),
+            df=self.df,
+            p_value=p_value,
+            alpha=alpha,
+            reject=p_value <= alpha,
+            diagnostics={**diagnostics, "n": self.n},
+        )
+
+
+def _failed(errors: tuple) -> np.ndarray:
+    return np.array([e is not None for e in errors], dtype=bool)
+
+
+def ustat_batch(x: np.ndarray, r: np.ndarray) -> BatchResult:
+    """``ustat_mcar_test`` on each dataset of a stack.
+
+    ``x`` and ``r`` are the (R, n, p) values and (R, n, q) response
+    indicators from ``stack_columns``.  Each dataset's outcome is bitwise
+    the same in a stack of any size.
+    """
+    n = x.shape[-2]
+    if n < 3:
+        raise DegenerateDataError("the quadratic-form test requires n >= 3")
+    gaps = _gaps(x, r) * (n / (n - 1.0))
+    w, v_x, v_r, errors = kron_spd_eigh_stack(cov_matrix(x), cov_matrix(r))
+    failed = _failed(errors)
+    w_safe = np.where(failed[:, None, None], 1.0, w)
+    h = (np.swapaxes(v_x, -1, -2) @ gaps @ v_r) / np.sqrt(w_safe)
+    statistic = n * np.sum(h**2, axis=(-2, -1))
+    statistic[failed] = 0.0
+    components = np.sqrt(n) * (v_x @ h @ np.swapaxes(v_r, -1, -2))
+    df = x.shape[-1] * r.shape[-1]
+    return BatchResult(
+        method=METHOD_USTAT,
+        df=df,
+        n=n,
+        statistic=statistic,
+        p_value=chi2_sf(statistic, df),
+        errors=errors,
+        diagnostics={
+            "components": components.reshape(len(components), -1),
+            "sigma_condition": w_safe.max(axis=(-2, -1)) / w_safe.min(axis=(-2, -1)),
+        },
+    )
 
 
 def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> TestResult:
@@ -155,33 +260,49 @@ def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> Tes
     S^(-1/2) (sqrt(n) g) = sqrt(n) vec(V_x H V_r'), whose squared sum is
     the statistic, and the condition number of S.  The test suite checks
     the statistic against the pq x pq route and the maximum-likelihood
-    moment pair.
+    moment pair.  Computed as ``ustat_batch`` of a one-dataset stack.
     """
     check_alpha(alpha)
-    if ds.n < 3:
-        raise DegenerateDataError("the quadratic-form test requires n >= 3")
-    gaps = gap_matrix(ds, roles)
-    n = gaps.n
-    x, r = _columns(ds, roles)
-    w, v_x, v_r = kron_spd_eigh(cov_matrix(x), cov_matrix(r))
-    h = (v_x.T @ gaps.unbiased @ v_r) / np.sqrt(w)
-    statistic = float(n * np.sum(h**2))
-    components = np.sqrt(n) * (v_x @ h @ v_r.T).reshape(-1)
+    return ustat_batch(*_columns(ds, roles)).result(0, alpha)
 
-    df = roles.p * roles.q
-    p_value = chi2_sf(statistic, df)
-    return TestResult(
-        method=METHOD_USTAT,
+
+def bivariate_batch(x: np.ndarray, r: np.ndarray) -> BatchResult:
+    """``bivariate_mcar_test`` on each dataset of a stack with p = q = 1."""
+    p, q = x.shape[-1], r.shape[-1]
+    if p != 1 or q != 1:
+        raise DegenerateDataError(
+            "the bivariate test requires exactly one complete and one "
+            f"incomplete column (got p={p}, q={q})"
+        )
+    n = x.shape[-2]
+    if n < 3:
+        raise DegenerateDataError("the bivariate test requires n >= 3")
+    x = x[..., 0]
+    r = r[..., 0]
+    t, _ = mean_product_gap(x, r)
+    s_x = x.std(axis=-1, ddof=1)
+    s_r = r.std(axis=-1, ddof=1)
+    failed = (s_x <= 0.0) | (s_r <= 0.0)
+    errors = tuple(
+        DegenerateDataError(
+            "zero variance: the complete column is constant or the "
+            "incomplete column has no missingness variation"
+        )
+        if bad
+        else None
+        for bad in failed.tolist()
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        statistic = np.sqrt(n) * t / (s_x * s_r)
+    statistic[failed] = 0.0
+    return BatchResult(
+        method=METHOD_BIVARIATE,
+        df=1,
+        n=n,
         statistic=statistic,
-        df=df,
-        p_value=p_value,
-        alpha=alpha,
-        reject=p_value <= alpha,
-        diagnostics={
-            "components": [float(c) for c in components],
-            "sigma_condition": float(w.max() / w.min()),
-            "n": n,
-        },
+        p_value=2.0 * (1.0 - normal_cdf(np.abs(statistic))),
+        errors=errors,
+        diagnostics={"gap": t, "sd_x": s_x, "sd_r": s_r},
     )
 
 
@@ -190,36 +311,62 @@ def bivariate_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) ->
 
     The unbiased mean-product gap scaled by sqrt(n) and the two sample
     standard deviations is asymptotically standard normal under MCAR;
-    the test is two-sided.
+    the test is two-sided.  Computed as ``bivariate_batch`` of a
+    one-dataset stack.
     """
     check_alpha(alpha)
-    if roles.p != 1 or roles.q != 1:
+    return bivariate_batch(*_columns(ds, roles)).result(0, alpha)
+
+
+def little_univariate_batch(x: np.ndarray, r: np.ndarray) -> BatchResult:
+    """``little_mcar_univariate`` on each dataset of a stack with q = 1."""
+    if r.shape[-1] != 1:
         raise DegenerateDataError(
-            "the bivariate test requires exactly one complete and one "
-            f"incomplete column (got p={roles.p}, q={roles.q})"
+            "the closed form applies to exactly one incomplete column "
+            f"(got q={r.shape[-1]})"
         )
-    if ds.n < 3:
-        raise DegenerateDataError("the bivariate test requires n >= 3")
-    x = ds.values[:, roles.complete[0]]
-    r = response_matrix(ds, roles)[:, 0].astype(float)
-    t, _ = mean_product_gap(x, r)
-    s_x = x.std(ddof=1)
-    s_r = r.std(ddof=1)
-    if s_x <= 0.0 or s_r <= 0.0:
-        raise DegenerateDataError(
-            "zero variance: the complete column is constant or the "
-            "incomplete column has no missingness variation"
+    n = x.shape[-2]
+    n_obs = r[..., 0].sum(axis=-1).astype(int)
+    empty = (n_obs == 0) | (n_obs == n)
+    # the observed and the missing rows' column sums, x'r and x'(1 - r)
+    sums = np.swapaxes(x, -1, -2) @ np.concatenate([r, 1.0 - r], axis=-1)
+    counts = np.stack([n_obs, n - n_obs], axis=-1)[:, None, :]
+    overall = x.mean(axis=-2)[..., None]
+    dev = sums / np.where(empty[:, None, None], 1, counts) - overall
+
+    sigma_ml = cov_matrix(x, "ml") * column_var(r[..., 0], "ml")[:, None, None]
+    w, v, singular = spd_eigh_stack(sigma_ml)
+    errors = tuple(
+        DegenerateDataError(
+            "the closed form needs both observed and missing rows "
+            f"(observed {k} of {n})"
         )
-    statistic = float(np.sqrt(ds.n) * t / (s_x * s_r))
-    p_value = float(2.0 * (1.0 - normal_cdf(abs(statistic))))
-    return TestResult(
-        method=METHOD_BIVARIATE,
+        if bad
+        else error
+        for k, bad, error in zip(n_obs.tolist(), empty.tolist(), singular)
+    )
+    failed = _failed(errors)
+    w = np.where(failed[:, None], 1.0, w)
+    sigma_inv = (v / w[:, None, :]) @ np.swapaxes(v, -1, -2)
+    dev_obs = dev[..., 0][:, None, :]
+    dev_mis = dev[..., 1][:, None, :]
+    quad_obs = (dev_obs @ sigma_inv @ np.swapaxes(dev_obs, -1, -2))[:, 0, 0]
+    quad_mis = (dev_mis @ sigma_inv @ np.swapaxes(dev_mis, -1, -2))[:, 0, 0]
+    rbar = n_obs / n
+    statistic = (
+        n * rbar**2 * (1.0 - rbar) * quad_obs
+        + n * rbar * (1.0 - rbar) ** 2 * quad_mis
+    )
+    statistic[failed] = 0.0
+    df = x.shape[-1]
+    return BatchResult(
+        method=METHOD_LITTLE_UNIVARIATE,
+        df=df,
+        n=n,
         statistic=statistic,
-        df=1,
-        p_value=p_value,
-        alpha=alpha,
-        reject=p_value <= alpha,
-        diagnostics={"gap": t, "sd_x": float(s_x), "sd_r": float(s_r), "n": ds.n},
+        p_value=chi2_sf(statistic, df),
+        errors=errors,
+        diagnostics={"n_observed": n_obs, "n_missing": n - n_obs},
     )
 
 
@@ -230,44 +377,11 @@ def little_mcar_univariate(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05)
     the missing-response rows against the overall means, through the inverse
     of the maximum-likelihood estimate of Cov(X) * Var(R).  Chi-squared
     calibration with p degrees of freedom.  Requires both observed and
-    missing rows to exist.
+    missing rows to exist.  Computed as ``little_univariate_batch`` of a
+    one-dataset stack.
     """
     check_alpha(alpha)
-    if roles.q != 1:
-        raise DegenerateDataError(
-            f"the closed form applies to exactly one incomplete column (got q={roles.q})"
-        )
-    r = response_matrix(ds, roles)[:, 0].astype(float)
-    n = ds.n
-    n_obs = int(r.sum())
-    if n_obs == 0 or n_obs == n:
-        raise DegenerateDataError(
-            "the closed form needs both observed and missing rows "
-            f"(observed {n_obs} of {n})"
-        )
-    x = ds.values[:, list(roles.complete)]
-    overall = x.mean(axis=0)
-    dev_obs = x[r == 1.0].mean(axis=0) - overall
-    dev_mis = x[r == 0.0].mean(axis=0) - overall
-
-    sigma_ml = cov_matrix(x, "ml") * column_var(r, "ml")
-    sigma_inv = inverse(sigma_ml)
-    rbar = n_obs / n
-    statistic = float(
-        n * rbar**2 * (1.0 - rbar) * dev_obs @ sigma_inv @ dev_obs
-        + n * rbar * (1.0 - rbar) ** 2 * dev_mis @ sigma_inv @ dev_mis
-    )
-    df = roles.p
-    p_value = chi2_sf(statistic, df)
-    return TestResult(
-        method=METHOD_LITTLE_UNIVARIATE,
-        statistic=statistic,
-        df=df,
-        p_value=p_value,
-        alpha=alpha,
-        reject=p_value <= alpha,
-        diagnostics={"n_observed": n_obs, "n_missing": n - n_obs, "n": n},
-    )
+    return little_univariate_batch(*_columns(ds, roles)).result(0, alpha)
 
 
 def little_mcar_general(ds: Dataset, alpha: float = 0.05) -> TestResult:

@@ -326,11 +326,13 @@ def apply_mar_1_to_x(
     targets = _resolve_targets(roles, targets)
     controls = _resolve_controls(roles, targets, controls)
     mask = np.array(ds.mask)
+    thresholds = {}  # per control column: targets sharing a control share its median
     for j, c in zip(targets, controls):
-        control = ds.values[:, c]
-        high = control > np.median(control)
-        threshold = np.where(high, min(p_high, 1.0), p_low)
-        mask[:, j] &= rng.random(ds.n) >= threshold
+        if c not in thresholds:
+            control = ds.values[:, c]
+            high = control > np.median(control)
+            thresholds[c] = np.where(high, min(p_high, 1.0), p_low)
+        mask[:, j] &= rng.random(ds.n) >= thresholds[c]
     return ds.with_mask(mask)
 
 
@@ -374,12 +376,14 @@ def apply_mar_mean(ds: Dataset, roles: ColumnRoles, rules, rng) -> Dataset:
     targets = _resolve_targets(roles, tuple(r[0] for r in rules))
     _resolve_controls(roles, targets, tuple(r[1] for r in rules))
     mask = np.array(ds.mask)
+    high = {}  # per control column: targets sharing a control share its mean
     for j, c, p_high, p_low in rules:
         p_high = _check_prob(p_high, "p_high")
         p_low = _check_prob(p_low, "p_low")
-        control = ds.values[:, c]
-        high = control > control.mean()
-        threshold = np.where(high, p_high, p_low)
+        if c not in high:
+            control = ds.values[:, c]
+            high[c] = control > control.mean()
+        threshold = np.where(high[c], p_high, p_low)
         mask[:, int(j)] &= rng.random(ds.n) >= threshold
     return ds.with_mask(mask)
 

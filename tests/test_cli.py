@@ -282,26 +282,40 @@ class TestUsageErrors:
             pytest.param(
                 SIMULATE + ["--sweep-miss", "0.1,0.2,1.5"], "1.5", id="sweep-miss-late"
             ),
+            pytest.param(
+                ["simulate", "--scenario", "{not_object}"], "JSON object", id="scenario-array"
+            ),
+            pytest.param(
+                ["simulate", "--scenario", "{bad_mechanism}"], "'mechanism'",
+                id="scenario-mechanism-string",
+            ),
+            pytest.param(
+                ["simulate", "--scenario", "{bad_distribution}"], "'distribution'",
+                id="scenario-distribution-string",
+            ),
         ],
     )
     def test_exit_2_before_any_work(self, tmp_path, capsys, argv, names):
-        scenario = tmp_path / "negative_seed.json"
-        scenario.write_text(
-            json.dumps(
-                {
-                    "label": "1X2Y",
-                    "distribution": {"kind": "std_normal", "dim": 3},
-                    "p": 1,
-                    "q": 2,
-                    "n": 40,
-                    "mechanism": {"kind": "mcar", "miss_prob": 0.2},
-                    "replications": 5,
-                    "master_seed": -1,
-                }
-            )
-        )
+        good = {
+            "label": "1X2Y",
+            "distribution": {"kind": "std_normal", "dim": 3},
+            "p": 1,
+            "q": 2,
+            "n": 40,
+            "mechanism": {"kind": "mcar", "miss_prob": 0.2},
+            "replications": 5,
+        }
+        scenarios = {
+            "negative_seed": {**good, "master_seed": -1},
+            "not_object": [],
+            "bad_mechanism": {**good, "mechanism": "oops"},
+            "bad_distribution": {**good, "distribution": "oops"},
+        }
+        for name, doc in scenarios.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            argv = [a.replace("{" + name + "}", str(path)) for a in argv]
         out = tmp_path / "out.csv"
-        argv = [a.replace("{negative_seed}", str(scenario)) for a in argv]
         assert run_cli(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err

@@ -2,8 +2,21 @@ import csv
 
 import pytest
 
-from mcartest import DegenerateDataError, DistributionSpec, MechanismSpec
+import mcartest.harness
+from mcartest import (
+    ColumnRoles,
+    DegenerateDataError,
+    DistributionSpec,
+    MechanismSpec,
+    SingularMatrixError,
+    apply_mechanism,
+    generate,
+    pattern_names,
+    rng_stream,
+)
 from mcartest.harness import (
+    KNOWN_TESTS,
+    TESTS,
     Scenario,
     _ks_distance,
     resolve_test,
@@ -82,6 +95,36 @@ class TestScenario:
         assert resolve_test("d2", 1) == "d2_univariate"
         assert resolve_test("d2", 3) == "d2_general"
         assert resolve_test("an", 2) == "an"
+
+    def test_registry_names_every_wire_name(self):
+        assert set(KNOWN_TESTS) == set(TESTS) | {"d2"}
+        for q in (1, 3):
+            assert all(resolve_test(t, q) in TESTS for t in KNOWN_TESTS)
+
+    @pytest.mark.parametrize(
+        "tag, p, q, ok",
+        [("dn", 1, 1, True), ("dn", 2, 1, False), ("dn", 1, 2, False),
+         ("d2_univariate", 3, 1, True), ("d2_univariate", 1, 2, False),
+         ("an", 3, 3, True), ("d2_general", 2, 3, True)],
+    )
+    def test_registry_shape_rules(self, tag, p, q, ok):
+        if ok:
+            TESTS[tag].check_shape(tag, p, q)
+        else:
+            with pytest.raises(ValueError, match=f"the {tag} test requires"):
+                TESTS[tag].check_shape(tag, p, q)
+
+    @pytest.mark.parametrize("doc", [[], "text", 3])
+    def test_from_dict_needs_an_object(self, doc):
+        with pytest.raises(ValueError, match="JSON object"):
+            Scenario.from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["distribution", "mechanism"])
+    def test_from_dict_nested_objects(self, field):
+        doc = scenario().to_dict()
+        doc[field] = "oops"
+        with pytest.raises(ValueError, match=field):
+            Scenario.from_dict(doc)
 
 
 class TestWilson:
@@ -218,3 +261,80 @@ class TestResultsCsv:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["param"] == "" for r in rows)
+
+
+# small cells where many replications are degenerate, for the block tests
+SMALL_CELLS = [
+    pytest.param(
+        dict(label="1X1Y", distribution=DistributionSpec(kind="std_normal", dim=2),
+             p=1, q=1, n=10, tests=("an", "dn", "d2"),
+             mechanism=MechanismSpec(kind="mcar", miss_prob=0.08)),
+        id="1X1Y-n10-an-dn-d2",
+    ),
+    pytest.param(
+        dict(label="2X2Y", distribution=DistributionSpec(kind="std_normal", dim=4),
+             p=2, q=2, n=8, tests=("an", "d2"),
+             mechanism=MechanismSpec(kind="mcar", miss_prob=0.1)),
+        id="2X2Y-n8-an-d2",
+    ),
+    pytest.param(
+        dict(label="1X1Y", distribution=DistributionSpec(kind="std_normal", dim=2),
+             p=1, q=1, n=10, tests=("dn", "d2"),
+             mechanism=MechanismSpec(kind="mar_1_to_x", miss_prob=0.1, odds=9.0)),
+        id="1X1Y-n10-dn-d2",
+    ),
+]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("cell", SMALL_CELLS)
+    def test_matches_per_dataset_tests(self, cell):
+        # each replication, rebuilt from its own streams and tested alone,
+        # gives the run's degenerate classification, statistic and reject
+        s = scenario(**cell, replications=150)
+        cell_result = run_cell(s)
+        key = s.content_hash()
+        roles = ColumnRoles(tuple(range(s.p)), tuple(range(s.p, s.p + s.q)))
+        for tag in cell_result.per_test:
+            values, rejections = [], 0
+            for rep in range(s.replications):
+                full = generate(s.distribution, s.n, rng_stream(s.master_seed, key, rep, 0),
+                                pattern_names(s.p, s.q))
+                ds = apply_mechanism(full, roles, s.mechanism,
+                                     rng_stream(s.master_seed, key, rep, 1))
+                try:
+                    result = TESTS[tag].run(ds, roles, s.alpha)
+                except (SingularMatrixError, DegenerateDataError):
+                    continue
+                values.append(result.statistic)
+                rejections += result.reject
+            stats = cell_result.per_test[tag]
+            assert stats.degenerate > 0
+            assert stats.degenerate == s.replications - len(values)
+            assert stats.rejections == rejections
+            assert cell_result.statistics[tag] == tuple(values)
+
+    @pytest.mark.parametrize("cell", SMALL_CELLS)
+    def test_block_size_does_not_change_outcomes(self, cell, monkeypatch):
+        s = scenario(**cell, replications=45)
+        whole = run_cell(s)
+        cells_per_rep = s.n * (s.p + s.q)
+        for size in (1, 7):
+            monkeypatch.setattr(mcartest.harness, "_BLOCK_CELLS", size * cells_per_rep)
+            assert mcartest.harness._blocks(s.replications, 1, cells_per_rep)[0] == (0, size)
+            assert run_cell(s) == whole
+
+    @pytest.mark.parametrize("cell", SMALL_CELLS[:1])
+    def test_workers_with_uneven_blocks(self, cell):
+        s = scenario(**cell, replications=41)
+        blocks = mcartest.harness._blocks(41, 3, s.n * (s.p + s.q))
+        assert len({stop - start for start, stop in blocks}) > 1
+        assert run_cell(s, workers=3) == run_cell(s, workers=1)
+
+    def test_blocks_cover_replications_in_order(self):
+        for n_rep, workers, cells in ((250, 1, 300), (41, 3, 20), (10, 4, 10**6), (7, 1, 10**7)):
+            blocks = mcartest.harness._blocks(n_rep, workers, cells)
+            assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+            assert blocks[-1][1] == n_rep
+            size = blocks[0][1] - blocks[0][0]
+            assert size == 1 or size * cells <= mcartest.harness._BLOCK_CELLS

@@ -24,6 +24,12 @@ from mcartest import (
     ustat_mcar_test,
 )
 from mcartest.numerics import spd_eigh
+from mcartest.stats import (
+    bivariate_batch,
+    little_univariate_batch,
+    stack_columns,
+    ustat_batch,
+)
 
 from conftest import make_dataset, pq_covariance, reference_routes
 
@@ -431,3 +437,83 @@ class TestResultRecord:
         assert rec["statistic"] == result.statistic
         assert rec["reject"] == result.reject
         assert isinstance(rec["diagnostics"], dict)
+
+
+def kernel_datasets(rng, n, p, q):
+    """Datasets of one shape for the batch kernels, some of them degenerate:
+    an all-observed response, a constant complete column, an all-missing
+    response column."""
+    out = [make_dataset(rng, n, p, q, clayton=bool(i % 2))[0] for i in range(30)]
+    out[3] = out[3].with_mask(np.ones((n, p + q), dtype=bool))
+    vals = np.array(out[8].values)
+    vals[:, 0] = 2.5
+    out[8] = Dataset(vals, out[8].mask, out[8].column_names)
+    mask = np.ones((n, p + q), dtype=bool)
+    mask[:, p:] = False
+    out[17] = out[17].with_mask(mask)
+    return out, ColumnRoles(tuple(range(p)), tuple(range(p, p + q)))
+
+
+KERNELS = [
+    pytest.param(ustat_batch, ustat_mcar_test, 2, 3, id="an-2X3Y"),
+    pytest.param(ustat_batch, ustat_mcar_test, 1, 1, id="an-1X1Y"),
+    pytest.param(bivariate_batch, bivariate_mcar_test, 1, 1, id="dn"),
+    pytest.param(little_univariate_batch, little_mcar_univariate, 3, 1, id="d2_univariate-3X1Y"),
+    pytest.param(little_univariate_batch, little_mcar_univariate, 1, 1, id="d2_univariate-1X1Y"),
+]
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("kernel, test, p, q", KERNELS)
+    def test_block_size_independence(self, rng, kernel, test, p, q):
+        # a dataset's statistic is bitwise the same in a block of 1, of 7 and
+        # of the whole stack
+        datasets, roles = kernel_datasets(rng, 37, p, q)
+        whole = kernel(*stack_columns(datasets, roles))
+        for size in (1, 7):
+            parts = [
+                kernel(*stack_columns(datasets[lo:lo + size], roles))
+                for lo in range(0, len(datasets), size)
+            ]
+            for field in ("statistic", "p_value"):
+                got = np.concatenate([getattr(b, field) for b in parts])
+                assert np.array_equal(got, getattr(whole, field))
+            errors = [e for b in parts for e in b.errors]
+            assert [repr(e) for e in errors] == [repr(e) for e in whole.errors]
+
+    @pytest.mark.parametrize("kernel, test, p, q", KERNELS)
+    def test_matches_per_dataset_function(self, rng, kernel, test, p, q):
+        # per dataset: the same exception, or the same TestResult
+        datasets, roles = kernel_datasets(rng, 23, p, q)
+        batch = kernel(*stack_columns(datasets, roles))
+        assert sum(e is not None for e in batch.errors) >= 2
+        for i, ds in enumerate(datasets):
+            try:
+                want = test(ds, roles, 0.05)
+            except (SingularMatrixError, DegenerateDataError) as exc:
+                assert repr(batch.errors[i]) == repr(exc)
+                assert batch.statistic[i] == 0.0 and batch.p_value[i] == 1.0
+                continue
+            assert batch.errors[i] is None
+            assert batch.result(i, 0.05) == want
+
+    def test_degenerate_classes(self, rng):
+        datasets, roles = kernel_datasets(rng, 23, 1, 1)
+        x, r = stack_columns(datasets, roles)
+        an, dn, d2 = ustat_batch(x, r), bivariate_batch(x, r), little_univariate_batch(x, r)
+        assert isinstance(an.errors[3], SingularMatrixError)
+        assert isinstance(an.errors[8], SingularMatrixError)
+        assert "zero variance" in str(dn.errors[3]) and "zero variance" in str(dn.errors[8])
+        assert "observed 23 of 23" in str(d2.errors[3])
+        assert "observed 0 of 23" in str(d2.errors[17])
+        assert isinstance(d2.errors[8], SingularMatrixError)
+
+    def test_shape_errors_are_raised_for_the_block(self, rng):
+        datasets, roles = kernel_datasets(rng, 12, 2, 2)
+        x, r = stack_columns(datasets, roles)
+        with pytest.raises(DegenerateDataError, match="exactly one complete"):
+            bivariate_batch(x, r)
+        with pytest.raises(DegenerateDataError, match="exactly one incomplete"):
+            little_univariate_batch(x, r)
+        with pytest.raises(DegenerateDataError, match="n >= 3"):
+            ustat_batch(x[:, :2], r[:, :2])

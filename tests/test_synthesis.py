@@ -239,6 +239,23 @@ class TestMar1ToX:
         assert stat < chi2_quantile(0.99, 1)
 
 
+    def test_shared_control_matches_per_target_reference(self):
+        # at p=1, q=3 every target is controlled by column 0; the median is
+        # taken once, and the mask and the draws are those of a literal
+        # per-target loop
+        ds = gen_std_normal(101, 4, rng_stream(21, 0))
+        roles = roles_for(1, 3)
+        out = apply_mar_1_to_x(ds, roles, 0.2, 9.0, rng_stream(21, 1))
+        rng = rng_stream(21, 1)
+        want = np.ones((101, 4), dtype=bool)
+        for j in (1, 2, 3):
+            control = ds.values[:, 0]
+            high = control > np.median(control)
+            threshold = np.where(high, 2 * 0.2 * 9.0 / 10.0, 2 * 0.2 / 10.0)
+            want[:, j] = rng.random(101) >= threshold
+        np.testing.assert_array_equal(out.mask, want)
+
+
 class TestMarRank:
     def test_exact_count(self):
         ds = gen_std_normal(100, 2, rng_stream(14, 0))
@@ -287,6 +304,19 @@ class TestMarMean:
         frac = (~out.mask).mean(axis=0)
         assert abs(frac[1] - 0.09) < 0.02
         assert abs(frac[2] - 0.0975) < 0.02
+
+    def test_shared_control_matches_per_target_reference(self):
+        ds = gen_std_normal(97, 4, rng_stream(22, 0))
+        roles = roles_for(1, 3)
+        rules = [(1, 0, 0.3, 0.05), (2, 0, 0.1, 0.2), (3, 0, 0.02, 0.175)]
+        out = apply_mar_mean(ds, roles, rules, rng_stream(22, 1))
+        rng = rng_stream(22, 1)
+        want = np.ones((97, 4), dtype=bool)
+        for j, c, p_high, p_low in rules:
+            control = ds.values[:, c]
+            threshold = np.where(control > control.mean(), p_high, p_low)
+            want[:, j] = rng.random(97) >= threshold
+        np.testing.assert_array_equal(out.mask, want)
 
     def test_constant_control_goes_low(self):
         vals = np.column_stack([np.full(30, 2.0), np.zeros(30)])
