@@ -91,7 +91,13 @@ def _cmd_test(args, parser) -> int:
     na_tokens = set(args.na_token) if args.na_token else None
     incomplete = _split_csv_list(args.roles) if args.roles else None
     ds, roles = load_csv(args.input, na_tokens=na_tokens, incomplete=incomplete)
-    results = [TESTS[tag].run(ds, roles, args.alpha) for tag in resolve_tests(tags, roles.q)]
+    tags = resolve_tests(tags, roles.q)
+    try:
+        for tag in tags:
+            TESTS[tag].check_shape(tag, roles.p, roles.q)
+    except ValueError as exc:
+        parser.error(str(exc))
+    results = [TESTS[tag].run(ds, roles, args.alpha) for tag in tags]
 
     name = Path(args.input).name
     print(f"{name}: n={ds.n} rows, {roles.p} complete, {roles.q} incomplete columns")

@@ -1,11 +1,13 @@
 """EM estimation of a multivariate normal mean and covariance under missingness.
 
-Rows are grouped by missingness pattern once per fit, and what a pattern
-fixes is built before the first iteration, so each E-step solves one linear
-system per pattern instead of one per row.  The fit returns its grouping for
-Little's d2.  The observed-data log-likelihood is evaluated at the
-parameters entering each E-step; EM guarantees the trace is non-decreasing,
-which the tests exploit.
+Rows are grouped by missingness pattern once per fit, and each pattern is
+reduced to its size, observed columns, observed-cell mean and scatter about
+that mean, so an iteration touches no row: it is the sweep-operator E-step
+(Little & Rubin; Schafer 1997) on the stack of the patterns' observed
+covariance blocks, factored in one batched Cholesky.  The fit returns its
+grouping for Little's d2.  The observed-data log-likelihood is evaluated at
+the parameters entering each E-step; EM guarantees the trace is
+non-decreasing, which the tests exploit.
 """
 
 from dataclasses import dataclass
@@ -28,8 +30,8 @@ class EmResult:
 
     ``sigma`` is the maximum-likelihood (1/n) estimate.  ``loglik_trace``
     holds the observed-data log-likelihood at the start of every iteration;
-    ``ridged`` records whether any observed-block solve needed a diagonal
-    ridge to proceed.  ``patterns`` is the fit's ``group_patterns`` grouping;
+    ``ridged`` records whether any observed block needed a diagonal
+    ridge to factor.  ``patterns`` is the fit's ``group_patterns`` grouping;
     its rows index the kept rows, those with at least one observed cell.
     """
 
@@ -65,6 +67,22 @@ def _chol(a: np.ndarray, flag: _RidgeFlag) -> np.ndarray:
         ) from None
 
 
+def _factor(stack: np.ndarray, patterns: list, flag: _RidgeFlag) -> np.ndarray:
+    """Cholesky factors of a (K, d, d) stack of identity-padded observed blocks.
+
+    If any block is not positive definite, each pattern's observed block is
+    factored alone through ``_chol``, which ridges the ones that fail.
+    """
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        factors = stack.copy()
+    for factor, (obs, _) in zip(factors, patterns):
+        oo = np.ix_(obs, obs)
+        factor[oo] = _chol(factor[oo], flag)
+    return factors
+
+
 def group_patterns(mask: np.ndarray) -> list:
     """(observed column indices, row indices) per distinct missingness pattern.
 
@@ -88,21 +106,17 @@ def _complete_fit(x: np.ndarray) -> EmResult:
     sigma = (centered.T @ centered) / n
     flag = _RidgeFlag()
     c = _chol(sigma, flag)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+    z = np.linalg.solve(c, centered.T)
     return EmResult(
         mu=mu,
         sigma=sigma,
-        loglik_trace=(_loglik_complete(centered, c, n, d),),
+        loglik_trace=(-0.5 * (n * d * _LOG_2PI + n * logdet + float(np.sum(z * z))),),
         converged=True,
         iterations=1,
         ridged=flag.used,
         patterns=[(np.arange(d), np.arange(n))],
     )
-
-
-def _loglik_complete(centered: np.ndarray, chol: np.ndarray, n: int, d: int) -> float:
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    z = np.linalg.solve(chol, centered.T)
-    return -0.5 * (n * d * _LOG_2PI + n * logdet + float(np.sum(z * z)))
 
 
 def em_mvn(ds: Dataset, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
@@ -158,17 +172,20 @@ def em_mvn(ds: Dataset, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
     scale = max(float(var.max()), 1.0)
     sigma = np.diag(np.maximum(var, _VAR_FLOOR * scale))
 
-    # per pattern, fixed across iterations: missing columns, observed block,
-    # z with its observed columns filled, index pairs into sigma and s2
+    # per pattern: size, observed columns, and the mean of the observed
+    # cells and their scatter about it, both zero on the missing columns
     patterns = group_patterns(mask)
-    blocks = []
-    for obs, rows in patterns:
-        mis = np.setdiff1d(np.arange(d), obs, assume_unique=True)
-        xo = x[np.ix_(rows, obs)]
-        z = np.empty((rows.size, d))
-        z[:, obs] = xo
-        pairs = (np.ix_(obs, obs), np.ix_(obs, mis), np.ix_(mis, mis), np.ix_(mis, obs))
-        blocks.append((obs, mis, xo, z, *pairs))
+    observed = np.array([mask[rows[0]] for _, rows in patterns])
+    counts = np.array([rows.size for _, rows in patterns], dtype=float)
+    z = np.where(mask, x, 0.0)
+    means = np.array([z[rows].mean(axis=0) for _, rows in patterns])
+    centered = [z[rows] - mean for (_, rows), mean in zip(patterns, means)]
+    scatter = np.array([c.T @ c for c in centered])
+    both = observed[:, :, None] & observed[:, None, :]
+    # n_k on each pattern's missing x missing block
+    weight_mm = counts[:, None, None] * (~observed[:, :, None] & ~observed[:, None, :])
+    ll_const = _LOG_2PI * float(counts @ observed.sum(axis=1))
+    eye = np.eye(d)
     flag = _RidgeFlag()
     trace: list[float] = []
     converged = False
@@ -176,26 +193,28 @@ def em_mvn(ds: Dataset, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
 
     for _ in range(max_iter):
         iterations += 1
-        s1 = np.zeros(d)
-        s2 = np.zeros((d, d))
-        ll = 0.0
-        for obs, mis, xo, z, oo, om, mm, mo in blocks:
-            k = xo.shape[0]
-            c = _chol(sigma[oo], flag)
-            centered = xo - mu[obs]
-            ll += _loglik_complete(centered, c, k, obs.size)
-            if mis.size:
-                # regression coefficients of missing on observed at the
-                # current parameters
-                beta = np.linalg.solve(c.T, np.linalg.solve(c, sigma[om]))
-                z[:, mis] = mu[mis] + centered @ beta
-                s2[mm] += k * (sigma[mm] - sigma[mo] @ beta)
-            s1 += z.sum(axis=0)
-            s2 += z.T @ z
-        trace.append(ll)
+        # each pattern's observed block, padded with the identity
+        factors = _factor(np.where(both, sigma, eye), patterns, flag)
+        logdet = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
+        inv_factors = np.linalg.inv(factors)
+        # the inverse of each observed block, zero elsewhere
+        prec = (np.swapaxes(inv_factors, 1, 2) @ inv_factors) * both
+        dev = np.where(observed, means - mu, 0.0)
+        # the rows' squared Mahalanobis distances, split about pattern means
+        quad = np.einsum("k,ki,kij,kj->", counts, dev, prec, dev) + np.vdot(prec, scatter)
+        trace.append(-0.5 * (ll_const + float(counts @ logdet) + float(quad)))
 
-        mu = s1 / n
-        sigma = s2 / n - np.outer(mu, mu)
+        # per pattern, the filled row is mu + coef @ (row - mu): coef is the
+        # identity on observed rows and, on missing ones, the regression of
+        # the missing column on the observed ones
+        coef = np.where(observed[:, :, None], eye, sigma @ prec)
+        fill = mu + (coef @ dev[:, :, None])[:, :, 0]
+        mu = counts @ fill / n
+        spread = fill - mu
+        # per pattern, the filled rows' scatter about their mean plus the
+        # missing cells' conditional covariance
+        within = coef @ scatter @ np.swapaxes(coef, 1, 2) + (sigma - coef @ sigma) * weight_mm
+        sigma = ((counts * spread.T) @ spread + within.sum(axis=0)) / n
         sigma = 0.5 * (sigma + sigma.T)
 
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:

@@ -2,14 +2,14 @@
 
 Moments and covariances in unbiased and maximum-likelihood flavors,
 symmetric eigendecompositions (that of A (x) B taken from its factors),
-symmetric-matrix inverse, chi-squared and standard-normal distribution
-functions, midranks, and deterministic per-task random streams.
+chi-squared and standard-normal distribution functions, midranks, and
+deterministic per-task random streams.
 
-The moments, covariances and eigendecompositions also take stacks of R
-datasets or matrices along a leading axis, for the harness's batch
-kernels.  The ``*_stack`` eigendecompositions report a singular matrix per
-entry of the stack instead of raising, so one degenerate replication does
-not discard its block.
+The moments and covariances also take stacks of R datasets along a leading
+axis, for the harness's batch kernels.  The eigendecompositions take only
+stacks of matrices, a stack of one for a lone matrix, and report a singular
+matrix per entry of the stack instead of raising, so one degenerate
+replication does not discard its block.
 
 Nothing here imports scipy at module level, because every CLI call would
 pay for it: ``scipy.stats`` costs about a second and ``scipy.special``
@@ -31,10 +31,7 @@ __all__ = [
     "column_var",
     "cov_matrix",
     "spd_eigh_stack",
-    "spd_eigh",
     "kron_spd_eigh_stack",
-    "kron_spd_eigh",
-    "inverse",
     "chi2_sf",
     "chi2_quantile",
     "normal_cdf",
@@ -145,12 +142,6 @@ def _singular_errors(eigenvalues: np.ndarray) -> tuple:
     return tuple(errors)
 
 
-def _first_error(errors: tuple) -> None:
-    for error in errors:
-        if error is not None:
-            raise error
-
-
 def spd_eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Eigendecompositions of a (R, m, m) stack of symmetric matrices.
 
@@ -160,18 +151,6 @@ def spd_eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     _require_symmetric(a)
     w, v = np.linalg.eigh(a)
     return w, v, _singular_errors(w)
-
-
-def spd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric positive-definite matrix.
-
-    Returns (eigenvalues, eigenvectors).  Raises SingularMatrixError if
-    any eigenvalue falls at or below the threshold of ``_singular_errors``.
-    """
-    a = np.atleast_2d(np.asarray(a, float))
-    w, v, errors = spd_eigh_stack(a[None])
-    _first_error(errors)
-    return w[0], v[0]
 
 
 def kron_spd_eigh_stack(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -190,22 +169,6 @@ def kron_spd_eigh_stack(a: np.ndarray, b: np.ndarray) -> tuple:
     w_b, v_b = np.linalg.eigh(b)
     w = w_a[:, :, None] * w_b[:, None, :]
     return w, v_a, v_b, _singular_errors(w)
-
-
-def kron_spd_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``kron_spd_eigh_stack`` for one pair of matrices: returns (W, V_a, V_b)
-    and raises the SingularMatrixError that ``spd_eigh`` raises for A (x) B."""
-    a = np.atleast_2d(np.asarray(a, float))
-    b = np.atleast_2d(np.asarray(b, float))
-    w, v_a, v_b, errors = kron_spd_eigh_stack(a[None], b[None])
-    _first_error(errors)
-    return w[0], v_a[0], v_b[0]
-
-
-def inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix."""
-    w, v = spd_eigh(a)
-    return (v / w) @ v.T
 
 
 # math.erfc as a ufunc; it returns an object array, or a bare float for

@@ -27,7 +27,6 @@ from .numerics import (
     chi2_sf,
     column_var,
     cov_matrix,
-    inverse,
     kron_spd_eigh_stack,
     normal_cdf,
     spd_eigh_stack,
@@ -405,14 +404,25 @@ def little_mcar_general(ds: Dataset, alpha: float = 0.05) -> TestResult:
         )
 
     fit = em_mvn(ds)
-    x = ds.values[keep]
-    statistic = 0.0
-    df = -ds.d
-    for obs, rows in fit.patterns:
-        df += obs.size
-        dev = x[np.ix_(rows, obs)].mean(axis=0) - fit.mu[obs]
-        block = fit.sigma[np.ix_(obs, obs)]
-        statistic += rows.size * float(dev @ inverse(block) @ dev)
+    z = np.where(mask, ds.values[keep], 0.0)
+    observed = np.array([mask[rows[0]] for _, rows in fit.patterns])
+    counts = np.array([rows.size for _, rows in fit.patterns])
+    means = np.array([z[rows].mean(axis=0) for _, rows in fit.patterns])
+    dev = np.where(observed, means - fit.mu, 0.0)
+    # each observed block, padded to d x d with its mean observed variance:
+    # a mean of its diagonal lies within its eigenvalue range, so the
+    # singularity threshold sees the block's own extreme eigenvalues
+    pad = observed @ np.diag(fit.sigma) / observed.sum(axis=1)
+    both = observed[:, :, None] & observed[:, None, :]
+    w, v, errors = spd_eigh_stack(np.where(both, fit.sigma, pad[:, None, None] * np.eye(ds.d)))
+    for error in errors:
+        if error is not None:
+            raise error
+    # a padded block is its observed block and pad * I side by side, and dev
+    # is zero off the observed columns: the sum is dev' inverse(block) dev
+    projected = (np.swapaxes(v, 1, 2) @ dev[:, :, None])[:, :, 0]
+    statistic = float(counts @ np.sum(projected**2 / w, axis=1))
+    df = int(observed.sum()) - ds.d
     if df <= 0:
         raise DegenerateDataError("Little's test has no degrees of freedom here")
 
@@ -429,6 +439,6 @@ def little_mcar_general(ds: Dataset, alpha: float = 0.05) -> TestResult:
             "em_iterations": fit.iterations,
             "em_converged": fit.converged,
             "em_ridged": fit.ridged,
-            "n": x.shape[0],
+            "n": mask.shape[0],
         },
     )

@@ -6,7 +6,7 @@ import pytest
 
 import mcartest
 from mcartest import ColumnRoles, Dataset, gap_matrix, response_matrix
-from mcartest.numerics import cov_matrix, spd_eigh
+from mcartest.numerics import cov_matrix, spd_eigh_stack
 
 # one line per acceptance criterion, emitted after the test run so the
 # PASS/FAIL verdicts survive pytest's output capture
@@ -65,6 +65,16 @@ def make_dataset(rng, n, p, q, miss_prob=0.25, clayton=False):
     ds = Dataset(values, mask, names)
     roles = ColumnRoles(tuple(range(p)), tuple(range(p, d)))
     return ds, roles
+
+
+def spd_eigh(a):
+    """(eigenvalues, eigenvectors) of one symmetric matrix, as
+    ``spd_eigh_stack`` of a stack of one; raises that matrix's
+    SingularMatrixError."""
+    w, v, (error,) = spd_eigh_stack(np.asarray(a, dtype=float)[None])
+    if error is not None:
+        raise error
+    return w[0], v[0]
 
 
 def pq_covariance(ds, roles, mode="unbiased"):

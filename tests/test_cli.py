@@ -264,7 +264,7 @@ class TestUsageErrors:
             pytest.param(["generate", "--seed", "-1"], "-1", id="generate-seed"),
             pytest.param(SIMULATE + ["--seed", "-1"], "-1", id="simulate-seed"),
             pytest.param(
-                ["simulate", "--scenario", "{negative_seed}"], "-1", id="scenario-seed"
+                ["simulate", "--scenario", "{negative_seed.json}"], "-1", id="scenario-seed"
             ),
             pytest.param(SIMULATE + ["--replications", "0"], "got 0", id="replications"),
             pytest.param(SIMULATE + ["--workers", "0"], "got 0", id="workers"),
@@ -283,15 +283,27 @@ class TestUsageErrors:
                 SIMULATE + ["--sweep-miss", "0.1,0.2,1.5"], "1.5", id="sweep-miss-late"
             ),
             pytest.param(
-                ["simulate", "--scenario", "{not_object}"], "JSON object", id="scenario-array"
+                ["simulate", "--scenario", "{not_object.json}"], "JSON object",
+                id="scenario-array",
             ),
             pytest.param(
-                ["simulate", "--scenario", "{bad_mechanism}"], "'mechanism'",
+                ["simulate", "--scenario", "{bad_mechanism.json}"], "'mechanism'",
                 id="scenario-mechanism-string",
             ),
             pytest.param(
-                ["simulate", "--scenario", "{bad_distribution}"], "'distribution'",
+                ["simulate", "--scenario", "{bad_distribution.json}"], "'distribution'",
                 id="scenario-distribution-string",
+            ),
+            # every resolved test's shape rule is checked before the first runs
+            pytest.param(
+                ["test", "--input", "{2X1Y.csv}", "--tests", "an,dn"],
+                "the dn test requires p = 1 and q = 1",
+                id="test-dn-2X1Y",
+            ),
+            pytest.param(
+                ["test", "--input", "{1X2Y.csv}", "--tests", "an,d2_univariate"],
+                "the d2_univariate test requires q = 1",
+                id="test-d2-univariate-1X2Y",
             ),
         ],
     )
@@ -311,13 +323,18 @@ class TestUsageErrors:
             "bad_mechanism": {**good, "mechanism": "oops"},
             "bad_distribution": {**good, "distribution": "oops"},
         }
-        for name, doc in scenarios.items():
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(doc))
+        files = {f"{name}.json": json.dumps(doc) for name, doc in scenarios.items()}
+        files["2X1Y.csv"] = "x1,x2,y\n1,2,3\n2,1,NA\n3,5,4\n4,3,1\n"
+        files["1X2Y.csv"] = "x,y1,y2\n1,2,3\n2,NA,1\n3,5,NA\n4,3,1\n"
+        for name, text in files.items():
+            path = tmp_path / name
+            path.write_text(text)
             argv = [a.replace("{" + name + "}", str(path)) for a in argv]
         out = tmp_path / "out.csv"
         assert run_cli(*argv, "--out", str(out)) == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert "error:" in err and "Traceback" not in err
         assert names in err
         assert "done" not in err  # no cell ran

@@ -11,12 +11,11 @@ from mcartest.numerics import (
     chi2_sf,
     column_var,
     cov_matrix,
-    kron_spd_eigh,
-    inverse,
+    kron_spd_eigh_stack,
     normal_cdf,
     ranks,
     rng_stream,
-    spd_eigh,
+    spd_eigh_stack,
 )
 
 
@@ -73,43 +72,49 @@ class TestEigenBased:
         return (q * w) @ q.T
 
     def test_reconstruction(self, rng):
-        a = self.random_spd(rng, 5)
-        w, v = spd_eigh(a)
-        np.testing.assert_allclose((v * w) @ v.T, a, atol=1e-10)
+        a = np.stack([self.random_spd(rng, 5) for _ in range(3)])
+        w, v, errors = spd_eigh_stack(a)
+        assert errors == (None, None, None)
+        np.testing.assert_allclose((v * w[:, None, :]) @ np.swapaxes(v, 1, 2), a, atol=1e-10)
 
     def test_inverse(self, rng):
+        # the inverse as the d2 sum uses it, through the eigenpairs
         a = self.random_spd(rng, 4)
-        np.testing.assert_allclose(a @ inverse(a), np.eye(4), atol=1e-10)
+        w, v, _ = spd_eigh_stack(a[None])
+        np.testing.assert_allclose(a @ ((v[0] / w[0]) @ v[0].T), np.eye(4), atol=1e-10)
 
     def test_kron_eigh_reconstructs_product(self, rng):
         a = self.random_spd(rng, 3)
         b = self.random_spd(rng, 2)
-        w, v_a, v_b = kron_spd_eigh(a, b)
-        v = np.kron(v_a, v_b)
+        w, v_a, v_b, errors = kron_spd_eigh_stack(a[None], b[None])
+        assert errors == (None,)
+        v = np.kron(v_a[0], v_b[0])
         np.testing.assert_allclose(
-            (v * w.reshape(-1)) @ v.T, np.kron(a, b), rtol=1e-12, atol=1e-9
+            (v * w[0].reshape(-1)) @ v.T, np.kron(a, b), rtol=1e-12, atol=1e-9
         )
 
     def test_kron_eigh_singular_like_product(self, rng):
         a = self.random_spd(rng, 2)
         b = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularMatrixError) as err:
-            kron_spd_eigh(a, b)
-        with pytest.raises(SingularMatrixError) as ref:
-            spd_eigh(np.kron(a, b))
-        assert err.value.eigenvalue == pytest.approx(ref.value.eigenvalue, abs=1e-12)
+        *_, (err,) = kron_spd_eigh_stack(a[None], b[None])
+        *_, (ref,) = spd_eigh_stack(np.kron(a, b)[None])
+        assert isinstance(err, SingularMatrixError)
+        assert isinstance(ref, SingularMatrixError)
+        assert err.eigenvalue == pytest.approx(ref.eigenvalue, abs=1e-12)
         with pytest.raises(ValueError):
-            kron_spd_eigh(a, np.array([[1.0, 0.5], [0.2, 1.0]]))
+            kron_spd_eigh_stack(a[None], np.array([[[1.0, 0.5], [0.2, 1.0]]]))
 
-    def test_singular_rejected(self):
-        a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularMatrixError) as err:
-            spd_eigh(a)
-        assert err.value.eigenvalue is not None
+    def test_singular_rejected(self, rng):
+        # only the singular matrix of the stack is flagged
+        a = np.stack([self.random_spd(rng, 2), [[1.0, 1.0], [1.0, 1.0]]])
+        _, _, (ok, err) = spd_eigh_stack(a)
+        assert ok is None
+        assert isinstance(err, SingularMatrixError)
+        assert err.eigenvalue is not None and err.eigenvalue <= 1e-10
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            spd_eigh(np.array([[1.0, 0.5], [0.2, 1.0]]))
+            spd_eigh_stack(np.array([[[1.0, 0.5], [0.2, 1.0]]]))
 
 
 class TestChiSquared:
