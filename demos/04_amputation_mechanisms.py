@@ -13,10 +13,8 @@ import numpy as np
 from mcartest import (
     ColumnRoles,
     DistributionSpec,
-    apply_mar_1_to_x,
-    apply_mar_mean,
-    apply_mar_rank,
-    apply_mcar,
+    MechanismSpec,
+    apply_mechanism,
     gen_clayton,
     gen_std_normal,
     pattern_names,
@@ -29,7 +27,10 @@ full = gen_std_normal(n, 2, rng_stream(7, 0), pattern_names(1, 1))
 control = full.values[:, 0]
 
 
-def report(name, ds):
+def report(stream, **spec):
+    """Amputate ``full`` under ``spec`` and print where the holes fall."""
+    ds = apply_mechanism(full, roles, MechanismSpec(**spec), rng_stream(7, stream))
+    name = spec["kind"]
     missing = ~ds.mask[:, 1]
     frac = missing.mean()
     # where do the missing cells sit relative to the control median?
@@ -38,17 +39,17 @@ def report(name, ds):
 
 
 # MCAR: every cell equally likely to vanish, half the holes above median
-report("mcar", apply_mcar(full, roles, 0.15, rng_stream(7, 1)))
+report(1, kind="mcar", miss_prob=0.15)
 
 # MAR 1-to-9: high-control rows lose their pair nine times more often
-report("mar_1_to_x", apply_mar_1_to_x(full, roles, 0.15, 9.0, rng_stream(7, 2)))
+report(2, kind="mar_1_to_x", miss_prob=0.15, odds=9.0)
 
 # MAR rank: selection weight proportional to the control's rank, and the
 # number of missing cells is exactly round(n * p) every time
-report("mar_rank", apply_mar_rank(full, roles, 0.15, rng_stream(7, 3)))
+report(3, kind="mar_rank", miss_prob=0.15)
 
 # MAR mean: two flat rates split at the control mean
-report("mar_mean", apply_mar_mean(full, roles, [(1, 0, 0.25, 0.05)], rng_stream(7, 4)))
+report(4, kind="mar_mean", controls=(0,), p_high=(0.25,), p_low=(0.05,))
 
 # generators are not limited to normal data: a Clayton copula with
 # exponential margins gives dependent, heavy-tailed columns

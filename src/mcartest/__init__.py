@@ -39,12 +39,7 @@ from .stats import (
 from .synthesis import (
     DistributionSpec,
     MechanismSpec,
-    apply_mar_1_to_x,
-    apply_mar_mean,
-    apply_mar_rank,
-    apply_mcar,
     apply_mechanism,
-    default_controls,
     gen_clayton,
     gen_std_normal,
     generate,
@@ -85,12 +80,7 @@ __all__ = [
     "ustat_mcar_test",
     "DistributionSpec",
     "MechanismSpec",
-    "apply_mar_1_to_x",
-    "apply_mar_mean",
-    "apply_mar_rank",
-    "apply_mcar",
     "apply_mechanism",
-    "default_controls",
     "gen_clayton",
     "gen_std_normal",
     "generate",

@@ -30,6 +30,7 @@ from .synthesis import (
     DistributionSpec,
     MechanismSpec,
     apply_mechanism,
+    fit_mechanism,
     generate,
     pattern_names,
 )
@@ -197,6 +198,10 @@ def _cmd_generate(args, parser) -> int:
     dist = _build_distribution(args, parser)
     mech = _build_mechanism(args, names, parser)
     roles = ColumnRoles(tuple(range(args.p)), tuple(range(args.p, args.p + args.q)))
+    try:
+        fit_mechanism(mech, roles)
+    except ValueError as exc:
+        parser.error(str(exc))
     full = generate(dist, args.n, rng_stream(args.seed, 0), names)
     ds = apply_mechanism(full, roles, mech, rng_stream(args.seed, 1))
     write_csv(ds, args.out, na_token=args.na_token or "NA")

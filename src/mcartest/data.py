@@ -247,10 +247,7 @@ def write_csv(ds: Dataset, path, na_token: str = "NA") -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.column_names)
-        for i in range(ds.n):
-            writer.writerow(
-                [
-                    repr(float(ds.values[i, j])) if ds.mask[i, j] else na_token
-                    for j in range(ds.d)
-                ]
-            )
+        writer.writerows(
+            [repr(v) if observed else na_token for v, observed in zip(row, seen)]
+            for row, seen in zip(ds.values.tolist(), ds.mask.tolist())
+        )

@@ -47,6 +47,7 @@ from .synthesis import (
     DistributionSpec,
     MechanismSpec,
     apply_mechanism,
+    fit_mechanism,
     generate,
     pattern_names,
 )
@@ -185,6 +186,12 @@ class Scenario:
             raise ValueError("no tests selected")
         for tag in resolve_tests(self.tests, self.q):
             TESTS[tag].check_shape(tag, self.p, self.q)
+        fit_mechanism(self.mechanism, self.roles)
+
+    @property
+    def roles(self) -> ColumnRoles:
+        """Columns 0..p-1 complete, p..p+q-1 incomplete."""
+        return ColumnRoles(tuple(range(self.p)), tuple(range(self.p, self.p + self.q)))
 
     def to_dict(self) -> dict:
         return {
@@ -352,10 +359,7 @@ def run_cell(scenario: Scenario, workers: int = 1) -> CellResult:
         scenario,
         scenario.content_hash(),
         pattern_names(scenario.p, scenario.q),
-        ColumnRoles(
-            tuple(range(scenario.p)),
-            tuple(range(scenario.p, scenario.p + scenario.q)),
-        ),
+        scenario.roles,
         tags,
     )
     blocks = _blocks(n_rep, workers, scenario.n * (scenario.p + scenario.q))

@@ -2,7 +2,7 @@
 
 Generators produce fully observed Datasets: i.i.d. standard normal columns,
 or a Clayton copula with per-column margins (standard exponential,
-chi-squared with 4 df, or uniform).  Amputation routines then mask cells of
+chi-squared with 4 df, or uniform).  ``apply_mechanism`` then masks cells of
 the designated incomplete columns under one of four mechanisms:
 
 * ``mcar``       -- every cell independently with one probability
@@ -14,9 +14,18 @@ the designated incomplete columns under one of four mechanisms:
 
 Controls are always complete columns, so every mechanism here is MAR (or
 MCAR), never MNAR.
+
+A mechanism is checked in two steps.  ``MechanismSpec`` checks its
+parameters on their own: the kind, ``miss_prob`` in [0, 1], ``odds`` >= 1
+and the mar_1_to_x high-group rate 2px/(x+1) <= 1, the ``p_high``/``p_low``
+rates in [0, 1] and of equal count.  ``fit_mechanism`` checks it against
+the column roles of a dataset: every target incomplete, every control
+complete, one control and one mar_mean rate pair per target.  It resolves
+the default targets and controls, and ``apply_mechanism`` calls it once.
 """
 
 from dataclasses import dataclass
+from itertools import cycle, repeat
 
 import numpy as np
 
@@ -31,11 +40,7 @@ __all__ = [
     "gen_std_normal",
     "gen_clayton",
     "generate",
-    "default_controls",
-    "apply_mcar",
-    "apply_mar_1_to_x",
-    "apply_mar_rank",
-    "apply_mar_mean",
+    "fit_mechanism",
     "apply_mechanism",
 ]
 
@@ -257,167 +262,84 @@ def generate(spec: DistributionSpec, n: int, rng, names=None) -> Dataset:
     return gen_clayton(n, spec, rng, names)
 
 
-def _resolve_targets(roles: ColumnRoles, targets) -> tuple:
-    if targets is None:
-        targets = roles.incomplete
-    targets = tuple(int(j) for j in targets)
+def fit_mechanism(spec: MechanismSpec, roles: ColumnRoles) -> tuple:
+    """Check that ``spec`` fits ``roles``; return its (targets, controls).
+
+    Targets default to every incomplete column, and controls to a
+    round-robin pairing: the v-th target with the (v mod p)-th complete
+    column.  ``mcar`` has no controls (None) and never reads
+    ``spec.controls``.  Raises DegenerateDataError for an empty target list
+    and ValueError for a target that is not incomplete, a control that is
+    not complete, or a count of controls or mar_mean rates that does not
+    match the targets.
+    """
+    targets = roles.incomplete if spec.target_columns is None else spec.target_columns
     if not targets:
         raise DegenerateDataError("no target columns to amputate")
-    allowed = set(roles.incomplete)
     for j in targets:
-        if j not in allowed:
-            raise ValueError(
-                f"target column {j} is not one of the incomplete columns"
-            )
-    return targets
-
-
-def _resolve_controls(roles: ColumnRoles, targets, controls) -> tuple:
+        if j not in roles.incomplete:
+            raise ValueError(f"target column {j} is not one of the incomplete columns")
+    if spec.kind == "mcar":
+        return targets, None
+    controls = spec.controls
     if controls is None:
-        return default_controls(roles, len(targets))
-    controls = tuple(int(j) for j in controls)
-    if len(controls) != len(targets):
+        controls = tuple(roles.complete[v % roles.p] for v in range(len(targets)))
+    elif len(controls) != len(targets):
         raise ValueError(
             f"need one control per target ({len(targets)}), got {len(controls)}"
         )
-    allowed = set(roles.complete)
-    for j in controls:
-        if j not in allowed:
-            raise ValueError(f"control column {j} is not a complete column")
-    return controls
-
-
-def default_controls(roles: ColumnRoles, n_targets: int) -> tuple:
-    """Round-robin pairing: the v-th target is controlled by the
-    (v mod p)-th complete column."""
-    return tuple(roles.complete[v % roles.p] for v in range(n_targets))
-
-
-def apply_mcar(ds: Dataset, roles: ColumnRoles, p, rng, targets=None) -> Dataset:
-    """Mask each target cell independently with probability p."""
-    p = _check_prob(p, "miss_prob")
-    targets = _resolve_targets(roles, targets)
-    mask = np.array(ds.mask)
-    for j in targets:
-        mask[:, j] &= rng.random(ds.n) >= p
-    return ds.with_mask(mask)
-
-
-def apply_mar_1_to_x(
-    ds: Dataset, roles: ColumnRoles, p, x, rng, controls=None, targets=None
-) -> Dataset:
-    """Mask target cells at odds x : 1 above versus below the control median.
-
-    Group rates solve p_high = x * p_low with mean rate p, giving
-    p_high = 2px/(x+1) and p_low = 2p/(x+1).  Rows strictly above the
-    median form the high group; ties go low.  With x = 1 this is exactly
-    apply_mcar, draw for draw.
-    """
-    p = _check_prob(p, "miss_prob")
-    x = float(x)
-    if x < 1.0:
-        raise ValueError(f"odds must be >= 1, got {x}")
-    p_high = 2.0 * p * x / (x + 1.0)
-    p_low = 2.0 * p / (x + 1.0)
-    if p_high > 1.0 + 1e-12:
+    for c in controls:
+        if c not in roles.complete:
+            raise ValueError(f"control column {c} is not a complete column")
+    if spec.p_high is not None and len(spec.p_high) != len(targets):
         raise ValueError(
-            f"high-group probability {p_high:.4f} exceeds 1; lower p or x"
+            f"mar_mean needs one (p_high, p_low) pair per target "
+            f"({len(targets)}), got {len(spec.p_high)}"
         )
-    targets = _resolve_targets(roles, targets)
-    controls = _resolve_controls(roles, targets, controls)
-    mask = np.array(ds.mask)
-    thresholds = {}  # per control column: targets sharing a control share its median
-    for j, c in zip(targets, controls):
-        if c not in thresholds:
-            control = ds.values[:, c]
-            high = control > np.median(control)
-            thresholds[c] = np.where(high, min(p_high, 1.0), p_low)
-        mask[:, j] &= rng.random(ds.n) >= thresholds[c]
-    return ds.with_mask(mask)
-
-
-def apply_mar_rank(
-    ds: Dataset, roles: ColumnRoles, p, rng, controls=None, targets=None
-) -> Dataset:
-    """Mask a fixed count of target cells, drawn by control-column rank.
-
-    Exactly round(n*p) rows per target are drawn without replacement with
-    selection weights proportional to the ranks of the control values
-    (average ranks on ties), so higher control values are more likely to
-    lose their pair.
-    """
-    p = _check_prob(p, "miss_prob")
-    targets = _resolve_targets(roles, targets)
-    controls = _resolve_controls(roles, targets, controls)
-    n = ds.n
-    m = int(np.floor(n * p + 0.5))
-    mask = np.array(ds.mask)
-    for j, c in zip(targets, controls):
-        if m == 0:
-            continue
-        weights = ranks(ds.values[:, c])
-        weights = weights / weights.sum()
-        chosen = rng.choice(n, size=m, replace=False, p=weights)
-        mask[chosen, j] = False
-    return ds.with_mask(mask)
-
-
-def apply_mar_mean(ds: Dataset, roles: ColumnRoles, rules, rng) -> Dataset:
-    """Mask target cells at one of two rates split at the control mean.
-
-    ``rules``: one (target, control, p_high, p_low) tuple per target.
-    Rows with control strictly greater than the control's mean are masked
-    with p_high, the rest with p_low.  A constant control puts every row
-    in the low group.
-    """
-    rules = tuple(rules)
-    if not rules:
-        raise DegenerateDataError("no mar_mean rules given")
-    targets = _resolve_targets(roles, tuple(r[0] for r in rules))
-    _resolve_controls(roles, targets, tuple(r[1] for r in rules))
-    mask = np.array(ds.mask)
-    high = {}  # per control column: targets sharing a control share its mean
-    for j, c, p_high, p_low in rules:
-        p_high = _check_prob(p_high, "p_high")
-        p_low = _check_prob(p_low, "p_low")
-        if c not in high:
-            control = ds.values[:, c]
-            high[c] = control > control.mean()
-        threshold = np.where(high[c], p_high, p_low)
-        mask[:, int(j)] &= rng.random(ds.n) >= threshold
-    return ds.with_mask(mask)
+    return targets, controls
 
 
 def apply_mechanism(ds: Dataset, roles: ColumnRoles, spec: MechanismSpec, rng) -> Dataset:
-    """Apply the mechanism described by ``spec`` to the dataset."""
-    targets = _resolve_targets(roles, spec.target_columns)
-    if spec.kind == "mcar":
-        return apply_mcar(ds, roles, spec.miss_prob, rng, targets=targets)
-    if spec.kind == "mar_1_to_x":
-        return apply_mar_1_to_x(
-            ds, roles, spec.miss_prob, spec.odds, rng,
-            controls=spec.controls, targets=targets,
-        )
+    """Mask target cells of ``ds`` under the mechanism ``spec``.
+
+    ``mcar``, ``mar_1_to_x`` and ``mar_mean`` mask each target cell
+    independently, drawing one ``rng.random(n)`` per target in target
+    order.  The per-row rate is ``miss_prob`` for mcar; otherwise rows
+    whose control lies strictly above its median (mar_1_to_x) or mean
+    (mar_mean) take the high-group rate, and ties go low.  mar_1_to_x's
+    rates solve p_high = x * p_low with mean rate p: p_high = 2px/(x+1),
+    p_low = 2p/(x+1), so x = 1 is mcar draw for draw.  ``mar_rank`` masks
+    exactly round(n*p) cells per target, one ``rng.choice`` without
+    replacement weighted by the control's average ranks.
+    """
+    targets, controls = fit_mechanism(spec, roles)
+    n = ds.n
+    mask = np.array(ds.mask)
     if spec.kind == "mar_rank":
-        return apply_mar_rank(
-            ds, roles, spec.miss_prob, rng,
-            controls=spec.controls, targets=targets,
-        )
-    controls = _resolve_controls(roles, targets, spec.controls)
-    if spec.p_high is not None:
-        pairs = list(zip(spec.p_high, spec.p_low))
-        if len(pairs) != len(targets):
-            raise ValueError(
-                f"mar_mean needs one (p_high, p_low) pair per target "
-                f"({len(targets)}), got {len(pairs)}"
-            )
+        m = int(np.floor(n * spec.miss_prob + 0.5))
+        for j, c in zip(targets, controls):
+            if m > 0:
+                weights = ranks(ds.values[:, c])
+                chosen = rng.choice(n, size=m, replace=False, p=weights / weights.sum())
+                mask[chosen, j] = False
+        return ds.with_mask(mask)
+    if spec.kind == "mcar":
+        thresholds = repeat(spec.miss_prob)
     else:
-        pairs = [
-            DEFAULT_MAR_MEAN_RATES[v % len(DEFAULT_MAR_MEAN_RATES)]
-            for v in range(len(targets))
-        ]
-    rules = [
-        (j, c, ph, pl)
-        for (j, c), (ph, pl) in zip(zip(targets, controls), pairs)
-    ]
-    return apply_mar_mean(ds, roles, rules, rng)
+        # one (p_high, p_low) pair per target; zip stops at the last control
+        if spec.kind == "mar_1_to_x":
+            p, x = spec.miss_prob, spec.odds
+            rates = repeat((min(2.0 * p * x / (x + 1.0), 1.0), 2.0 * p / (x + 1.0)))
+            center = np.median
+        else:
+            rates = (
+                cycle(DEFAULT_MAR_MEAN_RATES) if spec.p_high is None
+                else zip(spec.p_high, spec.p_low)
+            )
+            center = np.mean
+        # targets sharing a control share its split
+        split = {c: ds.values[:, c] > center(ds.values[:, c]) for c in set(controls)}
+        thresholds = [np.where(split[c], hi, lo) for c, (hi, lo) in zip(controls, rates)]
+    for j, threshold in zip(targets, thresholds):
+        mask[:, j] &= rng.random(n) >= threshold
+    return ds.with_mask(mask)

@@ -257,6 +257,26 @@ class TestSimulateCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+# mechanisms that do not fit the default 1X2Y columns: (id, options, message)
+MISFIT_MECHANISMS = [
+    (
+        "control-not-complete",
+        ["--mechanism", "mar_1_to_x", "--miss-prob", "0.1", "--controls", "y1,x1"],
+        "control column 1 is not a complete column",
+    ),
+    (
+        "one-control-two-targets",
+        ["--mechanism", "mar_1_to_x", "--miss-prob", "0.1", "--controls", "x1"],
+        "need one control per target (2), got 1",
+    ),
+    (
+        "one-rate-pair-two-targets",
+        ["--mechanism", "mar_mean", "--p-high", "0.1", "--p-low", "0.2"],
+        "pair per target",
+    ),
+]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, names",
@@ -304,6 +324,12 @@ class TestUsageErrors:
                 ["test", "--input", "{1X2Y.csv}", "--tests", "an,d2_univariate"],
                 "the d2_univariate test requires q = 1",
                 id="test-d2-univariate-1X2Y",
+            ),
+            # a mechanism that does not fit the columns is caught before any data
+            *(
+                pytest.param(command + extra, names, id=f"{command[0]}-{case}")
+                for command in (["generate"], SIMULATE)
+                for case, extra, names in MISFIT_MECHANISMS
             ),
         ],
     )

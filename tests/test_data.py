@@ -40,6 +40,16 @@ def test_round_trip_custom_token(tmp_path, rng):
     np.testing.assert_array_equal(back.mask, ds.mask)
 
 
+def test_write_csv_bytes(tmp_path):
+    # shortest round-trip reprs, signed zero, a subnormal, and a token that
+    # needs quoting
+    values = [[-0.0, 5e-324], [1e300, 0.1], [0.1, 2.0]]
+    mask = [[True, True], [True, True], [True, False]]
+    path = tmp_path / "bytes.csv"
+    write_csv(Dataset(values, mask, ("x", "y")), path, na_token="n,a")
+    assert path.read_bytes() == b'x,y\r\n-0.0,5e-324\r\n1e+300,0.1\r\n0.1,"n,a"\r\n'
+
+
 def test_token_mismatch_fails_parse(tmp_path, rng):
     # writing '?' but reading with default tokens: '?' is not numeric
     ds, _ = make_dataset(rng, 10, 1, 1)

@@ -1,10 +1,14 @@
 """Results CSVs pinned byte for byte.
 
-The files under ``tests/golden/`` were written by ``mcartest simulate``
-before replications were run in blocks; the blocked harness must give the
-same bytes.  They cover the cells of acceptance criteria 6, 7 and 8 at
-their seeds (fewer replications), a ``mar_rank`` 1X1Y cell with every
-test, and two small cells where many replications are degenerate.
+The files under ``tests/golden/`` were written by ``mcartest simulate``;
+a refactor of the harness or the amputation must give the same bytes.
+Six were written before replications were run in blocks.  They cover the
+cells of acceptance criteria 6, 7 and 8 at their seeds (fewer
+replications), a ``mar_rank`` 1X1Y cell with every test, and two small
+cells where many replications are degenerate.  The two ``mar_mean`` cells
+(the stock rates; explicit rates with one control shared by two targets)
+were written before the four per-mechanism amputation functions were
+merged into ``apply_mechanism``.
 """
 
 from pathlib import Path
@@ -39,6 +43,15 @@ CASES = {
     "degenerate_2X2Y_n8.csv": (
         "--p 2 --q 2 --n 8 --mechanism mcar --miss-prob 0.1 --tests an,d2 "
         "--replications 100 --seed 6"
+    ),
+    "mar_mean_1X2Y.csv": (
+        "--p 1 --q 2 --n 100 --mechanism mar_mean --tests an,d2 --replications 200 "
+        "--seed 1005"
+    ),
+    "mar_mean_2X3Y_shared_control.csv": (
+        "--p 2 --q 3 --n 100 --mechanism mar_mean --p-high 0.2,0.05,0.15 "
+        "--p-low 0.05,0.1,0.02 --controls x2,x2,x1 --tests an,d2 --replications 200 "
+        "--seed 1006"
     ),
 }
 

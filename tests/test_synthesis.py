@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from mcartest import (
     ColumnRoles,
     Dataset,
+    DegenerateDataError,
     DistributionSpec,
     MechanismSpec,
-    apply_mar_1_to_x,
-    apply_mar_mean,
-    apply_mar_rank,
-    apply_mcar,
     apply_mechanism,
-    default_controls,
     gen_clayton,
     gen_std_normal,
     generate,
@@ -20,12 +18,18 @@ from mcartest import (
     rng_stream,
 )
 from mcartest.numerics import chi2_quantile
+from mcartest.synthesis import MECHANISM_KINDS, fit_mechanism
 
 KS_1PCT = 1.6276  # asymptotic 1% critical coefficient: reject if D > c/sqrt(n)
 
 
 def roles_for(p, q):
     return ColumnRoles(tuple(range(p)), tuple(range(p, p + q)))
+
+
+def amputate(ds, roles, rng, **spec):
+    """apply_mechanism with the MechanismSpec built from ``spec``."""
+    return apply_mechanism(ds, roles, MechanismSpec(**spec), rng)
 
 
 class TestSpecs:
@@ -143,16 +147,16 @@ class TestMcar:
     def test_p_zero_and_one(self, rng):
         ds = gen_std_normal(40, 3, rng)
         roles = roles_for(1, 2)
-        unchanged = apply_mcar(ds, roles, 0.0, rng)
+        unchanged = amputate(ds, roles, rng, kind="mcar", miss_prob=0.0)
         assert unchanged.mask.all()
-        gone = apply_mcar(ds, roles, 1.0, rng)
+        gone = amputate(ds, roles, rng, kind="mcar", miss_prob=1.0)
         assert not gone.mask[:, 1:].any()
         assert gone.mask[:, 0].all()
 
     def test_binomial_bound(self):
         # per target column: Binomial(5000, 0.12), mean 600, sd ~ 23
         ds = gen_std_normal(5000, 3, rng_stream(7, 0))
-        out = apply_mcar(ds, roles_for(1, 2), 0.12, rng_stream(7, 1))
+        out = amputate(ds, roles_for(1, 2), rng_stream(7, 1), kind="mcar", miss_prob=0.12)
         sd = np.sqrt(5000 * 0.12 * 0.88)
         missing = (~out.mask).sum(axis=0)
         assert missing[0] == 0
@@ -165,7 +169,9 @@ class TestMcar:
         roles = roles_for(1, 1)
         draws = np.array(
             [
-                ~apply_mcar(ds, roles, 0.4, rng_stream(8, 1, rep)).mask[:, 1]
+                ~amputate(
+                    ds, roles, rng_stream(8, 1, rep), kind="mcar", miss_prob=0.4
+                ).mask[:, 1]
                 for rep in range(5000)
             ],
             dtype=float,
@@ -177,7 +183,7 @@ class TestMcar:
     def test_complete_columns_untouched(self, rng):
         ds = gen_std_normal(100, 4, rng)
         roles = roles_for(2, 2)
-        out = apply_mcar(ds, roles, 0.5, rng)
+        out = amputate(ds, roles, rng, kind="mcar", miss_prob=0.5)
         assert out.mask[:, :2].all()
 
 
@@ -185,8 +191,11 @@ class TestMar1ToX:
     def test_x_one_is_exactly_mcar(self):
         ds = gen_std_normal(200, 3, rng_stream(10, 0))
         roles = roles_for(1, 2)
-        a = apply_mar_1_to_x(ds, roles, 0.2, 1.0, rng_stream(10, 1))
-        b = apply_mcar(ds, roles, 0.2, rng_stream(10, 1))
+        a = amputate(
+            ds, roles, rng_stream(10, 1),
+            kind="mar_1_to_x", miss_prob=0.2, odds=1.0,
+        )
+        b = amputate(ds, roles, rng_stream(10, 1), kind="mcar", miss_prob=0.2)
         np.testing.assert_array_equal(a.mask, b.mask)
 
     def test_group_rates(self):
@@ -194,7 +203,10 @@ class TestMar1ToX:
         n = 20000
         ds = gen_std_normal(n, 2, rng_stream(11, 0))
         roles = roles_for(1, 1)
-        out = apply_mar_1_to_x(ds, roles, 0.1, 9.0, rng_stream(11, 1))
+        out = amputate(
+            ds, roles, rng_stream(11, 1),
+            kind="mar_1_to_x", miss_prob=0.1, odds=9.0,
+        )
         control = ds.values[:, 0]
         high = control > np.median(control)
         rate_high = (~out.mask[high, 1]).mean()
@@ -209,13 +221,16 @@ class TestMar1ToX:
         ds = Dataset(vals, np.ones((4, 2), bool), ("x1", "y1"))
         roles = roles_for(1, 1)
         # p chosen so p_high = 1, p_low = 0: exactly the high rows vanish
-        out = apply_mar_1_to_x(ds, roles, 0.5, 1e9, rng_stream(12, 1))
+        out = amputate(
+            ds, roles, rng_stream(12, 1),
+            kind="mar_1_to_x", miss_prob=0.5, odds=1e9,
+        )
         np.testing.assert_array_equal(out.mask[:, 1], [True, True, True, False])
 
     def test_probability_cap(self, rng):
         ds = gen_std_normal(50, 2, rng)
         with pytest.raises(ValueError, match="exceeds 1"):
-            apply_mar_1_to_x(ds, roles_for(1, 1), 0.6, 9.0, rng)
+            amputate(ds, roles_for(1, 1), rng, kind="mar_1_to_x", miss_prob=0.6, odds=9.0)
 
     def test_distribution_matches_mcar_at_x1(self):
         # chi-square goodness of fit on (group, missing) counts over many reps
@@ -227,7 +242,10 @@ class TestMar1ToX:
         counts = np.zeros(2)  # missing cells in (low, high) groups
         reps = 2000
         for rep in range(reps):
-            out = apply_mar_1_to_x(ds, roles, 0.25, 1.0, rng_stream(13, 1, rep))
+            out = amputate(
+                ds, roles, rng_stream(13, 1, rep),
+                kind="mar_1_to_x", miss_prob=0.25, odds=1.0,
+            )
             miss = ~out.mask[:, 1]
             counts[0] += (miss & ~high).sum()
             counts[1] += (miss & high).sum()
@@ -245,7 +263,10 @@ class TestMar1ToX:
         # per-target loop
         ds = gen_std_normal(101, 4, rng_stream(21, 0))
         roles = roles_for(1, 3)
-        out = apply_mar_1_to_x(ds, roles, 0.2, 9.0, rng_stream(21, 1))
+        out = amputate(
+            ds, roles, rng_stream(21, 1),
+            kind="mar_1_to_x", miss_prob=0.2, odds=9.0,
+        )
         rng = rng_stream(21, 1)
         want = np.ones((101, 4), dtype=bool)
         for j in (1, 2, 3):
@@ -260,17 +281,25 @@ class TestMarRank:
     def test_exact_count(self):
         ds = gen_std_normal(100, 2, rng_stream(14, 0))
         roles = roles_for(1, 1)
-        out = apply_mar_rank(ds, roles, 0.13, rng_stream(14, 1))
+        out = amputate(ds, roles, rng_stream(14, 1), kind="mar_rank", miss_prob=0.13)
         assert (~out.mask[:, 1]).sum() == 13  # round(100 * 0.13)
+        out = amputate(ds, roles, rng_stream(14, 1), kind="mar_rank", miss_prob=0.125)
+        assert (~out.mask[:, 1]).sum() == 13  # 12.5 rounds half up
 
     def test_all_masked_at_p_one(self):
         ds = gen_std_normal(17, 2, rng_stream(15, 0))
-        out = apply_mar_rank(ds, roles_for(1, 1), 1.0, rng_stream(15, 1))
+        out = amputate(
+            ds, roles_for(1, 1), rng_stream(15, 1),
+            kind="mar_rank", miss_prob=1.0,
+        )
         assert not out.mask[:, 1].any()
 
     def test_p_zero_unchanged(self):
         ds = gen_std_normal(10, 2, rng_stream(16, 0))
-        out = apply_mar_rank(ds, roles_for(1, 1), 0.0, rng_stream(16, 1))
+        out = amputate(
+            ds, roles_for(1, 1), rng_stream(16, 1),
+            kind="mar_rank", miss_prob=0.0,
+        )
         assert out.mask.all()
 
     def test_two_row_weights(self):
@@ -281,7 +310,10 @@ class TestMarRank:
         hits = 0
         trials = 10000
         for rep in range(trials):
-            out = apply_mar_rank(ds, roles, 0.5, rng_stream(17, 1, rep))
+            out = amputate(
+                ds, roles, rng_stream(17, 1, rep),
+                kind="mar_rank", miss_prob=0.5,
+            )
             hits += not out.mask[1, 1]
         assert abs(hits / trials - 2.0 / 3.0) < 0.03
 
@@ -290,9 +322,11 @@ class TestMarMean:
     def test_equal_rates_is_exactly_mcar(self):
         ds = gen_std_normal(150, 3, rng_stream(18, 0))
         roles = roles_for(1, 2)
-        rules = [(1, 0, 0.2, 0.2), (2, 0, 0.2, 0.2)]
-        a = apply_mar_mean(ds, roles, rules, rng_stream(18, 1))
-        b = apply_mcar(ds, roles, 0.2, rng_stream(18, 1))
+        a = amputate(
+            ds, roles, rng_stream(18, 1),
+            kind="mar_mean", controls=(0, 0), p_high=(0.2, 0.2), p_low=(0.2, 0.2),
+        )
+        b = amputate(ds, roles, rng_stream(18, 1), kind="mcar", miss_prob=0.2)
         np.testing.assert_array_equal(a.mask, b.mask)
 
     def test_stock_rates_fractions(self):
@@ -309,7 +343,11 @@ class TestMarMean:
         ds = gen_std_normal(97, 4, rng_stream(22, 0))
         roles = roles_for(1, 3)
         rules = [(1, 0, 0.3, 0.05), (2, 0, 0.1, 0.2), (3, 0, 0.02, 0.175)]
-        out = apply_mar_mean(ds, roles, rules, rng_stream(22, 1))
+        targets, controls, p_high, p_low = zip(*rules)
+        out = amputate(
+            ds, roles, rng_stream(22, 1), kind="mar_mean",
+            target_columns=targets, controls=controls, p_high=p_high, p_low=p_low,
+        )
         rng = rng_stream(22, 1)
         want = np.ones((97, 4), dtype=bool)
         for j, c, p_high, p_low in rules:
@@ -322,14 +360,20 @@ class TestMarMean:
         vals = np.column_stack([np.full(30, 2.0), np.zeros(30)])
         ds = Dataset(vals, np.ones((30, 2), bool), ("x1", "y1"))
         roles = roles_for(1, 1)
-        out = apply_mar_mean(ds, roles, [(1, 0, 1.0, 0.0)], rng_stream(20, 1))
+        out = amputate(
+            ds, roles, rng_stream(20, 1),
+            kind="mar_mean", controls=(0,), p_high=(1.0,), p_low=(0.0,),
+        )
         assert out.mask.all()  # everyone in the low group at rate 0
 
 
 class TestDispatcherAndDefaults:
     def test_default_controls_round_robin(self):
         roles = ColumnRoles((0, 1), (2, 3, 4))
-        assert default_controls(roles, 3) == (0, 1, 0)
+        spec = MechanismSpec(kind="mar_rank", miss_prob=0.1)
+        assert fit_mechanism(spec, roles) == ((2, 3, 4), (0, 1, 0))
+        mcar = MechanismSpec(kind="mcar", miss_prob=0.1, controls=(7,))
+        assert fit_mechanism(mcar, roles) == ((2, 3, 4), None)  # controls unread
 
     def test_dispatch_each_kind(self):
         ds = gen_std_normal(80, 3, rng_stream(21, 0))
@@ -344,12 +388,89 @@ class TestDispatcherAndDefaults:
             assert out.mask[:, 0].all()
             assert (~out.mask[:, 1:]).any()
 
+    def test_draws_follow_target_order(self):
+        # the first target takes the first draw: listing the two targets the
+        # other way round swaps their masks
+        ds = gen_std_normal(60, 3, rng_stream(23, 0))
+        roles = roles_for(1, 2)
+        for spec in [
+            dict(kind="mcar", miss_prob=0.3),
+            dict(kind="mar_1_to_x", miss_prob=0.3),
+            dict(kind="mar_rank", miss_prob=0.3),
+            dict(kind="mar_mean", p_high=(0.4, 0.4), p_low=(0.1, 0.1)),
+        ]:
+            ahead = amputate(ds, roles, rng_stream(23, 1), target_columns=(1, 2), **spec)
+            behind = amputate(ds, roles, rng_stream(23, 1), target_columns=(2, 1), **spec)
+            np.testing.assert_array_equal(ahead.mask[:, [1, 2]], behind.mask[:, [2, 1]])
+
     def test_target_validation(self, rng):
         ds = gen_std_normal(20, 3, rng)
         roles = roles_for(1, 2)
         with pytest.raises(ValueError, match="not one of the incomplete"):
-            apply_mcar(ds, roles, 0.2, rng, targets=(0,))
+            amputate(ds, roles, rng, kind="mcar", miss_prob=0.2, target_columns=(0,))
         with pytest.raises(ValueError, match="not a complete column"):
-            apply_mar_rank(ds, roles, 0.2, rng, controls=(1, 2))
+            amputate(ds, roles, rng, kind="mar_rank", miss_prob=0.2, controls=(1, 2))
         with pytest.raises(ValueError, match="one control per target"):
-            apply_mar_rank(ds, roles, 0.2, rng, controls=(0,))
+            amputate(ds, roles, rng, kind="mar_rank", miss_prob=0.2, controls=(0,))
+        with pytest.raises(ValueError, match=r"pair per target \(2\), got 1"):
+            amputate(ds, roles, rng, kind="mar_mean", p_high=(0.1,), p_low=(0.2,))
+        with pytest.raises(DegenerateDataError, match="no target columns"):
+            amputate(ds, roles, rng, kind="mcar", miss_prob=0.2, target_columns=())
+
+
+@st.composite
+def amputation_cases(draw):
+    """A dataset with some cells already missing, its roles and a spec."""
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(MECHANISM_KINDS))
+    targets = draw(
+        st.none()
+        | st.lists(st.sampled_from(range(p, p + q)), min_size=1, max_size=q, unique=True)
+    )
+    count = q if targets is None else len(targets)
+    per_target = st.lists(st.integers(0, p - 1), min_size=count, max_size=count)
+    controls = draw(st.none() | per_target)
+    spec = {"kind": kind, "target_columns": targets, "controls": controls}
+    # exact halves of n*p included, where the rounding of mar_rank's count shows
+    rate = st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0)
+    if kind == "mar_mean":
+        if draw(st.booleans()):
+            rates = st.lists(rate, min_size=count, max_size=count)
+            spec.update(p_high=draw(rates), p_low=draw(rates))
+    elif kind == "mar_1_to_x":
+        odds = draw(st.floats(1.0, 100.0))
+        miss_prob = draw(st.floats(0.0, (odds + 1.0) / (2.0 * odds)))  # p_high <= 1
+        spec.update(odds=odds, miss_prob=miss_prob)
+    else:
+        spec["miss_prob"] = draw(rate)
+    return p, q, n, seed, draw(st.booleans()), MechanismSpec(**spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=amputation_cases())
+def test_apply_mechanism_properties(case):
+    p, q, n, seed, ties, spec = case
+    roles = roles_for(p, q)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, p + q))
+    if ties:
+        values = np.round(values)
+    observed = np.ones((n, p + q), dtype=bool)
+    observed[:, p:] = rng.random((n, q)) >= 0.2
+    full = Dataset(values, np.ones_like(observed), pattern_names(p, q))
+    ds = full.with_mask(observed)
+
+    out = apply_mechanism(ds, roles, spec, rng_stream(seed, 1))
+    np.testing.assert_array_equal(out.values, ds.values)
+    assert not (out.mask & ~ds.mask).any()  # no missing cell comes back
+    targets = list(fit_mechanism(spec, roles)[0])
+    others = [j for j in range(p + q) if j not in targets]
+    np.testing.assert_array_equal(out.mask[:, others], ds.mask[:, others])
+    # the draws read values only: the mask of ``ds`` just adds its own cells
+    from_full = apply_mechanism(full, roles, spec, rng_stream(seed, 1))
+    np.testing.assert_array_equal(out.mask, from_full.mask & ds.mask)
+    if spec.kind == "mar_rank":
+        m = int(np.floor(n * spec.miss_prob + 0.5))  # round(n*p), halves up
+        assert list((~from_full.mask[:, targets]).sum(axis=0)) == [m] * len(targets)
