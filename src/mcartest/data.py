@@ -6,8 +6,9 @@ stored under a masked cell is an unspecified placeholder and is never read.
 """
 
 import csv
+import io
 from dataclasses import dataclass
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, islice
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,10 @@ import numpy as np
 from .errors import DataFormatError, DegenerateDataError
 
 DEFAULT_NA_TOKENS = frozenset({"NA", "NaN", ""})
+
+# rows per block of the CSV reader and writer: a block's cell strings are
+# the only per-cell Python objects alive at a time
+_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -135,9 +140,9 @@ def _resolve_incomplete(names, incomplete) -> list:
     return out
 
 
-def _raise_first_bad_cell(path, names, rows, tokens):
+def _raise_first_bad_cell(path, names, rows, tokens, first_line):
     """Raise DataFormatError for the first unparsable or non-finite cell."""
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in enumerate(rows, start=first_line):
         for name, cell in zip(names, row):
             if cell in tokens:
                 continue
@@ -155,8 +160,39 @@ def _raise_first_bad_cell(path, names, rows, tokens):
                 )
 
 
+def _parse_block(path, names, rows, tokens, first_line):
+    """(values, mask) of one block of records, flattened row-major.
+
+    Cells are parsed up to the block's first ragged line; a bad cell among
+    them comes first in the file, so it is reported instead of that line.
+    """
+    d = len(names)
+    n_good = next((i for i, row in enumerate(rows) if len(row) != d), len(rows))
+    parsed = rows[:n_good]
+    cells = list(chain.from_iterable(parsed))
+    mask = ~np.fromiter(map(tokens.__contains__, cells), bool, len(cells))
+    observed = filterfalse(tokens.__contains__, cells)
+    try:
+        numbers = np.fromiter(map(float, observed), float, mask.sum())
+    except ValueError:
+        numbers = None
+    if numbers is None or not np.isfinite(numbers).all():
+        _raise_first_bad_cell(path, names, parsed, tokens, first_line)
+    if n_good < len(rows):
+        raise DataFormatError(
+            f"{path}: line {first_line + n_good} has {len(rows[n_good])} fields, "
+            f"expected {d}"
+        )
+    values = np.zeros(len(cells))
+    values[mask] = numbers
+    return values, mask
+
+
 def load_csv(path, na_tokens=None, incomplete=None):
     """Read a rectangular CSV with a header row into a Dataset plus roles.
+
+    The records are read and parsed ``_BLOCK_ROWS`` at a time, so no more
+    than one block of them is held as strings.
 
     Parameters
     ----------
@@ -177,43 +213,29 @@ def load_csv(path, na_tokens=None, incomplete=None):
     ------
     DataFormatError
         Ragged rows, a non-missing cell that does not parse as a finite
-        number, or an entirely missing column.
+        number, or an entirely missing column.  Of the bad cells and
+        ragged lines, the first in the file is reported.
     DegenerateDataError
         No complete columns remain.
     """
     tokens = DEFAULT_NA_TOKENS if na_tokens is None else frozenset(na_tokens)
     path = Path(path)
+    blocks = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataFormatError(f"{path}: empty file, expected a header row") from None
-        rows = list(reader)
-    names = [h.strip() for h in header]
-    d = len(names)
-    # cells are parsed up to the first ragged line; a bad cell among them
-    # comes first in the file, so it is reported instead of that line
-    n_good = next((i for i, row in enumerate(rows) if len(row) != d), len(rows))
-    parsed = rows[:n_good]
-    cells = list(chain.from_iterable(parsed))
-    mask = ~np.fromiter(map(tokens.__contains__, cells), bool, len(cells))
-    observed = filterfalse(tokens.__contains__, cells)
-    try:
-        numbers = np.fromiter(map(float, observed), float, mask.sum())
-    except ValueError:
-        numbers = None
-    if numbers is None or not np.isfinite(numbers).all():
-        _raise_first_bad_cell(path, names, parsed, tokens)
-    if n_good < len(rows):
-        raise DataFormatError(
-            f"{path}: line {n_good + 2} has {len(rows[n_good])} fields, expected {d}"
-        )
-    if not rows:
+        names = [h.strip() for h in header]
+        n = 0
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            blocks.append(_parse_block(path, names, rows, tokens, first_line=n + 2))
+            n += len(rows)
+    if not n:
         raise DataFormatError(f"{path}: no data rows")
-    values = np.zeros(len(cells))
-    values[mask] = numbers
-    shape = (len(rows), d)
+    values, mask = (np.concatenate(parts) for parts in zip(*blocks))
+    shape = (n, len(names))
     ds = Dataset(values.reshape(shape), mask.reshape(shape), tuple(names))
 
     for j in range(ds.d):
@@ -237,17 +259,34 @@ def load_csv(path, na_tokens=None, incomplete=None):
     return ds, roles
 
 
+def _na_cell(na_token: str, d: int) -> str:
+    """``na_token`` as csv.writer writes it in a row of ``d`` cells.
+
+    It is quoted where it needs quoting, and an empty token also where it is
+    a row's only cell.
+    """
+    buf = io.StringIO()
+    csv.writer(buf).writerow([na_token] if d == 1 else [na_token, ""])
+    return buf.getvalue()[: -2 if d == 1 else -3]
+
+
 def write_csv(ds: Dataset, path, na_token: str = "NA") -> None:
     """Write a dataset; masked cells become ``na_token``.
 
     Uses repr formatting so a load_csv round trip reproduces the observed
-    values and the mask exactly.
+    values and the mask exactly.  The rows are written ``_BLOCK_ROWS`` at a
+    time: one ``repr`` of each block's observed values, split into cells,
+    and one write of its lines, byte for byte what csv.writer writes.
     """
     path = Path(path)
+    na = _na_cell(na_token, ds.d)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ds.column_names)
-        writer.writerows(
-            [repr(v) if observed else na_token for v, observed in zip(row, seen)]
-            for row, seen in zip(ds.values.tolist(), ds.mask.tolist())
-        )
+        csv.writer(fh).writerow(ds.column_names)
+        for start in range(0, ds.n, _BLOCK_ROWS):
+            seen = ds.mask[start : start + _BLOCK_ROWS]
+            observed = ds.values[start : start + _BLOCK_ROWS][seen].tolist()
+            cells = np.full(seen.shape, na, dtype=object)
+            if observed:
+                # the repr of a list of floats is the floats' reprs joined by ", "
+                cells[seen] = repr(observed)[1:-1].split(", ")
+            fh.write("\r\n".join(map(",".join, cells.tolist())) + "\r\n")

@@ -88,14 +88,21 @@ def group_patterns(mask: np.ndarray) -> list:
 
     Patterns are listed in order of first appearance and each pattern's rows
     in ascending order, so every pass over the groups visits the data in one
-    fixed order.
+    fixed order.  Each row's key is its packed mask bits, so any width works.
     """
-    groups: dict[bytes, list[int]] = {}
-    for i in range(mask.shape[0]):
-        groups.setdefault(mask[i].tobytes(), []).append(i)
+    packed = np.packbits(mask, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    # a stable sort puts each pattern's rows in one ascending run
+    order = np.argsort(keys, kind="stable")
+    ranked = packed[order]
+    new_run = np.ones(order.size, dtype=bool)
+    new_run[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(new_run)
+    bounds = [*starts.tolist(), order.size]
+    firsts = order[starts]
     return [
-        (np.flatnonzero(np.frombuffer(key, dtype=bool)), np.asarray(rows))
-        for key, rows in groups.items()
+        (np.flatnonzero(mask[firsts[g]]), order[bounds[g] : bounds[g + 1]])
+        for g in np.argsort(firsts).tolist()
     ]
 
 

@@ -147,6 +147,10 @@ class MechanismSpec:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, tuple(int(j) for j in value))
+        if self.target_columns == ():
+            raise ValueError(
+                "target_columns is empty; leave it out to target every incomplete column"
+            )
         if self.kind in ("mcar", "mar_1_to_x", "mar_rank"):
             if self.miss_prob is None:
                 raise ValueError(f"{self.kind} requires miss_prob")
@@ -268,10 +272,10 @@ def fit_mechanism(spec: MechanismSpec, roles: ColumnRoles) -> tuple:
     Targets default to every incomplete column, and controls to a
     round-robin pairing: the v-th target with the (v mod p)-th complete
     column.  ``mcar`` has no controls (None) and never reads
-    ``spec.controls``.  Raises DegenerateDataError for an empty target list
-    and ValueError for a target that is not incomplete, a control that is
-    not complete, or a count of controls or mar_mean rates that does not
-    match the targets.
+    ``spec.controls``.  Raises DegenerateDataError when the targets default
+    to the incomplete columns and there are none, and ValueError for a
+    target that is not incomplete, a control that is not complete, or a
+    count of controls or mar_mean rates that does not match the targets.
     """
     targets = roles.incomplete if spec.target_columns is None else spec.target_columns
     if not targets:

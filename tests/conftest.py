@@ -1,3 +1,4 @@
+import csv
 import os
 from pathlib import Path
 
@@ -107,3 +108,33 @@ def reference_routes(ds, roles):
     eigen = n * np.sum((v.T @ g) ** 2 / w)
     components = ((v / np.sqrt(w)) @ v.T) @ (np.sqrt(n) * g)
     return float(ml), float(eigen), components
+
+
+def loop_group_patterns(mask):
+    """``em.group_patterns`` as a per-row dict loop, keyed by the row's bytes.
+
+    The reference for the library's sorted grouping: patterns in order of
+    first appearance, each pattern's rows ascending.
+    """
+    groups = {}
+    for i in range(mask.shape[0]):
+        groups.setdefault(mask[i].tobytes(), []).append(i)
+    return [
+        (np.flatnonzero(np.frombuffer(key, dtype=bool)), np.asarray(rows))
+        for key, rows in groups.items()
+    ]
+
+
+def rowwise_write_csv(ds, path, na_token="NA"):
+    """``write_csv`` as one csv.writer row per dataset row.
+
+    The reference for the library's block writer, which must give the same
+    bytes.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ds.column_names)
+        writer.writerows(
+            [repr(v) if observed else na_token for v, observed in zip(row, seen)]
+            for row, seen in zip(ds.values.tolist(), ds.mask.tolist())
+        )

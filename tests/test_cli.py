@@ -314,6 +314,10 @@ class TestUsageErrors:
                 ["simulate", "--scenario", "{bad_distribution.json}"], "'distribution'",
                 id="scenario-distribution-string",
             ),
+            pytest.param(
+                ["simulate", "--scenario", "{empty_targets.json}"], "target_columns is empty",
+                id="scenario-empty-targets",
+            ),
             # every resolved test's shape rule is checked before the first runs
             pytest.param(
                 ["test", "--input", "{2X1Y.csv}", "--tests", "an,dn"],
@@ -348,6 +352,10 @@ class TestUsageErrors:
             "not_object": [],
             "bad_mechanism": {**good, "mechanism": "oops"},
             "bad_distribution": {**good, "distribution": "oops"},
+            "empty_targets": {
+                **good,
+                "mechanism": {"kind": "mcar", "miss_prob": 0.2, "target_columns": []},
+            },
         }
         files = {f"{name}.json": json.dumps(doc) for name, doc in scenarios.items()}
         files["2X1Y.csv"] = "x1,x2,y\n1,2,3\n2,1,NA\n3,5,4\n4,3,1\n"

@@ -1,11 +1,15 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import mcartest.data
 
 from mcartest import (
     ColumnRoles,
@@ -18,7 +22,7 @@ from mcartest import (
     write_csv,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, rowwise_write_csv
 
 
 def test_round_trip_exact(tmp_path, rng):
@@ -298,3 +302,103 @@ def test_incomplete_override(tmp_path):
 
     with pytest.raises(ValueError, match="no column named"):
         load_csv(path, incomplete=["zz"])
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.1, 1.0 / 3.0]
+
+
+@st.composite
+def block_datasets(draw):
+    """(block rows, dataset) with n below, at or just past a block multiple."""
+    block = draw(st.sampled_from([1, 3, 4]))
+    n = max(1, block * draw(st.integers(1, 3)) + draw(st.sampled_from([-1, 0, 1])))
+    d = draw(st.integers(1, 3))
+    cell = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(arrays(float, (n, d), elements=cell))
+    mask = draw(arrays(bool, (n, d)))
+    mask[list(draw(st.sets(st.integers(0, n - 1))))] = False  # whole rows masked
+    return block, Dataset(values, mask, tuple(f"c{j}" for j in range(d)))
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=block_datasets(), na_token=st.sampled_from(["NA", "", "n,a", '"']))
+def test_write_csv_matches_rowwise_writer(tmp_path, monkeypatch, case, na_token):
+    block, ds = case
+    monkeypatch.setattr(mcartest.data, "_BLOCK_ROWS", block)
+    write_csv(ds, tmp_path / "blocks.csv", na_token=na_token)
+    rowwise_write_csv(ds, tmp_path / "rows.csv", na_token=na_token)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block", [1, 4, 5])
+def test_round_trip_across_blocks(tmp_path, monkeypatch, rng, block):
+    monkeypatch.setattr(mcartest.data, "_BLOCK_ROWS", block)
+    ds, _ = make_dataset(rng, 21, 2, 2)
+    values = np.array(ds.values)
+    values[0, 0], values[1, 1], values[2, 0] = -0.0, 5e-324, 1e300
+    ds = Dataset(values, ds.mask, ds.column_names)
+    path = tmp_path / "rt.csv"
+    write_csv(ds, path)
+    back, _ = load_csv(path)
+    assert back.mask.tobytes() == ds.mask.tobytes()
+    assert back.values[ds.mask].tobytes() == ds.values[ds.mask].tobytes()
+
+
+# (what is wrong, lines): the offending data line(s) replace good ones
+LOAD_FAULTS = {
+    "bad-cell": ["7,oops"],
+    "non-finite": ["7,inf"],
+    "ragged": ["7"],
+    "bad-cell-then-ragged": ["7,oops", "8"],
+    "ragged-then-bad-cell": ["7", "8,oops"],
+}
+
+
+@pytest.mark.parametrize("fault", LOAD_FAULTS)
+@pytest.mark.parametrize("at", [3, 4, 5, 7, 8, 9])  # data lines 4 and 8 end a block
+def test_load_errors_at_block_edges(tmp_path, monkeypatch, fault, at):
+    lines = [f"{i},{i + 0.5}" for i in range(12)]
+    bad = LOAD_FAULTS[fault]
+    lines[at - 1 : at - 1 + len(bad)] = bad
+    text = "a,b\n" + "\n".join(lines) + "\n"
+    path = tmp_path / "edge.csv"
+    path.write_text(text)
+    expected = f"{path}: {reference_parse(text)}"
+    for block in (4, 10**6):
+        monkeypatch.setattr(mcartest.data, "_BLOCK_ROWS", block)
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == expected
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced by tracemalloc while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_memory_is_bounded_by_blocks(tmp_path):
+    rng = np.random.default_rng(5)
+
+    def write(n):
+        mask = np.ones((n, 2), bool)
+        mask[:, 1] = rng.random(n) >= 0.12
+        ds = Dataset(rng.exponential(size=(n, 2)), mask, ("x", "y"))
+        path = tmp_path / f"{n}.csv"
+        return traced_peak(write_csv, ds, path)[0], path
+
+    # the writer holds one block's cells whatever the row count
+    assert write(160_000)[0] <= 1.2 * write(40_000)[0]
+    # the reader holds the arrays it returns, their parts and one copy, plus
+    # one block's strings
+    one_block, _ = traced_peak(load_csv, write(mcartest.data._BLOCK_ROWS)[1])
+    peak, (ds, _) = traced_peak(load_csv, tmp_path / "160000.csv")
+    assert peak <= 3 * (ds.values.nbytes + ds.mask.nbytes) + one_block

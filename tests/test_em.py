@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mcartest import ColumnRoles, Dataset, DegenerateDataError, SingularMatrixError, em_mvn
 from mcartest.em import _RidgeFlag, _chol, _factor, group_patterns
 
-from conftest import make_dataset
+from conftest import loop_group_patterns, make_dataset
 
 
 def mcar_normal(rng, n, d, miss_prob):
@@ -169,6 +172,37 @@ def test_group_patterns_order_and_partition(rng):
         assert np.array_equal(obs, np.flatnonzero(mask[r[0]]))
         assert (mask[r] == mask[r[0]]).all()
     assert len(groups) == len({m.tobytes() for m in mask})
+
+
+@st.composite
+def masks(draw):
+    """A mask whose rows repeat a few distinct patterns, up to 70 columns."""
+    n = draw(st.integers(0, 60))
+    d = draw(st.sampled_from([1, 2, 5, 8, 9, 63, 64, 70]))
+    pool = draw(arrays(bool, (draw(st.integers(1, 6)), d)))
+    return pool[draw(arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=masks())
+def test_group_patterns_matches_row_loop(mask):
+    groups = group_patterns(mask)
+    expected = loop_group_patterns(mask)
+    assert len(groups) == len(expected)
+    for (obs, rows), (obs_e, rows_e) in zip(groups, expected):
+        assert obs.dtype == obs_e.dtype and np.array_equal(obs, obs_e)
+        assert rows.dtype == rows_e.dtype and np.array_equal(rows, rows_e)
+
+
+def test_group_patterns_wide_mask(rng):
+    # 70 columns: more mask bits than an int64 key holds
+    mask = rng.random((300, 70)) >= 0.5
+    mask[150:] = mask[:150]
+    mask[7, 69] = not mask[7, 69]  # differs from row 157 in the last bit only
+    groups = group_patterns(mask)
+    assert len(groups) == 151
+    for (obs, rows), (obs_e, rows_e) in zip(groups, loop_group_patterns(mask)):
+        assert np.array_equal(obs, obs_e) and np.array_equal(rows, rows_e)
 
 
 def test_fit_returns_grouping_of_kept_rows(rng):

@@ -414,8 +414,12 @@ class TestDispatcherAndDefaults:
             amputate(ds, roles, rng, kind="mar_rank", miss_prob=0.2, controls=(0,))
         with pytest.raises(ValueError, match=r"pair per target \(2\), got 1"):
             amputate(ds, roles, rng, kind="mar_mean", p_high=(0.1,), p_low=(0.2,))
+        # an empty target list is wrong on its own; no incomplete column to
+        # default to is a property of the data
+        with pytest.raises(ValueError, match="target_columns is empty"):
+            MechanismSpec(kind="mcar", miss_prob=0.2, target_columns=())
         with pytest.raises(DegenerateDataError, match="no target columns"):
-            amputate(ds, roles, rng, kind="mcar", miss_prob=0.2, target_columns=())
+            amputate(ds, roles_for(3, 0), rng, kind="mcar", miss_prob=0.2)
 
 
 @st.composite
