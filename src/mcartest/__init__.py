@@ -27,10 +27,8 @@ from .harness import (
 )
 from .numerics import rng_stream
 from .stats import (
-    GapStats,
     TestResult,
     bivariate_mcar_test,
-    gap_matrix,
     little_mcar_general,
     little_mcar_univariate,
     mean_product_gap,
@@ -70,10 +68,8 @@ __all__ = [
     "run_grid",
     "wilson_interval",
     "rng_stream",
-    "GapStats",
     "TestResult",
     "bivariate_mcar_test",
-    "gap_matrix",
     "little_mcar_general",
     "little_mcar_univariate",
     "mean_product_gap",

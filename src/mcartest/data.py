@@ -140,9 +140,19 @@ def _resolve_incomplete(names, incomplete) -> list:
     return out
 
 
-def _raise_first_bad_cell(path, names, rows, tokens, first_line):
+def _line(path, record: int) -> int:
+    """The file line on which data record ``record`` (0 is the first after
+    the header) starts; a quoted cell can span lines, so this rescans."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, record + 1):
+            pass
+        return reader.line_num + 1
+
+
+def _raise_first_bad_cell(path, names, rows, tokens, first):
     """Raise DataFormatError for the first unparsable or non-finite cell."""
-    for lineno, row in enumerate(rows, start=first_line):
+    for record, row in enumerate(rows, start=first):
         for name, cell in zip(names, row):
             if cell in tokens:
                 continue
@@ -150,21 +160,23 @@ def _raise_first_bad_cell(path, names, rows, tokens, first_line):
                 x = float(cell)
             except ValueError:
                 raise DataFormatError(
-                    f"{path}: line {lineno}, column {name!r}: "
+                    f"{path}: line {_line(path, record)}, column {name!r}: "
                     f"cannot parse {cell!r} as a number"
                 ) from None
             if not np.isfinite(x):
                 raise DataFormatError(
-                    f"{path}: line {lineno}, column {name!r}: "
+                    f"{path}: line {_line(path, record)}, column {name!r}: "
                     f"non-finite value {cell!r}"
                 )
 
 
-def _parse_block(path, names, rows, tokens, first_line):
+def _parse_block(path, names, rows, tokens, first):
     """(values, mask) of one block of records, flattened row-major.
 
-    Cells are parsed up to the block's first ragged line; a bad cell among
-    them comes first in the file, so it is reported instead of that line.
+    ``first`` is the index of the block's first record among the data
+    records.  Cells are parsed up to the block's first ragged line; a bad
+    cell among them comes first in the file, so it is reported instead of
+    that line.
     """
     d = len(names)
     n_good = next((i for i, row in enumerate(rows) if len(row) != d), len(rows))
@@ -177,11 +189,11 @@ def _parse_block(path, names, rows, tokens, first_line):
     except ValueError:
         numbers = None
     if numbers is None or not np.isfinite(numbers).all():
-        _raise_first_bad_cell(path, names, parsed, tokens, first_line)
+        _raise_first_bad_cell(path, names, parsed, tokens, first)
     if n_good < len(rows):
         raise DataFormatError(
-            f"{path}: line {first_line + n_good} has {len(rows[n_good])} fields, "
-            f"expected {d}"
+            f"{path}: line {_line(path, first + n_good)} has {len(rows[n_good])} "
+            f"fields, expected {d}"
         )
     values = np.zeros(len(cells))
     values[mask] = numbers
@@ -212,26 +224,30 @@ def load_csv(path, na_tokens=None, incomplete=None):
     Raises
     ------
     DataFormatError
-        Ragged rows, a non-missing cell that does not parse as a finite
-        number, or an entirely missing column.  Of the bad cells and
-        ragged lines, the first in the file is reported.
+        A file that is not UTF-8, ragged rows, a non-missing cell that does
+        not parse as a finite number, or an entirely missing column.  Of
+        the bad cells and ragged lines, the first in the file is reported,
+        with the file line on which its record starts.
     DegenerateDataError
         No complete columns remain.
     """
     tokens = DEFAULT_NA_TOKENS if na_tokens is None else frozenset(na_tokens)
     path = Path(path)
     blocks = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file, expected a header row") from None
-        names = [h.strip() for h in header]
-        n = 0
-        while rows := list(islice(reader, _BLOCK_ROWS)):
-            blocks.append(_parse_block(path, names, rows, tokens, first_line=n + 2))
-            n += len(rows)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError(f"{path}: empty file, expected a header row") from None
+            names = [h.strip() for h in header]
+            n = 0
+            while rows := list(islice(reader, _BLOCK_ROWS)):
+                blocks.append(_parse_block(path, names, rows, tokens, first=n))
+                n += len(rows)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not n:
         raise DataFormatError(f"{path}: no data rows")
     values, mask = (np.concatenate(parts) for parts in zip(*blocks))

@@ -4,8 +4,9 @@ Rows are grouped by missingness pattern once per fit, and each pattern is
 reduced to its size, observed columns, observed-cell mean and scatter about
 that mean, so an iteration touches no row: it is the sweep-operator E-step
 (Little & Rubin; Schafer 1997) on the stack of the patterns' observed
-covariance blocks, factored in one batched Cholesky.  The fit returns its
-grouping for Little's d2.  The observed-data log-likelihood is evaluated at
+covariance blocks, factored in one batched Cholesky.  The fit returns the
+patterns' observed columns, sizes and means, which are all Little's d2
+needs of the rows.  The observed-data log-likelihood is evaluated at
 the parameters entering each E-step; EM guarantees the trace is
 non-decreasing, which the tests exploit.
 """
@@ -31,8 +32,11 @@ class EmResult:
     ``sigma`` is the maximum-likelihood (1/n) estimate.  ``loglik_trace``
     holds the observed-data log-likelihood at the start of every iteration;
     ``ridged`` records whether any observed block needed a diagonal
-    ridge to factor.  ``patterns`` is the fit's ``group_patterns`` grouping;
-    its rows index the kept rows, those with at least one observed cell.
+    ridge to factor.  Row k of ``observed`` (K, d), ``counts`` (K,) and
+    ``means`` (K, d) describe the k-th pattern of the fit's
+    ``group_patterns`` grouping of the kept rows, those with at least one
+    observed cell: its observed columns, its number of rows and the mean of
+    its observed cells, zero on the missing columns.
     """
 
     mu: np.ndarray
@@ -41,46 +45,45 @@ class EmResult:
     converged: bool
     iterations: int
     ridged: bool
-    patterns: list
+    observed: np.ndarray
+    counts: np.ndarray
+    means: np.ndarray
 
 
-class _RidgeFlag:
-    __slots__ = ("used",)
-
-    def __init__(self):
-        self.used = False
-
-
-def _chol(a: np.ndarray, flag: _RidgeFlag) -> np.ndarray:
-    """Cholesky factor, retried once with a trace-scaled ridge."""
+def _chol(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Cholesky factor, retried once with a trace-scaled ridge; returns the
+    factor and whether the ridge was needed."""
     try:
-        return np.linalg.cholesky(a)
+        return np.linalg.cholesky(a), False
     except np.linalg.LinAlgError:
         pass
-    flag.used = True
     ridge = _RIDGE_SCALE * max(np.trace(a) / a.shape[0], 1.0)
     try:
-        return np.linalg.cholesky(a + ridge * np.eye(a.shape[0]))
+        return np.linalg.cholesky(a + ridge * np.eye(a.shape[0])), True
     except np.linalg.LinAlgError:
         raise SingularMatrixError(
             "observed-block covariance is singular even after ridging"
         ) from None
 
 
-def _factor(stack: np.ndarray, patterns: list, flag: _RidgeFlag) -> np.ndarray:
+def _factor(stack: np.ndarray, observed: np.ndarray) -> tuple[np.ndarray, bool]:
     """Cholesky factors of a (K, d, d) stack of identity-padded observed blocks.
 
-    If any block is not positive definite, each pattern's observed block is
-    factored alone through ``_chol``, which ridges the ones that fail.
+    ``observed`` (K, d) marks each block's observed columns.  If any block
+    is not positive definite, each observed block is factored alone through
+    ``_chol``, which ridges the ones that fail.  Returns the factors and
+    whether any block was ridged.
     """
     try:
-        return np.linalg.cholesky(stack)
+        return np.linalg.cholesky(stack), False
     except np.linalg.LinAlgError:
         factors = stack.copy()
-    for factor, (obs, _) in zip(factors, patterns):
+    ridged = False
+    for factor, obs in zip(factors, observed):
         oo = np.ix_(obs, obs)
-        factor[oo] = _chol(factor[oo], flag)
-    return factors
+        factor[oo], used = _chol(factor[oo])
+        ridged |= used
+    return factors, ridged
 
 
 def group_patterns(mask: np.ndarray) -> list:
@@ -111,8 +114,7 @@ def _complete_fit(x: np.ndarray) -> EmResult:
     mu = x.mean(axis=0)
     centered = x - mu
     sigma = (centered.T @ centered) / n
-    flag = _RidgeFlag()
-    c = _chol(sigma, flag)
+    c, ridged = _chol(sigma)
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
     z = np.linalg.solve(c, centered.T)
     return EmResult(
@@ -121,8 +123,10 @@ def _complete_fit(x: np.ndarray) -> EmResult:
         loglik_trace=(-0.5 * (n * d * _LOG_2PI + n * logdet + float(np.sum(z * z))),),
         converged=True,
         iterations=1,
-        ridged=flag.used,
-        patterns=[(np.arange(d), np.arange(n))],
+        ridged=ridged,
+        observed=np.ones((1, d), dtype=bool),
+        counts=np.array([float(n)]),
+        means=mu[None],
     )
 
 
@@ -193,7 +197,7 @@ def em_mvn(ds: Dataset, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
     weight_mm = counts[:, None, None] * (~observed[:, :, None] & ~observed[:, None, :])
     ll_const = _LOG_2PI * float(counts @ observed.sum(axis=1))
     eye = np.eye(d)
-    flag = _RidgeFlag()
+    ridged = False
     trace: list[float] = []
     converged = False
     iterations = 0
@@ -201,7 +205,8 @@ def em_mvn(ds: Dataset, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
     for _ in range(max_iter):
         iterations += 1
         # each pattern's observed block, padded with the identity
-        factors = _factor(np.where(both, sigma, eye), patterns, flag)
+        factors, used = _factor(np.where(both, sigma, eye), observed)
+        ridged |= used
         logdet = 2.0 * np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
         inv_factors = np.linalg.inv(factors)
         # the inverse of each observed block, zero elsewhere
@@ -234,6 +239,8 @@ def em_mvn(ds: Dataset, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
         loglik_trace=tuple(trace),
         converged=converged,
         iterations=iterations,
-        ridged=flag.used,
-        patterns=patterns,
+        ridged=ridged,
+        observed=observed,
+        counts=counts,
+        means=means,
     )

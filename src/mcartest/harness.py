@@ -8,12 +8,12 @@ worker count and any subset of the grid, and adding replications never
 changes earlier ones.
 
 Replications run in blocks of contiguous indices.  Each replication is
-generated and amputated alone, from its own streams; the closed-form tests
-(``an``, ``dn``, ``d2_univariate``) then run once over the stacked block,
-through batch kernels whose result for one dataset does not depend on what
-else is in the stack.  ``d2_general`` runs once per replication.  Which
-tests exist, which kernel each uses and which shapes each applies to is
-the one registry ``TESTS``.
+generated and amputated alone, from its own streams; every test then runs
+once over the block's datasets, through a batch kernel whose result for one
+dataset does not depend on what else is in the block (``d2_general`` still
+fits EM to each dataset alone inside its kernel).  Which tests exist, which
+kernel each uses and which shapes each applies to is the one registry
+``TESTS``.
 
 Replications where a test raises a singularity or degeneracy error (for
 example a response column with no missing cells at small n) are counted as
@@ -29,19 +29,16 @@ from typing import Callable
 
 import numpy as np
 
-from .data import ColumnRoles
-from .errors import DegenerateDataError, SingularMatrixError
+from .data import ColumnRoles, Dataset
+from .errors import DegenerateDataError
 from .numerics import chi2_sf, rng_stream
 from .stats import (
+    TestResult,
     bivariate_batch,
-    bivariate_mcar_test,
     check_alpha,
-    little_mcar_general,
-    little_mcar_univariate,
+    little_general_batch,
     little_univariate_batch,
-    stack_columns,
     ustat_batch,
-    ustat_mcar_test,
 )
 from .synthesis import (
     DistributionSpec,
@@ -73,17 +70,19 @@ __all__ = [
 class TestSpec:
     """What the harness and the CLI need to know about one test.
 
-    ``run(ds, roles, alpha)`` tests one dataset.  ``batch(x, r)``, when
-    set, tests a stack of datasets at once (see ``stats.stack_columns``);
-    without it the harness calls ``run`` once per replication.  ``p`` and
-    ``q``, when set, are the only numbers of complete and incomplete
-    columns the test applies to.
+    ``batch(datasets, roles)`` tests a list of datasets of one shape at
+    once and returns a ``stats.BatchResult``.  ``p`` and ``q``, when set,
+    are the only numbers of complete and incomplete columns the test
+    applies to.
     """
 
-    run: Callable
-    batch: Callable = None
+    batch: Callable
     p: int = None
     q: int = None
+
+    def run(self, ds: Dataset, roles: ColumnRoles, alpha: float) -> TestResult:
+        """Test one dataset; raises the test's exception for it."""
+        return self.batch([ds], roles).result(0, alpha)
 
     def check_shape(self, tag: str, p: int, q: int) -> None:
         """Raise ValueError unless the test applies to p complete and q
@@ -93,26 +92,12 @@ class TestSpec:
             raise ValueError(f"the {tag} test requires {' and '.join(needs)}")
 
 
-# The test registry, by resolved wire name.  ``run`` looks the test up in
-# this module when called, so a wrapper installed on the module attribute
-# (a profiler's, say) sees every call.
+# The test registry, by resolved wire name.
 TESTS = {
-    "an": TestSpec(
-        run=lambda ds, roles, alpha: ustat_mcar_test(ds, roles, alpha),
-        batch=ustat_batch,
-    ),
-    "dn": TestSpec(
-        run=lambda ds, roles, alpha: bivariate_mcar_test(ds, roles, alpha),
-        batch=bivariate_batch,
-        p=1,
-        q=1,
-    ),
-    "d2_univariate": TestSpec(
-        run=lambda ds, roles, alpha: little_mcar_univariate(ds, roles, alpha),
-        batch=little_univariate_batch,
-        q=1,
-    ),
-    "d2_general": TestSpec(run=lambda ds, roles, alpha: little_mcar_general(ds, alpha)),
+    "an": TestSpec(ustat_batch),
+    "dn": TestSpec(bivariate_batch, p=1, q=1),
+    "d2_univariate": TestSpec(little_univariate_batch, q=1),
+    "d2_general": TestSpec(little_general_batch),
 }
 
 # wire names; "d2" picks the closed form when q = 1 and the general
@@ -296,9 +281,8 @@ def _run_block(
 
     ``key``, ``names``, ``roles`` and ``tags`` (content hash, column names,
     column roles, resolved tests) are computed once per cell by ``run_cell``.
-    A test with a batch kernel runs once over the whole block; the others
-    run once per replication.  Returns {resolved tag: one entry per
-    replication, (reject, statistic) or None for degenerate}.
+    Each test runs once over the whole block.  Returns {resolved tag: one
+    entry per replication, (reject, statistic) or None for degenerate}.
     """
     datasets = []
     for rep in range(start, stop):
@@ -306,31 +290,16 @@ def _run_block(
         full = generate(scenario.distribution, scenario.n, gen_rng, names)
         amp_rng = rng_stream(scenario.master_seed, key, rep, _AMP_STREAM)
         datasets.append(apply_mechanism(full, roles, scenario.mechanism, amp_rng))
-    if any(TESTS[tag].batch is not None for tag in tags):
-        x, r = stack_columns(datasets, roles)
 
-    alpha = scenario.alpha
     out = {}
     for tag in tags:
-        spec = TESTS[tag]
-        if spec.batch is None:
-            out[tag] = [_outcome(spec.run, ds, roles, alpha) for ds in datasets]
-            continue
-        batch = spec.batch(x, r)
-        reject = (batch.p_value <= alpha).tolist()
+        batch = TESTS[tag].batch(datasets, roles)
+        reject = (batch.p_value <= scenario.alpha).tolist()
         out[tag] = [
             None if error is not None else (rej, stat)
             for error, rej, stat in zip(batch.errors, reject, batch.statistic.tolist())
         ]
     return out
-
-
-def _outcome(run, ds, roles, alpha):
-    try:
-        result = run(ds, roles, alpha)
-    except (SingularMatrixError, DegenerateDataError):
-        return None
-    return (result.reject, result.statistic)
 
 
 def _run_block_star(args) -> dict:

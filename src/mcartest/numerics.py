@@ -129,7 +129,7 @@ def _singular_errors(eigenvalues: np.ndarray) -> tuple:
     Degenerate data (a constant column, a response indicator without
     variation, or perfectly correlated columns) surfaces here.
     """
-    w = eigenvalues.reshape(len(eigenvalues), -1)
+    w = eigenvalues.reshape(len(eigenvalues), math.prod(eigenvalues.shape[1:]))
     smallest = w.min(axis=1)
     threshold = 1e-10 * np.maximum(w.max(axis=1, initial=0.0), 1.0)
     errors = [None] * len(w)

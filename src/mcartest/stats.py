@@ -13,7 +13,9 @@ Four tests are exposed:
   using EM estimates of the mean and covariance.
 
 Each test returns a TestResult with the statistic, degrees of freedom,
-p-value, accept/reject decision, and method-specific diagnostics.
+p-value, accept/reject decision, and method-specific diagnostics.  Each is
+the one-dataset call of a batch kernel, ``kernel(datasets, roles)``, that
+tests a list of datasets of one shape at once and returns a BatchResult.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +24,7 @@ import numpy as np
 
 from .data import ColumnRoles, Dataset, response_matrix
 from .em import em_mvn
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, SingularMatrixError
 from .numerics import (
     chi2_sf,
     column_var,
@@ -33,12 +35,10 @@ from .numerics import (
 )
 
 __all__ = [
-    "GapStats",
     "TestResult",
     "BatchResult",
     "check_alpha",
     "mean_product_gap",
-    "gap_matrix",
     "stack_columns",
     "ustat_batch",
     "ustat_mcar_test",
@@ -46,6 +46,7 @@ __all__ = [
     "bivariate_mcar_test",
     "little_univariate_batch",
     "little_mcar_univariate",
+    "little_general_batch",
     "little_mcar_general",
 ]
 
@@ -53,21 +54,6 @@ METHOD_USTAT = "an"
 METHOD_BIVARIATE = "dn"
 METHOD_LITTLE_UNIVARIATE = "d2_univariate"
 METHOD_LITTLE_GENERAL = "d2_general"
-
-
-@dataclass(frozen=True)
-class GapStats:
-    """Mean-product gaps for every (complete column, response column) pair.
-
-    ``unbiased`` and ``biased`` are p x q matrices; row u, column v holds the
-    gap between complete column u and the response indicator of incomplete
-    column v.  The unbiased entries equal n/(n-1) times the biased ones by
-    construction.
-    """
-
-    unbiased: np.ndarray
-    biased: np.ndarray
-    n: int
 
 
 @dataclass(frozen=True)
@@ -135,20 +121,17 @@ def stack_columns(datasets, roles: ColumnRoles) -> tuple[np.ndarray, np.ndarray]
     The datasets share n and the column layout.  Returns (R, n, p) and
     (R, n, q) arrays whose columns are each contiguous, as
     ``ds.values[:, cols]`` gives them for one dataset, so every dataset's
-    slice has the same strides in a stack of any size.  Roles are not
-    checked here; see ``_columns``.
+    slice has the same strides in a stack of any size.  Roles are checked
+    against the data only by the per-dataset tests (see ``_one``); here,
+    no incomplete column raises DegenerateDataError.
     """
+    if roles.q == 0:
+        raise DegenerateDataError("no incomplete columns")
     values = np.stack([ds.values for ds in datasets]).transpose(0, 2, 1)
     mask = np.stack([ds.mask for ds in datasets]).transpose(0, 2, 1)
     x = np.ascontiguousarray(values[:, list(roles.complete)])
     r = np.ascontiguousarray(mask[:, list(roles.incomplete)], dtype=float)
     return x.transpose(0, 2, 1), r.transpose(0, 2, 1)
-
-
-def _columns(ds: Dataset, roles: ColumnRoles) -> tuple[np.ndarray, np.ndarray]:
-    """``stack_columns`` of one dataset, after checking the roles against it."""
-    response_matrix(ds, roles)  # raises for roles that do not fit ds
-    return stack_columns([ds], roles)
 
 
 def _gaps(x: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -158,31 +141,19 @@ def _gaps(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return means - (np.swapaxes(x, -1, -2) @ r) / n
 
 
-def gap_matrix(ds: Dataset, roles: ColumnRoles) -> GapStats:
-    """All p*q mean-product gaps, vectorized.
-
-    Row u = complete column u, column v = incomplete column v; flattened
-    row-major, this is the order of the pq x pq covariance Cov(X) (x) Cov(R).
-    """
-    if ds.n < 2:
-        raise DegenerateDataError("gap statistics require n >= 2")
-    n = ds.n
-    biased = _gaps(*_columns(ds, roles))[0]
-    return GapStats(unbiased=biased * (n / (n - 1.0)), biased=biased, n=n)
-
-
 @dataclass(frozen=True)
 class BatchResult:
     """One test over a stack of R datasets, as its batch kernel returns it.
 
-    ``statistic`` and ``p_value`` have shape (R,).  ``errors[i]`` is None,
-    or the exception the test raises for dataset i alone; that entry's
-    statistic is a placeholder 0.0 (p-value 1).  ``diagnostics`` maps each
-    name to an array with one row per dataset.
+    ``statistic``, ``p_value`` and ``df`` have shape (R,).  ``errors[i]`` is
+    None, or the exception the test raises for dataset i alone; that
+    entry's statistic is a placeholder 0.0 (p-value 1).  ``diagnostics``
+    maps each name to an array with one row per dataset; an ``n`` there
+    takes the place of the shared row count ``n``.
     """
 
     method: str
-    df: int
+    df: np.ndarray
     n: int
     statistic: np.ndarray
     p_value: np.ndarray
@@ -195,14 +166,15 @@ class BatchResult:
             raise self.errors[i]
         p_value = float(self.p_value[i])
         diagnostics = {key: value[i].tolist() for key, value in self.diagnostics.items()}
+        diagnostics.setdefault("n", self.n)
         return TestResult(
             method=self.method,
             statistic=float(self.statistic[i]),
-            df=self.df,
+            df=int(self.df[i]),
             p_value=p_value,
             alpha=alpha,
             reject=p_value <= alpha,
-            diagnostics={**diagnostics, "n": self.n},
+            diagnostics=diagnostics,
         )
 
 
@@ -210,13 +182,19 @@ def _failed(errors: tuple) -> np.ndarray:
     return np.array([e is not None for e in errors], dtype=bool)
 
 
-def ustat_batch(x: np.ndarray, r: np.ndarray) -> BatchResult:
-    """``ustat_mcar_test`` on each dataset of a stack.
+def _one(kernel, ds: Dataset, roles: ColumnRoles, alpha: float) -> TestResult:
+    """``kernel`` of a one-dataset list, after checking alpha and the roles."""
+    check_alpha(alpha)
+    response_matrix(ds, roles)  # raises for roles that do not fit ds
+    return kernel([ds], roles).result(0, alpha)
 
-    ``x`` and ``r`` are the (R, n, p) values and (R, n, q) response
-    indicators from ``stack_columns``.  Each dataset's outcome is bitwise
-    the same in a stack of any size.
+
+def ustat_batch(datasets, roles: ColumnRoles) -> BatchResult:
+    """``ustat_mcar_test`` on each of a list of datasets of one shape.
+
+    Each dataset's outcome is bitwise the same in a list of any size.
     """
+    x, r = stack_columns(datasets, roles)
     n = x.shape[-2]
     if n < 3:
         raise DegenerateDataError("the quadratic-form test requires n >= 3")
@@ -231,7 +209,7 @@ def ustat_batch(x: np.ndarray, r: np.ndarray) -> BatchResult:
     df = x.shape[-1] * r.shape[-1]
     return BatchResult(
         method=METHOD_USTAT,
-        df=df,
+        df=np.full(len(statistic), df),
         n=n,
         statistic=statistic,
         p_value=chi2_sf(statistic, df),
@@ -259,14 +237,14 @@ def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> Tes
     S^(-1/2) (sqrt(n) g) = sqrt(n) vec(V_x H V_r'), whose squared sum is
     the statistic, and the condition number of S.  The test suite checks
     the statistic against the pq x pq route and the maximum-likelihood
-    moment pair.  Computed as ``ustat_batch`` of a one-dataset stack.
+    moment pair.  Computed as ``ustat_batch`` of a one-dataset list.
     """
-    check_alpha(alpha)
-    return ustat_batch(*_columns(ds, roles)).result(0, alpha)
+    return _one(ustat_batch, ds, roles, alpha)
 
 
-def bivariate_batch(x: np.ndarray, r: np.ndarray) -> BatchResult:
-    """``bivariate_mcar_test`` on each dataset of a stack with p = q = 1."""
+def bivariate_batch(datasets, roles: ColumnRoles) -> BatchResult:
+    """``bivariate_mcar_test`` on each of a list of datasets with p = q = 1."""
+    x, r = stack_columns(datasets, roles)
     p, q = x.shape[-1], r.shape[-1]
     if p != 1 or q != 1:
         raise DegenerateDataError(
@@ -296,7 +274,7 @@ def bivariate_batch(x: np.ndarray, r: np.ndarray) -> BatchResult:
     statistic[failed] = 0.0
     return BatchResult(
         method=METHOD_BIVARIATE,
-        df=1,
+        df=np.ones(len(statistic), dtype=int),
         n=n,
         statistic=statistic,
         p_value=2.0 * (1.0 - normal_cdf(np.abs(statistic))),
@@ -311,14 +289,14 @@ def bivariate_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) ->
     The unbiased mean-product gap scaled by sqrt(n) and the two sample
     standard deviations is asymptotically standard normal under MCAR;
     the test is two-sided.  Computed as ``bivariate_batch`` of a
-    one-dataset stack.
+    one-dataset list.
     """
-    check_alpha(alpha)
-    return bivariate_batch(*_columns(ds, roles)).result(0, alpha)
+    return _one(bivariate_batch, ds, roles, alpha)
 
 
-def little_univariate_batch(x: np.ndarray, r: np.ndarray) -> BatchResult:
-    """``little_mcar_univariate`` on each dataset of a stack with q = 1."""
+def little_univariate_batch(datasets, roles: ColumnRoles) -> BatchResult:
+    """``little_mcar_univariate`` on each of a list of datasets with q = 1."""
+    x, r = stack_columns(datasets, roles)
     if r.shape[-1] != 1:
         raise DegenerateDataError(
             "the closed form applies to exactly one incomplete column "
@@ -360,7 +338,7 @@ def little_univariate_batch(x: np.ndarray, r: np.ndarray) -> BatchResult:
     df = x.shape[-1]
     return BatchResult(
         method=METHOD_LITTLE_UNIVARIATE,
-        df=df,
+        df=np.full(len(statistic), df),
         n=n,
         statistic=statistic,
         p_value=chi2_sf(statistic, df),
@@ -377,10 +355,81 @@ def little_mcar_univariate(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05)
     of the maximum-likelihood estimate of Cov(X) * Var(R).  Chi-squared
     calibration with p degrees of freedom.  Requires both observed and
     missing rows to exist.  Computed as ``little_univariate_batch`` of a
-    one-dataset stack.
+    one-dataset list.
     """
-    check_alpha(alpha)
-    return little_univariate_batch(*_columns(ds, roles)).result(0, alpha)
+    return _one(little_univariate_batch, ds, roles, alpha)
+
+
+def little_general_batch(datasets, roles: ColumnRoles = None) -> BatchResult:
+    """``little_mcar_general`` on each of a list of datasets of one shape.
+
+    Each dataset gets its own EM fit (``roles`` is not used: d2 reads the
+    missingness of every column), and the d2 sums of all fits come from one
+    ``spd_eigh_stack`` call over their padded observed blocks.
+    """
+    d = datasets[0].d
+    fits, errors = [None] * len(datasets), [None] * len(datasets)
+    # empty first entries, so that a list with no fit still concatenates
+    blocks, devs = [np.empty((0, d, d))], [np.empty((0, d))]
+    for i, ds in enumerate(datasets):
+        kept = ds.mask[ds.mask.any(axis=1)]
+        if not kept.size or (kept == kept[0]).all():
+            errors[i] = DegenerateDataError(
+                "Little's test is undefined for a single missingness pattern"
+            )
+            continue
+        try:
+            fit = fits[i] = em_mvn(ds)
+        except (DegenerateDataError, SingularMatrixError) as exc:
+            errors[i] = exc
+            continue
+        # each observed block, padded to d x d with its mean observed
+        # variance: a mean of its diagonal lies within its eigenvalue range,
+        # so the singularity threshold sees the block's own extreme
+        # eigenvalues
+        pad = fit.observed @ np.diag(fit.sigma) / fit.observed.sum(axis=1)
+        both = fit.observed[:, :, None] & fit.observed[:, None, :]
+        blocks.append(np.where(both, fit.sigma, pad[:, None, None] * np.eye(d)))
+        devs.append(np.where(fit.observed, fit.means - fit.mu, 0.0))
+    w, v, singular = spd_eigh_stack(np.concatenate(blocks))
+    # a padded block is its observed block and pad * I side by side, and dev
+    # is zero off the observed columns: the sum is dev' inverse(block) dev
+    projected = (np.swapaxes(v, 1, 2) @ np.concatenate(devs)[:, :, None])[:, :, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.sum(projected**2 / w, axis=1)
+
+    statistic = np.zeros(len(datasets))
+    p_value = np.ones(len(datasets))
+    df = np.zeros(len(datasets), dtype=int)
+    lo = 0
+    for i, fit in enumerate(fits):
+        if fit is None:
+            continue
+        hi = lo + len(fit.counts)
+        df[i] = fit.observed.sum() - d
+        errors[i] = next((e for e in singular[lo:hi] if e is not None), None)
+        if errors[i] is None and df[i] <= 0:
+            errors[i] = DegenerateDataError("Little's test has no degrees of freedom here")
+        if errors[i] is None:
+            statistic[i] = fit.counts @ terms[lo:hi]
+            p_value[i] = chi2_sf(statistic[i], int(df[i]))
+        lo = hi
+    return BatchResult(
+        method=METHOD_LITTLE_GENERAL,
+        df=df,
+        n=datasets[0].n,
+        statistic=statistic,
+        p_value=p_value,
+        errors=tuple(errors),
+        diagnostics={
+            "n_patterns": np.array([len(f.counts) if f else 0 for f in fits]),
+            "em_iterations": np.array([f.iterations if f else 0 for f in fits]),
+            "em_converged": np.array([f.converged if f else False for f in fits]),
+            "em_ridged": np.array([f.ridged if f else False for f in fits]),
+            # the kept rows, those with an observed cell
+            "n": np.array([int(f.counts.sum()) if f else 0 for f in fits]),
+        },
+    )
 
 
 def little_mcar_general(ds: Dataset, alpha: float = 0.05) -> TestResult:
@@ -390,55 +439,12 @@ def little_mcar_general(ds: Dataset, alpha: float = 0.05) -> TestResult:
     Mahalanobis distance between the pattern's observed-column means and
     the EM estimates of the corresponding means, weighted by the pattern
     size.  Degrees of freedom: sum of per-pattern observed counts minus the
-    number of columns.  Rows with no observed cell are dropped.
+    number of columns.  Rows with no observed cell are dropped; the ``n``
+    diagnostic counts the rows kept.
 
     Raises DegenerateDataError when fewer than two patterns are present (the
     test is undefined) and SingularMatrixError for a singular observed block.
+    Computed as ``little_general_batch`` of a one-dataset list.
     """
     check_alpha(alpha)
-    keep = ds.mask.any(axis=1)
-    mask = ds.mask[keep]
-    if not mask.size or (mask == mask[0]).all():
-        raise DegenerateDataError(
-            "Little's test is undefined for a single missingness pattern"
-        )
-
-    fit = em_mvn(ds)
-    z = np.where(mask, ds.values[keep], 0.0)
-    observed = np.array([mask[rows[0]] for _, rows in fit.patterns])
-    counts = np.array([rows.size for _, rows in fit.patterns])
-    means = np.array([z[rows].mean(axis=0) for _, rows in fit.patterns])
-    dev = np.where(observed, means - fit.mu, 0.0)
-    # each observed block, padded to d x d with its mean observed variance:
-    # a mean of its diagonal lies within its eigenvalue range, so the
-    # singularity threshold sees the block's own extreme eigenvalues
-    pad = observed @ np.diag(fit.sigma) / observed.sum(axis=1)
-    both = observed[:, :, None] & observed[:, None, :]
-    w, v, errors = spd_eigh_stack(np.where(both, fit.sigma, pad[:, None, None] * np.eye(ds.d)))
-    for error in errors:
-        if error is not None:
-            raise error
-    # a padded block is its observed block and pad * I side by side, and dev
-    # is zero off the observed columns: the sum is dev' inverse(block) dev
-    projected = (np.swapaxes(v, 1, 2) @ dev[:, :, None])[:, :, 0]
-    statistic = float(counts @ np.sum(projected**2 / w, axis=1))
-    df = int(observed.sum()) - ds.d
-    if df <= 0:
-        raise DegenerateDataError("Little's test has no degrees of freedom here")
-
-    p_value = chi2_sf(statistic, df)
-    return TestResult(
-        method=METHOD_LITTLE_GENERAL,
-        statistic=statistic,
-        df=df,
-        p_value=p_value,
-        alpha=alpha,
-        reject=p_value <= alpha,
-        diagnostics={
-            "n_patterns": len(fit.patterns),
-            "em_iterations": fit.iterations,
-            "em_converged": fit.converged,
-            "em_ridged": fit.ridged,
-            "n": mask.shape[0],
-        },
-    )
+    return little_general_batch([ds]).result(0, alpha)

@@ -1,12 +1,13 @@
 import csv
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mcartest
-from mcartest import ColumnRoles, Dataset, gap_matrix, response_matrix
+from mcartest import ColumnRoles, Dataset, DegenerateDataError, response_matrix
 from mcartest.numerics import cov_matrix, spd_eigh_stack
 
 # one line per acceptance criterion, emitted after the test run so the
@@ -76,6 +77,36 @@ def spd_eigh(a):
     if error is not None:
         raise error
     return w[0], v[0]
+
+
+@dataclass(frozen=True)
+class GapStats:
+    """Mean-product gaps for every (complete column, response column) pair.
+
+    ``unbiased`` and ``biased`` are p x q matrices; row u, column v holds the
+    gap between complete column u and the response indicator of incomplete
+    column v.  The unbiased entries equal n/(n-1) times the biased ones by
+    construction.
+    """
+
+    unbiased: np.ndarray
+    biased: np.ndarray
+    n: int
+
+
+def gap_matrix(ds, roles):
+    """All p*q mean-product gaps, as one matrix product.
+
+    Row u = complete column u, column v = incomplete column v; flattened
+    row-major, this is the order of the pq x pq covariance Cov(X) (x) Cov(R).
+    """
+    n = ds.n
+    if n < 2:
+        raise DegenerateDataError("gap statistics require n >= 2")
+    x = ds.values[:, list(roles.complete)]
+    r = response_matrix(ds, roles).astype(float)
+    biased = np.outer(x.mean(axis=0), r.mean(axis=0)) - (x.T @ r) / n
+    return GapStats(unbiased=biased * (n / (n - 1.0)), biased=biased, n=n)
 
 
 def pq_covariance(ds, roles, mode="unbiased"):

@@ -87,6 +87,11 @@ class TestTestCommand:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run_cli("test", "--input", str(tmp_path / "nope.csv")) == 3
 
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\n1,2\n\xff,3\n")
+        assert run_cli("test", "--input", str(path)) == 3
+
     def test_custom_na_token(self, tmp_path):
         path = tmp_path / "tok.csv"
         path.write_text("x,y\n1.0,10.0\n2.0,11.0\n3.0,?\n")

@@ -169,6 +169,25 @@ def test_load_error_reports_leftmost_bad_cell(tmp_path):
         load_csv(path)
 
 
+def test_load_error_names_the_file_line(tmp_path):
+    # a quoted newline makes a record span two lines, so the bad record
+    # starts on line 4, not at record 3
+    path = tmp_path / "quoted.csv"
+    path.write_text('a,b\n"1\n",2\n3,oops\n')
+    with pytest.raises(DataFormatError, match="line 4, column 'b': cannot parse 'oops'"):
+        load_csv(path)
+    path.write_text('a,b\n"1\n",2\n3\n')
+    with pytest.raises(DataFormatError, match="line 4 has 1 fields, expected 2"):
+        load_csv(path)
+
+
+def test_load_non_utf8_is_a_data_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b\n1,2\n\xff,3\n")
+    with pytest.raises(DataFormatError, match="not UTF-8"):
+        load_csv(path)
+
+
 @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
 def test_load_non_finite(tmp_path, cell):
     path = tmp_path / "nonfinite.csv"
@@ -202,11 +221,16 @@ def test_round_trip_quoted_header(tmp_path, rng):
 
 
 def reference_parse(text, tokens=frozenset({"NA", "NaN", ""})):
-    """Cell-by-cell parse in file order: (values, mask) or the first error."""
-    header, *rows = csv.reader(io.StringIO(text, newline=""))
-    names = [h.strip() for h in header]
-    values, mask = [], []
-    for lineno, row in enumerate(rows, start=2):
+    """Cell-by-cell parse in file order: (values, mask) or the first error.
+
+    An error names the file line on which its record starts.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    names = [h.strip() for h in next(reader)]
+    values, mask, rows = [], [], []
+    lineno = reader.line_num + 1
+    for row in reader:
+        rows.append(row)
         if len(row) != len(names):
             return f"line {lineno} has {len(row)} fields, expected {len(names)}"
         for name, cell in zip(names, row):
@@ -220,12 +244,13 @@ def reference_parse(text, tokens=frozenset({"NA", "NaN", ""})):
                 return f"line {lineno}, column {name!r}: cannot parse {cell!r} as a number"
             if not math.isfinite(values[-1]):
                 return f"line {lineno}, column {name!r}: non-finite value {cell!r}"
+        lineno = reader.line_num + 1
     shape = (len(rows), len(names))
     return np.reshape(values, shape), np.reshape(mask, shape)
 
 
 NUMBERS = ["1", "-2.5", "0", "-0", " 1.5", "+.5", "1e5", "1_000", "5e-324"]
-ODD = ["NA", "", "NaN", "nan", "inf", "-inf", "1e400", "x", "1,5", "1 000", "0x10"]
+ODD = ["NA", "", "NaN", "nan", "inf", "-inf", "1e400", "x", "1,5", "1 000", "0x10", "1\n5"]
 
 
 @settings(

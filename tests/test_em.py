@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mcartest import ColumnRoles, Dataset, DegenerateDataError, SingularMatrixError, em_mvn
-from mcartest.em import _RidgeFlag, _chol, _factor, group_patterns
+from mcartest.em import _chol, _factor, group_patterns
 
 from conftest import loop_group_patterns, make_dataset
 
@@ -210,25 +210,25 @@ def test_fit_returns_grouping_of_kept_rows(rng):
     mask = np.array(ds.mask)
     mask[[4, 50]] = False  # dropped, so later rows shift down by one or two
     fit = em_mvn(ds.with_mask(mask))
-    expected = group_patterns(mask[mask.any(axis=1)])
-    assert len(fit.patterns) == len(expected)
-    for (obs, rows), (obs_e, rows_e) in zip(fit.patterns, expected):
-        assert np.array_equal(obs, obs_e)
-        assert np.array_equal(rows, rows_e)
-    assert sum(rows.size for _, rows in fit.patterns) == 118
+    kept = mask.any(axis=1)
+    z = np.where(mask, ds.values, 0.0)[kept]
+    expected = group_patterns(mask[kept])
+    assert len(fit.observed) == len(fit.counts) == len(fit.means) == len(expected)
+    for k, (obs_e, rows_e) in enumerate(expected):
+        assert np.array_equal(np.flatnonzero(fit.observed[k]), obs_e)
+        assert fit.counts[k] == rows_e.size
+        assert np.array_equal(fit.means[k], z[rows_e].mean(axis=0))
+    assert fit.counts.sum() == 118
 
-    (obs, rows), = em_mvn(ds.with_mask(np.ones((120, 3), bool))).patterns
-    assert np.array_equal(obs, np.arange(3))
-    assert np.array_equal(rows, np.arange(120))
+    complete = em_mvn(ds.with_mask(np.ones((120, 3), bool)))
+    assert np.array_equal(complete.observed, np.ones((1, 3), bool))
+    assert np.array_equal(complete.counts, [120])
+    assert np.array_equal(complete.means, [ds.values.mean(axis=0)])
 
 
 class TestRidgePath:
     # three patterns over d = 3; the middle one's observed block is replaced
-    PATTERNS = [
-        (np.array([0, 1, 2]), np.arange(4)),
-        (np.array([0, 2]), np.arange(4, 6)),
-        (np.array([1, 2]), np.arange(6, 9)),
-    ]
+    OBSERVED = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=bool)
 
     def stack(self, rng, middle):
         a = rng.standard_normal((6, 3))
@@ -236,23 +236,23 @@ class TestRidgePath:
         blocks = [sigma, middle, sigma[np.ix_([1, 2], [1, 2])]]
         stack = np.zeros((3, 3, 3))
         stack[:] = np.eye(3)
-        for padded, block, (obs, _) in zip(stack, blocks, self.PATTERNS):
+        for padded, block, obs in zip(stack, blocks, self.OBSERVED):
             padded[np.ix_(obs, obs)] = block
         return stack
 
     def test_positive_definite_stack_is_one_batched_call(self, rng):
         stack = self.stack(rng, np.array([[2.0, 0.5], [0.5, 1.0]]))
-        flag = _RidgeFlag()
-        assert np.array_equal(_factor(stack, self.PATTERNS, flag), np.linalg.cholesky(stack))
-        assert not flag.used
+        factors, ridged = _factor(stack, self.OBSERVED)
+        assert np.array_equal(factors, np.linalg.cholesky(stack))
+        assert not ridged
 
     def test_other_blocks_factored_alone(self, rng):
         # singular but positive semi-definite: plain Cholesky fails, the
         # ridged one does not
         stack = self.stack(rng, np.array([[1.0, 1.0], [1.0, 1.0]]))
-        factors = _factor(stack, self.PATTERNS, _RidgeFlag())
+        factors, _ = _factor(stack, self.OBSERVED)
         for k in (0, 2):
-            obs = self.PATTERNS[k][0]
+            obs = np.flatnonzero(self.OBSERVED[k])
             oo = np.ix_(obs, obs)
             assert np.array_equal(factors[k][oo], np.linalg.cholesky(stack[k][oo]))
             mis = np.setdiff1d(np.arange(3), obs)
@@ -260,21 +260,19 @@ class TestRidgePath:
 
     def test_failing_block_ridged_through_chol(self, rng):
         stack = self.stack(rng, np.array([[1.0, 1.0], [1.0, 1.0]]))
-        flag = _RidgeFlag()
-        factors = _factor(stack, self.PATTERNS, flag)
-        assert flag.used
+        factors, ridged = _factor(stack, self.OBSERVED)
+        assert ridged
         oo = np.ix_([0, 2], [0, 2])
-        expected = _chol(stack[1][oo], _RidgeFlag())
+        expected, used = _chol(stack[1][oo])
+        assert used
         assert np.array_equal(factors[1][oo], expected)
         assert factors[1][1, 1] == 1.0 and not factors[1][1, [0, 2]].any()
         assert np.allclose(expected @ expected.T, stack[1][oo], atol=1e-7)
 
     def test_singular_after_ridge_raises_singular_matrix_error(self, rng):
         stack = self.stack(rng, np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
-        flag = _RidgeFlag()
-        with pytest.raises(SingularMatrixError):
-            _factor(stack, self.PATTERNS, flag)
-        assert flag.used
+        with pytest.raises(SingularMatrixError, match="even after ridging"):
+            _factor(stack, self.OBSERVED)
 
     def test_collinear_columns_fit_with_a_ridge(self):
         # b = 2a exactly, so the fitted covariance turns singular and, as

@@ -324,7 +324,7 @@ class TestBlocks:
             assert mcartest.harness._blocks(s.replications, 1, cells_per_rep)[0] == (0, size)
             assert run_cell(s) == whole
 
-    @pytest.mark.parametrize("cell", SMALL_CELLS[:1])
+    @pytest.mark.parametrize("cell", SMALL_CELLS[:2])  # the second runs d2_general
     def test_workers_with_uneven_blocks(self, cell):
         s = scenario(**cell, replications=41)
         blocks = mcartest.harness._blocks(41, 3, s.n * (s.p + s.q))

@@ -14,7 +14,6 @@ from mcartest import (
     SingularMatrixError,
     apply_mechanism,
     bivariate_mcar_test,
-    gap_matrix,
     generate,
     little_mcar_general,
     little_mcar_univariate,
@@ -25,12 +24,12 @@ from mcartest import (
 )
 from mcartest.stats import (
     bivariate_batch,
+    little_general_batch,
     little_univariate_batch,
-    stack_columns,
     ustat_batch,
 )
 
-from conftest import make_dataset, pq_covariance, reference_routes, spd_eigh
+from conftest import gap_matrix, make_dataset, pq_covariance, reference_routes, spd_eigh
 
 
 def brute_gap(x, r):
@@ -439,6 +438,9 @@ class TestLittleGeneral:
         with_row = little_mcar_general(sub)
         without_row = little_mcar_general(kept)
         assert with_row.statistic == pytest.approx(without_row.statistic, rel=1e-10)
+        # n counts the kept rows, not the dataset's
+        n_kept = int(mask.any(axis=1).sum())
+        assert with_row.diagnostics["n"] == without_row.diagnostics["n"] == n_kept < sub.n
         assert base.method == "d2_general"
 
 
@@ -474,6 +476,13 @@ KERNELS = [
     pytest.param(bivariate_batch, bivariate_mcar_test, 1, 1, id="dn"),
     pytest.param(little_univariate_batch, little_mcar_univariate, 3, 1, id="d2_univariate-3X1Y"),
     pytest.param(little_univariate_batch, little_mcar_univariate, 1, 1, id="d2_univariate-1X1Y"),
+    pytest.param(
+        little_general_batch,
+        lambda ds, roles, alpha: little_mcar_general(ds, alpha),
+        2,
+        3,
+        id="d2_general-2X3Y",
+    ),
 ]
 
 
@@ -483,10 +492,10 @@ class TestBatchKernels:
         # a dataset's statistic is bitwise the same in a block of 1, of 7 and
         # of the whole stack
         datasets, roles = kernel_datasets(rng, 37, p, q)
-        whole = kernel(*stack_columns(datasets, roles))
+        whole = kernel(datasets, roles)
         for size in (1, 7):
             parts = [
-                kernel(*stack_columns(datasets[lo:lo + size], roles))
+                kernel(datasets[lo:lo + size], roles)
                 for lo in range(0, len(datasets), size)
             ]
             for field in ("statistic", "p_value"):
@@ -499,7 +508,7 @@ class TestBatchKernels:
     def test_matches_per_dataset_function(self, rng, kernel, test, p, q):
         # per dataset: the same exception, or the same TestResult
         datasets, roles = kernel_datasets(rng, 23, p, q)
-        batch = kernel(*stack_columns(datasets, roles))
+        batch = kernel(datasets, roles)
         assert sum(e is not None for e in batch.errors) >= 2
         for i, ds in enumerate(datasets):
             try:
@@ -513,8 +522,9 @@ class TestBatchKernels:
 
     def test_degenerate_classes(self, rng):
         datasets, roles = kernel_datasets(rng, 23, 1, 1)
-        x, r = stack_columns(datasets, roles)
-        an, dn, d2 = ustat_batch(x, r), bivariate_batch(x, r), little_univariate_batch(x, r)
+        an = ustat_batch(datasets, roles)
+        dn = bivariate_batch(datasets, roles)
+        d2 = little_univariate_batch(datasets, roles)
         assert isinstance(an.errors[3], SingularMatrixError)
         assert isinstance(an.errors[8], SingularMatrixError)
         assert "zero variance" in str(dn.errors[3]) and "zero variance" in str(dn.errors[8])
@@ -524,10 +534,10 @@ class TestBatchKernels:
 
     def test_shape_errors_are_raised_for_the_block(self, rng):
         datasets, roles = kernel_datasets(rng, 12, 2, 2)
-        x, r = stack_columns(datasets, roles)
         with pytest.raises(DegenerateDataError, match="exactly one complete"):
-            bivariate_batch(x, r)
+            bivariate_batch(datasets, roles)
         with pytest.raises(DegenerateDataError, match="exactly one incomplete"):
-            little_univariate_batch(x, r)
+            little_univariate_batch(datasets, roles)
+        two_rows = [Dataset(ds.values[:2], ds.mask[:2], ds.column_names) for ds in datasets]
         with pytest.raises(DegenerateDataError, match="n >= 3"):
-            ustat_batch(x[:, :2], r[:, :2])
+            ustat_batch(two_rows, roles)
