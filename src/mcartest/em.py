@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
 from .errors import DegenerateDataError, SingularMatrixError
 
 __all__ = ["EmResult", "em_mvn", "group_patterns"]
@@ -130,12 +129,16 @@ def _complete_fit(x: np.ndarray) -> EmResult:
     )
 
 
-def em_mvn(ds: Dataset, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
+def em_mvn(
+    values: np.ndarray, mask: np.ndarray, tol: float = 1e-8, max_iter: int = 500
+) -> EmResult:
     """Fit a multivariate normal to data with missing cells.
 
     Parameters
     ----------
-    ds : Dataset
+    values, mask : (n, d) arrays
+        A dataset's ``values`` and ``mask`` (True where observed); values
+        under a False mask entry are never read.
     tol : float
         Stop when the observed-data log-likelihood changes by less than
         this between iterations.
@@ -157,9 +160,9 @@ def em_mvn(ds: Dataset, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    keep = ds.mask.any(axis=1)
-    x = ds.values[keep]
-    mask = ds.mask[keep]
+    keep = mask.any(axis=1)
+    x = values[keep]
+    mask = mask[keep]
     n, d = x.shape
     if n <= d:
         raise DegenerateDataError(
@@ -168,9 +171,7 @@ def em_mvn(ds: Dataset, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
     obs_per_col = mask.sum(axis=0)
     if (obs_per_col == 0).any():
         j = int(np.argmin(obs_per_col))
-        raise DegenerateDataError(
-            f"column {ds.column_names[j]!r} has no observed cells"
-        )
+        raise DegenerateDataError(f"column {j} has no observed cells")
 
     if mask.all():
         return _complete_fit(x)

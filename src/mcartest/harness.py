@@ -7,13 +7,15 @@ hash, replication index, purpose), so results are bit-identical for any
 worker count and any subset of the grid, and adding replications never
 changes earlier ones.
 
-Replications run in blocks of contiguous indices.  Each replication is
-generated and amputated alone, from its own streams; every test then runs
-once over the block's datasets, through a batch kernel whose result for one
-dataset does not depend on what else is in the block (``d2_general`` still
-fits EM to each dataset alone inside its kernel).  Which tests exist, which
-kernel each uses and which shapes each applies to is the one registry
-``TESTS``.
+Replications run in blocks of contiguous indices, and a block's datasets
+are one (R, n, d) value array and one mask.  Each replication's draws fill
+its own slice from its own streams; the rest of generation and amputation
+runs once over the block (see ``synthesis.generate_block``).  Every test
+then runs once over the block's arrays, through a batch kernel whose
+result for one dataset does not depend on what else is in the block
+(``d2_general`` still fits EM to each dataset's slice alone inside its
+kernel).  Which tests exist, which kernel each uses and which shapes each
+applies to is the one registry ``TESTS``.
 
 Replications where a test raises a singularity or degeneracy error (for
 example a response column with no missing cells at small n) are counted as
@@ -43,10 +45,9 @@ from .stats import (
 from .synthesis import (
     DistributionSpec,
     MechanismSpec,
-    apply_mechanism,
+    amputate_block,
     fit_mechanism,
-    generate,
-    pattern_names,
+    generate_block,
 )
 
 __all__ = [
@@ -70,10 +71,10 @@ __all__ = [
 class TestSpec:
     """What the harness and the CLI need to know about one test.
 
-    ``batch(datasets, roles)`` tests a list of datasets of one shape at
-    once and returns a ``stats.BatchResult``.  ``p`` and ``q``, when set,
-    are the only numbers of complete and incomplete columns the test
-    applies to.
+    ``batch(values, mask, roles)`` tests an (R, n, d) stack of datasets of
+    one shape at once and returns a ``stats.BatchResult``.  ``p`` and
+    ``q``, when set, are the only numbers of complete and incomplete
+    columns the test applies to.
     """
 
     batch: Callable
@@ -82,7 +83,7 @@ class TestSpec:
 
     def run(self, ds: Dataset, roles: ColumnRoles, alpha: float) -> TestResult:
         """Test one dataset; raises the test's exception for it."""
-        return self.batch([ds], roles).result(0, alpha)
+        return self.batch(ds.values[None], ds.mask[None], roles).result(0, alpha)
 
     def check_shape(self, tag: str, p: int, q: int) -> None:
         """Raise ValueError unless the test applies to p complete and q
@@ -274,26 +275,31 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
 
 
 def _run_block(
-    scenario: Scenario, key: int, names: tuple, roles: ColumnRoles, tags: tuple,
-    start: int, stop: int,
+    scenario: Scenario, key: int, roles: ColumnRoles, tags: tuple, start: int, stop: int
 ) -> dict:
-    """Replications [start, stop): generate and amputate each, then test.
+    """Replications [start, stop): generate and amputate them, then test.
 
-    ``key``, ``names``, ``roles`` and ``tags`` (content hash, column names,
-    column roles, resolved tests) are computed once per cell by ``run_cell``.
-    Each test runs once over the whole block.  Returns {resolved tag: one
+    ``key``, ``roles`` and ``tags`` (content hash, column roles, resolved
+    tests) are computed once per cell by ``run_cell``.  Each replication
+    draws from its own two streams, opened one at a time as its turn comes;
+    the rest runs once over the whole block.  Returns {resolved tag: one
     entry per replication, (reject, statistic) or None for degenerate}.
     """
-    datasets = []
-    for rep in range(start, stop):
-        gen_rng = rng_stream(scenario.master_seed, key, rep, _GEN_STREAM)
-        full = generate(scenario.distribution, scenario.n, gen_rng, names)
-        amp_rng = rng_stream(scenario.master_seed, key, rep, _AMP_STREAM)
-        datasets.append(apply_mechanism(full, roles, scenario.mechanism, amp_rng))
+    def streams(purpose):
+        seed = scenario.master_seed
+        return (rng_stream(seed, key, rep, purpose) for rep in range(start, stop))
+
+    values = generate_block(
+        scenario.distribution,
+        streams(_GEN_STREAM),
+        np.empty((stop - start, scenario.n, scenario.p + scenario.q)),
+    )
+    mask = np.ones(values.shape, dtype=bool)
+    amputate_block(values, mask, roles, scenario.mechanism, streams(_AMP_STREAM))
 
     out = {}
     for tag in tags:
-        batch = TESTS[tag].batch(datasets, roles)
+        batch = TESTS[tag].batch(values, mask, roles)
         reject = (batch.p_value <= scenario.alpha).tolist()
         out[tag] = [
             None if error is not None else (rej, stat)
@@ -324,13 +330,7 @@ def run_cell(scenario: Scenario, workers: int = 1) -> CellResult:
     """
     n_rep = scenario.replications
     tags = resolve_tests(scenario.tests, scenario.q)
-    fixed = (
-        scenario,
-        scenario.content_hash(),
-        pattern_names(scenario.p, scenario.q),
-        scenario.roles,
-        tags,
-    )
+    fixed = (scenario, scenario.content_hash(), scenario.roles, tags)
     blocks = _blocks(n_rep, workers, scenario.n * (scenario.p + scenario.q))
     if workers > 1:
         # imported here: multiprocessing adds to every CLI call's start-up

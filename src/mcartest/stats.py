@@ -14,8 +14,9 @@ Four tests are exposed:
 
 Each test returns a TestResult with the statistic, degrees of freedom,
 p-value, accept/reject decision, and method-specific diagnostics.  Each is
-the one-dataset call of a batch kernel, ``kernel(datasets, roles)``, that
-tests a list of datasets of one shape at once and returns a BatchResult.
+the one-dataset call of a batch kernel, ``kernel(values, mask, roles)``,
+that tests a stack of R datasets of one shape at once, given as (R, n, d)
+value and mask arrays, and returns a BatchResult.
 """
 
 from dataclasses import dataclass, field
@@ -39,7 +40,6 @@ __all__ = [
     "BatchResult",
     "check_alpha",
     "mean_product_gap",
-    "stack_columns",
     "ustat_batch",
     "ustat_mcar_test",
     "bivariate_batch",
@@ -115,22 +115,20 @@ def mean_product_gap(x, r):
     return unbiased, biased
 
 
-def stack_columns(datasets, roles: ColumnRoles) -> tuple[np.ndarray, np.ndarray]:
-    """Complete-column values and float response indicators of R datasets.
+def _columns(values, mask, roles: ColumnRoles) -> tuple[np.ndarray, np.ndarray]:
+    """Complete-column values and float response indicators of a stack.
 
-    The datasets share n and the column layout.  Returns (R, n, p) and
-    (R, n, q) arrays whose columns are each contiguous, as
-    ``ds.values[:, cols]`` gives them for one dataset, so every dataset's
-    slice has the same strides in a stack of any size.  Roles are checked
-    against the data only by the per-dataset tests (see ``_one``); here,
-    no incomplete column raises DegenerateDataError.
+    Returns (R, n, p) and (R, n, q) arrays whose columns are each
+    contiguous, as ``ds.values[:, cols]`` gives them for one dataset, so
+    every dataset's slice has the same strides in a stack of any size.
+    Roles are checked against the data only by the per-dataset tests (see
+    ``_one``); here, no incomplete column raises DegenerateDataError.
     """
     if roles.q == 0:
         raise DegenerateDataError("no incomplete columns")
-    values = np.stack([ds.values for ds in datasets]).transpose(0, 2, 1)
-    mask = np.stack([ds.mask for ds in datasets]).transpose(0, 2, 1)
-    x = np.ascontiguousarray(values[:, list(roles.complete)])
-    r = np.ascontiguousarray(mask[:, list(roles.incomplete)], dtype=float)
+    x = np.ascontiguousarray(values.transpose(0, 2, 1)[:, list(roles.complete)])
+    observed = mask.transpose(0, 2, 1)[:, list(roles.incomplete)]
+    r = np.ascontiguousarray(observed, dtype=float)
     return x.transpose(0, 2, 1), r.transpose(0, 2, 1)
 
 
@@ -183,18 +181,18 @@ def _failed(errors: tuple) -> np.ndarray:
 
 
 def _one(kernel, ds: Dataset, roles: ColumnRoles, alpha: float) -> TestResult:
-    """``kernel`` of a one-dataset list, after checking alpha and the roles."""
+    """``kernel`` of a stack of one, after checking alpha and the roles."""
     check_alpha(alpha)
     response_matrix(ds, roles)  # raises for roles that do not fit ds
-    return kernel([ds], roles).result(0, alpha)
+    return kernel(ds.values[None], ds.mask[None], roles).result(0, alpha)
 
 
-def ustat_batch(datasets, roles: ColumnRoles) -> BatchResult:
-    """``ustat_mcar_test`` on each of a list of datasets of one shape.
+def ustat_batch(values, mask, roles: ColumnRoles) -> BatchResult:
+    """``ustat_mcar_test`` on each dataset of an (R, n, d) stack.
 
-    Each dataset's outcome is bitwise the same in a list of any size.
+    Each dataset's outcome is bitwise the same in a stack of any size.
     """
-    x, r = stack_columns(datasets, roles)
+    x, r = _columns(values, mask, roles)
     n = x.shape[-2]
     if n < 3:
         raise DegenerateDataError("the quadratic-form test requires n >= 3")
@@ -237,14 +235,14 @@ def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> Tes
     S^(-1/2) (sqrt(n) g) = sqrt(n) vec(V_x H V_r'), whose squared sum is
     the statistic, and the condition number of S.  The test suite checks
     the statistic against the pq x pq route and the maximum-likelihood
-    moment pair.  Computed as ``ustat_batch`` of a one-dataset list.
+    moment pair.  Computed as ``ustat_batch`` of a stack of one.
     """
     return _one(ustat_batch, ds, roles, alpha)
 
 
-def bivariate_batch(datasets, roles: ColumnRoles) -> BatchResult:
-    """``bivariate_mcar_test`` on each of a list of datasets with p = q = 1."""
-    x, r = stack_columns(datasets, roles)
+def bivariate_batch(values, mask, roles: ColumnRoles) -> BatchResult:
+    """``bivariate_mcar_test`` on each dataset of a stack with p = q = 1."""
+    x, r = _columns(values, mask, roles)
     p, q = x.shape[-1], r.shape[-1]
     if p != 1 or q != 1:
         raise DegenerateDataError(
@@ -288,15 +286,15 @@ def bivariate_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) ->
 
     The unbiased mean-product gap scaled by sqrt(n) and the two sample
     standard deviations is asymptotically standard normal under MCAR;
-    the test is two-sided.  Computed as ``bivariate_batch`` of a
-    one-dataset list.
+    the test is two-sided.  Computed as ``bivariate_batch`` of a stack of
+    one.
     """
     return _one(bivariate_batch, ds, roles, alpha)
 
 
-def little_univariate_batch(datasets, roles: ColumnRoles) -> BatchResult:
-    """``little_mcar_univariate`` on each of a list of datasets with q = 1."""
-    x, r = stack_columns(datasets, roles)
+def little_univariate_batch(values, mask, roles: ColumnRoles) -> BatchResult:
+    """``little_mcar_univariate`` on each dataset of a stack with q = 1."""
+    x, r = _columns(values, mask, roles)
     if r.shape[-1] != 1:
         raise DegenerateDataError(
             "the closed form applies to exactly one incomplete column "
@@ -355,31 +353,31 @@ def little_mcar_univariate(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05)
     of the maximum-likelihood estimate of Cov(X) * Var(R).  Chi-squared
     calibration with p degrees of freedom.  Requires both observed and
     missing rows to exist.  Computed as ``little_univariate_batch`` of a
-    one-dataset list.
+    stack of one.
     """
     return _one(little_univariate_batch, ds, roles, alpha)
 
 
-def little_general_batch(datasets, roles: ColumnRoles = None) -> BatchResult:
-    """``little_mcar_general`` on each of a list of datasets of one shape.
+def little_general_batch(values, mask, roles: ColumnRoles = None) -> BatchResult:
+    """``little_mcar_general`` on each dataset of an (R, n, d) stack.
 
-    Each dataset gets its own EM fit (``roles`` is not used: d2 reads the
-    missingness of every column), and the d2 sums of all fits come from one
-    ``spd_eigh_stack`` call over their padded observed blocks.
+    Each dataset's slice gets its own EM fit (``roles`` is not used: d2
+    reads the missingness of every column), and the d2 sums of all fits
+    come from one ``spd_eigh_stack`` call over their padded observed blocks.
     """
-    d = datasets[0].d
-    fits, errors = [None] * len(datasets), [None] * len(datasets)
-    # empty first entries, so that a list with no fit still concatenates
+    n_sets, _, d = values.shape
+    fits, errors = [None] * n_sets, [None] * n_sets
+    # empty first entries, so that a stack with no fit still concatenates
     blocks, devs = [np.empty((0, d, d))], [np.empty((0, d))]
-    for i, ds in enumerate(datasets):
-        kept = ds.mask[ds.mask.any(axis=1)]
+    for i, held in enumerate(mask):
+        kept = held[held.any(axis=1)]
         if not kept.size or (kept == kept[0]).all():
             errors[i] = DegenerateDataError(
                 "Little's test is undefined for a single missingness pattern"
             )
             continue
         try:
-            fit = fits[i] = em_mvn(ds)
+            fit = fits[i] = em_mvn(values[i], held)
         except (DegenerateDataError, SingularMatrixError) as exc:
             errors[i] = exc
             continue
@@ -398,9 +396,9 @@ def little_general_batch(datasets, roles: ColumnRoles = None) -> BatchResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.sum(projected**2 / w, axis=1)
 
-    statistic = np.zeros(len(datasets))
-    p_value = np.ones(len(datasets))
-    df = np.zeros(len(datasets), dtype=int)
+    statistic = np.zeros(n_sets)
+    p_value = np.ones(n_sets)
+    df = np.zeros(n_sets, dtype=int)
     lo = 0
     for i, fit in enumerate(fits):
         if fit is None:
@@ -417,7 +415,7 @@ def little_general_batch(datasets, roles: ColumnRoles = None) -> BatchResult:
     return BatchResult(
         method=METHOD_LITTLE_GENERAL,
         df=df,
-        n=datasets[0].n,
+        n=values.shape[1],
         statistic=statistic,
         p_value=p_value,
         errors=tuple(errors),
@@ -444,7 +442,7 @@ def little_mcar_general(ds: Dataset, alpha: float = 0.05) -> TestResult:
 
     Raises DegenerateDataError when fewer than two patterns are present (the
     test is undefined) and SingularMatrixError for a singular observed block.
-    Computed as ``little_general_batch`` of a one-dataset list.
+    Computed as ``little_general_batch`` of a stack of one.
     """
     check_alpha(alpha)
-    return little_general_batch([ds]).result(0, alpha)
+    return little_general_batch(ds.values[None], ds.mask[None]).result(0, alpha)

@@ -21,7 +21,15 @@ and the mar_1_to_x high-group rate 2px/(x+1) <= 1, the ``p_high``/``p_low``
 rates in [0, 1] and of equal count.  ``fit_mechanism`` checks it against
 the column roles of a dataset: every target incomplete, every control
 complete, one control and one mar_mean rate pair per target.  It resolves
-the default targets and controls, and ``apply_mechanism`` calls it once.
+the default targets and controls, and ``amputate_block`` calls it once.
+
+The Monte-Carlo harness makes R datasets of one shape at a time, as one
+(R, n, d) value array and one mask.  ``generate_block`` and
+``amputate_block`` work on those arrays: each replication's draws come
+from its own generator, in the order a lone dataset draws them, and the
+rest (Clayton's margins, the medians and means that split the rows, the
+masks) runs once over the block.  ``generate`` and ``apply_mechanism``
+are their calls for one dataset.
 """
 
 from dataclasses import dataclass
@@ -39,8 +47,10 @@ __all__ = [
     "pattern_names",
     "gen_std_normal",
     "gen_clayton",
+    "generate_block",
     "generate",
     "fit_mechanism",
+    "amputate_block",
     "apply_mechanism",
 ]
 
@@ -220,50 +230,59 @@ def pattern_names(p: int, q: int) -> tuple:
     )
 
 
-def gen_std_normal(n: int, d: int, rng, names=None) -> Dataset:
-    """Fully observed n x d matrix of i.i.d. standard normal entries."""
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    values = rng.standard_normal((n, d))
-    if names is None:
-        names = tuple(f"c{j}" for j in range(1, d + 1))
-    return Dataset(values, np.ones((n, d), dtype=bool), names)
+def generate_block(spec: DistributionSpec, rngs, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, an (R, n, d) array, with R fully observed datasets.
 
-
-def gen_clayton(n: int, spec: DistributionSpec, rng, names=None) -> Dataset:
-    """Clayton-copula sample with the margins listed in ``spec.margins``.
-
-    Mixture construction: one Gamma(1/theta, 1) frailty per row, independent
-    Exp(1) shocks per cell, U = (1 + E/V)^(-1/theta).  Margins are applied
-    columnwise to the common copula draw through their quantile functions.
+    ``out[i]`` draws from the i-th generator of the iterable ``rngs`` alone,
+    and gives the same bits in a block of any size.  Standard normals fill
+    it row by row.  The Clayton copula is a mixture: one Gamma(1/theta, 1)
+    frailty per row, then independent Exp(1) shocks per cell, and
+    U = (1 + E/V)^(-1/theta); each margin is applied columnwise to U
+    through its quantile function.  Returns ``out``.
     """
-    if spec.kind != "clayton":
-        raise ValueError(f"gen_clayton needs a clayton spec, got {spec.kind!r}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    theta = spec.theta
-    v = rng.gamma(1.0 / theta, 1.0, size=n)
-    e = rng.exponential(1.0, size=(n, spec.dim))
-    u = (1.0 + e / v[:, None]) ** (-1.0 / theta)
-
-    values = np.empty_like(u)
+    if spec.kind == "std_normal":
+        for rng, values in zip(rngs, out):
+            rng.standard_normal(values.shape, out=values)
+        return out
+    frailty = np.empty(out.shape[:2])
+    for rng, v, values in zip(rngs, frailty, out):
+        rng.standard_gamma(1.0 / spec.theta, out=v)
+        rng.standard_exponential(values.shape, out=values)
+    out /= frailty[..., None]
+    out += 1.0
+    out **= -1.0 / spec.theta
     for j, margin in enumerate(spec.margins):
         if margin == "exp1":
-            values[:, j] = -np.log1p(-u[:, j])
+            out[..., j] = -np.log1p(-out[..., j])
         elif margin == "chisq4":
-            values[:, j] = chi2_quantile(u[:, j], 4)
-        else:
-            values[:, j] = u[:, j]
-    if names is None:
-        names = tuple(f"c{j}" for j in range(1, spec.dim + 1))
-    return Dataset(values, np.ones((n, spec.dim), dtype=bool), names)
+            out[..., j] = chi2_quantile(out[..., j], 4)
+    return out
 
 
 def generate(spec: DistributionSpec, n: int, rng, names=None) -> Dataset:
-    """Sample a fully observed dataset according to the distribution spec."""
-    if spec.kind == "std_normal":
-        return gen_std_normal(n, spec.dim, rng, names)
-    return gen_clayton(n, spec, rng, names)
+    """Sample a fully observed dataset according to the distribution spec.
+
+    The one-dataset call of ``generate_block``; ``names`` defaults to
+    c1..cd.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
+    values = generate_block(spec, [rng], np.empty((1, n, spec.dim)))[0]
+    if names is None:
+        names = tuple(f"c{j}" for j in range(1, spec.dim + 1))
+    return Dataset(values, np.ones(values.shape, dtype=bool), names)
+
+
+def gen_std_normal(n: int, d: int, rng, names=None) -> Dataset:
+    """Fully observed n x d matrix of i.i.d. standard normal entries."""
+    return generate(DistributionSpec(kind="std_normal", dim=d), n, rng, names)
+
+
+def gen_clayton(n: int, spec: DistributionSpec, rng, names=None) -> Dataset:
+    """Clayton-copula sample with the margins listed in ``spec.margins``."""
+    if spec.kind != "clayton":
+        raise ValueError(f"gen_clayton needs a clayton spec, got {spec.kind!r}")
+    return generate(spec, n, rng, names)
 
 
 def fit_mechanism(spec: MechanismSpec, roles: ColumnRoles) -> tuple:
@@ -303,30 +322,40 @@ def fit_mechanism(spec: MechanismSpec, roles: ColumnRoles) -> tuple:
     return targets, controls
 
 
-def apply_mechanism(ds: Dataset, roles: ColumnRoles, spec: MechanismSpec, rng) -> Dataset:
-    """Mask target cells of ``ds`` under the mechanism ``spec``.
+def amputate_block(
+    values: np.ndarray, mask: np.ndarray, roles: ColumnRoles, spec: MechanismSpec, rngs
+) -> None:
+    """Clear, in ``mask``, the target cells that ``spec`` amputates.
+
+    ``values`` and ``mask`` are (R, n, d) stacks of R datasets; dataset i
+    draws from the i-th generator of the iterable ``rngs`` alone, and its
+    mask gets the same bits in a block of any size.
 
     ``mcar``, ``mar_1_to_x`` and ``mar_mean`` mask each target cell
-    independently, drawing one ``rng.random(n)`` per target in target
-    order.  The per-row rate is ``miss_prob`` for mcar; otherwise rows
-    whose control lies strictly above its median (mar_1_to_x) or mean
-    (mar_mean) take the high-group rate, and ties go low.  mar_1_to_x's
-    rates solve p_high = x * p_low with mean rate p: p_high = 2px/(x+1),
-    p_low = 2p/(x+1), so x = 1 is mcar draw for draw.  ``mar_rank`` masks
-    exactly round(n*p) cells per target, one ``rng.choice`` without
-    replacement weighted by the control's average ranks.
+    independently: a dataset draws ``rng.random((len(targets), n))``, one
+    row of uniforms per target in target order.  The per-row rate is
+    ``miss_prob`` for mcar; otherwise rows whose control lies strictly
+    above its median (mar_1_to_x) or mean (mar_mean) take the high-group
+    rate, and ties go low.  mar_1_to_x's rates solve p_high = x * p_low
+    with mean rate p: p_high = 2px/(x+1), p_low = 2p/(x+1), so x = 1 is
+    mcar draw for draw.  ``mar_rank`` masks exactly round(n*p) cells per
+    target, one ``rng.choice`` without replacement weighted by the
+    control's average ranks.
     """
     targets, controls = fit_mechanism(spec, roles)
-    n = ds.n
-    mask = np.array(ds.mask)
+    n = values.shape[1]
     if spec.kind == "mar_rank":
         m = int(np.floor(n * spec.miss_prob + 0.5))
-        for j, c in zip(targets, controls):
-            if m > 0:
-                weights = ranks(ds.values[:, c])
-                chosen = rng.choice(n, size=m, replace=False, p=weights / weights.sum())
-                mask[chosen, j] = False
-        return ds.with_mask(mask)
+        for rng, x, held in zip(rngs, values, mask):
+            for j, c in zip(targets, controls):
+                if m > 0:
+                    weights = ranks(x[:, c])
+                    chosen = rng.choice(n, size=m, replace=False, p=weights / weights.sum())
+                    held[chosen, j] = False
+        return
+    uniforms = np.empty((len(values), len(targets), n))
+    for rng, u in zip(rngs, uniforms):
+        rng.random(u.shape, out=u)
     if spec.kind == "mcar":
         thresholds = repeat(spec.miss_prob)
     else:
@@ -341,9 +370,24 @@ def apply_mechanism(ds: Dataset, roles: ColumnRoles, spec: MechanismSpec, rng) -
                 else zip(spec.p_high, spec.p_low)
             )
             center = np.mean
-        # targets sharing a control share its split
-        split = {c: ds.values[:, c] > center(ds.values[:, c]) for c in set(controls)}
+        # targets sharing a control share its split; a row's centre sums
+        # its own control values only, in the order a lone dataset does
+        split = {
+            c: values[..., c] > center(values[..., c], axis=1)[:, None]
+            for c in set(controls)
+        }
         thresholds = [np.where(split[c], hi, lo) for c, (hi, lo) in zip(controls, rates)]
-    for j, threshold in zip(targets, thresholds):
-        mask[:, j] &= rng.random(n) >= threshold
+    for j, u, threshold in zip(targets, uniforms.transpose(1, 0, 2), thresholds):
+        mask[..., j] &= u >= threshold
+
+
+def apply_mechanism(ds: Dataset, roles: ColumnRoles, spec: MechanismSpec, rng) -> Dataset:
+    """Mask target cells of ``ds`` under the mechanism ``spec``.
+
+    The one-dataset call of ``amputate_block``, which describes the
+    mechanisms and their draws.  Cells already missing in ``ds`` stay
+    missing.
+    """
+    mask = np.array(ds.mask)
+    amputate_block(ds.values[None], mask[None], roles, spec, [rng])
     return ds.with_mask(mask)

@@ -30,7 +30,6 @@ from scipy import stats as sps
 
 from mcartest import (
     ColumnRoles,
-    Dataset,
     DistributionSpec,
     MechanismSpec,
     bivariate_mcar_test,
@@ -238,8 +237,7 @@ def test_09_clayton_generator_quality():
 def test_10_em_sanity():
     rng = np.random.default_rng(110)
     x = rng.standard_normal((60, 3)) * np.array([1.0, 2.0, 0.5]) + 1.0
-    complete = Dataset(x, np.ones((60, 3), bool), ("a", "b", "c"))
-    fit = em_mvn(complete)
+    fit = em_mvn(x, np.ones((60, 3), bool))
     centered = x - x.mean(axis=0)
     exact = (
         fit.iterations == 1
@@ -251,7 +249,7 @@ def test_10_em_sanity():
     y = rng.standard_normal((300, 3))
     mask = rng.random((300, 3)) >= 0.2
     mask[:, 0] = True
-    fit2 = em_mvn(Dataset(y, mask, ("a", "b", "c")))
+    fit2 = em_mvn(y, mask)
     trace = np.array(fit2.loglik_trace)
     monotone = bool(np.all(np.diff(trace) >= -1e-9))
     ok = exact and monotone and fit2.converged and fit2.iterations <= 500

@@ -56,7 +56,7 @@ def test_matches_row_by_row_em(rng):
     # em_mvn's start: available-case means and variances
     mu = np.array([x[mask[:, j], j].mean() for j in range(3)])
     sigma = np.diag([x[mask[:, j], j].var() for j in range(3)])
-    fit = em_mvn(ds, tol=1e-300, max_iter=6)
+    fit = em_mvn(ds.values, ds.mask, tol=1e-300, max_iter=6)
     ref_mu, ref_sigma, ref_trace = row_by_row_em(x, mask, mu, sigma, 6)
     np.testing.assert_allclose(fit.loglik_trace, ref_trace, rtol=1e-12)
     np.testing.assert_allclose(fit.mu, ref_mu, rtol=1e-10, atol=1e-12)
@@ -65,8 +65,7 @@ def test_matches_row_by_row_em(rng):
 
 def test_complete_data_is_direct_ml(rng):
     x = rng.standard_normal((50, 3))
-    ds = Dataset(x, np.ones((50, 3), bool), ("a", "b", "c"))
-    fit = em_mvn(ds)
+    fit = em_mvn(x, np.ones((50, 3), bool))
     assert fit.iterations == 1
     assert fit.converged
     assert len(fit.loglik_trace) == 1
@@ -77,7 +76,7 @@ def test_complete_data_is_direct_ml(rng):
 
 def test_loglik_monotone_under_mcar(rng):
     ds = mcar_normal(rng, 300, 3, 0.2)
-    fit = em_mvn(ds)
+    fit = em_mvn(ds.values, ds.mask)
     assert fit.converged
     trace = np.array(fit.loglik_trace)
     assert len(trace) >= 2
@@ -89,7 +88,7 @@ def test_monotone_pattern_matches_regression_factorization(rng):
     # regression of y on the complete block fitted on observed-y rows
     n = 400
     ds, _ = make_dataset(rng, n, 2, 1, miss_prob=0.3)
-    fit = em_mvn(ds, tol=1e-12)
+    fit = em_mvn(ds.values, ds.mask, tol=1e-12)
     x = ds.values[:, :2]
     y = ds.values[:, 2]
     obs = ds.mask[:, 2]
@@ -123,8 +122,8 @@ def test_all_missing_rows_are_dropped(rng):
     vals = vals + rng.standard_normal((100, 2)) * 0.3
     mask = np.array(ds.mask[:, [0, 1]])
     mask[0] = False
-    with_row = em_mvn(Dataset(vals, mask, ("a", "b")))
-    without_row = em_mvn(Dataset(vals[1:], mask[1:], ("a", "b")))
+    with_row = em_mvn(vals, mask)
+    without_row = em_mvn(vals[1:], mask[1:])
     np.testing.assert_allclose(with_row.mu, without_row.mu, atol=1e-9)
     np.testing.assert_allclose(with_row.sigma, without_row.sigma, atol=1e-9)
 
@@ -134,7 +133,7 @@ def test_never_observed_column_rejected(rng):
     mask = np.ones((20, 2), bool)
     mask[:, 1] = False
     with pytest.raises(DegenerateDataError, match="no observed cells"):
-        em_mvn(Dataset(vals, mask, ("a", "b")))
+        em_mvn(vals, mask)
 
 
 def test_needs_more_rows_than_columns(rng):
@@ -142,20 +141,20 @@ def test_needs_more_rows_than_columns(rng):
     mask = np.ones((3, 3), bool)
     mask[0, 1] = False
     with pytest.raises(DegenerateDataError):
-        em_mvn(Dataset(vals, mask, ("a", "b", "c")))
+        em_mvn(vals, mask)
 
 
 def test_invalid_controls():
-    ds = Dataset(np.ones((5, 1)), np.ones((5, 1), bool), ("a",))
+    vals, mask = np.ones((5, 1)), np.ones((5, 1), bool)
     with pytest.raises(ValueError):
-        em_mvn(ds, tol=0.0)
+        em_mvn(vals, mask, tol=0.0)
     with pytest.raises(ValueError):
-        em_mvn(ds, max_iter=0)
+        em_mvn(vals, mask, max_iter=0)
 
 
 def test_iteration_cap_reported(rng):
     ds = mcar_normal(rng, 200, 3, 0.3)
-    fit = em_mvn(ds, tol=1e-300, max_iter=4)
+    fit = em_mvn(ds.values, ds.mask, tol=1e-300, max_iter=4)
     assert not fit.converged
     assert fit.iterations == 4
 
@@ -209,7 +208,7 @@ def test_fit_returns_grouping_of_kept_rows(rng):
     ds = mcar_normal(rng, 120, 3, 0.3)
     mask = np.array(ds.mask)
     mask[[4, 50]] = False  # dropped, so later rows shift down by one or two
-    fit = em_mvn(ds.with_mask(mask))
+    fit = em_mvn(ds.values, mask)
     kept = mask.any(axis=1)
     z = np.where(mask, ds.values, 0.0)[kept]
     expected = group_patterns(mask[kept])
@@ -220,7 +219,7 @@ def test_fit_returns_grouping_of_kept_rows(rng):
         assert np.array_equal(fit.means[k], z[rows_e].mean(axis=0))
     assert fit.counts.sum() == 118
 
-    complete = em_mvn(ds.with_mask(np.ones((120, 3), bool)))
+    complete = em_mvn(ds.values, np.ones((120, 3), bool))
     assert np.array_equal(complete.observed, np.ones((1, 3), bool))
     assert np.array_equal(complete.counts, [120])
     assert np.array_equal(complete.means, [ds.values.mean(axis=0)])
@@ -284,7 +283,7 @@ class TestRidgePath:
             values = np.column_stack([a, 2.0 * a, rng.standard_normal(60)])
             mask = rng.random((60, 3)) >= 0.2
             mask[:, 0] = True
-            fit = em_mvn(Dataset(values, mask, ("a", "b", "c")))
+            fit = em_mvn(values, mask)
             assert np.isfinite(fit.sigma).all() and np.isfinite(fit.loglik_trace).all()
             ridged.append(fit.ridged)
         assert any(ridged)

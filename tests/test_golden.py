@@ -8,7 +8,10 @@ replications), a ``mar_rank`` 1X1Y cell with every test, and two small
 cells where many replications are degenerate.  The two ``mar_mean`` cells
 (the stock rates; explicit rates with one control shared by two targets)
 were written before the four per-mechanism amputation functions were
-merged into ``apply_mechanism``.
+merged into ``apply_mechanism``.  The two Clayton cells (``chisq4`` and
+``uniform`` margins), the ``mar_rank`` cell with three targets and the
+two-worker run of criterion 7 were written before each block of
+replications was generated and amputated as one array.
 """
 
 from pathlib import Path
@@ -53,11 +56,35 @@ CASES = {
         "--p-low 0.05,0.1,0.02 --controls x2,x2,x1 --tests an,d2 --replications 200 "
         "--seed 1006"
     ),
+    "clayton_chisq4_2X2Y_mar_1_to_x.csv": (
+        "--p 2 --q 2 --n 60 --dist clayton --theta 2 --margins chisq4 "
+        "--mechanism mar_1_to_x --miss-prob 0.15 --odds 4 --tests an,d2 "
+        "--replications 150 --seed 1007"
+    ),
+    "clayton_uniform_1X2Y_mar_mean.csv": (
+        "--p 1 --q 2 --n 80 --dist clayton --theta 0.5 --margins uniform,chisq4,uniform "
+        "--mechanism mar_mean --tests an,d2 --replications 200 --seed 1008"
+    ),
+    "mar_rank_2X3Y.csv": (
+        "--p 2 --q 3 --n 50 --mechanism mar_rank --miss-prob 0.1 --tests an,d2 "
+        "--replications 150 --seed 1009"
+    ),
 }
+
+# cases run again with more worker processes; they must give the same bytes
+WORKERS = {"criterion07_1X2Y_mar_1_to_x.csv": 2}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_results_csv_matches_golden(name, tmp_path, capsys):
     out = tmp_path / name
     assert main(["simulate", *CASES[name].split(), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name, workers", sorted(WORKERS.items()))
+def test_workers_match_golden(name, workers, tmp_path, capsys):
+    out = tmp_path / name
+    args = [*CASES[name].split(), "--workers", str(workers), "--out", str(out)]
+    assert main(["simulate", *args]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()

@@ -283,6 +283,27 @@ SMALL_CELLS = [
              mechanism=MechanismSpec(kind="mar_1_to_x", miss_prob=0.1, odds=9.0)),
         id="1X1Y-n10-dn-d2",
     ),
+    pytest.param(
+        dict(label="2X3Y", distribution=DistributionSpec(kind="std_normal", dim=5),
+             p=2, q=3, n=12, tests=("an",),
+             mechanism=MechanismSpec(kind="mar_mean", p_high=(0.3, 0.1, 0.2),
+                                     p_low=(0.05, 0.2, 0.1), controls=(1, 1, 0))),
+        id="2X3Y-n12-mar_mean-shared-control",
+    ),
+    pytest.param(
+        dict(label="2X2Y", distribution=DistributionSpec(kind="std_normal", dim=4),
+             p=2, q=2, n=6, tests=("an",),
+             mechanism=MechanismSpec(kind="mar_rank", miss_prob=0.2)),
+        id="2X2Y-n6-mar_rank",
+    ),
+    pytest.param(
+        dict(label="2X2Y",
+             distribution=DistributionSpec(kind="clayton", dim=4, theta=2.0,
+                                           margins=("chisq4", "uniform", "exp1", "chisq4")),
+             p=2, q=2, n=10, tests=("an", "d2"),
+             mechanism=MechanismSpec(kind="mcar", miss_prob=0.1)),
+        id="2X2Y-n10-clayton",
+    ),
 ]
 
 
@@ -324,7 +345,7 @@ class TestBlocks:
             assert mcartest.harness._blocks(s.replications, 1, cells_per_rep)[0] == (0, size)
             assert run_cell(s) == whole
 
-    @pytest.mark.parametrize("cell", SMALL_CELLS[:2])  # the second runs d2_general
+    @pytest.mark.parametrize("cell", SMALL_CELLS)
     def test_workers_with_uneven_blocks(self, cell):
         s = scenario(**cell, replications=41)
         blocks = mcartest.harness._blocks(41, 3, s.n * (s.p + s.q))

@@ -470,6 +470,11 @@ def kernel_datasets(rng, n, p, q):
     return out, ColumnRoles(tuple(range(p)), tuple(range(p, p + q)))
 
 
+def stacked(datasets):
+    """The (R, n, d) value and mask stacks of a list of datasets."""
+    return np.stack([ds.values for ds in datasets]), np.stack([ds.mask for ds in datasets])
+
+
 KERNELS = [
     pytest.param(ustat_batch, ustat_mcar_test, 2, 3, id="an-2X3Y"),
     pytest.param(ustat_batch, ustat_mcar_test, 1, 1, id="an-1X1Y"),
@@ -492,10 +497,11 @@ class TestBatchKernels:
         # a dataset's statistic is bitwise the same in a block of 1, of 7 and
         # of the whole stack
         datasets, roles = kernel_datasets(rng, 37, p, q)
-        whole = kernel(datasets, roles)
+        values, mask = stacked(datasets)
+        whole = kernel(values, mask, roles)
         for size in (1, 7):
             parts = [
-                kernel(datasets[lo:lo + size], roles)
+                kernel(values[lo:lo + size], mask[lo:lo + size], roles)
                 for lo in range(0, len(datasets), size)
             ]
             for field in ("statistic", "p_value"):
@@ -508,7 +514,7 @@ class TestBatchKernels:
     def test_matches_per_dataset_function(self, rng, kernel, test, p, q):
         # per dataset: the same exception, or the same TestResult
         datasets, roles = kernel_datasets(rng, 23, p, q)
-        batch = kernel(datasets, roles)
+        batch = kernel(*stacked(datasets), roles)
         assert sum(e is not None for e in batch.errors) >= 2
         for i, ds in enumerate(datasets):
             try:
@@ -522,9 +528,9 @@ class TestBatchKernels:
 
     def test_degenerate_classes(self, rng):
         datasets, roles = kernel_datasets(rng, 23, 1, 1)
-        an = ustat_batch(datasets, roles)
-        dn = bivariate_batch(datasets, roles)
-        d2 = little_univariate_batch(datasets, roles)
+        an = ustat_batch(*stacked(datasets), roles)
+        dn = bivariate_batch(*stacked(datasets), roles)
+        d2 = little_univariate_batch(*stacked(datasets), roles)
         assert isinstance(an.errors[3], SingularMatrixError)
         assert isinstance(an.errors[8], SingularMatrixError)
         assert "zero variance" in str(dn.errors[3]) and "zero variance" in str(dn.errors[8])
@@ -534,10 +540,10 @@ class TestBatchKernels:
 
     def test_shape_errors_are_raised_for_the_block(self, rng):
         datasets, roles = kernel_datasets(rng, 12, 2, 2)
+        values, mask = stacked(datasets)
         with pytest.raises(DegenerateDataError, match="exactly one complete"):
-            bivariate_batch(datasets, roles)
+            bivariate_batch(values, mask, roles)
         with pytest.raises(DegenerateDataError, match="exactly one incomplete"):
-            little_univariate_batch(datasets, roles)
-        two_rows = [Dataset(ds.values[:2], ds.mask[:2], ds.column_names) for ds in datasets]
+            little_univariate_batch(values, mask, roles)
         with pytest.raises(DegenerateDataError, match="n >= 3"):
-            ustat_batch(two_rows, roles)
+            ustat_batch(values[:, :2], mask[:, :2], roles)

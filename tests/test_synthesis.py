@@ -18,7 +18,13 @@ from mcartest import (
     rng_stream,
 )
 from mcartest.numerics import chi2_quantile
-from mcartest.synthesis import MECHANISM_KINDS, fit_mechanism
+from mcartest.synthesis import (
+    MARGIN_KINDS,
+    MECHANISM_KINDS,
+    amputate_block,
+    fit_mechanism,
+    generate_block,
+)
 
 KS_1PCT = 1.6276  # asymptotic 1% critical coefficient: reject if D > c/sqrt(n)
 
@@ -422,12 +428,9 @@ class TestDispatcherAndDefaults:
             amputate(ds, roles_for(3, 0), rng, kind="mcar", miss_prob=0.2)
 
 
-@st.composite
-def amputation_cases(draw):
-    """A dataset with some cells already missing, its roles and a spec."""
-    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    n = draw(st.integers(1, 60))
-    seed = draw(st.integers(0, 2**32 - 1))
+def draw_mechanism(draw, p, q) -> MechanismSpec:
+    """Any mechanism that fits p complete and q incomplete columns: default
+    or explicit targets, default or explicit (possibly shared) controls."""
     kind = draw(st.sampled_from(MECHANISM_KINDS))
     targets = draw(
         st.none()
@@ -449,7 +452,16 @@ def amputation_cases(draw):
         spec.update(odds=odds, miss_prob=miss_prob)
     else:
         spec["miss_prob"] = draw(rate)
-    return p, q, n, seed, draw(st.booleans()), MechanismSpec(**spec)
+    return MechanismSpec(**spec)
+
+
+@st.composite
+def amputation_cases(draw):
+    """A dataset with some cells already missing, its roles and a spec."""
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return p, q, n, seed, draw(st.booleans()), draw_mechanism(draw, p, q)
 
 
 @settings(max_examples=200, deadline=None)
@@ -478,3 +490,44 @@ def test_apply_mechanism_properties(case):
     if spec.kind == "mar_rank":
         m = int(np.floor(n * spec.miss_prob + 0.5))  # round(n*p), halves up
         assert list((~from_full.mask[:, targets]).sum(axis=0)) == [m] * len(targets)
+
+
+@st.composite
+def block_cases(draw):
+    """A block of 1-9 replications: its shape, distribution and mechanism.
+
+    n runs past 128, where numpy's pairwise sum of a row (mar_mean's mean)
+    splits into blocks.
+    """
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    d = p + q
+    if draw(st.booleans()):
+        dist = DistributionSpec(kind="std_normal", dim=d)
+    else:
+        margins = st.lists(st.sampled_from(MARGIN_KINDS), min_size=d, max_size=d)
+        dist = DistributionSpec(
+            kind="clayton", dim=d, theta=draw(st.floats(0.2, 5.0)), margins=draw(margins)
+        )
+    reps = draw(st.integers(1, 9))
+    n = draw(st.integers(3, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return p, q, n, reps, seed, dist, draw_mechanism(draw, p, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=block_cases())
+def test_blocks_match_one_dataset_calls(case):
+    # each replication of a block has the bytes of generate + apply_mechanism
+    # on its own two streams
+    p, q, n, reps, seed, dist, spec = case
+    roles = roles_for(p, q)
+    values = generate_block(
+        dist, (rng_stream(seed, rep, 0) for rep in range(reps)), np.empty((reps, n, p + q))
+    )
+    mask = np.ones(values.shape, dtype=bool)
+    amputate_block(values, mask, roles, spec, (rng_stream(seed, rep, 1) for rep in range(reps)))
+    for rep in range(reps):
+        full = generate(dist, n, rng_stream(seed, rep, 0))
+        ds = apply_mechanism(full, roles, spec, rng_stream(seed, rep, 1))
+        assert values[rep].tobytes() == ds.values.tobytes()
+        assert mask[rep].tobytes() == ds.mask.tobytes()
