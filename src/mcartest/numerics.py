@@ -1,11 +1,10 @@
 """Small numerical kernel used by the test statistics and the simulator.
 
-Moments and covariances in unbiased and maximum-likelihood flavors,
-symmetric eigendecompositions (that of A (x) B taken from its factors),
-chi-squared and standard-normal distribution functions, midranks, and
+Unbiased covariances, symmetric eigendecompositions (that of A (x) B
+taken from its factors), the chi-squared distribution, midranks, and
 deterministic per-task random streams.
 
-The moments and covariances also take stacks of R datasets along a leading
+The covariances also take stacks of R datasets along a leading
 axis, for the harness's batch kernels.  The eigendecompositions take only
 stacks of matrices, a stack of one for a lone matrix, and report a singular
 matrix per entry of the stack instead of raising, so one degenerate
@@ -14,8 +13,8 @@ replication does not discard its block.
 Nothing here imports scipy at module level, because every CLI call would
 pay for it: ``scipy.stats`` costs about a second and ``scipy.special``
 about a quarter of one.  The MCAR tests' p-values need only the chi-squared
-tail at an integer df and the normal CDF, which have closed forms in
-``math.erfc`` and finite sums; midranks are computed in numpy.  Only
+tail at an integer df, which has a closed form in ``math.erfc`` and a
+finite sum; midranks are computed in numpy.  Only
 ``chi2_quantile`` (the ``chisq4`` margin) imports ``scipy.special``, when
 it is called.
 """
@@ -28,13 +27,11 @@ from .errors import DegenerateDataError, SingularMatrixError
 
 __all__ = [
     "rng_stream",
-    "column_var",
     "cov_matrix",
     "spd_eigh_stack",
     "kron_spd_eigh_stack",
     "chi2_sf",
     "chi2_quantile",
-    "normal_cdf",
     "ranks",
 ]
 
@@ -52,36 +49,13 @@ def rng_stream(master_seed: int, *labels: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _check_mode(mode: str) -> int:
-    if mode == "unbiased":
-        return 1
-    if mode == "ml":
-        return 0
-    raise ValueError(f"mode must be 'unbiased' or 'ml', got {mode!r}")
-
-
-def column_var(x, mode: str = "unbiased"):
-    """Sample variance along the last axis; divides by n-1 ("unbiased") or n ("ml").
-
-    A float for 1-D input, one variance per row for a stack of rows.
-    """
-    ddof = _check_mode(mode)
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] < 1 + ddof:
-        raise DegenerateDataError(f"variance ({mode}) requires n >= {1 + ddof}")
-    out = x.var(axis=-1, ddof=ddof)
-    return float(out) if out.ndim == 0 else out
-
-
-def cov_matrix(columns, mode: str = "unbiased") -> np.ndarray:
-    """Covariance matrix of column variables.
+def cov_matrix(columns) -> np.ndarray:
+    """Unbiased covariance matrix (divisor n-1) of column variables.
 
     Parameters
     ----------
     columns : array-like, shape (n, m) or a stack (R, n, m)
         Observations in rows, variables in columns.
-    mode : {"unbiased", "ml"}
-        Divisor n-1 or n.
 
     Returns
     -------
@@ -92,7 +66,6 @@ def cov_matrix(columns, mode: str = "unbiased") -> np.ndarray:
     stacked.  With each column contiguous (``ds.values[:, cols]``) the
     result is bitwise that of ``np.cov(columns, rowvar=False)``.
     """
-    ddof = _check_mode(mode)
     a = np.asarray(columns, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
@@ -103,7 +76,7 @@ def cov_matrix(columns, mode: str = "unbiased") -> np.ndarray:
     # a matrix times its own transpose: numpy hands this to BLAS syrk, as
     # np.cov does, and syrk returns an exactly symmetric matrix
     c = np.swapaxes(c, -1, -2) @ c
-    c *= np.true_divide(1, n - ddof)
+    c *= np.true_divide(1, n - 1)
     return c
 
 
@@ -227,14 +200,6 @@ def chi2_quantile(p, df: int):
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("chi2_quantile requires p in (0, 1)")
     out = 2.0 * gammainccinv(df / 2.0, 1.0 - p)
-    return float(out) if out.ndim == 0 else out
-
-
-def normal_cdf(x):
-    """Standard normal CDF, 0.5 erfc(-x / sqrt 2)."""
-    # multiplying by 1/sqrt 2, as scipy's ndtr does, rounds the argument
-    # alike; in the far left tail that rounding sets the relative error
-    out = 0.5 * np.asarray(_erfc(np.asarray(x, dtype=float) * -math.sqrt(0.5)), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 

@@ -7,8 +7,8 @@ Four tests are exposed:
   the chi-squared distribution with p*q degrees of freedom.
 * ``bivariate_mcar_test`` -- the studentized single-pair variant with a
   standard-normal calibration (two-sided).
-* ``little_mcar_univariate`` -- Little's d2 in its closed form for exactly
-  one missingness-prone column, built from complete-column moments only.
+* ``little_mcar_univariate`` -- Little's d2 for exactly one
+  missingness-prone column.
 * ``little_mcar_general`` -- Little's d2 for arbitrary missingness patterns,
   using EM estimates of the mean and covariance.
 
@@ -17,23 +17,22 @@ p-value, accept/reject decision, and method-specific diagnostics.  Each is
 the one-dataset call of a batch kernel, ``kernel(values, mask, roles)``,
 that tests a stack of R datasets of one shape at once, given as (R, n, d)
 value and mask arrays, and returns a BatchResult.
+
+The first three are one statistic.  With one incomplete column, Little's
+d2 equals the quadratic form (Little 1988), and at p = q = 1 the quadratic
+form is the square of the studentized gap.  So ``bivariate_batch`` and
+``little_univariate_batch`` are views of ``ustat_batch``'s result, and the
+closed forms they replace are the test suite's independent references.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import ColumnRoles, Dataset, response_matrix
 from .em import em_mvn
 from .errors import DegenerateDataError, SingularMatrixError
-from .numerics import (
-    chi2_sf,
-    column_var,
-    cov_matrix,
-    kron_spd_eigh_stack,
-    normal_cdf,
-    spd_eigh_stack,
-)
+from .numerics import chi2_sf, cov_matrix, kron_spd_eigh_stack, spd_eigh_stack
 
 __all__ = [
     "TestResult",
@@ -108,7 +107,7 @@ def mean_product_gap(x, r):
         raise DegenerateDataError("mean_product_gap requires n >= 2")
     if r.shape != x.shape:
         raise ValueError("x and r must have the same length")
-    biased = x.mean(axis=-1) * r.mean(axis=-1) - (x * r).mean(axis=-1)
+    biased = _gaps(x[..., None], r[..., None])[..., 0, 0]
     unbiased = biased * n / (n - 1.0)
     if biased.ndim == 0:
         return float(unbiased), float(biased)
@@ -187,17 +186,19 @@ def _one(kernel, ds: Dataset, roles: ColumnRoles, alpha: float) -> TestResult:
     return kernel(ds.values[None], ds.mask[None], roles).result(0, alpha)
 
 
-def ustat_batch(values, mask, roles: ColumnRoles) -> BatchResult:
-    """``ustat_mcar_test`` on each dataset of an (R, n, d) stack.
+def _quadratic_form(values, mask, roles: ColumnRoles) -> tuple:
+    """``ustat_batch``'s result with the moments it is built from.
 
-    Each dataset's outcome is bitwise the same in a stack of any size.
+    Returns (result, gaps, cov_x, cov_r): the unbiased gaps (R, p, q) and
+    the covariances Cov(X) (R, p, p) and Cov(R) (R, q, q).
     """
     x, r = _columns(values, mask, roles)
     n = x.shape[-2]
     if n < 3:
         raise DegenerateDataError("the quadratic-form test requires n >= 3")
     gaps = _gaps(x, r) * (n / (n - 1.0))
-    w, v_x, v_r, errors = kron_spd_eigh_stack(cov_matrix(x), cov_matrix(r))
+    cov_x, cov_r = cov_matrix(x), cov_matrix(r)
+    w, v_x, v_r, errors = kron_spd_eigh_stack(cov_x, cov_r)
     failed = _failed(errors)
     w_safe = np.where(failed[:, None, None], 1.0, w)
     h = (np.swapaxes(v_x, -1, -2) @ gaps @ v_r) / np.sqrt(w_safe)
@@ -205,7 +206,7 @@ def ustat_batch(values, mask, roles: ColumnRoles) -> BatchResult:
     statistic[failed] = 0.0
     components = np.sqrt(n) * (v_x @ h @ np.swapaxes(v_r, -1, -2))
     df = x.shape[-1] * r.shape[-1]
-    return BatchResult(
+    result = BatchResult(
         method=METHOD_USTAT,
         df=np.full(len(statistic), df),
         n=n,
@@ -217,6 +218,15 @@ def ustat_batch(values, mask, roles: ColumnRoles) -> BatchResult:
             "sigma_condition": w_safe.max(axis=(-2, -1)) / w_safe.min(axis=(-2, -1)),
         },
     )
+    return result, gaps, cov_x, cov_r
+
+
+def ustat_batch(values, mask, roles: ColumnRoles) -> BatchResult:
+    """``ustat_mcar_test`` on each dataset of an (R, n, d) stack.
+
+    Each dataset's outcome is bitwise the same in a stack of any size.
+    """
+    return _quadratic_form(values, mask, roles)[0]
 
 
 def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> TestResult:
@@ -241,23 +251,20 @@ def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> Tes
 
 
 def bivariate_batch(values, mask, roles: ColumnRoles) -> BatchResult:
-    """``bivariate_mcar_test`` on each dataset of a stack with p = q = 1."""
-    x, r = _columns(values, mask, roles)
-    p, q = x.shape[-1], r.shape[-1]
-    if p != 1 or q != 1:
+    """``bivariate_mcar_test`` on each dataset of a stack with p = q = 1.
+
+    A view of ``ustat_batch``: at p = q = 1 the kernel's one standardized
+    component is the studentized gap, and its square the kernel's statistic.
+    """
+    if roles.p != 1 or roles.q != 1:
         raise DegenerateDataError(
             "the bivariate test requires exactly one complete and one "
-            f"incomplete column (got p={p}, q={q})"
+            f"incomplete column (got p={roles.p}, q={roles.q})"
         )
-    n = x.shape[-2]
-    if n < 3:
+    if values.shape[1] < 3:
         raise DegenerateDataError("the bivariate test requires n >= 3")
-    x = x[..., 0]
-    r = r[..., 0]
-    t, _ = mean_product_gap(x, r)
-    s_x = x.std(axis=-1, ddof=1)
-    s_r = r.std(axis=-1, ddof=1)
-    failed = (s_x <= 0.0) | (s_r <= 0.0)
+    an, gaps, cov_x, cov_r = _quadratic_form(values, mask, roles)
+    failed = _failed(an.errors)
     errors = tuple(
         DegenerateDataError(
             "zero variance: the complete column is constant or the "
@@ -267,17 +274,16 @@ def bivariate_batch(values, mask, roles: ColumnRoles) -> BatchResult:
         else None
         for bad in failed.tolist()
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        statistic = np.sqrt(n) * t / (s_x * s_r)
-    statistic[failed] = 0.0
-    return BatchResult(
+    return replace(
+        an,
         method=METHOD_BIVARIATE,
-        df=np.ones(len(statistic), dtype=int),
-        n=n,
-        statistic=statistic,
-        p_value=2.0 * (1.0 - normal_cdf(np.abs(statistic))),
+        statistic=np.where(failed, 0.0, an.diagnostics["components"][:, 0]),
         errors=errors,
-        diagnostics={"gap": t, "sd_x": s_x, "sd_r": s_r},
+        diagnostics={
+            "gap": gaps[:, 0, 0],
+            "sd_x": np.sqrt(cov_x[:, 0, 0]),
+            "sd_r": np.sqrt(cov_r[:, 0, 0]),
+        },
     )
 
 
@@ -286,74 +292,55 @@ def bivariate_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) ->
 
     The unbiased mean-product gap scaled by sqrt(n) and the two sample
     standard deviations is asymptotically standard normal under MCAR;
-    the test is two-sided.  Computed as ``bivariate_batch`` of a stack of
-    one.
+    the test is two-sided, its p-value the chi-squared(1) tail of the
+    square.  Raises DegenerateDataError wherever the quadratic-form test
+    finds Var(X) * Var(R) singular.  Computed as ``bivariate_batch`` of a
+    stack of one.
     """
     return _one(bivariate_batch, ds, roles, alpha)
 
 
 def little_univariate_batch(values, mask, roles: ColumnRoles) -> BatchResult:
-    """``little_mcar_univariate`` on each dataset of a stack with q = 1."""
-    x, r = _columns(values, mask, roles)
-    if r.shape[-1] != 1:
+    """``little_mcar_univariate`` on each dataset of a stack with q = 1.
+
+    A view of ``ustat_batch``: with one incomplete column, Little's d2 is
+    the quadratic-form statistic.
+    """
+    if roles.q != 1:
         raise DegenerateDataError(
             "the closed form applies to exactly one incomplete column "
-            f"(got q={r.shape[-1]})"
+            f"(got q={roles.q})"
         )
-    n = x.shape[-2]
-    n_obs = r[..., 0].sum(axis=-1).astype(int)
-    empty = (n_obs == 0) | (n_obs == n)
-    # the observed and the missing rows' column sums, x'r and x'(1 - r)
-    sums = np.swapaxes(x, -1, -2) @ np.concatenate([r, 1.0 - r], axis=-1)
-    counts = np.stack([n_obs, n - n_obs], axis=-1)[:, None, :]
-    overall = x.mean(axis=-2)[..., None]
-    dev = sums / np.where(empty[:, None, None], 1, counts) - overall
-
-    sigma_ml = cov_matrix(x, "ml") * column_var(r[..., 0], "ml")[:, None, None]
-    w, v, singular = spd_eigh_stack(sigma_ml)
+    an = ustat_batch(values, mask, roles)
+    n = an.n
+    n_obs = mask[:, :, roles.incomplete[0]].sum(axis=1)
     errors = tuple(
         DegenerateDataError(
             "the closed form needs both observed and missing rows "
             f"(observed {k} of {n})"
         )
-        if bad
+        if k in (0, n)
         else error
-        for k, bad, error in zip(n_obs.tolist(), empty.tolist(), singular)
+        for k, error in zip(n_obs.tolist(), an.errors)
     )
-    failed = _failed(errors)
-    w = np.where(failed[:, None], 1.0, w)
-    sigma_inv = (v / w[:, None, :]) @ np.swapaxes(v, -1, -2)
-    dev_obs = dev[..., 0][:, None, :]
-    dev_mis = dev[..., 1][:, None, :]
-    quad_obs = (dev_obs @ sigma_inv @ np.swapaxes(dev_obs, -1, -2))[:, 0, 0]
-    quad_mis = (dev_mis @ sigma_inv @ np.swapaxes(dev_mis, -1, -2))[:, 0, 0]
-    rbar = n_obs / n
-    statistic = (
-        n * rbar**2 * (1.0 - rbar) * quad_obs
-        + n * rbar * (1.0 - rbar) ** 2 * quad_mis
-    )
-    statistic[failed] = 0.0
-    df = x.shape[-1]
-    return BatchResult(
+    return replace(
+        an,
         method=METHOD_LITTLE_UNIVARIATE,
-        df=np.full(len(statistic), df),
-        n=n,
-        statistic=statistic,
-        p_value=chi2_sf(statistic, df),
         errors=errors,
         diagnostics={"n_observed": n_obs, "n_missing": n - n_obs},
     )
 
 
 def little_mcar_univariate(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> TestResult:
-    """Little's d2 for a single missingness-prone column, in closed form.
+    """Little's d2 for a single missingness-prone column.
 
     Compares the complete-column means of the observed-response rows and of
     the missing-response rows against the overall means, through the inverse
     of the maximum-likelihood estimate of Cov(X) * Var(R).  Chi-squared
     calibration with p degrees of freedom.  Requires both observed and
-    missing rows to exist.  Computed as ``little_univariate_batch`` of a
-    stack of one.
+    missing rows to exist, and n >= 3.  The statistic is that of the
+    quadratic-form test; computed as ``little_univariate_batch`` of a stack
+    of one.
     """
     return _one(little_univariate_batch, ds, roles, alpha)
 

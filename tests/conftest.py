@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,11 +114,13 @@ def pq_covariance(ds, roles, mode="unbiased"):
     """The pq x pq covariance S = Cov(X) (x) Cov(R) of the gap vector, formed.
 
     X are the complete columns and R the response indicators, both
-    estimated in ``mode``; the library only ever works with the factors.
+    estimated with divisor n - 1 ("unbiased") or n ("ml"); the library only
+    ever works with the unbiased factors.
     """
     x = ds.values[:, list(roles.complete)]
     r = response_matrix(ds, roles).astype(float)
-    return np.kron(cov_matrix(x, mode), cov_matrix(r, mode))
+    scale = {"unbiased": 1.0, "ml": (ds.n - 1.0) / ds.n}[mode]
+    return np.kron(cov_matrix(x) * scale, cov_matrix(r) * scale)
 
 
 def reference_routes(ds, roles):
@@ -139,6 +142,64 @@ def reference_routes(ds, roles):
     eigen = n * np.sum((v.T @ g) ** 2 / w)
     components = ((v / np.sqrt(w)) @ v.T) @ (np.sqrt(n) * g)
     return float(ml), float(eigen), components
+
+
+def little_univariate_reference(ds, roles):
+    """Little's d2 for one incomplete column, in its closed form.
+
+    The complete-column means of the observed-response and of the
+    missing-response rows against the overall means, through the inverse of
+    the maximum-likelihood Cov(X) * Var(R): a route independent of the
+    library, which takes this d2 as the quadratic form.  Raises
+    DegenerateDataError unless both groups have rows, and SingularMatrixError
+    for a singular covariance.
+    """
+    x = ds.values[:, list(roles.complete)]
+    (r,) = response_matrix(ds, roles).astype(float).T
+    n = ds.n
+    n_obs = int(r.sum())
+    if n_obs in (0, n):
+        raise DegenerateDataError(
+            "the closed form needs both observed and missing rows "
+            f"(observed {n_obs} of {n})"
+        )
+    # the observed and the missing rows' column sums, x'r and x'(1 - r)
+    sums = x.T @ np.column_stack([r, 1.0 - r])
+    dev = sums / np.array([n_obs, n - n_obs]) - x.mean(axis=0)[:, None]
+    sigma_ml = np.atleast_2d(np.cov(x, rowvar=False, bias=True)) * r.var()
+    w, v = spd_eigh(sigma_ml)
+    sigma_inv = (v / w) @ v.T
+    quad_obs = dev[:, 0] @ sigma_inv @ dev[:, 0]
+    quad_mis = dev[:, 1] @ sigma_inv @ dev[:, 1]
+    rbar = n_obs / n
+    return float(
+        n * rbar**2 * (1.0 - rbar) * quad_obs + n * rbar * (1.0 - rbar) ** 2 * quad_mis
+    )
+
+
+def bivariate_reference(ds, roles):
+    """The studentized single-pair statistic and its two-sided normal p-value.
+
+    sqrt(n) times the unbiased mean-product gap over the two sample standard
+    deviations, from the sample moments: a route independent of the
+    library, which takes dn from the quadratic form.  Raises
+    DegenerateDataError when either standard deviation is zero.
+    """
+    (x,) = ds.values[:, list(roles.complete)].T
+    (r,) = response_matrix(ds, roles).astype(float).T
+    n = ds.n
+    t = (x.mean() * r.mean() - (x * r).mean()) * n / (n - 1.0)
+    s_x = x.std(ddof=1)
+    s_r = r.std(ddof=1)
+    if s_x <= 0.0 or s_r <= 0.0:
+        raise DegenerateDataError(
+            "zero variance: the complete column is constant or the "
+            "incomplete column has no missingness variation"
+        )
+    z = float(np.sqrt(n) * t / (s_x * s_r))
+    # the standard normal CDF, 0.5 erfc(-x / sqrt 2), at |z|
+    p_value = 2.0 * (1.0 - 0.5 * math.erfc(abs(z) * -math.sqrt(0.5)))
+    return z, p_value
 
 
 def loop_group_patterns(mask):

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from mcartest.harness import KNOWN_TESTS
 from conftest import child_env
 
 HAND_CSV = "x,y\n1.0,10.0\n2.0,11.0\n3.0,NA\n"
+GOLDEN = Path(__file__).parent / "golden"
 
 DATA_OPTIONS = (
     "--n", "--p", "--q", "--dist", "--theta", "--margins", "--mechanism",
@@ -68,6 +70,26 @@ class TestTestCommand:
         assert {r["method"] for r in records} == {"an", "d2_univariate"}
         a, d = records
         assert a["statistic"] == pytest.approx(d["statistic"], rel=1e-8)
+
+    def test_report_matches_the_closed_form_kernels(self, tmp_path):
+        # the golden report was written while dn and d2_univariate had
+        # kernels of their own; as views of an's kernel they keep every
+        # method, df, decision and diagnostic key, and every number to 1e-9
+        out = tmp_path / "r.json"
+        data = GOLDEN / "cli_test_1X1Y_n60.csv"
+        assert run_cli("test", "--input", str(data), "--tests", "an,dn,d2", "--out", str(out)) == 0
+        got = json.loads(out.read_text())
+        want = json.loads((GOLDEN / "cli_test_1X1Y_n60_an_dn_d2.json").read_text())
+        assert [r["method"] for r in got] == ["an", "dn", "d2_univariate"]
+        for g, w in zip(got, want):
+            assert (g["method"], g["df"], g["alpha"], g["reject"]) == (
+                w["method"], w["df"], w["alpha"], w["reject"]
+            )
+            assert g["statistic"] == pytest.approx(w["statistic"], rel=1e-9)
+            assert g["p_value"] == pytest.approx(w["p_value"], rel=1e-9)
+            assert g["diagnostics"].keys() == w["diagnostics"].keys()
+            for key, value in w["diagnostics"].items():
+                assert g["diagnostics"][key] == pytest.approx(value, rel=1e-9), key
 
     def test_csv_report(self, tmp_path):
         path = write_hand(tmp_path)

@@ -12,6 +12,11 @@ merged into ``apply_mechanism``.  The two Clayton cells (``chisq4`` and
 ``uniform`` margins), the ``mar_rank`` cell with three targets and the
 two-worker run of criterion 7 were written before each block of
 replications was generated and amputated as one array.
+
+``cli_test_1X1Y_n60.csv`` is not a results CSV but the input of
+``test_cli.py``'s report check; it was written by ``mcartest generate``,
+and ``cli_test_1X1Y_n60_an_dn_d2.json`` by ``mcartest test`` on it, while
+``dn`` and ``d2_univariate`` still had closed-form kernels of their own.
 """
 
 from pathlib import Path

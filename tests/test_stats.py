@@ -29,7 +29,15 @@ from mcartest.stats import (
     ustat_batch,
 )
 
-from conftest import gap_matrix, make_dataset, pq_covariance, reference_routes, spd_eigh
+from conftest import (
+    bivariate_reference,
+    gap_matrix,
+    little_univariate_reference,
+    make_dataset,
+    pq_covariance,
+    reference_routes,
+    spd_eigh,
+)
 
 
 def brute_gap(x, r):
@@ -189,10 +197,10 @@ class TestQuadraticFormTest:
             n = int(rng.integers(10, 120))
             ds, roles = make_dataset(rng, n, 1, 1)
             a = ustat_mcar_test(ds, roles)
-            d = bivariate_mcar_test(ds, roles)
-            assert a.statistic == pytest.approx(d.statistic**2, rel=1e-10)
+            d, p_value = bivariate_reference(ds, roles)
+            assert a.statistic == pytest.approx(d**2, rel=1e-10)
             # matching p-values: two-sided normal on D equals chi2(1) on D^2
-            assert a.p_value == pytest.approx(d.p_value, abs=1e-12)
+            assert a.p_value == pytest.approx(p_value, abs=1e-12)
 
     def test_equals_little_univariate(self, rng):
         for _ in range(60):
@@ -201,10 +209,10 @@ class TestQuadraticFormTest:
             clayton = bool(rng.integers(2))
             ds, roles = make_dataset(rng, n, p, 1, clayton=clayton)
             a = ustat_mcar_test(ds, roles)
-            d2 = little_mcar_univariate(ds, roles)
-            denom = max(d2.statistic, 1e-12)
-            assert abs(a.statistic - d2.statistic) / denom <= 1e-8
-            assert a.df == d2.df == p
+            d2 = little_univariate_reference(ds, roles)
+            denom = max(d2, 1e-12)
+            assert abs(a.statistic - d2) / denom <= 1e-8
+            assert a.df == p
 
     def test_affine_invariance_complete_block(self, rng):
         ds, roles = make_dataset(rng, 80, 3, 2)
@@ -295,6 +303,7 @@ class TestQuadraticFormTest:
 class TestBivariate:
     def test_hand_case(self):
         ds, roles = hand_dataset()
+        assert bivariate_reference(ds, roles)[0] == pytest.approx(1.5, rel=1e-12)
         result = bivariate_mcar_test(ds, roles)
         assert result.statistic == pytest.approx(1.5, rel=1e-12)
         assert result.df == 1
@@ -312,10 +321,28 @@ class TestBivariate:
         with pytest.raises(DegenerateDataError):
             bivariate_mcar_test(ds, ColumnRoles((0,), (1,)))
 
+    def test_constant_column_that_does_not_center_exactly(self):
+        # the mean of ten 0.3s is not 0.3, so the sample standard deviation
+        # of the constant column is 5.9e-17, not 0; the statistic is 0/0
+        # noise, and must be degenerate, as it is for an and d2_univariate
+        vals = np.column_stack([np.full(10, 0.3), np.zeros(10)])
+        mask = np.ones((10, 2), dtype=bool)
+        mask[7:, 1] = False
+        ds = Dataset(vals, mask, ("x", "y"))
+        roles = ColumnRoles((0,), (1,))
+        assert 0.0 < vals[:, 0].std(ddof=1) < 1e-15
+        with pytest.raises(DegenerateDataError, match="zero variance"):
+            bivariate_mcar_test(ds, roles)
+        with pytest.raises(SingularMatrixError):
+            ustat_mcar_test(ds, roles)
+        with pytest.raises(SingularMatrixError):
+            little_mcar_univariate(ds, roles)
+
 
 class TestLittleUnivariate:
     def test_hand_case(self):
         ds, roles = hand_dataset()
+        assert little_univariate_reference(ds, roles) == pytest.approx(2.25, rel=1e-12)
         result = little_mcar_univariate(ds, roles)
         assert result.statistic == pytest.approx(2.25, rel=1e-12)
         assert result.df == 1
@@ -547,3 +574,34 @@ class TestBatchKernels:
             little_univariate_batch(values, mask, roles)
         with pytest.raises(DegenerateDataError, match="n >= 3"):
             ustat_batch(values[:, :2], mask[:, :2], roles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.integers(1, 3),
+    n=st.integers(3, 200),
+    seed=st.integers(0, 2**32 - 1),
+    clayton=st.booleans(),
+    observed=st.sampled_from(["some", "all", "none"]),
+)
+def test_views_match_closed_forms(p, n, seed, clayton, observed):
+    # per dataset, dn and d2_univariate as views of the quadratic form give
+    # the closed forms' exception class, or their statistic to 1e-8
+    rng = np.random.default_rng(seed)
+    ds, roles = make_dataset(rng, n, p, 1, miss_prob=rng.uniform(0.05, 0.5), clayton=clayton)
+    if observed != "some":
+        mask = np.array(ds.mask)
+        mask[:, p] = observed == "all"
+        ds = ds.with_mask(mask)
+    cases = [(little_univariate_batch, little_univariate_reference)]
+    if p == 1:
+        cases.append((bivariate_batch, lambda ds, roles: bivariate_reference(ds, roles)[0]))
+    for kernel, reference in cases:
+        batch = kernel(ds.values[None], ds.mask[None], roles)
+        try:
+            want = reference(ds, roles)
+        except (DegenerateDataError, SingularMatrixError) as exc:
+            assert type(batch.errors[0]) is type(exc)
+            continue
+        assert batch.errors[0] is None
+        assert abs(batch.statistic[0] - want) <= 1e-8 * max(abs(want), 1e-12)
