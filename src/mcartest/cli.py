@@ -18,11 +18,10 @@ from pathlib import Path
 
 from .data import ColumnRoles, load_csv, write_csv
 from .errors import McartestError
-from .harness import KNOWN_TESTS, TESTS, Scenario, resolve_tests, results_to_csv, run_grid
-from .harness import sweep_scenarios
+from .harness import Scenario, results_to_csv, run_grid, sweep_scenarios
 from .numerics import rng_stream
 from .plotting import render_rate_chart
-from .stats import check_alpha
+from .stats import KNOWN_TESTS, TESTS, check_alpha, resolve_tests
 from .synthesis import (
     DISTRIBUTION_KINDS,
     MARGIN_KINDS,

@@ -15,7 +15,7 @@ then runs once over the block's arrays, through a batch kernel whose
 result for one dataset does not depend on what else is in the block
 (``d2_general`` still fits EM to each dataset's slice alone inside its
 kernel).  Which tests exist, which kernel each uses and which shapes each
-applies to is the one registry ``TESTS``.
+applies to is the one registry ``stats.TESTS``.
 
 Replications where a test raises a singularity or degeneracy error (for
 example a response column with no missing cells at small n) are counted as
@@ -27,21 +27,14 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
-from .data import ColumnRoles, Dataset
+from .data import ColumnRoles
 from .errors import DegenerateDataError
 from .numerics import chi2_sf, rng_stream
-from .stats import (
-    TestResult,
-    bivariate_batch,
-    check_alpha,
-    little_general_batch,
-    little_univariate_batch,
-    ustat_batch,
-)
+from .stats import TESTS, check_alpha, resolve_tests
 from .synthesis import (
     DistributionSpec,
     MechanismSpec,
@@ -54,56 +47,12 @@ __all__ = [
     "Scenario",
     "TestCellStats",
     "CellResult",
-    "TestSpec",
-    "TESTS",
-    "KNOWN_TESTS",
-    "resolve_test",
-    "resolve_tests",
     "wilson_interval",
     "run_cell",
     "sweep_scenarios",
     "run_grid",
     "results_to_csv",
 ]
-
-
-@dataclass(frozen=True)
-class TestSpec:
-    """What the harness and the CLI need to know about one test.
-
-    ``batch(values, mask, roles)`` tests an (R, n, d) stack of datasets of
-    one shape at once and returns a ``stats.BatchResult``.  ``p`` and
-    ``q``, when set, are the only numbers of complete and incomplete
-    columns the test applies to.
-    """
-
-    batch: Callable
-    p: int = None
-    q: int = None
-
-    def run(self, ds: Dataset, roles: ColumnRoles, alpha: float) -> TestResult:
-        """Test one dataset; raises the test's exception for it."""
-        return self.batch(ds.values[None], ds.mask[None], roles).result(0, alpha)
-
-    def check_shape(self, tag: str, p: int, q: int) -> None:
-        """Raise ValueError unless the test applies to p complete and q
-        incomplete columns."""
-        if self.p not in (None, p) or self.q not in (None, q):
-            needs = [f"{k} = {v}" for k, v in (("p", self.p), ("q", self.q)) if v]
-            raise ValueError(f"the {tag} test requires {' and '.join(needs)}")
-
-
-# The test registry, by resolved wire name.
-TESTS = {
-    "an": TestSpec(ustat_batch),
-    "dn": TestSpec(bivariate_batch, p=1, q=1),
-    "d2_univariate": TestSpec(little_univariate_batch, q=1),
-    "d2_general": TestSpec(little_general_batch),
-}
-
-# wire names; "d2" picks the closed form when q = 1 and the general
-# (EM-based) statistic otherwise
-KNOWN_TESTS = (*TESTS, "d2")
 
 _GEN_STREAM = 0
 _AMP_STREAM = 1
@@ -112,19 +61,6 @@ _AMP_STREAM = 1
 _BLOCK_CELLS = 1_000_000
 
 _Z95 = 1.959963984540054
-
-
-def resolve_test(tag: str, q: int) -> str:
-    if tag not in KNOWN_TESTS:
-        raise ValueError(f"unknown test {tag!r}; expected one of {KNOWN_TESTS}")
-    if tag == "d2":
-        return "d2_univariate" if q == 1 else "d2_general"
-    return tag
-
-
-def resolve_tests(tags, q: int) -> tuple:
-    """Resolved wire names of ``tags``, each once, in first-seen order."""
-    return tuple(dict.fromkeys(resolve_test(t, q) for t in tags))
 
 
 @dataclass(frozen=True)
@@ -223,14 +159,9 @@ class Scenario:
         so the same data is generated no matter which tests are run or how
         many replications are requested.
         """
-        payload = {
-            "label": self.label,
-            "distribution": self.distribution.to_dict(),
-            "p": self.p,
-            "q": self.q,
-            "n": self.n,
-            "mechanism": self.mechanism.to_dict(),
-        }
+        payload = self.to_dict()
+        for name in ("tests", "replications", "alpha", "master_seed"):
+            del payload[name]
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return int.from_bytes(
             hashlib.sha256(blob.encode()).digest()[:8], "big"
@@ -282,8 +213,9 @@ def _run_block(
     ``key``, ``roles`` and ``tags`` (content hash, column roles, resolved
     tests) are computed once per cell by ``run_cell``.  Each replication
     draws from its own two streams, opened one at a time as its turn comes;
-    the rest runs once over the whole block.  Returns {resolved tag: one
-    entry per replication, (reject, statistic) or None for degenerate}.
+    the rest runs once over the whole block.  Returns {resolved tag:
+    (valid, reject, statistic)}, three arrays with one entry per
+    replication; a degenerate replication is not valid.
     """
     def streams(purpose):
         seed = scenario.master_seed
@@ -300,16 +232,9 @@ def _run_block(
     out = {}
     for tag in tags:
         batch = TESTS[tag].batch(values, mask, roles)
-        reject = (batch.p_value <= scenario.alpha).tolist()
-        out[tag] = [
-            None if error is not None else (rej, stat)
-            for error, rej, stat in zip(batch.errors, reject, batch.statistic.tolist())
-        ]
+        valid = np.array([error is None for error in batch.errors], dtype=bool)
+        out[tag] = (valid, batch.p_value <= scenario.alpha, batch.statistic)
     return out
-
-
-def _run_block_star(args) -> dict:
-    return _run_block(*args)
 
 
 def _blocks(n_rep: int, workers: int, cells_per_rep: int) -> list:
@@ -330,45 +255,38 @@ def run_cell(scenario: Scenario, workers: int = 1) -> CellResult:
     """
     n_rep = scenario.replications
     tags = resolve_tests(scenario.tests, scenario.q)
-    fixed = (scenario, scenario.content_hash(), scenario.roles, tags)
-    blocks = _blocks(n_rep, workers, scenario.n * (scenario.p + scenario.q))
+    run = partial(_run_block, scenario, scenario.content_hash(), scenario.roles, tags)
+    starts, stops = zip(*_blocks(n_rep, workers, scenario.n * (scenario.p + scenario.q)))
     if workers > 1:
         # imported here: multiprocessing adds to every CLI call's start-up
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_block_star, ((*fixed, *b) for b in blocks)))
+            results = list(pool.map(run, starts, stops))
     else:
-        results = [_run_block(*fixed, *b) for b in blocks]
-    outcomes = {tag: [cell for block in results for cell in block[tag]] for tag in tags}
+        results = list(map(run, starts, stops))
 
     per_test = {}
     statistics = {}
     for tag in tags:
-        rejections = 0
-        valid = 0
-        values = []
-        for cell in outcomes[tag]:
-            if cell is None:
-                continue
-            valid += 1
-            rejections += bool(cell[0])
-            values.append(cell[1])
-        if valid == 0:
+        valid, reject, statistic = map(np.concatenate, zip(*(block[tag] for block in results)))
+        n_valid = int(valid.sum())
+        if n_valid == 0:
             raise DegenerateDataError(
                 f"every replication was degenerate for test {tag!r} "
                 f"(scenario {scenario.label}, n={scenario.n})"
             )
-        ci_low, ci_high = wilson_interval(rejections, valid)
+        rejections = int(reject[valid].sum())
+        ci_low, ci_high = wilson_interval(rejections, n_valid)
         per_test[tag] = TestCellStats(
             rejections=rejections,
-            valid=valid,
-            degenerate=n_rep - valid,
-            rate=rejections / valid,
+            valid=n_valid,
+            degenerate=n_rep - n_valid,
+            rate=rejections / n_valid,
             ci_low=ci_low,
             ci_high=ci_high,
         )
-        statistics[tag] = tuple(values)
+        statistics[tag] = tuple(statistic[valid].tolist())
 
     ks = None
     if scenario.mechanism.kind == "mcar" and "an" in statistics:

@@ -18,6 +18,11 @@ the one-dataset call of a batch kernel, ``kernel(values, mask, roles)``,
 that tests a stack of R datasets of one shape at once, given as (R, n, d)
 value and mask arrays, and returns a BatchResult.
 
+``TESTS`` is the one test registry: by wire name, each test's batch kernel
+and the column shapes it applies to.  ``TESTS[tag].run`` tests one dataset
+after checking alpha and the roles; the first three functions are its
+calls.  ``little_mcar_general`` reads no roles and calls its kernel.
+
 The first three are one statistic.  With one incomplete column, Little's
 d2 equals the quadratic form (Little 1988), and at p = q = 1 the quadratic
 form is the square of the studentized gap.  So ``bivariate_batch`` and
@@ -25,7 +30,8 @@ form is the square of the studentized gap.  So ``bivariate_batch`` and
 closed forms they replace are the test suite's independent references.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -47,13 +53,12 @@ __all__ = [
     "little_mcar_univariate",
     "little_general_batch",
     "little_mcar_general",
+    "TestSpec",
+    "TESTS",
+    "KNOWN_TESTS",
+    "resolve_test",
+    "resolve_tests",
 ]
-
-METHOD_USTAT = "an"
-METHOD_BIVARIATE = "dn"
-METHOD_LITTLE_UNIVARIATE = "d2_univariate"
-METHOD_LITTLE_GENERAL = "d2_general"
-
 
 @dataclass(frozen=True)
 class TestResult:
@@ -69,15 +74,7 @@ class TestResult:
 
     def to_record(self) -> dict:
         """Flat key-value record for CSV/JSON emission."""
-        return {
-            "method": self.method,
-            "statistic": self.statistic,
-            "df": self.df,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "reject": self.reject,
-            "diagnostics": dict(self.diagnostics),
-        }
+        return asdict(self)
 
 
 def check_alpha(alpha: float) -> None:
@@ -121,7 +118,7 @@ def _columns(values, mask, roles: ColumnRoles) -> tuple[np.ndarray, np.ndarray]:
     contiguous, as ``ds.values[:, cols]`` gives them for one dataset, so
     every dataset's slice has the same strides in a stack of any size.
     Roles are checked against the data only by the per-dataset tests (see
-    ``_one``); here, no incomplete column raises DegenerateDataError.
+    ``TestSpec.run``); here, no incomplete column raises DegenerateDataError.
     """
     if roles.q == 0:
         raise DegenerateDataError("no incomplete columns")
@@ -179,13 +176,6 @@ def _failed(errors: tuple) -> np.ndarray:
     return np.array([e is not None for e in errors], dtype=bool)
 
 
-def _one(kernel, ds: Dataset, roles: ColumnRoles, alpha: float) -> TestResult:
-    """``kernel`` of a stack of one, after checking alpha and the roles."""
-    check_alpha(alpha)
-    response_matrix(ds, roles)  # raises for roles that do not fit ds
-    return kernel(ds.values[None], ds.mask[None], roles).result(0, alpha)
-
-
 def _quadratic_form(values, mask, roles: ColumnRoles) -> tuple:
     """``ustat_batch``'s result with the moments it is built from.
 
@@ -207,7 +197,7 @@ def _quadratic_form(values, mask, roles: ColumnRoles) -> tuple:
     components = np.sqrt(n) * (v_x @ h @ np.swapaxes(v_r, -1, -2))
     df = x.shape[-1] * r.shape[-1]
     result = BatchResult(
-        method=METHOD_USTAT,
+        method="an",
         df=np.full(len(statistic), df),
         n=n,
         statistic=statistic,
@@ -247,7 +237,7 @@ def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> Tes
     the statistic against the pq x pq route and the maximum-likelihood
     moment pair.  Computed as ``ustat_batch`` of a stack of one.
     """
-    return _one(ustat_batch, ds, roles, alpha)
+    return TESTS["an"].run(ds, roles, alpha)
 
 
 def bivariate_batch(values, mask, roles: ColumnRoles) -> BatchResult:
@@ -261,8 +251,6 @@ def bivariate_batch(values, mask, roles: ColumnRoles) -> BatchResult:
             "the bivariate test requires exactly one complete and one "
             f"incomplete column (got p={roles.p}, q={roles.q})"
         )
-    if values.shape[1] < 3:
-        raise DegenerateDataError("the bivariate test requires n >= 3")
     an, gaps, cov_x, cov_r = _quadratic_form(values, mask, roles)
     failed = _failed(an.errors)
     errors = tuple(
@@ -276,7 +264,7 @@ def bivariate_batch(values, mask, roles: ColumnRoles) -> BatchResult:
     )
     return replace(
         an,
-        method=METHOD_BIVARIATE,
+        method="dn",
         statistic=np.where(failed, 0.0, an.diagnostics["components"][:, 0]),
         errors=errors,
         diagnostics={
@@ -297,7 +285,7 @@ def bivariate_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) ->
     finds Var(X) * Var(R) singular.  Computed as ``bivariate_batch`` of a
     stack of one.
     """
-    return _one(bivariate_batch, ds, roles, alpha)
+    return TESTS["dn"].run(ds, roles, alpha)
 
 
 def little_univariate_batch(values, mask, roles: ColumnRoles) -> BatchResult:
@@ -325,7 +313,7 @@ def little_univariate_batch(values, mask, roles: ColumnRoles) -> BatchResult:
     )
     return replace(
         an,
-        method=METHOD_LITTLE_UNIVARIATE,
+        method="d2_univariate",
         errors=errors,
         diagnostics={"n_observed": n_obs, "n_missing": n - n_obs},
     )
@@ -342,7 +330,7 @@ def little_mcar_univariate(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05)
     quadratic-form test; computed as ``little_univariate_batch`` of a stack
     of one.
     """
-    return _one(little_univariate_batch, ds, roles, alpha)
+    return TESTS["d2_univariate"].run(ds, roles, alpha)
 
 
 def little_general_batch(values, mask, roles: ColumnRoles = None) -> BatchResult:
@@ -400,7 +388,7 @@ def little_general_batch(values, mask, roles: ColumnRoles = None) -> BatchResult
             p_value[i] = chi2_sf(statistic[i], int(df[i]))
         lo = hi
     return BatchResult(
-        method=METHOD_LITTLE_GENERAL,
+        method="d2_general",
         df=df,
         n=values.shape[1],
         statistic=statistic,
@@ -433,3 +421,58 @@ def little_mcar_general(ds: Dataset, alpha: float = 0.05) -> TestResult:
     """
     check_alpha(alpha)
     return little_general_batch(ds.values[None], ds.mask[None]).result(0, alpha)
+
+
+@dataclass(frozen=True)
+class TestSpec:
+    """What the harness and the CLI need to know about one test.
+
+    ``batch(values, mask, roles)`` tests an (R, n, d) stack of datasets of
+    one shape at once and returns a BatchResult.  ``p`` and ``q``, when
+    set, are the only numbers of complete and incomplete columns the test
+    applies to.
+    """
+
+    batch: Callable
+    p: int = None
+    q: int = None
+
+    def run(self, ds: Dataset, roles: ColumnRoles, alpha: float) -> TestResult:
+        """Test one dataset: ``batch`` of a stack of one, after checking
+        alpha and the roles; raises the test's exception for it."""
+        check_alpha(alpha)
+        response_matrix(ds, roles)  # raises for roles that do not fit ds
+        return self.batch(ds.values[None], ds.mask[None], roles).result(0, alpha)
+
+    def check_shape(self, tag: str, p: int, q: int) -> None:
+        """Raise ValueError unless the test applies to p complete and q
+        incomplete columns."""
+        if self.p not in (None, p) or self.q not in (None, q):
+            needs = [f"{k} = {v}" for k, v in (("p", self.p), ("q", self.q)) if v]
+            raise ValueError(f"the {tag} test requires {' and '.join(needs)}")
+
+
+# The test registry, by resolved wire name.
+TESTS = {
+    "an": TestSpec(ustat_batch),
+    "dn": TestSpec(bivariate_batch, p=1, q=1),
+    "d2_univariate": TestSpec(little_univariate_batch, q=1),
+    "d2_general": TestSpec(little_general_batch),
+}
+
+# wire names; "d2" picks the closed form when q = 1 and the general
+# (EM-based) statistic otherwise
+KNOWN_TESTS = (*TESTS, "d2")
+
+
+def resolve_test(tag: str, q: int) -> str:
+    if tag not in KNOWN_TESTS:
+        raise ValueError(f"unknown test {tag!r}; expected one of {KNOWN_TESTS}")
+    if tag == "d2":
+        return "d2_univariate" if q == 1 else "d2_general"
+    return tag
+
+
+def resolve_tests(tags, q: int) -> tuple:
+    """Resolved wire names of ``tags``, each once, in first-seen order."""
+    return tuple(dict.fromkeys(resolve_test(t, q) for t in tags))

@@ -1,5 +1,7 @@
 import csv
+import importlib
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -8,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import mcartest
 from mcartest import Dataset, load_csv, ustat_mcar_test
 from mcartest.cli import main
-from mcartest.harness import KNOWN_TESTS
+from mcartest.stats import KNOWN_TESTS
 
 from conftest import child_env
 
@@ -105,6 +108,9 @@ class TestTestCommand:
         path.write_text("a,b\n1.0,2.0\n3.0,4.0\n5.0,6.5\n")
         assert run_cli("test", "--input", str(path)) == 3
         assert "incomplete" in capsys.readouterr().err
+        # d2 alone says the same, though d2_general's kernel reads no roles
+        assert run_cli("test", "--input", str(path), "--tests", "d2") == 3
+        assert capsys.readouterr().err == "error: no incomplete columns\n"
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run_cli("test", "--input", str(tmp_path / "nope.csv")) == 3
@@ -527,6 +533,19 @@ class TestEntryPoints:
             [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_each_public_name_has_one_home(self):
+        # every __all__ entry exists, and no two submodules list the same
+        # name; the package root re-exports and is exempt
+        homes = {}
+        for info in pkgutil.iter_modules(mcartest.__path__):
+            if info.name.startswith("_"):
+                continue  # __main__ runs the CLI when imported
+            module = importlib.import_module(f"mcartest.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"mcartest.{info.name}.{name}"
+                assert name not in homes, f"{name} in {homes.get(name)} and {info.name}"
+                homes[name] = info.name
 
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "hand.csv"

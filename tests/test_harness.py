@@ -15,16 +15,14 @@ from mcartest import (
     rng_stream,
 )
 from mcartest.harness import (
-    KNOWN_TESTS,
-    TESTS,
     Scenario,
     _ks_distance,
-    resolve_test,
     results_to_csv,
     run_cell,
     run_grid,
     wilson_interval,
 )
+from mcartest.stats import KNOWN_TESTS, TESTS, resolve_test
 
 
 def scenario(**overrides):

@@ -23,6 +23,7 @@ from mcartest import (
     ustat_mcar_test,
 )
 from mcartest.stats import (
+    TESTS,
     bivariate_batch,
     little_general_batch,
     little_univariate_batch,
@@ -298,6 +299,10 @@ class TestQuadraticFormTest:
             ustat_mcar_test(ds, roles, alpha=1.5)
         # alpha = 1 is legal and always rejects
         assert ustat_mcar_test(ds, roles, alpha=1.0).reject
+        # every registry runner checks alpha before it tests
+        for spec in TESTS.values():
+            with pytest.raises(ValueError, match="alpha"):
+                spec.run(ds, roles, 0.0)
 
 
 class TestBivariate:
@@ -564,6 +569,14 @@ class TestBatchKernels:
         assert "observed 23 of 23" in str(d2.errors[3])
         assert "observed 0 of 23" in str(d2.errors[17])
         assert isinstance(d2.errors[8], SingularMatrixError)
+
+    def test_registry_runners_check_roles(self, rng):
+        # roles that leave a column out are an error for every test, d2_general
+        # too, although its kernel reads no roles
+        ds, _ = make_dataset(rng, 30, 2, 1)
+        for spec in TESTS.values():
+            with pytest.raises(ValueError, match="cover every column"):
+                spec.run(ds, ColumnRoles((0,), (2,)), 0.05)
 
     def test_shape_errors_are_raised_for_the_block(self, rng):
         datasets, roles = kernel_datasets(rng, 12, 2, 2)
