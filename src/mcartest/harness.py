@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import ColumnRoles
 from .errors import DegenerateDataError
-from .numerics import chi2_sf, rng_stream
+from .numerics import chi2_sf, rng_streams
 from .stats import TESTS, check_alpha, resolve_tests
 from .synthesis import (
     DistributionSpec,
@@ -212,14 +212,17 @@ def _run_block(
 
     ``key``, ``roles`` and ``tags`` (content hash, column roles, resolved
     tests) are computed once per cell by ``run_cell``.  Each replication
-    draws from its own two streams, opened one at a time as its turn comes;
-    the rest runs once over the whole block.  Returns {resolved tag:
-    (valid, reject, statistic)}, three arrays with one entry per
-    replication; a degenerate replication is not valid.
+    draws from its own two streams, ``rng_stream(master_seed, key, rep,
+    purpose)`` bit for bit.  ``numerics.rng_streams`` keys each purpose's
+    streams for the whole block in one pass and re-seats one generator to
+    each in turn, so a stream is valid only until the next is drawn and the
+    synthesis consumes them one at a time.  The rest runs once over the
+    whole block.  Returns {resolved tag: (valid, reject, statistic)}, three
+    arrays with one entry per replication; a degenerate replication is not
+    valid.
     """
     def streams(purpose):
-        seed = scenario.master_seed
-        return (rng_stream(seed, key, rep, purpose) for rep in range(start, stop))
+        return rng_streams(scenario.master_seed, key, np.arange(start, stop), purpose)
 
     values = generate_block(
         scenario.distribution,

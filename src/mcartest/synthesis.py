@@ -27,9 +27,9 @@ The Monte-Carlo harness makes R datasets of one shape at a time, as one
 (R, n, d) value array and one mask.  ``generate_block`` and
 ``amputate_block`` work on those arrays: each replication's draws come
 from its own generator, in the order a lone dataset draws them, and the
-rest (Clayton's margins, the medians and means that split the rows, the
-masks) runs once over the block.  ``generate`` and ``apply_mechanism``
-are their calls for one dataset.
+rest (Clayton's margins, the medians and means that split the rows,
+mar_rank's control ranks, the masks) runs once over the block.
+``generate`` and ``apply_mechanism`` are their calls for one dataset.
 """
 
 from dataclasses import dataclass
@@ -346,12 +346,15 @@ def amputate_block(
     n = values.shape[1]
     if spec.kind == "mar_rank":
         m = int(np.floor(n * spec.miss_prob + 0.5))
-        for rng, x, held in zip(rngs, values, mask):
+        if m == 0:
+            return
+        # each control ranked once over the block; midranks sum exactly to
+        # n(n+1)/2, so every row divides by the sum a lone dataset's does
+        weights = {c: ranks(values[..., c]) for c in set(controls)}
+        probs = {c: w / w.sum(axis=-1, keepdims=True) for c, w in weights.items()}
+        for i, (rng, held) in enumerate(zip(rngs, mask)):
             for j, c in zip(targets, controls):
-                if m > 0:
-                    weights = ranks(x[:, c])
-                    chosen = rng.choice(n, size=m, replace=False, p=weights / weights.sum())
-                    held[chosen, j] = False
+                held[rng.choice(n, size=m, replace=False, p=probs[c][i]), j] = False
         return
     uniforms = np.empty((len(values), len(targets), n))
     for rng, u in zip(rngs, uniforms):

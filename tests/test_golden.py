@@ -11,7 +11,11 @@ were written before the four per-mechanism amputation functions were
 merged into ``apply_mechanism``.  The two Clayton cells (``chisq4`` and
 ``uniform`` margins), the ``mar_rank`` cell with three targets and the
 two-worker run of criterion 7 were written before each block of
-replications was generated and amputated as one array.
+replications was generated and amputated as one array.  The two
+``seed_*words`` cells, whose master seeds take two and five 32-bit words
+(all others take one), were written while each replication still opened
+its streams through ``numerics.rng_stream``, before a block's streams
+were keyed in one pass (``numerics.rng_streams``).
 
 ``cli_test_1X1Y_n60.csv`` is not a results CSV but the input of
 ``test_cli.py``'s report check; it was written by ``mcartest generate``,
@@ -73,6 +77,16 @@ CASES = {
     "mar_rank_2X3Y.csv": (
         "--p 2 --q 3 --n 50 --mechanism mar_rank --miss-prob 0.1 --tests an,d2 "
         "--replications 150 --seed 1009"
+    ),
+    # 2**32 + 17: a master seed of two 32-bit words
+    "seed_2words_1X2Y_mar_1_to_x.csv": (
+        "--p 1 --q 2 --n 40 --mechanism mar_1_to_x --miss-prob 0.15 --odds 4 "
+        "--tests an,d2 --replications 120 --seed 4294967313"
+    ),
+    # 2**128 + 29: five words, more than SeedSequence's pool of four
+    "seed_5words_mar_rank_2X3Y_shared_control.csv": (
+        "--p 2 --q 3 --n 40 --mechanism mar_rank --miss-prob 0.15 --controls x1,x1,x2 "
+        "--tests an,d2 --replications 120 --seed 340282366920938463463374607431768211485"
     ),
 }
 

@@ -11,8 +11,10 @@ from mcartest.numerics import (
     chi2_sf,
     cov_matrix,
     kron_spd_eigh_stack,
+    philox_keys,
     ranks,
     rng_stream,
+    rng_streams,
     spd_eigh_stack,
 )
 
@@ -235,6 +237,28 @@ class TestRanks:
         x = np.array([2.0, np.nan, 1.0])
         np.testing.assert_array_equal(ranks(x), rankdata(x, method="average"))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda rows: st.lists(
+                st.lists(
+                    st.sampled_from([-0.0, 0.0, 1.0, -2.5, np.nan])
+                    | st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=rows,
+                    max_size=rows,
+                ),
+                min_size=1,
+                max_size=40,
+            )
+        )
+    )
+    def test_stack_ranks_each_row_alone(self, columns):
+        # one sort over a (rows, n) stack gives each row's own ranks
+        x = np.array(columns).T
+        got = ranks(x)
+        for row, ranked in zip(x, got):
+            assert ranked.tobytes() == ranks(row).tobytes()
+
 
 class TestRngStream:
     def test_reproducible(self):
@@ -252,3 +276,86 @@ class TestRngStream:
         a = rng_stream(1, 7).standard_normal(100)
         b = rng_stream(2, 7).standard_normal(100)
         assert not np.array_equal(a, b)
+
+
+def seed_sequence_key(master_seed, *labels):
+    """The Philox key numpy derives for ``rng_stream(master_seed, *labels)``."""
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=labels)
+    return np.random.Philox(seq).state["state"]["key"]
+
+
+class TestRngStreams:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # one word, or up to five: more than SeedSequence's pool of four
+        master_seed=st.integers(0, 2**32 - 1) | st.integers(0, 2**160 - 1),
+        key=st.integers(0, 2**32 - 1) | st.integers(0, 2**64 - 1),
+        # from 0, anywhere, ending just below 2**32, or across it
+        start=st.just(0) | st.integers(0, 2**40) | st.integers(2**32 - 12, 2**32 + 2),
+        size=st.integers(0, 7),
+        purpose=st.sampled_from([0, 1]) | st.integers(2, 2**64 - 1),
+    )
+    def test_keys_match_seed_sequence(self, master_seed, key, start, size, purpose):
+        reps = np.arange(start, start + size, dtype=np.uint64)
+        got = philox_keys(master_seed, key, reps, purpose)
+        assert got.shape == (size, 2) and got.dtype == np.uint64
+        for rep, row in zip(reps, got):
+            np.testing.assert_array_equal(row, seed_sequence_key(master_seed, key, int(rep), purpose))
+
+    def test_replications_past_two_to_the_32_take_two_words(self):
+        reps = np.arange(2**32 - 2, 2**32 + 2)
+        got = philox_keys(5, 77, reps, 1)
+        want = [seed_sequence_key(5, 77, int(rep), 1) for rep in reps]
+        np.testing.assert_array_equal(got, want)
+
+    def test_scalar_labels_only(self):
+        np.testing.assert_array_equal(philox_keys(9), [seed_sequence_key(9)])
+        np.testing.assert_array_equal(philox_keys(2**200, 3), [seed_sequence_key(2**200, 3)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        master_seed=st.integers(0, 2**160 - 1),
+        key=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**33),
+        size=st.integers(1, 5),
+        n=st.integers(1, 20),
+    )
+    def test_draws_match_rng_stream(self, master_seed, key, start, size, n):
+        # every draw the block synthesis makes, then a float32 that leaves
+        # half a word cached: the next stream must not see it
+        weights = np.arange(1.0, n + 4)
+        weights /= weights.sum()
+
+        def draws(rng):
+            return [
+                rng.standard_normal(n),
+                rng.standard_gamma(0.7, size=n),
+                rng.standard_exponential(n),
+                rng.random(n),
+                rng.choice(n + 3, size=n, replace=False, p=weights),
+                rng.random(dtype=np.float32),
+            ]
+
+        reps = range(start, start + size)
+        for rep, rng in zip(reps, rng_streams(master_seed, key, np.array(reps), 1)):
+            for got, want in zip(draws(rng), draws(rng_stream(master_seed, key, rep, 1))):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_negative_values_raise_like_seed_sequence(self):
+        for master_seed, labels in [(-1, ()), (0, (-1,)), (0, (3, -2, 1))]:
+            with pytest.raises(ValueError) as reference:
+                np.random.SeedSequence(master_seed, spawn_key=labels)
+            with pytest.raises(type(reference.value)):
+                philox_keys(master_seed, *labels)
+            with pytest.raises(type(reference.value)):
+                rng_streams(master_seed, *labels)
+        with pytest.raises(ValueError):
+            rng_streams(0, 3, np.array([0, -1]), 1)
+
+    def test_array_labels_are_checked(self):
+        with pytest.raises(ValueError):
+            philox_keys(0, np.arange(3), np.arange(4))
+        with pytest.raises(ValueError):
+            philox_keys(0, np.zeros((2, 2), dtype=int))
+        with pytest.raises(ValueError):
+            philox_keys(0, np.arange(3.0))
