@@ -15,15 +15,15 @@ from mcartest import (
     DistributionSpec,
     MechanismSpec,
     apply_mechanism,
-    gen_clayton,
-    gen_std_normal,
+    generate,
     pattern_names,
     rng_stream,
 )
 
 n = 4000
 roles = ColumnRoles((0,), (1,))
-full = gen_std_normal(n, 2, rng_stream(7, 0), pattern_names(1, 1))
+normal = DistributionSpec(kind="std_normal", dim=2)
+full = generate(normal, n, rng_stream(7, 0), pattern_names(1, 1))
 control = full.values[:, 0]
 
 
@@ -54,5 +54,5 @@ report(4, kind="mar_mean", controls=(0,), p_high=(0.25,), p_low=(0.05,))
 # generators are not limited to normal data: a Clayton copula with
 # exponential margins gives dependent, heavy-tailed columns
 spec = DistributionSpec(kind="clayton", dim=2, theta=1.0, margins=("exp1", "exp1"))
-clay = gen_clayton(n, spec, rng_stream(7, 5), pattern_names(1, 1))
+clay = generate(spec, n, rng_stream(7, 5), pattern_names(1, 1))
 print(f"clayton sample means {clay.values.mean(axis=0).round(3)} (Exp(1) margins)")

@@ -38,8 +38,6 @@ from .synthesis import (
     DistributionSpec,
     MechanismSpec,
     apply_mechanism,
-    gen_clayton,
-    gen_std_normal,
     generate,
     pattern_names,
 )
@@ -77,8 +75,6 @@ __all__ = [
     "DistributionSpec",
     "MechanismSpec",
     "apply_mechanism",
-    "gen_clayton",
-    "gen_std_normal",
     "generate",
     "pattern_names",
     "__version__",

@@ -1,8 +1,7 @@
 """Small numerical kernel used by the test statistics and the simulator.
 
-Unbiased covariances, symmetric eigendecompositions (that of A (x) B
-taken from its factors), the chi-squared distribution, midranks, and
-deterministic per-task random streams.
+Symmetric eigendecompositions, the chi-squared distribution, midranks,
+and deterministic per-task random streams.
 
 A random stream is a Philox generator keyed by numpy's ``SeedSequence``
 hash of (master seed, labels); ``rng_stream`` opens one and is the
@@ -12,11 +11,10 @@ same 32-bit hash for a whole block of replications as uint32 array
 operations, and ``rng_streams`` re-seats one Philox bit generator to each
 key in turn.  Every stream draws the numbers ``rng_stream`` gives it.
 
-The covariances also take stacks of R datasets along a leading
-axis, for the harness's batch kernels.  The eigendecompositions take only
-stacks of matrices, a stack of one for a lone matrix, and report a singular
-matrix per entry of the stack instead of raising, so one degenerate
-replication does not discard its block.
+The eigendecompositions take only stacks of matrices, a stack of one for
+a lone matrix, and report a singular matrix per entry of the stack
+instead of raising, so one degenerate replication does not discard its
+block.
 
 Nothing here imports scipy at module level, because every CLI call would
 pay for it: ``scipy.stats`` costs about a second and ``scipy.special``
@@ -38,9 +36,7 @@ __all__ = [
     "rng_stream",
     "philox_keys",
     "rng_streams",
-    "cov_matrix",
     "spd_eigh_stack",
-    "kron_spd_eigh_stack",
     "chi2_sf",
     "chi2_quantile",
     "ranks",
@@ -193,37 +189,6 @@ def rng_streams(master_seed: int, *labels):
     return reseated()
 
 
-def cov_matrix(columns) -> np.ndarray:
-    """Unbiased covariance matrix (divisor n-1) of column variables.
-
-    Parameters
-    ----------
-    columns : array-like, shape (n, m) or a stack (R, n, m)
-        Observations in rows, variables in columns.
-
-    Returns
-    -------
-    (m, m) ndarray, or (R, m, m) for a stack; symmetric.
-
-    Each matrix of a stack is computed by the same operations as a lone
-    matrix with the same strides, so it is bitwise the same alone or
-    stacked.  With each column contiguous (``ds.values[:, cols]``) the
-    result is bitwise that of ``np.cov(columns, rowvar=False)``.
-    """
-    a = np.asarray(columns, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    n = a.shape[-2]
-    if n < 2:
-        raise DegenerateDataError("covariance requires n >= 2")
-    c = a - a.mean(axis=-2, keepdims=True)
-    # a matrix times its own transpose: numpy hands this to BLAS syrk, as
-    # np.cov does, and syrk returns an exactly symmetric matrix
-    c = np.swapaxes(c, -1, -2) @ c
-    c *= np.true_divide(1, n - 1)
-    return c
-
-
 def _require_symmetric(a: np.ndarray, rtol: float = 1e-12) -> None:
     """Raise ValueError unless every matrix of the (..., m, m) stack ``a`` is
     symmetric to ``rtol`` of its own scale."""
@@ -244,7 +209,8 @@ def _singular_errors(eigenvalues: np.ndarray) -> tuple:
     the positive-definiteness threshold, which is scale-aware and floored
     so that near-zero matrices are still flagged: 1e-10 * max(largest, 1).
     Degenerate data (a constant column, a response indicator without
-    variation, or perfectly correlated columns) surfaces here.
+    variation, or perfectly correlated columns) surfaces here; the
+    quadratic-form kernel passes the eigenvalues of Corr(X) (x) Corr(R).
     """
     w = eigenvalues.reshape(len(eigenvalues), math.prod(eigenvalues.shape[1:]))
     smallest = w.min(axis=1)
@@ -268,24 +234,6 @@ def spd_eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     _require_symmetric(a)
     w, v = np.linalg.eigh(a)
     return w, v, _singular_errors(w)
-
-
-def kron_spd_eigh_stack(a: np.ndarray, b: np.ndarray) -> tuple:
-    """Eigendecompositions of A_i (x) B_i from those of the symmetric factors.
-
-    ``a`` and ``b`` are (R, p, p) and (R, q, q) stacks.  Returns
-    (W, V_a, V_b, errors) with W[i] = outer(w_a[i], w_b[i]): W[i, u, v] is
-    the eigenvalue of A_i (x) B_i for the eigenvector
-    kron(V_a[i, :, u], V_b[i, :, v]).  The symmetry check and the
-    threshold act on the factors and on W, so no product matrix is formed;
-    ``errors`` is as from ``_singular_errors``.
-    """
-    _require_symmetric(a)
-    _require_symmetric(b)
-    w_a, v_a = np.linalg.eigh(a)
-    w_b, v_b = np.linalg.eigh(b)
-    w = w_a[:, :, None] * w_b[:, None, :]
-    return w, v_a, v_b, _singular_errors(w)
 
 
 # math.erfc as a ufunc; it returns an object array, or a bare float for

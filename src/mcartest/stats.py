@@ -38,7 +38,7 @@ import numpy as np
 from .data import ColumnRoles, Dataset, response_matrix
 from .em import em_mvn
 from .errors import DegenerateDataError, SingularMatrixError
-from .numerics import chi2_sf, cov_matrix, kron_spd_eigh_stack, spd_eigh_stack
+from .numerics import _singular_errors, chi2_sf, spd_eigh_stack
 
 __all__ = [
     "TestResult",
@@ -59,6 +59,9 @@ __all__ = [
     "resolve_test",
     "resolve_tests",
 ]
+
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class TestResult:
@@ -104,35 +107,26 @@ def mean_product_gap(x, r):
         raise DegenerateDataError("mean_product_gap requires n >= 2")
     if r.shape != x.shape:
         raise ValueError("x and r must have the same length")
-    biased = _gaps(x[..., None], r[..., None])[..., 0, 0]
+    biased = x.mean(axis=-1) * r.mean(axis=-1) - (x * r).mean(axis=-1)
     unbiased = biased * n / (n - 1.0)
     if biased.ndim == 0:
         return float(unbiased), float(biased)
     return unbiased, biased
 
 
-def _columns(values, mask, roles: ColumnRoles) -> tuple[np.ndarray, np.ndarray]:
-    """Complete-column values and float response indicators of a stack.
+def _columns(values, mask, roles: ColumnRoles) -> np.ndarray:
+    """Complete-column values, then float response indicators, of a stack.
 
-    Returns (R, n, p) and (R, n, q) arrays whose columns are each
-    contiguous, as ``ds.values[:, cols]`` gives them for one dataset, so
-    every dataset's slice has the same strides in a stack of any size.
-    Roles are checked against the data only by the per-dataset tests (see
-    ``TestSpec.run``); here, no incomplete column raises DegenerateDataError.
+    Returns an (R, p + q, n) array, one row per column, so every dataset's
+    slice has the same strides in a stack of any size.  Roles are checked
+    against the data only by the per-dataset tests (see ``TestSpec.run``);
+    here, no incomplete column raises DegenerateDataError.
     """
     if roles.q == 0:
         raise DegenerateDataError("no incomplete columns")
-    x = np.ascontiguousarray(values.transpose(0, 2, 1)[:, list(roles.complete)])
-    observed = mask.transpose(0, 2, 1)[:, list(roles.incomplete)]
-    r = np.ascontiguousarray(observed, dtype=float)
-    return x.transpose(0, 2, 1), r.transpose(0, 2, 1)
-
-
-def _gaps(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Biased mean-product gaps, (R, p, q), of (R, n, p) and (R, n, q) stacks."""
-    n = x.shape[-2]
-    means = x.mean(axis=-2)[..., :, None] * r.mean(axis=-2)[..., None, :]
-    return means - (np.swapaxes(x, -1, -2) @ r) / n
+    x = values.transpose(0, 2, 1)[:, list(roles.complete)]
+    r = mask.transpose(0, 2, 1)[:, list(roles.incomplete)]
+    return np.concatenate([x, r], axis=1, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -177,25 +171,56 @@ def _failed(errors: tuple) -> np.ndarray:
 
 
 def _quadratic_form(values, mask, roles: ColumnRoles) -> tuple:
-    """``ustat_batch``'s result with the moments it is built from.
+    """``ustat_batch``'s result with the column standard deviations.
 
-    Returns (result, gaps, cov_x, cov_r): the unbiased gaps (R, p, q) and
-    the covariances Cov(X) (R, p, p) and Cov(R) (R, q, q).
+    Returns (result, sd): sd (R, p + q) holds the sample standard
+    deviations of the complete columns, then of the response indicators.
+
+    The statistic is n * ||Q_x' Q_r||_F^2, Q_x and Q_r orthonormal bases of
+    the centred complete columns and response indicators: n times the sum
+    of their squared sample canonical correlations (Pillai's trace), which
+    is n * g' S^-1 g.  Both bases come from one Householder QR,
+    [X R] = Q T, of the centred columns each divided by its norm: Q_x is
+    Q's first p columns, and with the small QR T[:, p:] = Q_B T_r the
+    response basis is Q Q_B, so Q_x' Q_r is Q_B's first p rows (Bjorck &
+    Golub 1973).  No cross-product of the columns is formed.
     """
-    x, r = _columns(values, mask, roles)
-    n = x.shape[-2]
+    z = _columns(values, mask, roles)
+    p, d, n = roles.p, z.shape[1], z.shape[2]
     if n < 3:
         raise DegenerateDataError("the quadratic-form test requires n >= 3")
-    gaps = _gaps(x, r) * (n / (n - 1.0))
-    cov_x, cov_r = cov_matrix(x), cov_matrix(r)
-    w, v_x, v_r, errors = kron_spd_eigh_stack(cov_x, cov_r)
+    mean = z.mean(axis=-1, keepdims=True)
+    z -= mean
+    norms = np.sqrt(np.einsum("...i,...i->...", z, z))
+    # a column whose centred norm is within the rounding of its centring
+    # (n eps times the norm of its constant part) is constant: it is taken
+    # as zero, so that its correlation matrix has a zero eigenvalue
+    kept = norms > n * _EPS * np.sqrt(n) * np.abs(mean[..., 0])
+    z *= np.divide(1.0, norms, out=np.zeros_like(norms), where=kept)[..., None]
+    # with fewer rows than columns, T's rows past n stay zero
+    t = np.zeros((len(z), d, d))
+    t[:, : min(n, d)] = np.linalg.qr(np.swapaxes(z, -1, -2), mode="r")
+    basis, t_r = np.linalg.qr(t[:, :, p:])
+    cross = basis[:, :p]
+    t_x = t[:, :p, :p]
+    statistic = n * np.sum(cross**2, axis=(-2, -1))
+    # S is singular when Corr(X) (x) Corr(R) is, which does not depend on
+    # units; the 1e-10 threshold is far above the eigenvalues' rounding
+    corr_x = np.linalg.eigvalsh(np.swapaxes(t_x, -1, -2) @ t_x)
+    corr_r = np.linalg.eigvalsh(np.swapaxes(t_r, -1, -2) @ t_r)
+    errors = _singular_errors(corr_x[:, :, None] * corr_r[:, None, :])
     failed = _failed(errors)
-    w_safe = np.where(failed[:, None, None], 1.0, w)
-    h = (np.swapaxes(v_x, -1, -2) @ gaps @ v_r) / np.sqrt(w_safe)
-    statistic = n * np.sum(h**2, axis=(-2, -1))
     statistic[failed] = 0.0
-    components = np.sqrt(n) * (v_x @ h @ np.swapaxes(v_r, -1, -2))
-    df = x.shape[-1] * r.shape[-1]
+    # T_x D_x = U_x diag(s_x) V_x' for D_x the column norms, so Cov(X) is
+    # V_x diag(s_x**2) V_x' / (n - 1), and likewise Cov(R); the symmetric
+    # root S^(-1/2) (sqrt(n) g) is then -sqrt(n) vec(V_x U_x' Q_x' Q_r U_r V_r')
+    u_x, s_x, vt_x = np.linalg.svd(t_x * norms[:, None, :p])
+    u_r, s_r, vt_r = np.linalg.svd(t_r * norms[:, None, p:])
+    components = -np.sqrt(n) * (np.swapaxes(u_x @ vt_x, -1, -2) @ cross @ (u_r @ vt_r))
+    # a singular entry's diagnostics are never reported: 1 keeps the
+    # condition number of S finite there
+    low = np.where(failed, 1.0, s_x[:, -1] * s_r[:, -1])
+    df = p * roles.q
     result = BatchResult(
         method="an",
         df=np.full(len(statistic), df),
@@ -205,10 +230,10 @@ def _quadratic_form(values, mask, roles: ColumnRoles) -> tuple:
         errors=errors,
         diagnostics={
             "components": components.reshape(len(components), -1),
-            "sigma_condition": w_safe.max(axis=(-2, -1)) / w_safe.min(axis=(-2, -1)),
+            "sigma_condition": (s_x[:, 0] * s_r[:, 0] / low) ** 2,
         },
     )
-    return result, gaps, cov_x, cov_r
+    return result, norms / np.sqrt(n - 1.0)
 
 
 def ustat_batch(values, mask, roles: ColumnRoles) -> BatchResult:
@@ -228,14 +253,18 @@ def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> Tes
     chi-squared with p*q degrees of freedom.  Large values indicate
     association between observed values and missingness.
 
-    S is never formed.  With Cov(X) = V_x diag(w_x) V_x', Cov(R) =
-    V_r diag(w_r) V_r' and W = outer(w_x, w_r) the eigenvalues of S, the
-    statistic is n * sum(H**2) for H = V_x' G V_r / sqrt(W), G the p x q
-    gap matrix.  Diagnostics carry the standardized component vector
-    S^(-1/2) (sqrt(n) g) = sqrt(n) vec(V_x H V_r'), whose squared sum is
-    the statistic, and the condition number of S.  The test suite checks
-    the statistic against the pq x pq route and the maximum-likelihood
-    moment pair.  Computed as ``ustat_batch`` of a stack of one.
+    S is never formed.  The statistic is n times the sum of the squared
+    sample canonical correlations between the complete columns and the
+    response indicators, taken from orthonormal bases of the centred
+    columns (see ``_quadratic_form``), so it does not depend on the
+    columns' location or units.  S is singular, and SingularMatrixError
+    raised, when Corr(X) (x) Corr(R) is: a constant column, a response
+    indicator without variation, or collinear columns.  Diagnostics carry
+    the standardized component vector S^(-1/2) (sqrt(n) g), whose squared
+    sum is the statistic, and the condition number of S.  The test suite
+    checks the statistic against the pq x pq route and the
+    maximum-likelihood moment pair.  Computed as ``ustat_batch`` of a
+    stack of one.
     """
     return TESTS["an"].run(ds, roles, alpha)
 
@@ -251,8 +280,9 @@ def bivariate_batch(values, mask, roles: ColumnRoles) -> BatchResult:
             "the bivariate test requires exactly one complete and one "
             f"incomplete column (got p={roles.p}, q={roles.q})"
         )
-    an, gaps, cov_x, cov_r = _quadratic_form(values, mask, roles)
+    an, sd = _quadratic_form(values, mask, roles)
     failed = _failed(an.errors)
+    statistic = np.where(failed, 0.0, an.diagnostics["components"][:, 0])
     errors = tuple(
         DegenerateDataError(
             "zero variance: the complete column is constant or the "
@@ -265,12 +295,13 @@ def bivariate_batch(values, mask, roles: ColumnRoles) -> BatchResult:
     return replace(
         an,
         method="dn",
-        statistic=np.where(failed, 0.0, an.diagnostics["components"][:, 0]),
+        statistic=statistic,
         errors=errors,
+        # the statistic is the studentized gap, sqrt(n) gap / (sd_x sd_r)
         diagnostics={
-            "gap": gaps[:, 0, 0],
-            "sd_x": np.sqrt(cov_x[:, 0, 0]),
-            "sd_r": np.sqrt(cov_r[:, 0, 0]),
+            "gap": statistic * sd[:, 0] * sd[:, 1] / np.sqrt(an.n),
+            "sd_x": sd[:, 0],
+            "sd_r": sd[:, 1],
         },
     )
 

@@ -45,8 +45,6 @@ __all__ = [
     "DistributionSpec",
     "MechanismSpec",
     "pattern_names",
-    "gen_std_normal",
-    "gen_clayton",
     "generate_block",
     "generate",
     "fit_mechanism",
@@ -271,18 +269,6 @@ def generate(spec: DistributionSpec, n: int, rng, names=None) -> Dataset:
     if names is None:
         names = tuple(f"c{j}" for j in range(1, spec.dim + 1))
     return Dataset(values, np.ones(values.shape, dtype=bool), names)
-
-
-def gen_std_normal(n: int, d: int, rng, names=None) -> Dataset:
-    """Fully observed n x d matrix of i.i.d. standard normal entries."""
-    return generate(DistributionSpec(kind="std_normal", dim=d), n, rng, names)
-
-
-def gen_clayton(n: int, spec: DistributionSpec, rng, names=None) -> Dataset:
-    """Clayton-copula sample with the margins listed in ``spec.margins``."""
-    if spec.kind != "clayton":
-        raise ValueError(f"gen_clayton needs a clayton spec, got {spec.kind!r}")
-    return generate(spec, n, rng, names)
 
 
 def fit_mechanism(spec: MechanismSpec, roles: ColumnRoles) -> tuple:

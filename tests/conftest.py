@@ -9,7 +9,7 @@ import pytest
 
 import mcartest
 from mcartest import ColumnRoles, Dataset, DegenerateDataError, response_matrix
-from mcartest.numerics import cov_matrix, spd_eigh_stack
+from mcartest.numerics import spd_eigh_stack
 
 # one line per acceptance criterion, emitted after the test run so the
 # PASS/FAIL verdicts survive pytest's output capture
@@ -120,7 +120,9 @@ def pq_covariance(ds, roles, mode="unbiased"):
     x = ds.values[:, list(roles.complete)]
     r = response_matrix(ds, roles).astype(float)
     scale = {"unbiased": 1.0, "ml": (ds.n - 1.0) / ds.n}[mode]
-    return np.kron(cov_matrix(x) * scale, cov_matrix(r) * scale)
+    cov_x = np.atleast_2d(np.cov(x, rowvar=False))
+    cov_r = np.atleast_2d(np.cov(r, rowvar=False))
+    return np.kron(cov_x * scale, cov_r * scale)
 
 
 def reference_routes(ds, roles):

@@ -34,8 +34,7 @@ from mcartest import (
     DistributionSpec,
     MechanismSpec,
     em_mvn,
-    gen_clayton,
-    gen_std_normal,
+    generate,
     mean_product_gap,
     rng_stream,
     ustat_mcar_test,
@@ -221,13 +220,13 @@ def test_09_clayton_generator_quality():
     pair = DistributionSpec(
         kind="clayton", dim=2, theta=1.0, margins=("uniform", "uniform")
     )
-    ds = gen_clayton(10000, pair, rng_stream(1005, 0))
+    ds = generate(pair, 10000, rng_stream(1005, 0))
     tau = float(sps.kendalltau(ds.values[:, 0], ds.values[:, 1]).statistic)
 
     margins = DistributionSpec(
         kind="clayton", dim=2, theta=1.0, margins=("exp1", "chisq4")
     )
-    ms = gen_clayton(5000, margins, rng_stream(1005, 1))
+    ms = generate(margins, 5000, rng_stream(1005, 1))
     crit = 1.6276 / np.sqrt(5000)  # 1% asymptotic KS critical value
     ks_exp = float(sps.kstest(ms.values[:, 0], "expon").statistic)
     ks_chi = float(sps.kstest(ms.values[:, 1], sps.chi2(4).cdf).statistic)

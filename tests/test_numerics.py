@@ -5,48 +5,16 @@ from hypothesis import strategies as st
 from scipy.special import gammaincc, ndtr
 from scipy.stats import rankdata
 
-from mcartest.errors import DegenerateDataError, SingularMatrixError
+from mcartest.errors import SingularMatrixError
 from mcartest.numerics import (
     chi2_quantile,
     chi2_sf,
-    cov_matrix,
-    kron_spd_eigh_stack,
     philox_keys,
     ranks,
     rng_stream,
     rng_streams,
     spd_eigh_stack,
 )
-
-
-def brute_cov(x):
-    # literal double-loop covariance, the oracle for cov_matrix
-    n, m = x.shape
-    mu = x.mean(axis=0)
-    out = np.zeros((m, m))
-    for a in range(m):
-        for b in range(m):
-            s = 0.0
-            for i in range(n):
-                s += (x[i, a] - mu[a]) * (x[i, b] - mu[b])
-            out[a, b] = s / (n - 1)
-    return out
-
-
-class TestMoments:
-    # a single column's covariance is its variance, as the quadratic-form
-    # kernel takes it for q = 1
-    def test_var_hand_values(self):
-        assert cov_matrix(np.array([1.0, 2.0, 3.0])) == pytest.approx(1.0, rel=1e-15)
-        assert cov_matrix(np.array([0.0, 2.0])) == pytest.approx(2.0)
-
-    def test_var_needs_two_points(self):
-        with pytest.raises(DegenerateDataError):
-            cov_matrix(np.array([1.0]))
-
-    def test_cov_against_double_sum(self, rng):
-        x = rng.standard_normal((23, 4))
-        assert np.allclose(cov_matrix(x), brute_cov(x), atol=1e-12)
 
 
 class TestEigenBased:
@@ -66,27 +34,6 @@ class TestEigenBased:
         a = self.random_spd(rng, 4)
         w, v, _ = spd_eigh_stack(a[None])
         np.testing.assert_allclose(a @ ((v[0] / w[0]) @ v[0].T), np.eye(4), atol=1e-10)
-
-    def test_kron_eigh_reconstructs_product(self, rng):
-        a = self.random_spd(rng, 3)
-        b = self.random_spd(rng, 2)
-        w, v_a, v_b, errors = kron_spd_eigh_stack(a[None], b[None])
-        assert errors == (None,)
-        v = np.kron(v_a[0], v_b[0])
-        np.testing.assert_allclose(
-            (v * w[0].reshape(-1)) @ v.T, np.kron(a, b), rtol=1e-12, atol=1e-9
-        )
-
-    def test_kron_eigh_singular_like_product(self, rng):
-        a = self.random_spd(rng, 2)
-        b = np.array([[1.0, 1.0], [1.0, 1.0]])
-        *_, (err,) = kron_spd_eigh_stack(a[None], b[None])
-        *_, (ref,) = spd_eigh_stack(np.kron(a, b)[None])
-        assert isinstance(err, SingularMatrixError)
-        assert isinstance(ref, SingularMatrixError)
-        assert err.eigenvalue == pytest.approx(ref.eigenvalue, abs=1e-12)
-        with pytest.raises(ValueError):
-            kron_spd_eigh_stack(a[None], np.array([[[1.0, 0.5], [0.2, 1.0]]]))
 
     def test_singular_rejected(self, rng):
         # only the singular matrix of the stack is flagged

@@ -227,6 +227,49 @@ class TestQuadraticFormTest:
             base, rel=1e-8
         )
 
+    @pytest.mark.parametrize("scale", [1e-5, 1e-6])
+    def test_small_column_scale_is_not_singular(self, rng, scale):
+        # a covariance threshold floored in absolute units flagged each of
+        # these well-conditioned datasets as singular
+        for _ in range(20):
+            ds, roles = make_dataset(rng, 100, 2, 3)
+            values = np.array(ds.values)
+            values[:, 0] *= scale
+            scaled = Dataset(values, ds.mask, ds.column_names)
+            assert ustat_mcar_test(scaled, roles).statistic == pytest.approx(
+                ustat_mcar_test(ds, roles).statistic, rel=1e-12
+            )
+
+    def test_saturated_complete_block(self):
+        # at n = p + 1 the complete columns span every centred direction, so
+        # each response indicator lies in their span and the statistic is n q
+        saturated = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            q = 1 + seed % 2
+            ds, roles = make_dataset(rng, 4, 3, q, clayton=seed % 4 > 1)
+            try:
+                result = ustat_mcar_test(ds, roles)
+            except SingularMatrixError:
+                continue  # two response columns equal or complementary
+            saturated += 1
+            assert result.statistic == pytest.approx(4 * q, rel=1e-13)
+        assert saturated > 150
+
+    def test_column_offset(self):
+        # a shift of every column leaves only the rounding of the shifted
+        # inputs, ~1e-8 relative at 1e8
+        dist = DistributionSpec(kind="clayton", dim=5, theta=1.0, margins=("exp1",) * 5)
+        mech = MechanismSpec(kind="mcar", miss_prob=0.12)
+        roles = ColumnRoles((0, 1), (2, 3, 4))
+        for seed in range(40):
+            full = generate(dist, 100, rng_stream(seed, 0))
+            ds = apply_mechanism(full, roles, mech, rng_stream(seed, 1))
+            shifted = Dataset(ds.values + 1e8, ds.mask, ds.column_names)
+            assert ustat_mcar_test(shifted, roles).statistic == pytest.approx(
+                ustat_mcar_test(ds, roles).statistic, rel=1e-7
+            )
+
     def test_incomplete_values_are_ignored(self, rng):
         # only the mask of incomplete columns matters, not their numbers
         ds, roles = make_dataset(rng, 50, 2, 2)
@@ -618,3 +661,112 @@ def test_views_match_closed_forms(p, n, seed, clayton, observed):
             continue
         assert batch.errors[0] is None
         assert abs(batch.statistic[0] - want) <= 1e-8 * max(abs(want), 1e-12)
+
+
+def invariance_case(p, q, n, seed, clayton, kind):
+    """A dataset for the invariance properties; ``kind`` makes some singular:
+    a constant complete column (0.3 does not centre exactly), a response
+    column with every row observed, or two equal complete columns."""
+    ds, roles = make_dataset(np.random.default_rng(seed), n, p, q, clayton=clayton)
+    values, mask = np.array(ds.values), np.array(ds.mask)
+    if kind == "constant":
+        values[:, 0] = 0.3
+    elif kind == "all observed":
+        mask[:, p] = True
+    elif kind == "equal columns" and p > 1:
+        values[:, 1] = values[:, 0]
+    return Dataset(values, mask, ds.column_names), roles
+
+
+def an_statistic(ds, roles):
+    """``an``'s statistic, or None where it raises SingularMatrixError."""
+    try:
+        return ustat_mcar_test(ds, roles).statistic
+    except SingularMatrixError:
+        return None
+
+
+def assert_close(got, want, rel):
+    """Both singular, or both statistics within rel of max(want, 1)."""
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert abs(got - want) <= rel * max(want, 1.0)
+
+
+CASES = dict(
+    p=st.integers(1, 3),
+    q=st.integers(1, 3),
+    n=st.integers(3, 80),
+    seed=st.integers(0, 2**32 - 1),
+    clayton=st.booleans(),
+    kind=st.sampled_from(["regular", "constant", "all observed", "equal columns"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**CASES, powers=st.lists(st.integers(-30, 30), min_size=6, max_size=6))
+def test_power_of_two_column_scale_is_exact(p, q, n, seed, clayton, kind, powers):
+    # a power-of-two scale is exact in floating point, and so is every
+    # step of the kernel on the scaled columns, up to their normalisation
+    ds, roles = invariance_case(p, q, n, seed, clayton, kind)
+    scaled = Dataset(ds.values * np.exp2(powers[: p + q]), ds.mask, ds.column_names)
+    assert an_statistic(scaled, roles) == an_statistic(ds, roles)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    **{**CASES, "kind": st.sampled_from(["regular", "constant", "all observed"])},
+    exponents=st.lists(st.floats(0.0, 10.0), min_size=6, max_size=6),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=6, max_size=6),
+)
+def test_column_shift_moves_only_the_rounding(p, q, n, seed, clayton, kind, exponents, signs):
+    # the shifted values moved back are the numbers the shifted data hold
+    # (exactly, once the shift dominates them); the statistic of the shifted
+    # data is theirs up to the kernel's own rounding
+    ds, roles = invariance_case(p, q, n, seed, clayton, kind)
+    shift = np.multiply(signs, np.power(10.0, exponents))[: p + q]
+    shifted = ds.values + shift
+    rounded = Dataset(shifted - shift, ds.mask, ds.column_names)
+    assert_close(
+        an_statistic(Dataset(shifted, ds.mask, ds.column_names), roles),
+        an_statistic(rounded, roles),
+        rel=1e-9,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(**CASES, order_seed=st.integers(0, 2**32 - 1))
+def test_row_and_within_role_column_order(p, q, n, seed, clayton, kind, order_seed):
+    ds, roles = invariance_case(p, q, n, seed, clayton, kind)
+    order = np.random.default_rng(order_seed)
+    rows = order.permutation(n)
+    cols = [*order.permutation(p), *(p + order.permutation(q))]
+    base = an_statistic(ds, roles)
+    by_rows = Dataset(ds.values[rows], ds.mask[rows], ds.column_names)
+    assert_close(an_statistic(by_rows, roles), base, rel=1e-10)
+    by_cols = Dataset(ds.values[:, cols], ds.mask[:, cols], ds.column_names)
+    assert_close(an_statistic(by_cols, roles), base, rel=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(1, 3),
+    n=st.integers(3, 150),
+    seed=st.integers(0, 2**32 - 1),
+    clayton=st.booleans(),
+    offset=st.floats(-1e6, 1e6),
+)
+def test_equals_little_univariate_under_offset(p, n, seed, clayton, offset):
+    # the closed form's group means are not centred, so at an offset it
+    # loses digits itself (1.3e-8 on three values 0.003 apart at 1.3e5): it
+    # reads the shifted values moved back, the same numbers without it
+    ds, roles = make_dataset(np.random.default_rng(seed), n, p, 1, clayton=clayton)
+    shifted = ds.values + offset
+    try:
+        want = little_univariate_reference(
+            Dataset(shifted - offset, ds.mask, ds.column_names), roles
+        )
+    except SingularMatrixError:
+        want = None
+    got = an_statistic(Dataset(shifted, ds.mask, ds.column_names), roles)
+    assert_close(got, want, rel=1e-8)

@@ -11,8 +11,6 @@ from mcartest import (
     DistributionSpec,
     MechanismSpec,
     apply_mechanism,
-    gen_clayton,
-    gen_std_normal,
     generate,
     pattern_names,
     rng_stream,
@@ -90,21 +88,21 @@ class TestSpecs:
 
 class TestGenerators:
     def test_std_normal_moments(self):
-        ds = gen_std_normal(10000, 3, rng_stream(1, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=3), 10000, rng_stream(1, 0))
         assert ds.mask.all()
         assert np.all(np.abs(ds.values.mean(axis=0)) < 4.0 / np.sqrt(10000))
         assert np.all(np.abs(ds.values.var(axis=0) - 1.0) < 0.1)
 
     def test_std_normal_determinism(self):
-        a = gen_std_normal(100, 2, rng_stream(9, 4))
-        b = gen_std_normal(100, 2, rng_stream(9, 4))
+        a = generate(DistributionSpec(kind="std_normal", dim=2), 100, rng_stream(9, 4))
+        b = generate(DistributionSpec(kind="std_normal", dim=2), 100, rng_stream(9, 4))
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_clayton_kendall_tau(self):
         spec = DistributionSpec(
             kind="clayton", dim=2, theta=1.0, margins=("uniform", "uniform")
         )
-        ds = gen_clayton(10000, spec, rng_stream(2, 0))
+        ds = generate(spec, 10000, rng_stream(2, 0))
         tau = sps.kendalltau(ds.values[:, 0], ds.values[:, 1]).statistic
         assert abs(tau - 1.0 / 3.0) < 0.02
 
@@ -112,7 +110,7 @@ class TestGenerators:
         spec = DistributionSpec(
             kind="clayton", dim=3, theta=1.0, margins=("uniform", "exp1", "chisq4")
         )
-        ds = gen_clayton(5000, spec, rng_stream(3, 0))
+        ds = generate(spec, 5000, rng_stream(3, 0))
         crit = KS_1PCT / np.sqrt(5000)
         assert sps.kstest(ds.values[:, 0], "uniform").statistic < crit
         assert sps.kstest(ds.values[:, 1], "expon").statistic < crit
@@ -122,7 +120,7 @@ class TestGenerators:
         spec = DistributionSpec(
             kind="clayton", dim=2, theta=1.0, margins=("exp1", "exp1")
         )
-        ds = gen_clayton(10000, spec, rng_stream(4, 0))
+        ds = generate(spec, 10000, rng_stream(4, 0))
         assert abs(ds.values[:, 0].mean() - 1.0) < 0.05
 
     def test_margin_transform_is_quantile_map(self):
@@ -133,8 +131,8 @@ class TestGenerators:
         c_spec = DistributionSpec(
             kind="clayton", dim=2, theta=1.0, margins=("chisq4", "chisq4")
         )
-        u = gen_clayton(200, u_spec, rng_stream(5, 0))
-        c = gen_clayton(200, c_spec, rng_stream(5, 0))
+        u = generate(u_spec, 200, rng_stream(5, 0))
+        c = generate(c_spec, 200, rng_stream(5, 0))
         np.testing.assert_allclose(
             c.values, chi2_quantile(u.values, 4), rtol=1e-10
         )
@@ -151,7 +149,7 @@ class TestGenerators:
 
 class TestMcar:
     def test_p_zero_and_one(self, rng):
-        ds = gen_std_normal(40, 3, rng)
+        ds = generate(DistributionSpec(kind="std_normal", dim=3), 40, rng)
         roles = roles_for(1, 2)
         unchanged = amputate(ds, roles, rng, kind="mcar", miss_prob=0.0)
         assert unchanged.mask.all()
@@ -161,7 +159,7 @@ class TestMcar:
 
     def test_binomial_bound(self):
         # per target column: Binomial(5000, 0.12), mean 600, sd ~ 23
-        ds = gen_std_normal(5000, 3, rng_stream(7, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=3), 5000, rng_stream(7, 0))
         out = amputate(ds, roles_for(1, 2), rng_stream(7, 1), kind="mcar", miss_prob=0.12)
         sd = np.sqrt(5000 * 0.12 * 0.88)
         missing = (~out.mask).sum(axis=0)
@@ -171,7 +169,7 @@ class TestMcar:
         assert abs(missing.sum() - 1200) <= 4 * np.sqrt(2) * sd
 
     def test_cellwise_independence(self):
-        ds = gen_std_normal(6, 2, rng_stream(8, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=2), 6, rng_stream(8, 0))
         roles = roles_for(1, 1)
         draws = np.array(
             [
@@ -187,7 +185,7 @@ class TestMcar:
         assert np.all(np.abs(off_diag) < 0.03)
 
     def test_complete_columns_untouched(self, rng):
-        ds = gen_std_normal(100, 4, rng)
+        ds = generate(DistributionSpec(kind="std_normal", dim=4), 100, rng)
         roles = roles_for(2, 2)
         out = amputate(ds, roles, rng, kind="mcar", miss_prob=0.5)
         assert out.mask[:, :2].all()
@@ -195,7 +193,7 @@ class TestMcar:
 
 class TestMar1ToX:
     def test_x_one_is_exactly_mcar(self):
-        ds = gen_std_normal(200, 3, rng_stream(10, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=3), 200, rng_stream(10, 0))
         roles = roles_for(1, 2)
         a = amputate(
             ds, roles, rng_stream(10, 1),
@@ -207,7 +205,7 @@ class TestMar1ToX:
     def test_group_rates(self):
         # x=9, p=0.1: high group rate 0.18, low group rate 0.02
         n = 20000
-        ds = gen_std_normal(n, 2, rng_stream(11, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=2), n, rng_stream(11, 0))
         roles = roles_for(1, 1)
         out = amputate(
             ds, roles, rng_stream(11, 1),
@@ -234,14 +232,14 @@ class TestMar1ToX:
         np.testing.assert_array_equal(out.mask[:, 1], [True, True, True, False])
 
     def test_probability_cap(self, rng):
-        ds = gen_std_normal(50, 2, rng)
+        ds = generate(DistributionSpec(kind="std_normal", dim=2), 50, rng)
         with pytest.raises(ValueError, match="exceeds 1"):
             amputate(ds, roles_for(1, 1), rng, kind="mar_1_to_x", miss_prob=0.6, odds=9.0)
 
     def test_distribution_matches_mcar_at_x1(self):
         # chi-square goodness of fit on (group, missing) counts over many reps
         n = 40
-        ds = gen_std_normal(n, 2, rng_stream(13, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=2), n, rng_stream(13, 0))
         roles = roles_for(1, 1)
         control = ds.values[:, 0]
         high = control > np.median(control)
@@ -267,7 +265,7 @@ class TestMar1ToX:
         # at p=1, q=3 every target is controlled by column 0; the median is
         # taken once, and the mask and the draws are those of a literal
         # per-target loop
-        ds = gen_std_normal(101, 4, rng_stream(21, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=4), 101, rng_stream(21, 0))
         roles = roles_for(1, 3)
         out = amputate(
             ds, roles, rng_stream(21, 1),
@@ -285,7 +283,7 @@ class TestMar1ToX:
 
 class TestMarRank:
     def test_exact_count(self):
-        ds = gen_std_normal(100, 2, rng_stream(14, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=2), 100, rng_stream(14, 0))
         roles = roles_for(1, 1)
         out = amputate(ds, roles, rng_stream(14, 1), kind="mar_rank", miss_prob=0.13)
         assert (~out.mask[:, 1]).sum() == 13  # round(100 * 0.13)
@@ -293,7 +291,7 @@ class TestMarRank:
         assert (~out.mask[:, 1]).sum() == 13  # 12.5 rounds half up
 
     def test_all_masked_at_p_one(self):
-        ds = gen_std_normal(17, 2, rng_stream(15, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=2), 17, rng_stream(15, 0))
         out = amputate(
             ds, roles_for(1, 1), rng_stream(15, 1),
             kind="mar_rank", miss_prob=1.0,
@@ -301,7 +299,7 @@ class TestMarRank:
         assert not out.mask[:, 1].any()
 
     def test_p_zero_unchanged(self):
-        ds = gen_std_normal(10, 2, rng_stream(16, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=2), 10, rng_stream(16, 0))
         out = amputate(
             ds, roles_for(1, 1), rng_stream(16, 1),
             kind="mar_rank", miss_prob=0.0,
@@ -326,7 +324,7 @@ class TestMarRank:
 
 class TestMarMean:
     def test_equal_rates_is_exactly_mcar(self):
-        ds = gen_std_normal(150, 3, rng_stream(18, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=3), 150, rng_stream(18, 0))
         roles = roles_for(1, 2)
         a = amputate(
             ds, roles, rng_stream(18, 1),
@@ -337,7 +335,7 @@ class TestMarMean:
 
     def test_stock_rates_fractions(self):
         # (0.12 + 0.06)/2 = 0.09 and (0.02 + 0.175)/2 = 0.0975
-        ds = gen_std_normal(5000, 3, rng_stream(19, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=3), 5000, rng_stream(19, 0))
         roles = roles_for(1, 2)
         spec = MechanismSpec(kind="mar_mean")
         out = apply_mechanism(ds, roles, spec, rng_stream(19, 1))
@@ -346,7 +344,7 @@ class TestMarMean:
         assert abs(frac[2] - 0.0975) < 0.02
 
     def test_shared_control_matches_per_target_reference(self):
-        ds = gen_std_normal(97, 4, rng_stream(22, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=4), 97, rng_stream(22, 0))
         roles = roles_for(1, 3)
         rules = [(1, 0, 0.3, 0.05), (2, 0, 0.1, 0.2), (3, 0, 0.02, 0.175)]
         targets, controls, p_high, p_low = zip(*rules)
@@ -382,7 +380,7 @@ class TestDispatcherAndDefaults:
         assert fit_mechanism(mcar, roles) == ((2, 3, 4), None)  # controls unread
 
     def test_dispatch_each_kind(self):
-        ds = gen_std_normal(80, 3, rng_stream(21, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=3), 80, rng_stream(21, 0))
         roles = roles_for(1, 2)
         for spec in [
             MechanismSpec(kind="mcar", miss_prob=0.15),
@@ -397,7 +395,7 @@ class TestDispatcherAndDefaults:
     def test_draws_follow_target_order(self):
         # the first target takes the first draw: listing the two targets the
         # other way round swaps their masks
-        ds = gen_std_normal(60, 3, rng_stream(23, 0))
+        ds = generate(DistributionSpec(kind="std_normal", dim=3), 60, rng_stream(23, 0))
         roles = roles_for(1, 2)
         for spec in [
             dict(kind="mcar", miss_prob=0.3),
@@ -410,7 +408,7 @@ class TestDispatcherAndDefaults:
             np.testing.assert_array_equal(ahead.mask[:, [1, 2]], behind.mask[:, [2, 1]])
 
     def test_target_validation(self, rng):
-        ds = gen_std_normal(20, 3, rng)
+        ds = generate(DistributionSpec(kind="std_normal", dim=3), 20, rng)
         roles = roles_for(1, 2)
         with pytest.raises(ValueError, match="not one of the incomplete"):
             amputate(ds, roles, rng, kind="mcar", miss_prob=0.2, target_columns=(0,))
