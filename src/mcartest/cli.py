@@ -18,10 +18,10 @@ from pathlib import Path
 
 from .data import ColumnRoles, load_csv, write_csv
 from .errors import McartestError
-from .harness import Scenario, results_to_csv, run_grid, sweep_scenarios
+from .harness import Scenario, results_to_csv, run_cell, sweep_scenarios
 from .numerics import rng_stream
 from .plotting import render_rate_chart
-from .stats import KNOWN_TESTS, TESTS, check_alpha, resolve_tests
+from .stats import KNOWN_TESTS, TESTS, check_alpha, resolve_tests, run_batch
 from .synthesis import (
     DISTRIBUTION_KINDS,
     MARGIN_KINDS,
@@ -47,8 +47,8 @@ def _split_csv_list(text: str) -> list:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _parse_tests(text: str, parser) -> tuple:
-    tags = tuple(_split_csv_list(text))
+def _parse_tests(text: str, parser) -> list:
+    tags = _split_csv_list(text)
     if not tags:
         parser.error("--tests must name at least one test")
     try:
@@ -97,7 +97,8 @@ def _cmd_test(args, parser) -> int:
             TESTS[tag].check_shape(tag, roles.p, roles.q)
     except ValueError as exc:
         parser.error(str(exc))
-    results = [TESTS[tag].run(ds, roles, args.alpha) for tag in tags]
+    batches = run_batch(tags, ds.values[None], ds.mask[None], roles)
+    results = [batch.result(0, args.alpha) for batch in batches.values()]
 
     name = Path(args.input).name
     print(f"{name}: n={ds.n} rows, {roles.p} complete, {roles.q} incomplete columns")
@@ -274,7 +275,7 @@ def _cmd_simulate(args, parser) -> int:
     else:
         sweep = {"n": [scenario.n]}
     try:
-        sweep_scenarios(scenario, sweep)  # every value, before the first cell runs
+        cells = sweep_scenarios(scenario, sweep)  # every value, before the first cell runs
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -284,11 +285,11 @@ def _cmd_simulate(args, parser) -> int:
         f"{len(values)} cell(s) over {field}, tests {','.join(scenario.tests)}",
         file=sys.stderr,
     )
-    cells = []
-    for i, value in enumerate(values, start=1):
-        cells.extend(run_grid(scenario, {field: [value]}, workers=args.workers))
+    results = []
+    for i, (value, cell) in enumerate(zip(values, cells), start=1):
+        results.append(run_cell(cell, workers=args.workers))
         print(f"  [{i}/{len(values)}] {field}={value} done", file=sys.stderr)
-    results_to_csv(cells, args.out)
+    results_to_csv(results, args.out)
     print(f"results written to {args.out}")
     return EXIT_OK
 

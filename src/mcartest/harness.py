@@ -10,12 +10,14 @@ changes earlier ones.
 Replications run in blocks of contiguous indices, and a block's datasets
 are one (R, n, d) value array and one mask.  Each replication's draws fill
 its own slice from its own streams; the rest of generation and amputation
-runs once over the block (see ``synthesis.generate_block``).  Every test
-then runs once over the block's arrays, through a batch kernel whose
-result for one dataset does not depend on what else is in the block
-(``d2_general`` still fits EM to each dataset's slice alone inside its
-kernel).  Which tests exist, which kernel each uses and which shapes each
-applies to is the one registry ``stats.TESTS``.
+runs once over the block (see ``synthesis.generate_block``).  The tests
+then run over the block's arrays through ``stats.run_batch``, which runs
+each distinct batch kernel once: ``an``, ``dn`` and ``d2_univariate`` come
+from one pass of the closed-form kernel.  A kernel's result for one dataset
+does not depend on what else is in the block (``d2_general`` still fits EM
+to each dataset's slice alone inside its kernel).  Which tests exist, which
+kernel each uses and which shapes each applies to is the one registry
+``stats.TESTS``.
 
 Replications where a test raises a singularity or degeneracy error (for
 example a response column with no missing cells at small n) are counted as
@@ -26,6 +28,7 @@ size estimates exactly where the tests are most fragile.
 import csv
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -34,7 +37,7 @@ import numpy as np
 from .data import ColumnRoles
 from .errors import DegenerateDataError
 from .numerics import chi2_sf, rng_streams
-from .stats import TESTS, check_alpha, resolve_tests
+from .stats import TESTS, check_alpha, resolve_tests, run_batch
 from .synthesis import (
     DistributionSpec,
     MechanismSpec,
@@ -79,13 +82,13 @@ class Scenario:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "q", int(self.q))
-        object.__setattr__(self, "n", int(self.n))
+        for name in ("p", "q", "n", "replications", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         object.__setattr__(self, "tests", tuple(self.tests))
-        object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
         if self.label != f"{self.p}X{self.q}Y":
             raise ValueError(
                 f"label {self.label!r} does not match dimensions "
@@ -136,6 +139,8 @@ class Scenario:
         for name in ("distribution", "mechanism"):
             if name in d and not isinstance(d[name], dict):
                 raise ValueError(f"scenario field {name!r} must be a JSON object")
+        if not isinstance(d.get("tests", []), list):
+            raise ValueError("scenario field 'tests' must be a JSON list")
         try:
             return cls(
                 label=d["label"],
@@ -144,7 +149,7 @@ class Scenario:
                 q=d["q"],
                 n=d["n"],
                 mechanism=MechanismSpec.from_dict(d["mechanism"]),
-                tests=tuple(d.get("tests", ("an", "d2"))),
+                tests=d.get("tests", ("an", "d2")),
                 replications=d.get("replications", 2000),
                 alpha=d.get("alpha", 0.05),
                 master_seed=d.get("master_seed", 0),
@@ -216,10 +221,10 @@ def _run_block(
     purpose)`` bit for bit.  ``numerics.rng_streams`` keys each purpose's
     streams for the whole block in one pass and re-seats one generator to
     each in turn, so a stream is valid only until the next is drawn and the
-    synthesis consumes them one at a time.  The rest runs once over the
-    whole block.  Returns {resolved tag: (valid, reject, statistic)}, three
-    arrays with one entry per replication; a degenerate replication is not
-    valid.
+    synthesis consumes them one at a time.  The rest, the tests included
+    (``stats.run_batch``), runs once over the whole block.  Returns
+    {resolved tag: (valid, reject, statistic)}, three arrays with one entry
+    per replication; a degenerate replication is not valid.
     """
     def streams(purpose):
         return rng_streams(scenario.master_seed, key, np.arange(start, stop), purpose)
@@ -233,8 +238,7 @@ def _run_block(
     amputate_block(values, mask, roles, scenario.mechanism, streams(_AMP_STREAM))
 
     out = {}
-    for tag in tags:
-        batch = TESTS[tag].batch(values, mask, roles)
+    for tag, batch in run_batch(tags, values, mask, roles).items():
         valid = np.array([error is None for error in batch.errors], dtype=bool)
         out[tag] = (valid, batch.p_value <= scenario.alpha, batch.statistic)
     return out
@@ -316,7 +320,7 @@ def sweep_scenarios(scenario: Scenario, sweep: dict) -> list:
 
     * ``{"miss_prob": [...]}`` -- vary the mechanism's missingness
       probability (mcar, mar_1_to_x, mar_rank only);
-    * ``{"n": [...]}`` -- vary the sample size (integers).
+    * ``{"n": [...]}`` -- vary the sample size.
 
     Raises ValueError for the first value the scenario cannot take.
     """
@@ -336,9 +340,7 @@ def sweep_scenarios(scenario: Scenario, sweep: dict) -> list:
             mech = replace(scenario.mechanism, miss_prob=float(value))
             cells.append(replace(scenario, mechanism=mech))
         elif field == "n":
-            if not float(value).is_integer():
-                raise ValueError(f"sample size must be an integer, got {value!r}")
-            cells.append(replace(scenario, n=int(value)))
+            cells.append(replace(scenario, n=value))
         else:
             raise ValueError(f"unknown sweep field {field!r}")
     return cells

@@ -16,18 +16,20 @@ Each test returns a TestResult with the statistic, degrees of freedom,
 p-value, accept/reject decision, and method-specific diagnostics.  Each is
 the one-dataset call of a batch kernel, ``kernel(values, mask, roles)``,
 that tests a stack of R datasets of one shape at once, given as (R, n, d)
-value and mask arrays, and returns a BatchResult.
-
-``TESTS`` is the one test registry: by wire name, each test's batch kernel
-and the column shapes it applies to.  ``TESTS[tag].run`` tests one dataset
-after checking alpha and the roles; the first three functions are its
-calls.  ``little_mcar_general`` reads no roles and calls its kernel.
+value and mask arrays, and returns {wire name: BatchResult}.
 
 The first three are one statistic.  With one incomplete column, Little's
 d2 equals the quadratic form (Little 1988), and at p = q = 1 the quadratic
-form is the square of the studentized gap.  So ``bivariate_batch`` and
-``little_univariate_batch`` are views of ``ustat_batch``'s result, and the
-closed forms they replace are the test suite's independent references.
+form is the square of the studentized gap.  So one kernel,
+``closed_form_batch``, factors each dataset once and returns ``dn`` and
+``d2_univariate`` as views of ``an``'s result; the closed forms they
+replace are the test suite's independent references.
+
+``TESTS`` is the one test registry: by wire name, each test's batch kernel
+and the column shapes it applies to.  ``run_batch`` runs tests on a stack,
+each distinct kernel once.  ``TESTS[tag].run`` is its call on one dataset,
+after checking alpha and the roles; the first three functions are its
+calls.  ``little_mcar_general`` reads no roles and calls its kernel.
 """
 
 from dataclasses import asdict, dataclass, field, replace
@@ -35,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import ColumnRoles, Dataset, response_matrix
+from .data import ColumnRoles, Dataset
 from .em import em_mvn
 from .errors import DegenerateDataError, SingularMatrixError
 from .numerics import _singular_errors, chi2_sf, spd_eigh_stack
@@ -45,16 +47,15 @@ __all__ = [
     "BatchResult",
     "check_alpha",
     "mean_product_gap",
-    "ustat_batch",
+    "closed_form_batch",
     "ustat_mcar_test",
-    "bivariate_batch",
     "bivariate_mcar_test",
-    "little_univariate_batch",
     "little_mcar_univariate",
     "little_general_batch",
     "little_mcar_general",
     "TestSpec",
     "TESTS",
+    "run_batch",
     "KNOWN_TESTS",
     "resolve_test",
     "resolve_tests",
@@ -114,21 +115,6 @@ def mean_product_gap(x, r):
     return unbiased, biased
 
 
-def _columns(values, mask, roles: ColumnRoles) -> np.ndarray:
-    """Complete-column values, then float response indicators, of a stack.
-
-    Returns an (R, p + q, n) array, one row per column, so every dataset's
-    slice has the same strides in a stack of any size.  Roles are checked
-    against the data only by the per-dataset tests (see ``TestSpec.run``);
-    here, no incomplete column raises DegenerateDataError.
-    """
-    if roles.q == 0:
-        raise DegenerateDataError("no incomplete columns")
-    x = values.transpose(0, 2, 1)[:, list(roles.complete)]
-    r = mask.transpose(0, 2, 1)[:, list(roles.incomplete)]
-    return np.concatenate([x, r], axis=1, dtype=float)
-
-
 @dataclass(frozen=True)
 class BatchResult:
     """One test over a stack of R datasets, as its batch kernel returns it.
@@ -166,15 +152,13 @@ class BatchResult:
         )
 
 
-def _failed(errors: tuple) -> np.ndarray:
-    return np.array([e is not None for e in errors], dtype=bool)
+def closed_form_batch(values, mask, roles: ColumnRoles) -> dict:
+    """The closed-form tests on each dataset of an (R, n, d) stack.
 
-
-def _quadratic_form(values, mask, roles: ColumnRoles) -> tuple:
-    """``ustat_batch``'s result with the column standard deviations.
-
-    Returns (result, sd): sd (R, p + q) holds the sample standard
-    deviations of the complete columns, then of the response indicators.
+    Returns {"an": BatchResult}, with "d2_univariate" too when q = 1 and
+    "dn" when p = q = 1: those two are views of ``an``'s result, so every
+    closed-form test of a stack costs one pass.  Each dataset's outcome is
+    bitwise the same in a stack of any size.
 
     The statistic is n * ||Q_x' Q_r||_F^2, Q_x and Q_r orthonormal bases of
     the centred complete columns and response indicators: n times the sum
@@ -185,7 +169,11 @@ def _quadratic_form(values, mask, roles: ColumnRoles) -> tuple:
     response basis is Q Q_B, so Q_x' Q_r is Q_B's first p rows (Bjorck &
     Golub 1973).  No cross-product of the columns is formed.
     """
-    z = _columns(values, mask, roles)
+    # the complete columns, then the response indicators, one row each, so
+    # every dataset's slice has the same strides in a stack of any size
+    x = values.transpose(0, 2, 1)[:, list(roles.complete)]
+    r = mask.transpose(0, 2, 1)[:, list(roles.incomplete)]
+    z = np.concatenate([x, r], axis=1, dtype=float)
     p, d, n = roles.p, z.shape[1], z.shape[2]
     if n < 3:
         raise DegenerateDataError("the quadratic-form test requires n >= 3")
@@ -209,7 +197,7 @@ def _quadratic_form(values, mask, roles: ColumnRoles) -> tuple:
     corr_x = np.linalg.eigvalsh(np.swapaxes(t_x, -1, -2) @ t_x)
     corr_r = np.linalg.eigvalsh(np.swapaxes(t_r, -1, -2) @ t_r)
     errors = _singular_errors(corr_x[:, :, None] * corr_r[:, None, :])
-    failed = _failed(errors)
+    failed = np.array([e is not None for e in errors], dtype=bool)
     statistic[failed] = 0.0
     # T_x D_x = U_x diag(s_x) V_x' for D_x the column norms, so Cov(X) is
     # V_x diag(s_x**2) V_x' / (n - 1), and likewise Cov(R); the symmetric
@@ -221,7 +209,7 @@ def _quadratic_form(values, mask, roles: ColumnRoles) -> tuple:
     # condition number of S finite there
     low = np.where(failed, 1.0, s_x[:, -1] * s_r[:, -1])
     df = p * roles.q
-    result = BatchResult(
+    an = BatchResult(
         method="an",
         df=np.full(len(statistic), df),
         n=n,
@@ -233,15 +221,50 @@ def _quadratic_form(values, mask, roles: ColumnRoles) -> tuple:
             "sigma_condition": (s_x[:, 0] * s_r[:, 0] / low) ** 2,
         },
     )
-    return result, norms / np.sqrt(n - 1.0)
-
-
-def ustat_batch(values, mask, roles: ColumnRoles) -> BatchResult:
-    """``ustat_mcar_test`` on each dataset of an (R, n, d) stack.
-
-    Each dataset's outcome is bitwise the same in a stack of any size.
-    """
-    return _quadratic_form(values, mask, roles)[0]
+    out = {"an": an}
+    if roles.q == 1:
+        # with one incomplete column, Little's d2 is the quadratic-form
+        # statistic
+        n_obs = mask[:, :, roles.incomplete[0]].sum(axis=1)
+        out["d2_univariate"] = replace(
+            an,
+            method="d2_univariate",
+            errors=tuple(
+                DegenerateDataError(
+                    "the closed form needs both observed and missing rows "
+                    f"(observed {k} of {n})"
+                )
+                if k in (0, n)
+                else error
+                for k, error in zip(n_obs.tolist(), errors)
+            ),
+            diagnostics={"n_observed": n_obs, "n_missing": n - n_obs},
+        )
+    if p == 1 and roles.q == 1:
+        # the one standardized component is the studentized gap,
+        # sqrt(n) gap / (sd_x sd_r), and its square the statistic
+        sd = norms / np.sqrt(n - 1.0)
+        studentized = np.where(failed, 0.0, components[:, 0, 0])
+        out["dn"] = replace(
+            an,
+            method="dn",
+            statistic=studentized,
+            errors=tuple(
+                DegenerateDataError(
+                    "zero variance: the complete column is constant or the "
+                    "incomplete column has no missingness variation"
+                )
+                if bad
+                else None
+                for bad in failed.tolist()
+            ),
+            diagnostics={
+                "gap": studentized * sd[:, 0] * sd[:, 1] / np.sqrt(n),
+                "sd_x": sd[:, 0],
+                "sd_r": sd[:, 1],
+            },
+        )
+    return out
 
 
 def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> TestResult:
@@ -256,54 +279,17 @@ def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> Tes
     S is never formed.  The statistic is n times the sum of the squared
     sample canonical correlations between the complete columns and the
     response indicators, taken from orthonormal bases of the centred
-    columns (see ``_quadratic_form``), so it does not depend on the
+    columns (see ``closed_form_batch``), so it does not depend on the
     columns' location or units.  S is singular, and SingularMatrixError
     raised, when Corr(X) (x) Corr(R) is: a constant column, a response
     indicator without variation, or collinear columns.  Diagnostics carry
     the standardized component vector S^(-1/2) (sqrt(n) g), whose squared
     sum is the statistic, and the condition number of S.  The test suite
     checks the statistic against the pq x pq route and the
-    maximum-likelihood moment pair.  Computed as ``ustat_batch`` of a
+    maximum-likelihood moment pair.  Computed as ``closed_form_batch`` of a
     stack of one.
     """
     return TESTS["an"].run(ds, roles, alpha)
-
-
-def bivariate_batch(values, mask, roles: ColumnRoles) -> BatchResult:
-    """``bivariate_mcar_test`` on each dataset of a stack with p = q = 1.
-
-    A view of ``ustat_batch``: at p = q = 1 the kernel's one standardized
-    component is the studentized gap, and its square the kernel's statistic.
-    """
-    if roles.p != 1 or roles.q != 1:
-        raise DegenerateDataError(
-            "the bivariate test requires exactly one complete and one "
-            f"incomplete column (got p={roles.p}, q={roles.q})"
-        )
-    an, sd = _quadratic_form(values, mask, roles)
-    failed = _failed(an.errors)
-    statistic = np.where(failed, 0.0, an.diagnostics["components"][:, 0])
-    errors = tuple(
-        DegenerateDataError(
-            "zero variance: the complete column is constant or the "
-            "incomplete column has no missingness variation"
-        )
-        if bad
-        else None
-        for bad in failed.tolist()
-    )
-    return replace(
-        an,
-        method="dn",
-        statistic=statistic,
-        errors=errors,
-        # the statistic is the studentized gap, sqrt(n) gap / (sd_x sd_r)
-        diagnostics={
-            "gap": statistic * sd[:, 0] * sd[:, 1] / np.sqrt(an.n),
-            "sd_x": sd[:, 0],
-            "sd_r": sd[:, 1],
-        },
-    )
 
 
 def bivariate_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> TestResult:
@@ -313,41 +299,15 @@ def bivariate_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) ->
     standard deviations is asymptotically standard normal under MCAR;
     the test is two-sided, its p-value the chi-squared(1) tail of the
     square.  Raises DegenerateDataError wherever the quadratic-form test
-    finds Var(X) * Var(R) singular.  Computed as ``bivariate_batch`` of a
-    stack of one.
+    finds Var(X) * Var(R) singular.  Computed as ``closed_form_batch`` of a
+    stack of one, whose one standardized component it is.
     """
-    return TESTS["dn"].run(ds, roles, alpha)
-
-
-def little_univariate_batch(values, mask, roles: ColumnRoles) -> BatchResult:
-    """``little_mcar_univariate`` on each dataset of a stack with q = 1.
-
-    A view of ``ustat_batch``: with one incomplete column, Little's d2 is
-    the quadratic-form statistic.
-    """
-    if roles.q != 1:
+    if roles.p != 1 or roles.q != 1:
         raise DegenerateDataError(
-            "the closed form applies to exactly one incomplete column "
-            f"(got q={roles.q})"
+            "the bivariate test requires exactly one complete and one "
+            f"incomplete column (got p={roles.p}, q={roles.q})"
         )
-    an = ustat_batch(values, mask, roles)
-    n = an.n
-    n_obs = mask[:, :, roles.incomplete[0]].sum(axis=1)
-    errors = tuple(
-        DegenerateDataError(
-            "the closed form needs both observed and missing rows "
-            f"(observed {k} of {n})"
-        )
-        if k in (0, n)
-        else error
-        for k, error in zip(n_obs.tolist(), an.errors)
-    )
-    return replace(
-        an,
-        method="d2_univariate",
-        errors=errors,
-        diagnostics={"n_observed": n_obs, "n_missing": n - n_obs},
-    )
+    return TESTS["dn"].run(ds, roles, alpha)
 
 
 def little_mcar_univariate(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> TestResult:
@@ -358,14 +318,20 @@ def little_mcar_univariate(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05)
     of the maximum-likelihood estimate of Cov(X) * Var(R).  Chi-squared
     calibration with p degrees of freedom.  Requires both observed and
     missing rows to exist, and n >= 3.  The statistic is that of the
-    quadratic-form test; computed as ``little_univariate_batch`` of a stack
-    of one.
+    quadratic-form test; computed as ``closed_form_batch`` of a stack of
+    one.
     """
+    if roles.q != 1:
+        raise DegenerateDataError(
+            "the closed form applies to exactly one incomplete column "
+            f"(got q={roles.q})"
+        )
     return TESTS["d2_univariate"].run(ds, roles, alpha)
 
 
-def little_general_batch(values, mask, roles: ColumnRoles = None) -> BatchResult:
-    """``little_mcar_general`` on each dataset of an (R, n, d) stack.
+def little_general_batch(values, mask, roles: ColumnRoles = None) -> dict:
+    """``little_mcar_general`` on each dataset of an (R, n, d) stack, as
+    {"d2_general": BatchResult}.
 
     Each dataset's slice gets its own EM fit (``roles`` is not used: d2
     reads the missingness of every column), and the d2 sums of all fits
@@ -418,7 +384,7 @@ def little_general_batch(values, mask, roles: ColumnRoles = None) -> BatchResult
             statistic[i] = fit.counts @ terms[lo:hi]
             p_value[i] = chi2_sf(statistic[i], int(df[i]))
         lo = hi
-    return BatchResult(
+    result = BatchResult(
         method="d2_general",
         df=df,
         n=values.shape[1],
@@ -434,6 +400,7 @@ def little_general_batch(values, mask, roles: ColumnRoles = None) -> BatchResult
             "n": np.array([int(f.counts.sum()) if f else 0 for f in fits]),
         },
     )
+    return {"d2_general": result}
 
 
 def little_mcar_general(ds: Dataset, alpha: float = 0.05) -> TestResult:
@@ -451,7 +418,7 @@ def little_mcar_general(ds: Dataset, alpha: float = 0.05) -> TestResult:
     Computed as ``little_general_batch`` of a stack of one.
     """
     check_alpha(alpha)
-    return little_general_batch(ds.values[None], ds.mask[None]).result(0, alpha)
+    return little_general_batch(ds.values[None], ds.mask[None])["d2_general"].result(0, alpha)
 
 
 @dataclass(frozen=True)
@@ -459,9 +426,10 @@ class TestSpec:
     """What the harness and the CLI need to know about one test.
 
     ``batch(values, mask, roles)`` tests an (R, n, d) stack of datasets of
-    one shape at once and returns a BatchResult.  ``p`` and ``q``, when
-    set, are the only numbers of complete and incomplete columns the test
-    applies to.
+    one shape at once and returns {wire name: BatchResult}, for this test
+    and any other whose result comes from the same pass.  ``p`` and ``q``,
+    when set, are the only numbers of complete and incomplete columns the
+    test applies to.
     """
 
     batch: Callable
@@ -469,11 +437,12 @@ class TestSpec:
     q: int = None
 
     def run(self, ds: Dataset, roles: ColumnRoles, alpha: float) -> TestResult:
-        """Test one dataset: ``batch`` of a stack of one, after checking
+        """Test one dataset: ``run_batch`` of a stack of one, after checking
         alpha and the roles; raises the test's exception for it."""
         check_alpha(alpha)
-        response_matrix(ds, roles)  # raises for roles that do not fit ds
-        return self.batch(ds.values[None], ds.mask[None], roles).result(0, alpha)
+        roles.validate(ds)
+        (tag,) = [tag for tag, spec in TESTS.items() if spec is self]
+        return run_batch((tag,), ds.values[None], ds.mask[None], roles)[tag].result(0, alpha)
 
     def check_shape(self, tag: str, p: int, q: int) -> None:
         """Raise ValueError unless the test applies to p complete and q
@@ -485,11 +454,32 @@ class TestSpec:
 
 # The test registry, by resolved wire name.
 TESTS = {
-    "an": TestSpec(ustat_batch),
-    "dn": TestSpec(bivariate_batch, p=1, q=1),
-    "d2_univariate": TestSpec(little_univariate_batch, q=1),
+    "an": TestSpec(closed_form_batch),
+    "dn": TestSpec(closed_form_batch, p=1, q=1),
+    "d2_univariate": TestSpec(closed_form_batch, q=1),
     "d2_general": TestSpec(little_general_batch),
 }
+
+
+def run_batch(tags, values, mask, roles: ColumnRoles) -> dict:
+    """{tag: BatchResult} of each test of ``tags`` (resolved wire names) on
+    an (R, n, d) stack, in the order given.
+
+    Each distinct kernel runs once: a test whose result an earlier kernel
+    already returned costs nothing.  Raises DegenerateDataError when no
+    column is incomplete, and ValueError for a test that does not apply to
+    the roles' numbers of columns.
+    """
+    if roles.q == 0:
+        raise DegenerateDataError("no incomplete columns")
+    for tag in tags:
+        TESTS[tag].check_shape(tag, roles.p, roles.q)
+    results = {}
+    for tag in tags:
+        if tag not in results:
+            results.update(TESTS[tag].batch(values, mask, roles))
+    return {tag: results[tag] for tag in tags}
+
 
 # wire names; "d2" picks the closed form when q = 1 and the general
 # (EM-based) statistic otherwise

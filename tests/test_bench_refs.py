@@ -1,11 +1,16 @@
-"""The benchmark's committed ``sim_an`` references, checked in Tier-1.
+"""The benchmark's committed references, checked in Tier-1.
 
-``perfbench/refs/sim_an.json`` holds the digest of the results CSV that the
-full-size ``sim_an`` workload writes at each seed.  A change to the random
-streams, the generation, the amputation or the ``an`` kernel that moves a
-single bit changes that digest; this test catches it without running the
-benchmark.  It reads ``perfbench/workloads.py`` and the references as they
-are, and runs the workload's CLI steps in this process.
+``perfbench/refs/<workload>.json`` holds, for each seed, the fingerprint of
+what the full-size workload writes: the digest of the results CSV for the
+simulations, and the digest of the generated CSV with the report's
+statistics for ``csv_roundtrip``.  A change to the random streams, the
+generation, the amputation or a test kernel that moves a single bit of a
+results CSV, or a report statistic by more than the benchmark's tolerance,
+fails here without running the benchmark.  ``sim_an`` covers the ``an``
+kernel in the harness, ``sim_d2`` the ``d2_general`` kernel there, and
+``csv_roundtrip`` the ``test`` command on one large dataset.  The tests read
+``perfbench/workloads.py`` and the references as they are, and run the
+workloads' CLI steps in this process.
 """
 
 import importlib.util
@@ -26,11 +31,22 @@ def _workloads():
     return module
 
 
+def _mismatches(name, seed, work):
+    """Run the full-size workload at ``seed`` in ``work``; return
+    ``workloads.compare``'s messages against the committed reference."""
+    workloads = _workloads()
+    refs = json.loads((BENCH / "refs" / f"{name}.json").read_text(encoding="utf-8"))
+    for step in workloads.steps(name, seed, workloads.SIZES["full"][name], work):
+        assert main(step) == 0
+    return workloads.compare(workloads.fingerprint(name, work), refs["full"][str(seed)])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 4242])
 def test_sim_an_matches_committed_reference(seed, tmp_path, capsys):
-    workloads = _workloads()
-    refs = json.loads((BENCH / "refs" / "sim_an.json").read_text(encoding="utf-8"))
-    size = workloads.SIZES["full"]["sim_an"]
-    for step in workloads.steps("sim_an", seed, size, tmp_path):
-        assert main(step) == 0
-    assert workloads.fingerprint("sim_an", tmp_path) == refs["full"][str(seed)]
+    assert _mismatches("sim_an", seed, tmp_path) == []
+
+
+@pytest.mark.parametrize("seed", [0, 4242])
+@pytest.mark.parametrize("name", ["sim_d2", "csv_roundtrip"])
+def test_workload_matches_committed_reference(name, seed, tmp_path, capsys):
+    assert _mismatches(name, seed, tmp_path) == []

@@ -8,6 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mcartest
@@ -310,6 +311,40 @@ MISFIT_MECHANISMS = [
 ]
 
 
+class TestOnePass:
+    """``an``, ``dn`` and ``d2_univariate`` are one statistic: at p = q = 1
+    one QR pass (the columns' factor and its small second QR) serves all
+    three."""
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        return calls
+
+    def test_simulate_factors_each_block_once(self, tmp_path, qr_calls):
+        argv = ["simulate", "--p", "1", "--q", "1", "--n", "30", "--tests", "an,dn,d2",
+                "--replications", "40", "--out", str(tmp_path / "r.csv")]
+        assert run_cli(*argv) == 0
+        # one cell, one block of 40 replications
+        assert qr_calls == [(40, 30, 2), (40, 2, 1)]
+
+    def test_test_factors_the_dataset_once(self, tmp_path, qr_calls):
+        path = write_hand(tmp_path)
+        assert run_cli("test", "--input", str(path), "--tests", "an,dn,d2") == 0
+        assert qr_calls == [(1, 3, 2), (1, 2, 1)]
+
+
+# each would run truncated to its integer part: n 100, 2 replications, seed 1, p 1
+FRACTIONAL_FIELDS = (("n", 100.7), ("replications", 2.5), ("master_seed", 1.9), ("p", 1.5))
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, names",
@@ -351,6 +386,20 @@ class TestUsageErrors:
                 ["simulate", "--scenario", "{empty_targets.json}"], "target_columns is empty",
                 id="scenario-empty-targets",
             ),
+            # a scenario file's integer fields are not truncated
+            *(
+                pytest.param(
+                    ["simulate", "--scenario", f"{{fractional_{field}.json}}"],
+                    f"{field} must be an integer, got {value}",
+                    id=f"scenario-fractional-{field}",
+                )
+                for field, value in FRACTIONAL_FIELDS
+            ),
+            pytest.param(
+                ["simulate", "--scenario", "{tests_string.json}"],
+                "'tests' must be a JSON list",
+                id="scenario-tests-string",
+            ),
             # every resolved test's shape rule is checked before the first runs
             pytest.param(
                 ["test", "--input", "{2X1Y.csv}", "--tests", "an,dn"],
@@ -389,6 +438,8 @@ class TestUsageErrors:
                 **good,
                 "mechanism": {"kind": "mcar", "miss_prob": 0.2, "target_columns": []},
             },
+            "tests_string": {**good, "tests": "an"},
+            **{f"fractional_{field}": {**good, field: value} for field, value in FRACTIONAL_FIELDS},
         }
         files = {f"{name}.json": json.dumps(doc) for name, doc in scenarios.items()}
         files["2X1Y.csv"] = "x1,x2,y\n1,2,3\n2,1,NA\n3,5,4\n4,3,1\n"

@@ -22,13 +22,7 @@ from mcartest import (
     rng_stream,
     ustat_mcar_test,
 )
-from mcartest.stats import (
-    TESTS,
-    bivariate_batch,
-    little_general_batch,
-    little_univariate_batch,
-    ustat_batch,
-)
+from mcartest.stats import TESTS, closed_form_batch
 
 from conftest import (
     bivariate_reference,
@@ -550,14 +544,21 @@ def stacked(datasets):
     return np.stack([ds.values for ds in datasets]), np.stack([ds.mask for ds in datasets])
 
 
+def view(tag):
+    """One test's BatchResult from its registry kernel, as a function of the
+    stack: for ``an``, ``dn`` and ``d2_univariate``, a view of
+    ``closed_form_batch``."""
+    return lambda values, mask, roles: TESTS[tag].batch(values, mask, roles)[tag]
+
+
 KERNELS = [
-    pytest.param(ustat_batch, ustat_mcar_test, 2, 3, id="an-2X3Y"),
-    pytest.param(ustat_batch, ustat_mcar_test, 1, 1, id="an-1X1Y"),
-    pytest.param(bivariate_batch, bivariate_mcar_test, 1, 1, id="dn"),
-    pytest.param(little_univariate_batch, little_mcar_univariate, 3, 1, id="d2_univariate-3X1Y"),
-    pytest.param(little_univariate_batch, little_mcar_univariate, 1, 1, id="d2_univariate-1X1Y"),
+    pytest.param(view("an"), ustat_mcar_test, 2, 3, id="an-2X3Y"),
+    pytest.param(view("an"), ustat_mcar_test, 1, 1, id="an-1X1Y"),
+    pytest.param(view("dn"), bivariate_mcar_test, 1, 1, id="dn"),
+    pytest.param(view("d2_univariate"), little_mcar_univariate, 3, 1, id="d2_univariate-3X1Y"),
+    pytest.param(view("d2_univariate"), little_mcar_univariate, 1, 1, id="d2_univariate-1X1Y"),
     pytest.param(
-        little_general_batch,
+        view("d2_general"),
         lambda ds, roles, alpha: little_mcar_general(ds, alpha),
         2,
         3,
@@ -603,9 +604,8 @@ class TestBatchKernels:
 
     def test_degenerate_classes(self, rng):
         datasets, roles = kernel_datasets(rng, 23, 1, 1)
-        an = ustat_batch(*stacked(datasets), roles)
-        dn = bivariate_batch(*stacked(datasets), roles)
-        d2 = little_univariate_batch(*stacked(datasets), roles)
+        batches = closed_form_batch(*stacked(datasets), roles)
+        an, dn, d2 = (batches[tag] for tag in ("an", "dn", "d2_univariate"))
         assert isinstance(an.errors[3], SingularMatrixError)
         assert isinstance(an.errors[8], SingularMatrixError)
         assert "zero variance" in str(dn.errors[3]) and "zero variance" in str(dn.errors[8])
@@ -622,14 +622,23 @@ class TestBatchKernels:
                 spec.run(ds, ColumnRoles((0,), (2,)), 0.05)
 
     def test_shape_errors_are_raised_for_the_block(self, rng):
+        # the closed-form kernel returns the views a shape has; the
+        # per-dataset tests raise for a shape they do not apply to
         datasets, roles = kernel_datasets(rng, 12, 2, 2)
         values, mask = stacked(datasets)
+        assert list(closed_form_batch(values, mask, roles)) == ["an"]
+        assert list(closed_form_batch(values, mask, ColumnRoles((0, 1, 2), (3,)))) == [
+            "an", "d2_univariate"
+        ]
         with pytest.raises(DegenerateDataError, match="exactly one complete"):
-            bivariate_batch(values, mask, roles)
+            bivariate_mcar_test(datasets[0], roles)
         with pytest.raises(DegenerateDataError, match="exactly one incomplete"):
-            little_univariate_batch(values, mask, roles)
+            little_mcar_univariate(datasets[0], roles)
         with pytest.raises(DegenerateDataError, match="n >= 3"):
-            ustat_batch(values[:, :2], mask[:, :2], roles)
+            closed_form_batch(values[:, :2], mask[:, :2], roles)
+        # a registry runner reports the shape rule the CLI reports
+        with pytest.raises(ValueError, match="the dn test requires p = 1 and q = 1"):
+            TESTS["dn"].run(datasets[0], roles, 0.05)
 
 
 @settings(max_examples=300, deadline=None)
@@ -649,11 +658,12 @@ def test_views_match_closed_forms(p, n, seed, clayton, observed):
         mask = np.array(ds.mask)
         mask[:, p] = observed == "all"
         ds = ds.with_mask(mask)
-    cases = [(little_univariate_batch, little_univariate_reference)]
+    cases = [("d2_univariate", little_univariate_reference)]
     if p == 1:
-        cases.append((bivariate_batch, lambda ds, roles: bivariate_reference(ds, roles)[0]))
-    for kernel, reference in cases:
-        batch = kernel(ds.values[None], ds.mask[None], roles)
+        cases.append(("dn", lambda ds, roles: bivariate_reference(ds, roles)[0]))
+    batches = closed_form_batch(ds.values[None], ds.mask[None], roles)
+    for tag, reference in cases:
+        batch = batches[tag]
         try:
             want = reference(ds, roles)
         except (DegenerateDataError, SingularMatrixError) as exc:
