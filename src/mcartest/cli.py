@@ -20,7 +20,6 @@ from .data import ColumnRoles, load_csv, write_csv
 from .errors import McartestError
 from .harness import Scenario, results_to_csv, run_cell, sweep_scenarios
 from .numerics import rng_stream
-from .plotting import render_rate_chart
 from .stats import KNOWN_TESTS, TESTS, check_alpha, resolve_tests, run_batch
 from .synthesis import (
     DISTRIBUTION_KINDS,
@@ -295,6 +294,9 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_plot(args, parser) -> int:
+    # imported here, so that the other commands do not load the SVG plotter
+    from .plotting import render_rate_chart
+
     with open(args.input, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     render_rate_chart(rows, args.x, args.out, alpha=args.alpha)

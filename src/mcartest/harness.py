@@ -28,7 +28,6 @@ size estimates exactly where the tests are most fragile.
 import csv
 import hashlib
 import json
-import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -42,6 +41,8 @@ from .synthesis import (
     DistributionSpec,
     MechanismSpec,
     amputate_block,
+    check_integer,
+    check_number,
     fit_mechanism,
     generate_block,
 )
@@ -83,12 +84,9 @@ class Scenario:
 
     def __post_init__(self):
         for name in ("p", "q", "n", "replications", "master_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) and not float(value).is_integer():
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         object.__setattr__(self, "tests", tuple(self.tests))
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", check_number(self.alpha, "alpha"))
         if self.label != f"{self.p}X{self.q}Y":
             raise ValueError(
                 f"label {self.label!r} does not match dimensions "

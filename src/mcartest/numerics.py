@@ -1,7 +1,7 @@
 """Small numerical kernel used by the test statistics and the simulator.
 
 Symmetric eigendecompositions, the chi-squared distribution, midranks,
-and deterministic per-task random streams.
+medians, and deterministic per-task random streams.
 
 A random stream is a Philox generator keyed by numpy's ``SeedSequence``
 hash of (master seed, labels); ``rng_stream`` opens one and is the
@@ -22,7 +22,9 @@ about a quarter of one.  The MCAR tests' p-values need only the chi-squared
 tail at an integer df, which has a closed form in ``math.erfc`` and a
 finite sum; midranks are computed in numpy.  Only
 ``chi2_quantile`` (the ``chisq4`` margin) imports ``scipy.special``, when
-it is called.
+it is called.  ``median`` stands in for ``np.median`` for a like reason:
+numpy's first ``np.median`` call imports ``numpy.ma``, 11-17 ms of a
+short CLI call, for its NaN check.
 """
 
 import math
@@ -40,6 +42,7 @@ __all__ = [
     "chi2_sf",
     "chi2_quantile",
     "ranks",
+    "median",
 ]
 
 
@@ -322,3 +325,24 @@ def ranks(x) -> np.ndarray:
     np.put_along_axis(out, order, np.repeat(mid, ends - starts).reshape(x.shape), axis=-1)
     out[np.isnan(x).any(axis=-1)] = np.nan
     return out
+
+
+def median(x) -> np.ndarray:
+    """Medians along the last axis; ``np.median(x, axis=-1)`` bit for bit.
+
+    numpy's steps without its ``numpy.ma`` import: one ``np.partition`` at
+    the same kth indices (the middle one or two, and the last, where NaNs
+    sort), then the mean of the middle one or two values as numpy rounds
+    it, and for a row with any NaN the NaN that sorted last.  numpy's mean
+    sums from +0.0, so a median of -0.0 values comes out +0.0.
+    """
+    x = np.asarray(x, dtype=float)
+    half = x.shape[-1] // 2
+    odd = x.shape[-1] % 2
+    part = np.partition(x, [half, -1] if odd else [half - 1, half, -1], axis=-1)
+    if odd:
+        mid = 0.0 + part[..., half]
+    else:
+        mid = (0.0 + part[..., half - 1] + part[..., half]) / 2.0
+    last = part[..., -1]
+    return np.where(np.isnan(last), last, mid)

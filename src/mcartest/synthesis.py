@@ -22,6 +22,9 @@ rates in [0, 1] and of equal count.  ``fit_mechanism`` checks it against
 the column roles of a dataset: every target incomplete, every control
 complete, one control and one mar_mean rate pair per target.  It resolves
 the default targets and controls, and ``amputate_block`` calls it once.
+The numeric fields of both specs take numbers only (``check_number``,
+``check_integer``): a quoted number or a bool from a JSON file is an error,
+not converted.
 
 The Monte-Carlo harness makes R datasets of one shape at a time, as one
 (R, n, d) value array and one mask.  ``generate_block`` and
@@ -32,18 +35,22 @@ mar_rank's control ranks, the masks) runs once over the block.
 ``generate`` and ``apply_mechanism`` are their calls for one dataset.
 """
 
+import numbers
 from dataclasses import dataclass
+from functools import partial
 from itertools import cycle, repeat
 
 import numpy as np
 
 from .data import ColumnRoles, Dataset
 from .errors import DegenerateDataError
-from .numerics import chi2_quantile, ranks
+from .numerics import chi2_quantile, median, ranks
 
 __all__ = [
     "DistributionSpec",
     "MechanismSpec",
+    "check_number",
+    "check_integer",
     "pattern_names",
     "generate_block",
     "generate",
@@ -60,8 +67,37 @@ MECHANISM_KINDS = ("mcar", "mar_1_to_x", "mar_rank", "mar_mean")
 DEFAULT_MAR_MEAN_RATES = ((0.12, 0.06), (0.02, 0.175))
 
 
+def check_number(value, name) -> float:
+    """``value`` as a float; ValueError naming the field ``name`` unless it is
+    a real number.  Strings and bools are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def check_integer(value, name) -> int:
+    """``value`` as an int; ValueError naming the field ``name`` unless it is
+    an integral number (``7`` or ``7.0``, not ``7.5``, ``"7"`` or ``True``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        isinstance(value, numbers.Integral) or float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _list_field(d: dict, key):
+    """``d[key]`` as a tuple, or None when absent or null; ValueError unless
+    it is a list."""
+    value = d.get(key)
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return tuple(value)
+
+
 def _check_prob(value, name) -> float:
-    value = float(value)
+    value = check_number(value, name)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
     return value
@@ -86,7 +122,7 @@ class DistributionSpec:
                 f"unknown distribution kind {self.kind!r}; "
                 f"expected one of {DISTRIBUTION_KINDS}"
             )
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", check_integer(self.dim, "dim"))
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if self.kind == "std_normal":
@@ -95,9 +131,10 @@ class DistributionSpec:
             return
         if self.dim < 2:
             raise ValueError("a copula needs dim >= 2")
-        if self.theta is None or float(self.theta) <= 0.0:
+        theta = None if self.theta is None else check_number(self.theta, "theta")
+        if theta is None or theta <= 0.0:
             raise ValueError(f"clayton theta must be > 0, got {self.theta}")
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "theta", theta)
         margins = tuple(self.margins) if self.margins is not None else None
         if margins is None or len(margins) != self.dim:
             raise ValueError(f"clayton needs one margin per column ({self.dim})")
@@ -121,7 +158,7 @@ class DistributionSpec:
             kind=d["kind"],
             dim=d["dim"],
             theta=d.get("theta"),
-            margins=tuple(d["margins"]) if d.get("margins") is not None else None,
+            margins=_list_field(d, "margins"),
         )
 
 
@@ -154,7 +191,9 @@ class MechanismSpec:
         for name in ("target_columns", "controls"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, tuple(int(j) for j in value))
+                object.__setattr__(
+                    self, name, tuple(check_integer(j, f"{name} entry") for j in value)
+                )
         if self.target_columns == ():
             raise ValueError(
                 "target_columns is empty; leave it out to target every incomplete column"
@@ -166,7 +205,7 @@ class MechanismSpec:
                 self, "miss_prob", _check_prob(self.miss_prob, "miss_prob")
             )
         if self.kind == "mar_1_to_x":
-            odds = 9.0 if self.odds is None else float(self.odds)
+            odds = 9.0 if self.odds is None else check_number(self.odds, "odds")
             if odds < 1.0:
                 raise ValueError(f"odds must be >= 1, got {odds}")
             if 2.0 * self.miss_prob * odds / (odds + 1.0) > 1.0 + 1e-12:
@@ -207,17 +246,14 @@ class MechanismSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MechanismSpec":
-        def _tup(key):
-            return tuple(d[key]) if d.get(key) is not None else None
-
         return cls(
             kind=d["kind"],
-            target_columns=_tup("target_columns"),
+            target_columns=_list_field(d, "target_columns"),
             miss_prob=d.get("miss_prob"),
             odds=d.get("odds"),
-            controls=_tup("controls"),
-            p_high=_tup("p_high"),
-            p_low=_tup("p_low"),
+            controls=_list_field(d, "controls"),
+            p_high=_list_field(d, "p_high"),
+            p_low=_list_field(d, "p_low"),
         )
 
 
@@ -352,17 +388,17 @@ def amputate_block(
         if spec.kind == "mar_1_to_x":
             p, x = spec.miss_prob, spec.odds
             rates = repeat((min(2.0 * p * x / (x + 1.0), 1.0), 2.0 * p / (x + 1.0)))
-            center = np.median
+            center = median
         else:
             rates = (
                 cycle(DEFAULT_MAR_MEAN_RATES) if spec.p_high is None
                 else zip(spec.p_high, spec.p_low)
             )
-            center = np.mean
+            center = partial(np.mean, axis=-1)
         # targets sharing a control share its split; a row's centre sums
         # its own control values only, in the order a lone dataset does
         split = {
-            c: values[..., c] > center(values[..., c], axis=1)[:, None]
+            c: values[..., c] > center(values[..., c])[:, None]
             for c in set(controls)
         }
         thresholds = [np.where(split[c], hi, lo) for c, (hi, lo) in zip(controls, rates)]

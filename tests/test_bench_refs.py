@@ -10,9 +10,12 @@ fails here without running the benchmark.  ``sim_an`` covers the ``an``
 kernel in the harness, ``sim_d2`` the ``d2_general`` kernel there, and
 ``csv_roundtrip`` the ``test`` command on one large dataset.  The tests read
 ``perfbench/workloads.py`` and the references as they are, and run the
-workloads' CLI steps in this process.
+workloads' CLI steps in this process.  A last test reads
+``perfbench/tracer.py`` and checks that the package attributes it wraps
+still exist, so a start-up refactor cannot silently zero its metrics.
 """
 
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -24,8 +27,9 @@ from mcartest.cli import main
 BENCH = Path(__file__).parents[1] / "perfbench"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+def _load(name):
+    """``perfbench/<name>.py`` as a module, read as it is."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -34,7 +38,7 @@ def _workloads():
 def _mismatches(name, seed, work):
     """Run the full-size workload at ``seed`` in ``work``; return
     ``workloads.compare``'s messages against the committed reference."""
-    workloads = _workloads()
+    workloads = _load("workloads")
     refs = json.loads((BENCH / "refs" / f"{name}.json").read_text(encoding="utf-8"))
     for step in workloads.steps(name, seed, workloads.SIZES["full"][name], work):
         assert main(step) == 0
@@ -50,3 +54,26 @@ def test_sim_an_matches_committed_reference(seed, tmp_path, capsys):
 @pytest.mark.parametrize("name", ["sim_d2", "csv_roundtrip"])
 def test_workload_matches_committed_reference(name, seed, tmp_path, capsys):
     assert _mismatches(name, seed, tmp_path) == []
+
+
+# the tracer's targets that resolve: its per-layer metrics for the CLI, CSV
+# I/O, synthesis, streams, cells and EM read 0 if any of them goes missing
+TRACED = {
+    "mcartest.cli": {
+        "main", "load_csv", "write_csv", "results_to_csv",
+        "generate", "apply_mechanism", "rng_stream",
+    },
+    "mcartest.harness": {"run_cell"},
+    "mcartest.stats": {"em_mvn"},
+}
+
+
+def test_tracer_targets_resolve():
+    targets = {(module, attr) for module, attr, _ in _load("tracer").TARGETS}
+    missing = []
+    for module, attrs in TRACED.items():
+        for attr in sorted(attrs):
+            assert (module, attr) in targets, f"the tracer no longer wraps {module}.{attr}"
+            if not callable(getattr(importlib.import_module(module), attr, None)):
+                missing.append(f"{module}.{attr}")
+    assert missing == []

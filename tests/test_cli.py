@@ -344,6 +344,16 @@ class TestOnePass:
 # each would run truncated to its integer part: n 100, 2 replications, seed 1, p 1
 FRACTIONAL_FIELDS = (("n", 100.7), ("replications", 2.5), ("master_seed", 1.9), ("p", 1.5))
 
+# each would run as the number it quotes (master_seed true as 1); (field, value, message)
+QUOTED_FIELDS = (
+    ("n", "100", "n must be an integer, got '100'"),
+    ("replications", "7", "replications must be an integer, got '7'"),
+    ("alpha", "0.05", "alpha must be a number, got '0.05'"),
+    ("master_seed", True, "master_seed must be an integer, got True"),
+    ("mechanism", {"kind": "mcar", "miss_prob": "0.1"}, "miss_prob must be a number, got '0.1'"),
+    ("distribution", {"kind": "std_normal", "dim": "3"}, "dim must be an integer, got '3'"),
+)
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -395,6 +405,20 @@ class TestUsageErrors:
                 )
                 for field, value in FRACTIONAL_FIELDS
             ),
+            # nor are quoted numbers and bools converted
+            *(
+                pytest.param(
+                    ["simulate", "--scenario", f"{{quoted_{field}.json}}"],
+                    message,
+                    id=f"scenario-quoted-{field}",
+                )
+                for field, _, message in QUOTED_FIELDS
+            ),
+            pytest.param(
+                ["simulate", "--scenario", "{target_number.json}"],
+                "target_columns must be a list, got 2",
+                id="scenario-target-columns-number",
+            ),
             pytest.param(
                 ["simulate", "--scenario", "{tests_string.json}"],
                 "'tests' must be a JSON list",
@@ -438,8 +462,13 @@ class TestUsageErrors:
                 **good,
                 "mechanism": {"kind": "mcar", "miss_prob": 0.2, "target_columns": []},
             },
+            "target_number": {
+                **good,
+                "mechanism": {"kind": "mcar", "miss_prob": 0.2, "target_columns": 2},
+            },
             "tests_string": {**good, "tests": "an"},
             **{f"fractional_{field}": {**good, field: value} for field, value in FRACTIONAL_FIELDS},
+            **{f"quoted_{field}": {**good, field: value} for field, value, _ in QUOTED_FIELDS},
         }
         files = {f"{name}.json": json.dumps(doc) for name, doc in scenarios.items()}
         files["2X1Y.csv"] = "x1,x2,y\n1,2,3\n2,1,NA\n3,5,4\n4,3,1\n"
@@ -523,9 +552,11 @@ class TestEntryPoints:
                 entry = re.search(rf"^  {option} \S+(.*(?:\n {{3,}}\S.*)*)", out, re.M)
                 assert entry and entry.group(1).strip(), option
 
-    def test_cli_path_loads_no_scipy(self, tmp_path):
-        # scipy costs a quarter to a whole second of start-up per call; the
-        # import, a simulate, a generate and a test call must not load any of it
+    def test_cli_path_loads_no_scipy_ma_or_plotting(self, tmp_path):
+        # scipy costs a quarter to a whole second of start-up per call,
+        # numpy.ma (np.median's first call imports it) ~17 ms and the SVG
+        # plotter a few; the import, two simulates, a generate and a test
+        # call must load none of them
         path = tmp_path / "tiny.csv"
         rows = [f"{i / 3:.4f},{(i * 7) % 11 - 0.5 * i:.4f}" for i in range(24)]
         for i in (2, 5, 9, 14, 20):
@@ -537,7 +568,10 @@ class TestEntryPoints:
             import mcartest, mcartest.cli
 
             def loaded(step):
-                names = sorted(m for m in sys.modules if m.startswith("scipy"))
+                names = sorted(
+                    m for m in sys.modules
+                    if m.startswith("scipy") or m in ("numpy.ma", "mcartest.plotting")
+                )
                 if names:
                     sys.exit(f"{{step}} loaded {{names}}")
 
@@ -549,6 +583,13 @@ class TestEntryPoints:
             ])
             assert code == 0, code
             loaded("simulate")
+            code = mcartest.cli.main([
+                "simulate", "--out", {str(tmp_path / "sim_mar.csv")!r},
+                "--replications", "5", "--n", "40", "--tests", "an",
+                "--mechanism", "mar_1_to_x",
+            ])
+            assert code == 0, code
+            loaded("simulate mar_1_to_x")
             code = mcartest.cli.main([
                 "generate", "--out", {str(tmp_path / "gen.csv")!r}, "--n", "60",
                 "--dist", "std_normal", "--mechanism", "mar_rank", "--miss-prob", "0.2",

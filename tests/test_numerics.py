@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import gammaincc, ndtr
 from scipy.stats import rankdata
 
@@ -9,6 +10,7 @@ from mcartest.errors import SingularMatrixError
 from mcartest.numerics import (
     chi2_quantile,
     chi2_sf,
+    median,
     philox_keys,
     ranks,
     rng_stream,
@@ -205,6 +207,29 @@ class TestRanks:
         got = ranks(x)
         for row, ranked in zip(x, got):
             assert ranked.tobytes() == ranks(row).tobytes()
+
+
+class TestMedian:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 40)),
+            # a small pool forces ties, signed zeros, infinities and NaN rows
+            elements=st.sampled_from([-0.0, 0.0, 1.0, -2.5, np.inf, -np.inf, np.nan])
+            | st.floats(allow_infinity=False, allow_nan=False),
+        )
+    )
+    @example(np.array([[-0.0], [0.0], [np.nan], [-np.inf]]))
+    @example(np.array([[-0.0, -0.0], [np.inf, -np.inf], [1.0, np.nan]]))
+    @example(np.array([[1.7976931348623157e308, 1.7976931348623157e308, 0.0]]))
+    def test_matches_np_median_bit_for_bit(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, max + max
+            expected = np.median(x, axis=-1)
+            got = median(x)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert (np.signbit(got) == np.signbit(expected)).all()
 
 
 class TestRngStream:

@@ -73,6 +73,52 @@ class TestSpecs:
         with pytest.raises(ValueError):
             MechanismSpec(kind="mar_mean", p_high=(0.1,))  # p_low missing
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: MechanismSpec(kind="mcar", miss_prob="0.1"), "miss_prob must be a number"),
+            (lambda: MechanismSpec(kind="mar_1_to_x", miss_prob=0.1, odds="3"), "odds must be"),
+            (
+                lambda: MechanismSpec(kind="mar_mean", p_high=(0.1, True), p_low=(0.1, 0.2)),
+                "p_high must be a number, got True",
+            ),
+            (
+                lambda: MechanismSpec(kind="mcar", miss_prob=0.1, target_columns=("1",)),
+                "target_columns entry must be an integer, got '1'",
+            ),
+            (
+                lambda: MechanismSpec(kind="mar_rank", miss_prob=0.1, controls=(1.5,)),
+                "controls entry must be an integer, got 1.5",
+            ),
+            (lambda: DistributionSpec(kind="std_normal", dim=True), "dim must be an integer"),
+            (
+                lambda: DistributionSpec(kind="clayton", dim=2, theta="2", margins=("exp1",) * 2),
+                "theta must be a number, got '2'",
+            ),
+            # nor is a list field given as one value
+            (
+                lambda: MechanismSpec.from_dict({"kind": "mcar", "miss_prob": 0.1, "controls": 0}),
+                "controls must be a list, got 0",
+            ),
+            (
+                lambda: MechanismSpec.from_dict(
+                    {"kind": "mar_mean", "p_high": "0.1", "p_low": "0.2"}
+                ),
+                "p_high must be a list, got '0.1'",
+            ),
+            (
+                lambda: DistributionSpec.from_dict(
+                    {"kind": "clayton", "dim": 2, "theta": 1.0, "margins": "exp1"}
+                ),
+                "margins must be a list, got 'exp1'",
+            ),
+        ],
+    )
+    def test_fields_reject_wrong_json_types(self, make, message):
+        # a quoted number, a bool or a bare value from a JSON file is not converted
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_mechanism_round_trip(self):
         spec = MechanismSpec(
             kind="mar_mean",
