@@ -113,77 +113,56 @@ def _cmd_test(args, parser) -> int:
     return EXIT_OK
 
 
-def _margins_for(args, dim, parser):
-    if args.margins is None:
-        return tuple(["exp1"] * dim)
-    margins = tuple(_split_csv_list(args.margins))
-    if len(margins) == 1 and dim > 1:
-        margins = margins * dim
-    if len(margins) != dim:
-        parser.error(f"--margins needs 1 or {dim} entries, got {len(margins)}")
-    return margins
-
-
-def _build_distribution(args, parser) -> DistributionSpec:
-    dim = args.p + args.q
+def _rates(text) -> list:
+    """``--p-high 0.1,0.2`` and the sweep flags as a list of numbers."""
     try:
-        if args.dist == "std_normal":
-            return DistributionSpec(kind="std_normal", dim=dim)
-        return DistributionSpec(
-            kind="clayton",
-            dim=dim,
-            theta=args.theta,
-            margins=_margins_for(args, dim, parser),
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _resolve_control_names(args, names, parser):
-    if args.controls is None:
-        return None
-    out = []
-    for item in _split_csv_list(args.controls):
-        if item in names:
-            out.append(names.index(item))
-        else:
-            try:
-                out.append(int(item))
-            except ValueError:
-                parser.error(f"--controls: no column named {item!r}")
-    return tuple(out)
-
-
-def _parse_rates(text, parser, name):
-    try:
-        return tuple(float(v) for v in _split_csv_list(text))
+        return [float(v) for v in _split_csv_list(text)]
     except ValueError:
-        parser.error(f"{name} must be a comma-separated list of numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated list of numbers, got {text!r}"
+        ) from None
 
 
-def _build_mechanism(args, names, parser) -> MechanismSpec:
-    controls = _resolve_control_names(args, names, parser)
+def _flag_fields(args, kind, kinds, names) -> dict:
+    """A spec's JSON object from ``kind`` and the flags ``names`` (each dest
+    is its field's name).  A flag the user set is kept whether or not
+    ``kind`` reads it, for the spec to reject; an unset one takes its
+    default (``args.field_defaults``) only where ``kind`` reads it."""
+    doc = {"kind": kind}
+    for name in names:
+        value = getattr(args, name)
+        if value is None and name in kinds[kind]:
+            value = args.field_defaults.get(name)
+        if value is not None:
+            doc[name] = value
+    return doc
+
+
+def _distribution_doc(args) -> dict:
+    doc = _flag_fields(args, args.dist, DISTRIBUTION_KINDS, ("theta", "margins"))
+    doc["dim"] = dim = args.p + args.q
+    if len(doc.get("margins", ())) == 1:
+        doc["margins"] = doc["margins"] * dim
+    return doc
+
+
+def _column_index(item, names, parser) -> int:
+    if item in names:
+        return names.index(item)
     try:
-        if args.mechanism == "mar_mean":
-            p_high = _parse_rates(args.p_high, parser, "--p-high") if args.p_high else None
-            p_low = _parse_rates(args.p_low, parser, "--p-low") if args.p_low else None
-            return MechanismSpec(
-                kind="mar_mean", controls=controls, p_high=p_high, p_low=p_low
-            )
-        if args.miss_prob is None:
-            parser.error(f"--miss-prob is required for mechanism {args.mechanism}")
-        if args.mechanism == "mar_1_to_x":
-            return MechanismSpec(
-                kind="mar_1_to_x",
-                miss_prob=args.miss_prob,
-                odds=args.odds,
-                controls=controls,
-            )
-        return MechanismSpec(
-            kind=args.mechanism, miss_prob=args.miss_prob, controls=controls
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+        return int(item)
+    except ValueError:
+        parser.error(f"--controls: no column named {item!r}")
+
+
+def _mechanism_doc(args, names, parser) -> dict:
+    doc = _flag_fields(
+        args, args.mechanism, MECHANISM_KINDS,
+        ("miss_prob", "odds", "controls", "p_high", "p_low"),
+    )
+    if "controls" in doc:
+        doc["controls"] = [_column_index(item, names, parser) for item in doc["controls"]]
+    return doc
 
 
 def _cmd_generate(args, parser) -> int:
@@ -194,10 +173,10 @@ def _cmd_generate(args, parser) -> int:
     if args.seed < 0:
         parser.error(f"need --seed >= 0, got {args.seed}")
     names = pattern_names(args.p, args.q)
-    dist = _build_distribution(args, parser)
-    mech = _build_mechanism(args, names, parser)
     roles = ColumnRoles(tuple(range(args.p)), tuple(range(args.p, args.p + args.q)))
     try:
+        dist = DistributionSpec.from_dict(_distribution_doc(args))
+        mech = MechanismSpec.from_dict(_mechanism_doc(args, names, parser))
         fit_mechanism(mech, roles)
     except ValueError as exc:
         parser.error(str(exc))
@@ -236,14 +215,13 @@ def _scenario_from_args(args, parser) -> Scenario:
         if not isinstance(doc, dict):
             parser.error(f"--scenario: {args.scenario} does not hold a JSON object")
     else:
-        names = pattern_names(args.p, args.q)
         doc = {
             "label": f"{args.p}X{args.q}Y",
-            "distribution": _build_distribution(args, parser).to_dict(),
+            "distribution": _distribution_doc(args),
             "p": args.p,
             "q": args.q,
             "n": args.n,
-            "mechanism": _build_mechanism(args, names, parser).to_dict(),
+            "mechanism": _mechanism_doc(args, pattern_names(args.p, args.q), parser),
             "tests": _parse_tests(args.tests, parser),
             "alpha": args.alpha,
         }
@@ -262,13 +240,12 @@ def _cmd_simulate(args, parser) -> int:
     if args.workers < 1:
         parser.error(f"need --workers >= 1, got {args.workers}")
     scenario = _scenario_from_args(args, parser)
-    if args.sweep_miss and args.sweep_n:
+    if args.sweep_miss is not None and args.sweep_n is not None:
         parser.error("choose one of --sweep-miss and --sweep-n")
-    if args.sweep_miss:
-        sweep = {"miss_prob": _parse_rates(args.sweep_miss, parser, "--sweep-miss")}
-    elif args.sweep_n:
-        sizes = _parse_rates(args.sweep_n, parser, "--sweep-n")
-        sweep = {"n": [int(v) if v.is_integer() else v for v in sizes]}
+    if args.sweep_miss is not None:
+        sweep = {"miss_prob": args.sweep_miss}
+    elif args.sweep_n is not None:
+        sweep = {"n": [int(v) if v.is_integer() else v for v in args.sweep_n]}
     elif scenario.mechanism.miss_prob is not None:
         sweep = {"miss_prob": [scenario.mechanism.miss_prob]}
     else:
@@ -305,7 +282,12 @@ def _cmd_plot(args, parser) -> int:
 
 
 def _add_data_options(parser, miss_prob) -> None:
-    """The data-generating options ``generate`` and ``simulate`` share."""
+    """The data-generating options ``generate`` and ``simulate`` share.
+
+    The spec flags (``--theta`` to ``--p-low``) default to None, so that
+    ``_flag_fields`` can tell a flag the user set from one left out;
+    ``field_defaults`` holds the defaults it applies, ``miss_prob`` among
+    them."""
     parser.add_argument("--n", type=int, default=100, help="rows per dataset")
     parser.add_argument("--p", type=int, default=1, help="complete columns")
     parser.add_argument("--q", type=int, default=2, help="incomplete columns")
@@ -313,26 +295,31 @@ def _add_data_options(parser, miss_prob) -> None:
         "--dist", choices=DISTRIBUTION_KINDS, default="std_normal",
         help="data-generating distribution",
     )
-    parser.add_argument("--theta", type=float, default=1.0, help="Clayton parameter")
+    parser.add_argument("--theta", type=float, help="Clayton parameter (default 1)")
     parser.add_argument(
-        "--margins",
-        help=f"comma list of {','.join(MARGIN_KINDS)} (one entry, or one per column)",
+        "--margins", type=_split_csv_list,
+        help=f"comma list of {','.join(MARGIN_KINDS)} (one entry, or one per column; "
+        "default exp1)",
     )
     parser.add_argument(
         "--mechanism", choices=MECHANISM_KINDS, default="mcar",
         help="missingness mechanism",
     )
     parser.add_argument(
-        "--miss-prob", type=float, default=miss_prob,
-        help="missingness probability for mcar, mar_1_to_x and mar_rank",
+        "--miss-prob", type=float,
+        help="missingness probability for mcar, mar_1_to_x and mar_rank"
+        + ("" if miss_prob is None else f" (default {miss_prob})"),
     )
     parser.add_argument("--odds", type=float, help="odds x for mar_1_to_x (default 9)")
     parser.add_argument(
-        "--controls",
+        "--controls", type=_split_csv_list,
         help="comma list of control column names or indices, one per incomplete column",
     )
-    parser.add_argument("--p-high", help="comma list, mar_mean high-group rates")
-    parser.add_argument("--p-low", help="comma list, mar_mean low-group rates")
+    parser.add_argument("--p-high", type=_rates, help="comma list, mar_mean high-group rates")
+    parser.add_argument("--p-low", type=_rates, help="comma list, mar_mean low-group rates")
+    parser.set_defaults(
+        field_defaults={"theta": 1.0, "margins": ["exp1"], "miss_prob": miss_prob}
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -373,8 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--replications", type=int, help="replications per cell (default 2000)")
     s.add_argument("--workers", type=int, default=1, help="worker processes")
     s.add_argument("--seed", type=int, help="master seed override")
-    s.add_argument("--sweep-miss", help="comma list of missingness probabilities")
-    s.add_argument("--sweep-n", help="comma list of sample sizes")
+    s.add_argument(
+        "--sweep-miss", type=_rates, help="comma list of missingness probabilities"
+    )
+    s.add_argument("--sweep-n", type=_rates, help="comma list of sample sizes")
     _add_data_options(s, miss_prob=0.12)
     s.add_argument("--tests", default="an,d2", help=_TESTS_HELP)
     s.add_argument(

@@ -40,6 +40,7 @@ from .stats import TESTS, check_alpha, resolve_tests, run_batch
 from .synthesis import (
     DistributionSpec,
     MechanismSpec,
+    Spec,
     amputate_block,
     check_integer,
     check_number,
@@ -68,7 +69,7 @@ _Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Spec):
     """One cell of a simulation study."""
 
     label: str
@@ -115,45 +116,6 @@ class Scenario:
     def roles(self) -> ColumnRoles:
         """Columns 0..p-1 complete, p..p+q-1 incomplete."""
         return ColumnRoles(tuple(range(self.p)), tuple(range(self.p, self.p + self.q)))
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "distribution": self.distribution.to_dict(),
-            "p": self.p,
-            "q": self.q,
-            "n": self.n,
-            "mechanism": self.mechanism.to_dict(),
-            "tests": list(self.tests),
-            "replications": self.replications,
-            "alpha": self.alpha,
-            "master_seed": self.master_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scenario":
-        if not isinstance(d, dict):
-            raise ValueError("a scenario must be a JSON object")
-        for name in ("distribution", "mechanism"):
-            if name in d and not isinstance(d[name], dict):
-                raise ValueError(f"scenario field {name!r} must be a JSON object")
-        if not isinstance(d.get("tests", []), list):
-            raise ValueError("scenario field 'tests' must be a JSON list")
-        try:
-            return cls(
-                label=d["label"],
-                distribution=DistributionSpec.from_dict(d["distribution"]),
-                p=d["p"],
-                q=d["q"],
-                n=d["n"],
-                mechanism=MechanismSpec.from_dict(d["mechanism"]),
-                tests=d.get("tests", ("an", "d2")),
-                replications=d.get("replications", 2000),
-                alpha=d.get("alpha", 0.05),
-                master_seed=d.get("master_seed", 0),
-            )
-        except KeyError as exc:
-            raise ValueError(f"scenario is missing required field {exc}") from None
 
     def content_hash(self) -> int:
         """64-bit hash of the data-defining fields.
@@ -320,7 +282,9 @@ def sweep_scenarios(scenario: Scenario, sweep: dict) -> list:
       probability (mcar, mar_1_to_x, mar_rank only);
     * ``{"n": [...]}`` -- vary the sample size.
 
-    Raises ValueError for the first value the scenario cannot take.
+    Each value is checked as the field's own (``MechanismSpec`` judges a
+    ``miss_prob``, and takes one only for a kind that reads it).  Raises
+    ValueError for the first value the scenario cannot take.
     """
     if len(sweep) != 1:
         raise ValueError("sweep must contain exactly one of 'miss_prob' or 'n'")
@@ -331,11 +295,7 @@ def sweep_scenarios(scenario: Scenario, sweep: dict) -> list:
     cells = []
     for value in values:
         if field == "miss_prob":
-            if scenario.mechanism.miss_prob is None:
-                raise ValueError(
-                    f"mechanism {scenario.mechanism.kind!r} has no miss_prob to sweep"
-                )
-            mech = replace(scenario.mechanism, miss_prob=float(value))
+            mech = replace(scenario.mechanism, miss_prob=value)
             cells.append(replace(scenario, mechanism=mech))
         elif field == "n":
             cells.append(replace(scenario, n=value))

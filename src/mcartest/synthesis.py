@@ -18,13 +18,20 @@ MCAR), never MNAR.
 A mechanism is checked in two steps.  ``MechanismSpec`` checks its
 parameters on their own: the kind, ``miss_prob`` in [0, 1], ``odds`` >= 1
 and the mar_1_to_x high-group rate 2px/(x+1) <= 1, the ``p_high``/``p_low``
-rates in [0, 1] and of equal count.  ``fit_mechanism`` checks it against
-the column roles of a dataset: every target incomplete, every control
-complete, one control and one mar_mean rate pair per target.  It resolves
+rates in [0, 1] and of equal count.  Each kind reads only its own optional
+fields (``MECHANISM_KINDS``): ``miss_prob`` is for mcar, mar_1_to_x and
+mar_rank, ``odds`` for mar_1_to_x, ``controls`` for every kind but mcar,
+``p_high``/``p_low`` for mar_mean, and ``target_columns`` for all.  A field
+the kind does not read is an error, not ignored; a ``DistributionSpec`` is
+held to the same rule (``theta`` and ``margins`` are for clayton only).
+``fit_mechanism`` checks it against the column roles of a dataset: every
+target incomplete, every control complete, one control and one mar_mean
+rate pair per target.  It resolves
 the default targets and controls, and ``amputate_block`` calls it once.
 The numeric fields of both specs take numbers only (``check_number``,
 ``check_integer``): a quoted number or a bool from a JSON file is an error,
-not converted.
+not converted.  Both specs, and ``harness.Scenario``, read and write their
+JSON through one field-driven pair, ``Spec.to_dict`` and ``Spec.from_dict``.
 
 The Monte-Carlo harness makes R datasets of one shape at a time, as one
 (R, n, d) value array and one mask.  ``generate_block`` and
@@ -36,7 +43,7 @@ mar_rank's control ranks, the masks) runs once over the block.
 """
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from itertools import cycle, repeat
 
@@ -47,6 +54,7 @@ from .errors import DegenerateDataError
 from .numerics import chi2_quantile, median, ranks
 
 __all__ = [
+    "Spec",
     "DistributionSpec",
     "MechanismSpec",
     "check_number",
@@ -59,9 +67,15 @@ __all__ = [
     "apply_mechanism",
 ]
 
-DISTRIBUTION_KINDS = ("std_normal", "clayton")
+# each kind with the optional fields it reads; a spec rejects any other
+DISTRIBUTION_KINDS = {"std_normal": (), "clayton": ("theta", "margins")}
 MARGIN_KINDS = ("exp1", "chisq4", "uniform")
-MECHANISM_KINDS = ("mcar", "mar_1_to_x", "mar_rank", "mar_mean")
+MECHANISM_KINDS = {
+    "mcar": ("target_columns", "miss_prob"),
+    "mar_1_to_x": ("target_columns", "miss_prob", "odds", "controls"),
+    "mar_rank": ("target_columns", "miss_prob", "controls"),
+    "mar_mean": ("target_columns", "controls", "p_high", "p_low"),
+}
 
 # default per-target (p_high, p_low) pairs for mar_mean, cycled over targets
 DEFAULT_MAR_MEAN_RATES = ((0.12, 0.06), (0.02, 0.175))
@@ -85,15 +99,72 @@ def check_integer(value, name) -> int:
     return int(value)
 
 
-def _list_field(d: dict, key):
-    """``d[key]`` as a tuple, or None when absent or null; ValueError unless
-    it is a list."""
-    value = d.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{key} must be a list, got {value!r}")
-    return tuple(value)
+class Spec:
+    """JSON for a frozen dataclass, built from its fields.
+
+    ``to_dict`` gives every field that is not None, a tuple as a list and a
+    nested Spec as an object.  ``from_dict`` reads that document back: it
+    rejects a key that names no field, a tuple field that is not a list, a
+    null where the field's default is not None, and a missing required
+    field, each with a ValueError naming the field and the class it was
+    in; an error inside a nested Spec also names the field that holds it.
+    The dataclass checks the values.
+    """
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Spec):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            if value is not None:
+                out[f.name] = value
+        return out
+
+    @classmethod
+    def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"{cls.__name__} must be a JSON object, got {d!r}")
+        known = {f.name: f for f in fields(cls)}
+        for key in d:
+            if key not in known:
+                raise ValueError(f"unknown field {key!r} in {cls.__name__}")
+        kwargs = {}
+        for name, f in known.items():
+            if name not in d:
+                if f.default is MISSING:
+                    raise ValueError(f"{cls.__name__} is missing required field {name!r}")
+                continue
+            value = d[name]
+            if value is None:
+                if f.default is not None:
+                    raise ValueError(f"{name} must not be null")
+            elif isinstance(f.type, type) and issubclass(f.type, Spec):
+                try:
+                    value = f.type.from_dict(value)
+                except ValueError as exc:
+                    raise ValueError(f"{cls.__name__} field {name!r}: {exc}") from None
+            elif f.type is tuple:
+                if not isinstance(value, list):
+                    raise ValueError(f"{name} must be a list, got {value!r}")
+                value = tuple(value)
+            kwargs[name] = value
+        return cls(**kwargs)
+
+
+def _check_kind(spec, kinds: dict, what: str) -> None:
+    """ValueError unless ``spec.kind`` is one of ``kinds`` and every optional
+    field the kind does not read is None."""
+    if spec.kind not in kinds:
+        raise ValueError(
+            f"unknown {what} kind {spec.kind!r}; expected one of {tuple(kinds)}"
+        )
+    for f in fields(spec):
+        if f.default is None and f.name not in kinds[spec.kind]:
+            if getattr(spec, f.name) is not None:
+                raise ValueError(f"{spec.kind} takes no {f.name}")
 
 
 def _check_prob(value, name) -> float:
@@ -104,7 +175,7 @@ def _check_prob(value, name) -> float:
 
 
 @dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(Spec):
     """What to sample: independent standard normals or a Clayton copula.
 
     ``theta`` and ``margins`` apply to the copula only; ``margins`` names
@@ -117,17 +188,11 @@ class DistributionSpec:
     margins: tuple = None
 
     def __post_init__(self):
-        if self.kind not in DISTRIBUTION_KINDS:
-            raise ValueError(
-                f"unknown distribution kind {self.kind!r}; "
-                f"expected one of {DISTRIBUTION_KINDS}"
-            )
+        _check_kind(self, DISTRIBUTION_KINDS, "distribution")
         object.__setattr__(self, "dim", check_integer(self.dim, "dim"))
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if self.kind == "std_normal":
-            if self.theta is not None or self.margins is not None:
-                raise ValueError("std_normal takes no theta or margins")
             return
         if self.dim < 2:
             raise ValueError("a copula needs dim >= 2")
@@ -145,25 +210,9 @@ class DistributionSpec:
                 )
         object.__setattr__(self, "margins", margins)
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "dim": self.dim}
-        if self.kind == "clayton":
-            out["theta"] = self.theta
-            out["margins"] = list(self.margins)
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DistributionSpec":
-        return cls(
-            kind=d["kind"],
-            dim=d["dim"],
-            theta=d.get("theta"),
-            margins=_list_field(d, "margins"),
-        )
-
 
 @dataclass(frozen=True)
-class MechanismSpec:
+class MechanismSpec(Spec):
     """How to remove cells.
 
     ``target_columns`` are dataset column indices; None means every
@@ -183,11 +232,7 @@ class MechanismSpec:
     p_low: tuple = None
 
     def __post_init__(self):
-        if self.kind not in MECHANISM_KINDS:
-            raise ValueError(
-                f"unknown mechanism kind {self.kind!r}; "
-                f"expected one of {MECHANISM_KINDS}"
-            )
+        _check_kind(self, MECHANISM_KINDS, "mechanism")
         for name in ("target_columns", "controls"):
             value = getattr(self, name)
             if value is not None:
@@ -198,7 +243,7 @@ class MechanismSpec:
             raise ValueError(
                 "target_columns is empty; leave it out to target every incomplete column"
             )
-        if self.kind in ("mcar", "mar_1_to_x", "mar_rank"):
+        if "miss_prob" in MECHANISM_KINDS[self.kind]:
             if self.miss_prob is None:
                 raise ValueError(f"{self.kind} requires miss_prob")
             object.__setattr__(
@@ -214,8 +259,6 @@ class MechanismSpec:
                     f"for p={self.miss_prob}, x={odds}"
                 )
             object.__setattr__(self, "odds", odds)
-        elif self.odds is not None:
-            raise ValueError(f"odds only applies to mar_1_to_x, not {self.kind}")
         if self.kind == "mar_mean":
             for name in ("p_high", "p_low"):
                 value = getattr(self, name)
@@ -229,32 +272,6 @@ class MechanismSpec:
                 raise ValueError("p_high and p_low must be given together")
             if self.p_high is not None and len(self.p_high) != len(self.p_low):
                 raise ValueError("p_high and p_low must have equal length")
-        elif self.p_high is not None or self.p_low is not None:
-            raise ValueError(f"p_high/p_low only apply to mar_mean, not {self.kind}")
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("target_columns", "miss_prob", "odds", "controls"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = list(value) if isinstance(value, tuple) else value
-        for name in ("p_high", "p_low"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = list(value)
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MechanismSpec":
-        return cls(
-            kind=d["kind"],
-            target_columns=_list_field(d, "target_columns"),
-            miss_prob=d.get("miss_prob"),
-            odds=d.get("odds"),
-            controls=_list_field(d, "controls"),
-            p_high=_list_field(d, "p_high"),
-            p_low=_list_field(d, "p_low"),
-        )
 
 
 def pattern_names(p: int, q: int) -> tuple:
@@ -312,11 +329,11 @@ def fit_mechanism(spec: MechanismSpec, roles: ColumnRoles) -> tuple:
 
     Targets default to every incomplete column, and controls to a
     round-robin pairing: the v-th target with the (v mod p)-th complete
-    column.  ``mcar`` has no controls (None) and never reads
-    ``spec.controls``.  Raises DegenerateDataError when the targets default
-    to the incomplete columns and there are none, and ValueError for a
-    target that is not incomplete, a control that is not complete, or a
-    count of controls or mar_mean rates that does not match the targets.
+    column; ``mcar`` has none (None).  Raises DegenerateDataError when the
+    targets default to the incomplete columns and there are none, and
+    ValueError for a target that is not incomplete, a control that is not
+    complete, or a count of controls or mar_mean rates that does not match
+    the targets.
     """
     targets = roles.incomplete if spec.target_columns is None else spec.target_columns
     if not targets:

@@ -6,10 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import mcartest
 from mcartest import ColumnRoles, Dataset, DegenerateDataError, response_matrix
 from mcartest.numerics import spd_eigh_stack
+from mcartest.synthesis import (
+    MARGIN_KINDS,
+    MECHANISM_KINDS,
+    DistributionSpec,
+    MechanismSpec,
+)
 
 # one line per acceptance criterion, emitted after the test run so the
 # PASS/FAIL verdicts survive pytest's output capture
@@ -33,6 +40,45 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def draw_distribution(draw, d) -> DistributionSpec:
+    """Standard normals or a Clayton copula of any margins, in d columns.
+
+    ``draw`` here and in ``draw_mechanism`` is a ``st.composite``'s."""
+    if draw(st.booleans()):
+        return DistributionSpec(kind="std_normal", dim=d)
+    margins = st.lists(st.sampled_from(MARGIN_KINDS), min_size=d, max_size=d)
+    return DistributionSpec(
+        kind="clayton", dim=d, theta=draw(st.floats(0.2, 5.0)), margins=draw(margins)
+    )
+
+
+def draw_mechanism(draw, p, q) -> MechanismSpec:
+    """Any mechanism that fits p complete and q incomplete columns: default
+    or explicit targets, default or explicit (possibly shared) controls."""
+    kind = draw(st.sampled_from(tuple(MECHANISM_KINDS)))
+    targets = draw(
+        st.none()
+        | st.lists(st.sampled_from(range(p, p + q)), min_size=1, max_size=q, unique=True)
+    )
+    count = q if targets is None else len(targets)
+    per_target = st.lists(st.integers(0, p - 1), min_size=count, max_size=count)
+    controls = None if kind == "mcar" else draw(st.none() | per_target)
+    spec = {"kind": kind, "target_columns": targets, "controls": controls}
+    # exact halves of n*p included, where the rounding of mar_rank's count shows
+    rate = st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0)
+    if kind == "mar_mean":
+        if draw(st.booleans()):
+            rates = st.lists(rate, min_size=count, max_size=count)
+            spec.update(p_high=draw(rates), p_low=draw(rates))
+    elif kind == "mar_1_to_x":
+        odds = draw(st.floats(1.0, 100.0))
+        miss_prob = draw(st.floats(0.0, (odds + 1.0) / (2.0 * odds)))  # p_high <= 1
+        spec.update(odds=odds, miss_prob=miss_prob)
+    else:
+        spec["miss_prob"] = draw(rate)
+    return MechanismSpec(**spec)
 
 
 @pytest.fixture

@@ -421,8 +421,43 @@ class TestUsageErrors:
             ),
             pytest.param(
                 ["simulate", "--scenario", "{tests_string.json}"],
-                "'tests' must be a JSON list",
+                "tests must be a list, got 'an'",
                 id="scenario-tests-string",
+            ),
+            # a field that nothing reads is an error, in a file or as a flag
+            pytest.param(
+                ["simulate", "--scenario", "{unknown_field.json}"],
+                "unknown field 'replicatons' in Scenario",
+                id="scenario-unknown-field",
+            ),
+            pytest.param(
+                ["simulate", "--scenario", "{unknown_mechanism_field.json}"],
+                "Scenario field 'mechanism': unknown field 'odd' in MechanismSpec",
+                id="scenario-unknown-mechanism-field",
+            ),
+            pytest.param(
+                ["simulate", "--scenario", "{mar_mean_miss_prob.json}"],
+                "mar_mean takes no miss_prob",
+                id="scenario-mar-mean-miss-prob",
+            ),
+            pytest.param(
+                SIMULATE + ["--mechanism", "mcar", "--odds", "3"], "mcar takes no odds",
+                id="mcar-odds",
+            ),
+            pytest.param(
+                SIMULATE + ["--mechanism", "mcar", "--controls", "x1"],
+                "mcar takes no controls",
+                id="mcar-controls",
+            ),
+            pytest.param(
+                SIMULATE + ["--mechanism", "mar_mean", "--miss-prob", "0.3"],
+                "mar_mean takes no miss_prob",
+                id="mar-mean-miss-prob",
+            ),
+            pytest.param(
+                SIMULATE + ["--dist", "std_normal", "--theta", "2"],
+                "std_normal takes no theta",
+                id="std-normal-theta",
             ),
             # every resolved test's shape rule is checked before the first runs
             pytest.param(
@@ -467,6 +502,11 @@ class TestUsageErrors:
                 "mechanism": {"kind": "mcar", "miss_prob": 0.2, "target_columns": 2},
             },
             "tests_string": {**good, "tests": "an"},
+            "unknown_field": {**good, "replicatons": 10},
+            "unknown_mechanism_field": {
+                **good, "mechanism": {"kind": "mcar", "miss_prob": 0.2, "odd": 1},
+            },
+            "mar_mean_miss_prob": {**good, "mechanism": {"kind": "mar_mean", "miss_prob": 0.2}},
             **{f"fractional_{field}": {**good, field: value} for field, value in FRACTIONAL_FIELDS},
             **{f"quoted_{field}": {**good, field: value} for field, value, _ in QUOTED_FIELDS},
         }

@@ -1,8 +1,12 @@
 import csv
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcartest.harness
+from conftest import draw_distribution, draw_mechanism
 from mcartest import (
     ColumnRoles,
     DegenerateDataError,
@@ -125,6 +129,46 @@ class TestScenario:
             Scenario.from_dict(doc)
 
 
+@st.composite
+def spec_cases(draw):
+    """A distribution, a mechanism and a Scenario made of them."""
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dist = draw_distribution(draw, p + q)
+    mech = draw_mechanism(draw, p, q)
+
+    def fits(tag):
+        try:
+            TESTS[resolve_test(tag, q)].check_shape(tag, p, q)
+        except ValueError:
+            return False
+        return True
+
+    tests = st.lists(st.sampled_from([t for t in KNOWN_TESTS if fits(t)]), min_size=1, unique=True)
+    s = Scenario(
+        label=f"{p}X{q}Y",
+        distribution=dist,
+        p=p,
+        q=q,
+        n=draw(st.integers(3, 10**6)),
+        mechanism=mech,
+        tests=tuple(draw(tests)),
+        replications=draw(st.integers(1, 10**6)),
+        alpha=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        master_seed=draw(st.integers(0, 2**128)),
+    )
+    return dist, mech, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=spec_cases())
+def test_json_round_trip_property(case):
+    # from_dict takes to_dict's own output back, through JSON text, whole
+    for spec in case:
+        back = type(spec).from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert back == spec
+    assert back.content_hash() == spec.content_hash()
+
+
 class TestWilson:
     def test_known_value(self):
         low, high = wilson_interval(5, 100)
@@ -210,11 +254,16 @@ class TestRunGrid:
             run_grid(s, {"miss_prob": [0.1], "n": [30]})
         with pytest.raises(ValueError, match="integer"):
             run_grid(s, {"n": [30, 40.5]})
+        # a swept miss_prob is judged as the field is, not converted
+        with pytest.raises(ValueError, match="miss_prob must be a number, got '0.2'"):
+            run_grid(s, {"miss_prob": ["0.2", True]})
+        with pytest.raises(ValueError, match="miss_prob must be a number, got True"):
+            run_grid(s, {"miss_prob": [0.2, True]})
         mm = scenario(
             mechanism=MechanismSpec(kind="mar_mean", p_high=(0.1, 0.1), p_low=(0.1, 0.1)),
             replications=5,
         )
-        with pytest.raises(ValueError, match="no miss_prob"):
+        with pytest.raises(ValueError, match="mar_mean takes no miss_prob"):
             run_grid(mm, {"miss_prob": [0.1]})
 
 

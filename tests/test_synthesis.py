@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from conftest import draw_distribution, draw_mechanism
+
 from mcartest import (
     ColumnRoles,
     Dataset,
@@ -16,13 +18,7 @@ from mcartest import (
     rng_stream,
 )
 from mcartest.numerics import chi2_quantile
-from mcartest.synthesis import (
-    MARGIN_KINDS,
-    MECHANISM_KINDS,
-    amputate_block,
-    fit_mechanism,
-    generate_block,
-)
+from mcartest.synthesis import amputate_block, fit_mechanism, generate_block
 
 KS_1PCT = 1.6276  # asymptotic 1% critical coefficient: reject if D > c/sqrt(n)
 
@@ -72,6 +68,11 @@ class TestSpecs:
             MechanismSpec(kind="mar_1_to_x", miss_prob=0.6, odds=9.0)  # p_high > 1
         with pytest.raises(ValueError):
             MechanismSpec(kind="mar_mean", p_high=(0.1,))  # p_low missing
+        # a field the kind never reads is an error, not ignored
+        with pytest.raises(ValueError, match="mar_mean takes no miss_prob"):
+            MechanismSpec(kind="mar_mean", miss_prob=0.1)
+        with pytest.raises(ValueError, match="mcar takes no controls"):
+            MechanismSpec(kind="mcar", miss_prob=0.1, controls=(0,))
 
     @pytest.mark.parametrize(
         "make, message",
@@ -422,8 +423,8 @@ class TestDispatcherAndDefaults:
         roles = ColumnRoles((0, 1), (2, 3, 4))
         spec = MechanismSpec(kind="mar_rank", miss_prob=0.1)
         assert fit_mechanism(spec, roles) == ((2, 3, 4), (0, 1, 0))
-        mcar = MechanismSpec(kind="mcar", miss_prob=0.1, controls=(7,))
-        assert fit_mechanism(mcar, roles) == ((2, 3, 4), None)  # controls unread
+        mcar = MechanismSpec(kind="mcar", miss_prob=0.1)
+        assert fit_mechanism(mcar, roles) == ((2, 3, 4), None)  # mcar has no controls
 
     def test_dispatch_each_kind(self):
         ds = generate(DistributionSpec(kind="std_normal", dim=3), 80, rng_stream(21, 0))
@@ -472,33 +473,6 @@ class TestDispatcherAndDefaults:
             amputate(ds, roles_for(3, 0), rng, kind="mcar", miss_prob=0.2)
 
 
-def draw_mechanism(draw, p, q) -> MechanismSpec:
-    """Any mechanism that fits p complete and q incomplete columns: default
-    or explicit targets, default or explicit (possibly shared) controls."""
-    kind = draw(st.sampled_from(MECHANISM_KINDS))
-    targets = draw(
-        st.none()
-        | st.lists(st.sampled_from(range(p, p + q)), min_size=1, max_size=q, unique=True)
-    )
-    count = q if targets is None else len(targets)
-    per_target = st.lists(st.integers(0, p - 1), min_size=count, max_size=count)
-    controls = draw(st.none() | per_target)
-    spec = {"kind": kind, "target_columns": targets, "controls": controls}
-    # exact halves of n*p included, where the rounding of mar_rank's count shows
-    rate = st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0)
-    if kind == "mar_mean":
-        if draw(st.booleans()):
-            rates = st.lists(rate, min_size=count, max_size=count)
-            spec.update(p_high=draw(rates), p_low=draw(rates))
-    elif kind == "mar_1_to_x":
-        odds = draw(st.floats(1.0, 100.0))
-        miss_prob = draw(st.floats(0.0, (odds + 1.0) / (2.0 * odds)))  # p_high <= 1
-        spec.update(odds=odds, miss_prob=miss_prob)
-    else:
-        spec["miss_prob"] = draw(rate)
-    return MechanismSpec(**spec)
-
-
 @st.composite
 def amputation_cases(draw):
     """A dataset with some cells already missing, its roles and a spec."""
@@ -544,14 +518,7 @@ def block_cases(draw):
     splits into blocks.
     """
     p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    d = p + q
-    if draw(st.booleans()):
-        dist = DistributionSpec(kind="std_normal", dim=d)
-    else:
-        margins = st.lists(st.sampled_from(MARGIN_KINDS), min_size=d, max_size=d)
-        dist = DistributionSpec(
-            kind="clayton", dim=d, theta=draw(st.floats(0.2, 5.0)), margins=draw(margins)
-        )
+    dist = draw_distribution(draw, p + q)
     reps = draw(st.integers(1, 9))
     n = draw(st.integers(3, 300))
     seed = draw(st.integers(0, 2**32 - 1))
