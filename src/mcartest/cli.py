@@ -41,6 +41,12 @@ EXIT_DATA = 3
 
 _TESTS_HELP = f"comma list from {','.join(KNOWN_TESTS)}"
 
+# the data flags (see _add_data_options): the defaults of those that are
+# not spec fields, and the spec fields' flags
+_DATA_DEFAULTS = {"n": 100, "p": 1, "q": 2, "dist": "std_normal", "mechanism": "mcar"}
+_DISTRIBUTION_FLAGS = ("theta", "margins")
+_MECHANISM_FLAGS = ("miss_prob", "odds", "controls", "p_high", "p_low")
+
 
 def _split_csv_list(text: str) -> list:
     return [item.strip() for item in text.split(",") if item.strip()]
@@ -139,7 +145,7 @@ def _flag_fields(args, kind, kinds, names) -> dict:
 
 
 def _distribution_doc(args) -> dict:
-    doc = _flag_fields(args, args.dist, DISTRIBUTION_KINDS, ("theta", "margins"))
+    doc = _flag_fields(args, args.dist, DISTRIBUTION_KINDS, _DISTRIBUTION_FLAGS)
     doc["dim"] = dim = args.p + args.q
     if len(doc.get("margins", ())) == 1:
         doc["margins"] = doc["margins"] * dim
@@ -156,16 +162,21 @@ def _column_index(item, names, parser) -> int:
 
 
 def _mechanism_doc(args, names, parser) -> dict:
-    doc = _flag_fields(
-        args, args.mechanism, MECHANISM_KINDS,
-        ("miss_prob", "odds", "controls", "p_high", "p_low"),
-    )
+    doc = _flag_fields(args, args.mechanism, MECHANISM_KINDS, _MECHANISM_FLAGS)
     if "controls" in doc:
         doc["controls"] = [_column_index(item, names, parser) for item in doc["controls"]]
     return doc
 
 
+def _apply_flag_defaults(args) -> None:
+    """Give each data flag left out its default (``args.flag_defaults``)."""
+    for name, value in args.flag_defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def _cmd_generate(args, parser) -> int:
+    _apply_flag_defaults(args)
     if args.p < 1 or args.q < 1:
         parser.error("need --p >= 1 and --q >= 1")
     if args.n < 1:
@@ -205,6 +216,11 @@ def _cmd_generate(args, parser) -> int:
 
 def _scenario_from_args(args, parser) -> Scenario:
     if args.scenario:
+        # a scenario file holds the whole cell, so a data flag would be ignored
+        for name in (*args.flag_defaults, *_DISTRIBUTION_FLAGS, *_MECHANISM_FLAGS):
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                parser.error(f"{flag} cannot be combined with --scenario")
         try:
             with open(args.scenario, encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -215,6 +231,7 @@ def _scenario_from_args(args, parser) -> Scenario:
         if not isinstance(doc, dict):
             parser.error(f"--scenario: {args.scenario} does not hold a JSON object")
     else:
+        _apply_flag_defaults(args)
         doc = {
             "label": f"{args.p}X{args.q}Y",
             "distribution": _distribution_doc(args),
@@ -284,16 +301,19 @@ def _cmd_plot(args, parser) -> int:
 def _add_data_options(parser, miss_prob) -> None:
     """The data-generating options ``generate`` and ``simulate`` share.
 
-    The spec flags (``--theta`` to ``--p-low``) default to None, so that
-    ``_flag_fields`` can tell a flag the user set from one left out;
-    ``field_defaults`` holds the defaults it applies, ``miss_prob`` among
-    them."""
-    parser.add_argument("--n", type=int, default=100, help="rows per dataset")
-    parser.add_argument("--p", type=int, default=1, help="complete columns")
-    parser.add_argument("--q", type=int, default=2, help="incomplete columns")
+    Every flag defaults to None, so that a flag the user set can be told
+    from one left out: ``simulate --scenario`` rejects each one set, and
+    ``_flag_fields`` keeps a spec flag set for a kind that does not read it,
+    for the spec to reject.  ``field_defaults`` holds the spec flags'
+    defaults, ``miss_prob`` among them, which ``_flag_fields`` applies;
+    ``flag_defaults`` those of the others, which ``_apply_flag_defaults``
+    applies (``simulate`` adds ``--tests`` and ``--alpha`` to them)."""
+    parser.add_argument("--n", type=int, help="rows per dataset (default 100)")
+    parser.add_argument("--p", type=int, help="complete columns (default 1)")
+    parser.add_argument("--q", type=int, help="incomplete columns (default 2)")
     parser.add_argument(
-        "--dist", choices=DISTRIBUTION_KINDS, default="std_normal",
-        help="data-generating distribution",
+        "--dist", choices=DISTRIBUTION_KINDS,
+        help="data-generating distribution (default std_normal)",
     )
     parser.add_argument("--theta", type=float, help="Clayton parameter (default 1)")
     parser.add_argument(
@@ -302,8 +322,8 @@ def _add_data_options(parser, miss_prob) -> None:
         "default exp1)",
     )
     parser.add_argument(
-        "--mechanism", choices=MECHANISM_KINDS, default="mcar",
-        help="missingness mechanism",
+        "--mechanism", choices=MECHANISM_KINDS,
+        help="missingness mechanism (default mcar)",
     )
     parser.add_argument(
         "--miss-prob", type=float,
@@ -318,7 +338,8 @@ def _add_data_options(parser, miss_prob) -> None:
     parser.add_argument("--p-high", type=_rates, help="comma list, mar_mean high-group rates")
     parser.add_argument("--p-low", type=_rates, help="comma list, mar_mean low-group rates")
     parser.set_defaults(
-        field_defaults={"theta": 1.0, "margins": ["exp1"], "miss_prob": miss_prob}
+        flag_defaults=_DATA_DEFAULTS,
+        field_defaults={"theta": 1.0, "margins": ["exp1"], "miss_prob": miss_prob},
     )
 
 
@@ -365,10 +386,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--sweep-n", type=_rates, help="comma list of sample sizes")
     _add_data_options(s, miss_prob=0.12)
-    s.add_argument("--tests", default="an,d2", help=_TESTS_HELP)
-    s.add_argument(
-        "--alpha", type=float, default=0.05, help="significance level in (0, 1]"
-    )
+    s.add_argument("--tests", help=f"{_TESTS_HELP} (default an,d2)")
+    s.add_argument("--alpha", type=float, help="significance level in (0, 1] (default 0.05)")
+    s.set_defaults(flag_defaults={**_DATA_DEFAULTS, "tests": "an,d2", "alpha": 0.05})
 
     p = sub.add_parser("plot", help="render a results CSV as SVG")
     p.add_argument("--input", required=True, help="results CSV from simulate")

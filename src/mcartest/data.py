@@ -200,11 +200,115 @@ def _parse_block(path, names, rows, tokens, first):
     return values, mask
 
 
+def _read_records(path, tokens):
+    """(names, records, blocks) of a CSV file, read by csv.reader.
+
+    Each block is ``_parse_block``'s (values, mask) of up to ``_BLOCK_ROWS``
+    records.  This is the reference parser and the one that reports every
+    error in a file's header and records.
+    """
+    blocks = []
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError(f"{path}: empty file, expected a header row") from None
+            names = [h.strip() for h in header]
+            n = 0
+            while rows := list(islice(reader, _BLOCK_ROWS)):
+                blocks.append(_parse_block(path, names, rows, tokens, first=n))
+                n += len(rows)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return names, n, blocks
+
+
+def _parse_plain(lines, d, tokens):
+    """``_parse_block``'s (values, mask) of lines in write_csv's plain
+    shape, parsed by numpy's C parser; None where that parse might differ.
+
+    A plain block has no quote and no ``#``, and every line ends in CRLF,
+    so its cells are the text between commas and line ends.  The cells
+    that are exactly a token are found by one byte scan.  Each non-empty
+    token is replaced by ``nan`` in the text, longest first, and the block
+    is accepted only if it parses to ``d`` numbers per line, NaN exactly at
+    the token cells and no infinity.  numpy's parser accepts a subset of
+    what ``float`` accepts (no ``_``, no non-ASCII digits) and rounds the
+    same way, and a cell in which a token was replaced parses as NaN or not
+    at all, so an accepted block holds the numbers ``_parse_block`` gives.
+    """
+    text = "".join(lines)
+    if '"' in text or "#" in text or text.count("\r\n") != len(lines):
+        return None
+    # csv.reader gives a blank line no fields; numpy's parser skips it
+    if text.startswith("\r\n") or "\n\r\n" in text:
+        return None
+    raw = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\r")))
+    if len(ends) != len(lines) * d:
+        return None
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + np.where(raw[ends[:-1]] == ord(","), 1, 2)
+    lengths = ends - starts
+    # csv.reader rejects a cell longer than its field limit
+    if lengths.max() > csv.field_size_limit():
+        return None
+    missing = np.zeros(len(ends), bool)
+    for token in tokens:
+        code = token.encode()
+        at = np.flatnonzero(lengths == len(code))
+        for k, byte in enumerate(code):
+            at = at[raw[starts[at] + k] == byte]
+        missing[at] = True
+    for token in sorted(filter(None, tokens), key=len, reverse=True):
+        text = text.replace(token, "nan")
+    rows = text.split("\r\n")
+    rows.pop()
+    try:
+        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(lines), d):
+        return None
+    values = values.ravel()
+    if not np.array_equal(np.isnan(values), missing) or np.isinf(values).any():
+        return None
+    values[missing] = 0.0
+    return values, ~missing
+
+
+def _read_plain(path, tokens):
+    """``_read_records``' result with every block parsed by ``_parse_plain``,
+    or None if one block is not plain or the file is not UTF-8 text."""
+    blocks = []
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                return None
+            names = [h.strip() for h in header]
+            n = 0
+            while lines := list(islice(fh, _BLOCK_ROWS)):
+                block = _parse_plain(lines, len(names), tokens)
+                if block is None:
+                    return None
+                blocks.append(block)
+                n += len(lines)
+    except UnicodeDecodeError:
+        return None
+    return names, n, blocks
+
+
 def load_csv(path, na_tokens=None, incomplete=None):
     """Read a rectangular CSV with a header row into a Dataset plus roles.
 
     The records are read and parsed ``_BLOCK_ROWS`` at a time, so no more
-    than one block of them is held as strings.
+    than one block of them is held as strings.  A file in the plain shape
+    that ``write_csv`` emits is parsed by numpy's C parser.  Any other file,
+    and any file with an error, is read again by csv.reader, so the values,
+    the mask and every error message are those of that exact parser.
 
     Parameters
     ----------
@@ -233,21 +337,7 @@ def load_csv(path, na_tokens=None, incomplete=None):
     """
     tokens = DEFAULT_NA_TOKENS if na_tokens is None else frozenset(na_tokens)
     path = Path(path)
-    blocks = []
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataFormatError(f"{path}: empty file, expected a header row") from None
-            names = [h.strip() for h in header]
-            n = 0
-            while rows := list(islice(reader, _BLOCK_ROWS)):
-                blocks.append(_parse_block(path, names, rows, tokens, first=n))
-                n += len(rows)
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    names, n, blocks = _read_plain(path, tokens) or _read_records(path, tokens)
     if not n:
         raise DataFormatError(f"{path}: no data rows")
     values, mask = (np.concatenate(parts) for parts in zip(*blocks))
@@ -291,18 +381,32 @@ def write_csv(ds: Dataset, path, na_token: str = "NA") -> None:
 
     Uses repr formatting so a load_csv round trip reproduces the observed
     values and the mask exactly.  The rows are written ``_BLOCK_ROWS`` at a
-    time: one ``repr`` of each block's observed values, split into cells,
-    and one write of its lines, byte for byte what csv.writer writes.
+    time: one ``repr`` of each block's values, split into cells, the masked
+    cells replaced by the token, and one write of its lines, byte for byte
+    what csv.writer writes.
+
+    Raises
+    ------
+    ValueError
+        An observed value is NaN or infinite, which load_csv would reject;
+        nothing is written.
     """
+    bad = ds.mask & ~np.isfinite(ds.values)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"row {i}, column {ds.column_names[j]!r}: cannot write the observed "
+            f"non-finite value {float(ds.values[i, j])!r}"
+        )
     path = Path(path)
     na = _na_cell(na_token, ds.d)
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(ds.column_names)
         for start in range(0, ds.n, _BLOCK_ROWS):
-            seen = ds.mask[start : start + _BLOCK_ROWS]
-            observed = ds.values[start : start + _BLOCK_ROWS][seen].tolist()
-            cells = np.full(seen.shape, na, dtype=object)
-            if observed:
-                # the repr of a list of floats is the floats' reprs joined by ", "
-                cells[seen] = repr(observed)[1:-1].split(", ")
-            fh.write("\r\n".join(map(",".join, cells.tolist())) + "\r\n")
+            block = slice(start, start + _BLOCK_ROWS)
+            # the repr of a list of floats is the floats' reprs joined by ", "
+            cells = repr(ds.values[block].ravel().tolist())[1:-1].split(", ")
+            for k in np.flatnonzero(~ds.mask[block]).tolist():
+                cells[k] = na
+            rows = zip(*[iter(cells)] * ds.d)
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")

@@ -26,6 +26,26 @@ DATA_OPTIONS = (
     "--miss-prob", "--odds", "--controls", "--p-high", "--p-low",
 )
 
+# a cheap valid scenario file
+SCENARIO = {
+    "label": "1X1Y",
+    "distribution": {"kind": "std_normal", "dim": 2},
+    "p": 1,
+    "q": 1,
+    "n": 60,
+    "mechanism": {"kind": "mcar", "miss_prob": 0.2},
+    "tests": ["an"],
+    "replications": 10,
+    "master_seed": 9,
+}
+# each data flag at a value that SCENARIO could hold, the flag's default among them
+SCENARIO_FLAG_VALUES = {
+    "--n": "60", "--p": "1", "--q": "1", "--dist": "std_normal", "--theta": "1",
+    "--margins": "exp1", "--mechanism": "mcar", "--miss-prob": "0.2", "--odds": "9",
+    "--controls": "x1", "--p-high": "0.1", "--p-low": "0.1", "--tests": "an",
+    "--alpha": "0.05",
+}
+
 # a cheap valid simulate call; each bad case below overrides one part of it
 SIMULATE = ["simulate", "--n", "40", "--tests", "an", "--replications", "5"]
 
@@ -268,6 +288,28 @@ class TestSimulateCommand:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["test"] for r in rows} == {"an", "dn", "d2_univariate"}
+
+    @pytest.mark.parametrize("flag", SCENARIO_FLAG_VALUES)
+    def test_scenario_file_rejects_data_flags(self, tmp_path, capsys, flag):
+        # the file holds the whole cell, so the flag would be silently ignored
+        assert set(SCENARIO_FLAG_VALUES) == {*DATA_OPTIONS, "--tests", "--alpha"}
+        value = SCENARIO_FLAG_VALUES[flag]
+        sc = tmp_path / "scenario.json"
+        sc.write_text(json.dumps(SCENARIO))
+        out = tmp_path / "res.csv"
+        assert run_cli("simulate", "--scenario", str(sc), flag, value, "--out", str(out)) == 2
+        assert f"{flag} cannot be combined with --scenario" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scenario_file_takes_replications_and_seed(self, tmp_path):
+        outs = [tmp_path / "flags.csv", tmp_path / "file.csv"]
+        docs = [SCENARIO, {**SCENARIO, "replications": 5, "master_seed": 3}]
+        flags = [["--replications", "5", "--seed", "3"], []]
+        for out, doc, extra in zip(outs, docs, flags):
+            sc = tmp_path / f"{out.stem}.json"
+            sc.write_text(json.dumps(doc))
+            assert run_cli("simulate", "--scenario", str(sc), *extra, "--out", str(out)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_scenario_file_bad_field(self, tmp_path):
         sc = tmp_path / "bad.json"

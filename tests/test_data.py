@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -342,6 +342,9 @@ def block_datasets(draw):
     values = draw(arrays(float, (n, d), elements=cell))
     mask = draw(arrays(bool, (n, d)))
     mask[list(draw(st.sets(st.integers(0, n - 1))))] = False  # whole rows masked
+    # a masked cell's placeholder may be any float, NaN and infinities included
+    placeholder = st.sampled_from([math.nan, math.inf, -math.inf]) | cell
+    values = np.where(mask, values, draw(arrays(float, (n, d), elements=placeholder)))
     return block, Dataset(values, mask, tuple(f"c{j}" for j in range(d)))
 
 
@@ -371,6 +374,119 @@ def test_round_trip_across_blocks(tmp_path, monkeypatch, rng, block):
     back, _ = load_csv(path)
     assert back.mask.tobytes() == ds.mask.tobytes()
     assert back.values[ds.mask].tobytes() == ds.values[ds.mask].tobytes()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_csv_rejects_non_finite_observed_values(tmp_path, value):
+    # load_csv rejects nan and inf cells, so writing one would break the
+    # round trip; a masked cell's placeholder is never written
+    values = np.ones((4, 2))
+    values[2, 1] = value
+    mask = np.ones((4, 2), bool)
+    mask[1, 1] = False
+    path = tmp_path / "nonfinite.csv"
+    with pytest.raises(ValueError, match=f"row 2, column 'y': .* value {value!r}"):
+        write_csv(Dataset(values, mask, ("x", "y")), path)
+    assert not path.exists()
+
+
+def load_outcome(path, tokens):
+    """What load_csv gives: observed values, mask, names and roles, or the
+    class and message of what it raises."""
+    try:
+        ds, roles = load_csv(path, na_tokens=tokens)
+    except Exception as exc:  # every exception is compared, whatever its class
+        return type(exc), str(exc)
+    return ds.values[ds.mask].tobytes(), ds.mask.tobytes(), ds.mask.shape, ds.column_names, roles
+
+
+PLAIN_TOKENS = ["NA", "NaN", "", "?", "-", "1", "a", "nan"]
+# cells that numpy's parser and float() read differently, or that a token
+# replacement could corrupt, plus non-finite values
+PARSER_TRAPS = [
+    "-NA", " NA", "NA ", "nan", "NAN", "-nan", "inf", "Infinity", "1e400", "1_0", "#3",
+    '"2"', "١", "1\x0c2", "\x0c", "1\xa0", " 1.5", "+.5", "-0", "0x10", "1,5", "n,a", "1\x002",
+    "0" * csv.field_size_limit() + "1",  # csv.reader rejects a cell this long
+]
+TOKEN_SETS = [None, {"NA"}, {"?"}, {"-", "NA"}, {"1"}, {"nan"}, {"NA", "a"}, {"", "n,a"}]
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, na_tokens) of a small CSV file.  Half are in write_csv's plain
+    shape: CRLF line ends, unquoted numbers and the non-empty tokens; the
+    other half add any token, the traps, blank and ragged lines, and LF and
+    CR line ends."""
+    d = draw(st.integers(1, 4))
+    names = [draw(st.sampled_from([f"c{j}", f'"c,{j}"', f'"say ""{j}"""'])) for j in range(d)]
+    tokens = draw(st.sampled_from(TOKEN_SETS))
+    plain = draw(st.booleans())
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    cell = number | st.sampled_from(sorted(filter(None, tokens or {"NA", "NaN"})))
+    end = st.just("\r\n")
+    kinds = ["row"]
+    if not plain:
+        cell = cell | st.sampled_from(PLAIN_TOKENS) | st.sampled_from(PARSER_TRAPS)
+        end = st.sampled_from(["\r\n"] * 8 + ["\n", "\r"])
+        kinds = ["row"] * 8 + ["ragged", "blank"]
+    lines = [",".join(names) + "\r\n"]
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(end))
+            continue
+        width = d + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+        lines.append(",".join(draw(cell) for _ in range(width)) + draw(end))
+    text = "".join(lines)
+    if not plain and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    return text, tokens
+
+
+@settings(
+    max_examples=600,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=csv_texts(), block=st.sampled_from([1, 2, 3, 8192]))
+# an infinity, a cell longer than csv.reader's field limit, and a line that
+# str.splitlines would split in two beside one it would blank
+@example(case=("a,b\r\n1.0,inf\r\n", None), block=8192)
+@example(case=("a\r\n" + "0" * csv.field_size_limit() + "1\r\n", None), block=8192)
+@example(case=("a\r\n1\x0c2\r\n\x0c\r\n", {"NA"}), block=8192)
+def test_load_matches_the_csv_reader_path(tmp_path, monkeypatch, case, block):
+    text, tokens = case
+    path = tmp_path / "diff.csv"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(mcartest.data, "_BLOCK_ROWS", block)
+    got = load_outcome(path, tokens)
+    # the plain reader declines, so the csv.reader path reads every file
+    with monkeypatch.context() as m:
+        m.setattr(mcartest.data, "_read_plain", lambda path, tokens: None)
+        assert got == load_outcome(path, tokens)
+
+
+@pytest.mark.parametrize("block", [3, 8192])
+@pytest.mark.parametrize("na_token", ["NA", "NaN", "?"])
+def test_write_csv_output_takes_the_plain_path(tmp_path, monkeypatch, rng, block, na_token):
+    # the csv.reader path must not run on what write_csv writes, or the
+    # numpy parser's gain is silently lost
+    monkeypatch.setattr(mcartest.data, "_BLOCK_ROWS", block)
+    ds, roles = make_dataset(rng, 20, 2, 3)
+    values = np.array(ds.values)
+    values[0, :3] = -0.0, 5e-324, 1e300
+    ds = Dataset(values, ds.mask, ("x, one", 'say "hi"', "y1", "y2", "y3"))
+    path = tmp_path / "plain.csv"
+    write_csv(ds, path, na_token=na_token)
+
+    def fail(*args):
+        raise AssertionError("csv.reader path taken")
+
+    monkeypatch.setattr(mcartest.data, "_parse_block", fail)
+    back, back_roles = load_csv(path, na_tokens={na_token})
+    assert back.mask.tobytes() == ds.mask.tobytes()
+    assert back.values[ds.mask].tobytes() == ds.values[ds.mask].tobytes()
+    assert back.column_names == ds.column_names and back_roles == roles
 
 
 # (what is wrong, lines): the offending data line(s) replace good ones
