@@ -376,10 +376,12 @@ def test_round_trip_across_blocks(tmp_path, monkeypatch, rng, block):
     assert back.values[ds.mask].tobytes() == ds.values[ds.mask].tobytes()
 
 
+@pytest.mark.parametrize("block", [2, 8192])  # row 2 opens the second block of 2
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_write_csv_rejects_non_finite_observed_values(tmp_path, value):
+def test_write_csv_rejects_non_finite_observed_values(tmp_path, monkeypatch, value, block):
     # load_csv rejects nan and inf cells, so writing one would break the
     # round trip; a masked cell's placeholder is never written
+    monkeypatch.setattr(mcartest.data, "_BLOCK_ROWS", block)
     values = np.ones((4, 2))
     values[2, 1] = value
     mask = np.ones((4, 2), bool)
@@ -460,10 +462,41 @@ def test_load_matches_the_csv_reader_path(tmp_path, monkeypatch, case, block):
     path.write_bytes(text.encode("utf-8"))
     monkeypatch.setattr(mcartest.data, "_BLOCK_ROWS", block)
     got = load_outcome(path, tokens)
-    # the plain reader declines, so the csv.reader path reads every file
+    # the plain parser declines, so the csv.reader path reads every record
     with monkeypatch.context() as m:
-        m.setattr(mcartest.data, "_read_plain", lambda path, tokens: None)
+        m.setattr(mcartest.data, "_parse_plain", lambda lines, d, tokens: None)
         assert got == load_outcome(path, tokens)
+
+
+@pytest.mark.parametrize("last", ["7,8.5\n", "7,\r\n", "7,oops\r\n", '7,"8"\r\n'])
+def test_csv_reader_takes_over_from_the_first_block_that_is_not_plain(
+    tmp_path, monkeypatch, last
+):
+    # nine plain records in three blocks, then a last record the numpy
+    # parser declines: only that block is parsed by the csv.reader path,
+    # and the result or the message is that path's
+    text = "a,b\r\n" + "".join(f"{i},{i + 0.5}\r\n" for i in range(9)) + last
+    path = tmp_path / "late.csv"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(mcartest.data, "_BLOCK_ROWS", 3)
+    parsed = []
+    parse_block = mcartest.data._parse_block
+
+    def spy(path, names, rows, tokens, first):
+        parsed.append((first, len(rows)))
+        return parse_block(path, names, rows, tokens, first)
+
+    monkeypatch.setattr(mcartest.data, "_parse_block", spy)
+    expected = reference_parse(text)
+    if isinstance(expected, str):
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: {expected}"
+    else:
+        ds, _ = load_csv(path)
+        assert ds.mask.tobytes() == expected[1].tobytes()
+        assert ds.values.tobytes() == expected[0].tobytes()
+    assert parsed == [(9, 1)]
 
 
 @pytest.mark.parametrize("block", [3, 8192])
