@@ -24,6 +24,21 @@ DEFAULT_NA_TOKENS = frozenset({"NA", "NaN", ""})
 _BLOCK_ROWS = 2048
 
 
+def _frozen(a, dtype) -> np.ndarray:
+    """``a`` as a read-only array of ``dtype``: ``a`` itself when it is a
+    C-contiguous array that no one can write to, because it and every array
+    it views are read-only; otherwise a read-only copy."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous:
+        base = a
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None:
+            return a
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An n x d numeric matrix with an explicit observation mask.
@@ -35,6 +50,9 @@ class Dataset:
     mask : (n, d) bool array
         True where the cell is observed.
     column_names : tuple of str
+
+    Both arrays are read-only.  An array given that someone could still
+    write to is copied; a read-only one is kept as it is.
     """
 
     values: np.ndarray
@@ -42,8 +60,8 @@ class Dataset:
     column_names: tuple
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        mask = np.array(self.mask, dtype=bool)
+        values = _frozen(self.values, float)
+        mask = _frozen(self.mask, bool)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError("values must be a non-empty 2-D matrix")
         if mask.shape != values.shape:
@@ -51,8 +69,6 @@ class Dataset:
         names = tuple(str(c) for c in self.column_names)
         if len(names) != values.shape[1]:
             raise ValueError("column_names length must match column count")
-        values.setflags(write=False)
-        mask.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "column_names", names)
@@ -173,7 +189,7 @@ def _raise_first_bad_cell(path, names, rows, tokens, first):
 
 
 def _parse_block(path, names, rows, tokens, first):
-    """(values, mask) of one block of records, flattened row-major.
+    """(values, mask) of one block of records, each (records, d).
 
     ``first`` is the index of the block's first record among the data
     records.  Cells are parsed up to the block's first ragged line; a bad
@@ -199,7 +215,7 @@ def _parse_block(path, names, rows, tokens, first):
         )
     values = np.zeros(len(cells))
     values[mask] = numbers
-    return values, mask
+    return values.reshape(n_good, d), mask.reshape(n_good, d)
 
 
 def _parse_plain(lines, d, tokens):
@@ -249,16 +265,76 @@ def _parse_plain(lines, d, tokens):
         return None
     if values.shape != (len(lines), d):
         return None
-    values = values.ravel()
+    missing = missing.reshape(values.shape)
     if not np.array_equal(np.isnan(values), missing) or np.isinf(values).any():
         return None
     values[missing] = 0.0
     return values, ~missing
 
 
-def _read_blocks(path, tokens):
-    """(names, n, blocks) of a CSV file: its header, its number of data
-    records, and each block's (values, mask) of up to ``_BLOCK_ROWS`` records.
+def _max_records(path) -> int:
+    """An upper bound on the data records of a CSV file: its lines but the
+    header's.  csv.reader ends a record only at a line end (LF, CR or CRLF)
+    or at the end of the file, so no record is on fewer than one line."""
+    lines, last = 0, b""
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 16):
+            raw = np.frombuffer(chunk, np.uint8)
+            lf, cr = raw == ord("\n"), raw == ord("\r")
+            # a CRLF split between two chunks counts twice
+            count = np.count_nonzero(lf) + np.count_nonzero(cr)
+            lines += count - np.count_nonzero(cr[:-1] & lf[1:])
+            last = chunk[-1:]
+    return max(int(lines) - (last in b"\r\n"), 0)
+
+
+def _long_cell(path, line):
+    """Index of the first cell longer than csv.field_size_limit() in the
+    record that starts on file line ``line``, split as csv.reader's default
+    dialect splits it; None if it has none."""
+    limit = csv.field_size_limit()
+    column, length, state = 0, 0, "start"
+    with path.open(newline="", encoding="utf-8") as fh:
+        for c in chain.from_iterable(islice(fh, line - 1, None)):
+            if state == "quoted":
+                if c == '"':
+                    state = "quote"  # ends the quoted text unless a quote follows
+                    continue
+            elif state == "quote" and c == '"':
+                state = "quoted"
+            elif c == ",":
+                column, length, state = column + 1, 0, "start"
+                continue
+            elif c in "\r\n":
+                return None
+            elif state == "start" and c == '"':
+                state = "quoted"
+                continue
+            else:
+                state = "field"
+            length += 1
+            if length > limit:
+                return column
+    return None
+
+
+def _long_cell_error(path, names, line) -> DataFormatError:
+    """The error for a record that csv.reader rejects: the only error of its
+    default dialect is a cell longer than its field limit."""
+    column = _long_cell(path, line)
+    if column is None:
+        name = "?"
+    else:
+        name = repr(names[column]) if column < len(names) else str(column + 1)
+    return DataFormatError(
+        f"{path}: line {line}, column {name}: cell longer than "
+        f"{csv.field_size_limit()} characters"
+    )
+
+
+def _read_blocks(path, fh, names, tokens):
+    """Each block's (values, mask) of up to ``_BLOCK_ROWS`` data records of
+    ``fh``, a CSV file read past its header.
 
     Blocks of lines in write_csv's plain shape, which hold one record per
     line, are parsed by ``_parse_plain``.  From the first block that is not,
@@ -267,29 +343,65 @@ def _read_blocks(path, tokens):
     block that declines is tried by both parsers and every message is that
     of the csv.reader parser.
     """
-    blocks = []
+    # no name holds a block's lines or arrays while the next block is read
+    n = 0
+    while lines := list(islice(fh, _BLOCK_ROWS)):
+        block = _parse_plain(lines, len(names), tokens)
+        if block is None:
+            break
+        n += len(lines)
+        del lines
+        yield block
+        del block
+    reader = csv.reader(chain(lines, fh))
+    del lines  # the reader lets go of each line once it is parsed
+    while True:
+        rows = []
+        try:
+            rows.extend(islice(reader, _BLOCK_ROWS))
+        except csv.Error:
+            # an error in a record before this one comes first in the file,
+            # so that one is raised instead
+            if rows:
+                _parse_block(path, names, rows, tokens, first=n)
+            raise _long_cell_error(path, names, _line(path, n + len(rows))) from None
+        if not rows:
+            return
+        yield _parse_block(path, names, rows, tokens, first=n)
+        n += len(rows)
+
+
+def _read(path, tokens):
+    """(names, values, mask) of a CSV file: its header, and the (n, d)
+    values and mask of its data records, filled block by block, so no more
+    than one block is held beside them."""
+    rows = _max_records(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             try:
                 header = next(csv.reader(fh))
             except StopIteration:
                 raise DataFormatError(f"{path}: empty file, expected a header row") from None
+            except csv.Error:
+                raise _long_cell_error(path, [], 1) from None
             names = [h.strip() for h in header]
+            values = np.empty((rows, len(names)))
+            mask = np.empty((rows, len(names)), bool)
             n = 0
-            while lines := list(islice(fh, _BLOCK_ROWS)):
-                block = _parse_plain(lines, len(names), tokens)
-                if block is None:
-                    break
-                blocks.append(block)
-                n += len(lines)
-            reader = csv.reader(chain(lines, fh))
-            del lines  # the reader lets go of each line once it is parsed
-            while rows := list(islice(reader, _BLOCK_ROWS)):
-                blocks.append(_parse_block(path, names, rows, tokens, first=n))
-                n += len(rows)
+            for block in _read_blocks(path, fh, names, tokens):
+                k = len(block[0])
+                values[n : n + k], mask[n : n + k] = block
+                n += k
+                del block
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return names, n, blocks
+    if not n:
+        raise DataFormatError(f"{path}: no data rows")
+    if n < rows:
+        # quoted cells spanned lines: give back the rows never filled
+        values.resize((n, len(names)), refcheck=False)
+        mask.resize((n, len(names)), refcheck=False)
+    return names, values, mask
 
 
 def load_csv(path, na_tokens=None, incomplete=None):
@@ -329,12 +441,10 @@ def load_csv(path, na_tokens=None, incomplete=None):
     """
     tokens = DEFAULT_NA_TOKENS if na_tokens is None else frozenset(na_tokens)
     path = Path(path)
-    names, n, blocks = _read_blocks(path, tokens)
-    if not n:
-        raise DataFormatError(f"{path}: no data rows")
-    values, mask = (np.concatenate(parts) for parts in zip(*blocks))
-    shape = (n, len(names))
-    ds = Dataset(values.reshape(shape), mask.reshape(shape), tuple(names))
+    names, values, mask = _read(path, tokens)
+    values.setflags(write=False)
+    mask.setflags(write=False)
+    ds = Dataset(values, mask, tuple(names))
 
     for j in range(ds.d):
         if not ds.mask[:, j].any():

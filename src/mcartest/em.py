@@ -161,8 +161,12 @@ def em_mvn(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     keep = mask.any(axis=1)
-    x = values[keep]
-    mask = mask[keep]
+    if keep.all():
+        # every row kept: the fit reads the caller's rows and copies none
+        x = np.ascontiguousarray(values)
+    else:
+        x = values[keep]
+        mask = mask[keep]
     n, d = x.shape
     if n <= d:
         raise DegenerateDataError(
@@ -177,10 +181,14 @@ def em_mvn(
         return _complete_fit(x)
 
     # available-case initialization; variances floored so the first E-step
-    # never divides by zero
-    mu = (x * mask).sum(axis=0) / obs_per_col
-    dev = np.where(mask, x - mu, 0.0)
-    var = (dev**2).sum(axis=0) / obs_per_col
+    # never divides by zero.  One n x d buffer holds the masked values, then
+    # the squared deviations of the observed cells.
+    dev = np.multiply(x, mask)
+    mu = dev.sum(axis=0) / obs_per_col
+    np.subtract(x, mu, out=dev)
+    np.copyto(dev, 0.0, where=~mask)
+    var = np.square(dev, out=dev).sum(axis=0) / obs_per_col
+    del dev
     scale = max(float(var.max()), 1.0)
     sigma = np.diag(np.maximum(var, _VAR_FLOOR * scale))
 
@@ -189,10 +197,14 @@ def em_mvn(
     patterns = group_patterns(mask)
     observed = np.array([mask[rows[0]] for _, rows in patterns])
     counts = np.array([rows.size for _, rows in patterns], dtype=float)
-    z = np.where(mask, x, 0.0)
-    means = np.array([z[rows].mean(axis=0) for _, rows in patterns])
-    centered = [z[rows] - mean for (_, rows), mean in zip(patterns, means)]
-    scatter = np.array([c.T @ c for c in centered])
+    means = np.empty((len(patterns), d))
+    scatter = np.empty((len(patterns), d, d))
+    for k, (_, rows) in enumerate(patterns):
+        z = x[rows]
+        z[:, ~observed[k]] = 0.0
+        means[k] = z.mean(axis=0)
+        z -= means[k]
+        scatter[k] = z.T @ z
     both = observed[:, :, None] & observed[:, None, :]
     # n_k on each pattern's missing x missing block
     weight_mm = counts[:, None, None] * (~observed[:, :, None] & ~observed[:, None, :])

@@ -33,6 +33,7 @@ calls.  ``little_mcar_general`` reads no roles and calls its kernel.
 """
 
 from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -62,6 +63,9 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+
+# rows of each dataset that the quadratic-form kernel factors at a time
+_QR_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -167,27 +171,60 @@ def closed_form_batch(values, mask, roles: ColumnRoles) -> dict:
     [X R] = Q T, of the centred columns each divided by its norm: Q_x is
     Q's first p columns, and with the small QR T[:, p:] = Q_B T_r the
     response basis is Q Q_B, so Q_x' Q_r is Q_B's first p rows (Bjorck &
-    Golub 1973).  No cross-product of the columns is formed.
+    Golub 1973).  No cross-product of the columns is formed.  T is taken
+    ``_QR_ROWS`` rows at a time: the R factor of each block, then one QR of
+    those stacked, so the working memory does not grow with n.
     """
-    # the complete columns, then the response indicators, one row each, so
-    # every dataset's slice has the same strides in a stack of any size
-    x = values.transpose(0, 2, 1)[:, list(roles.complete)]
-    r = mask.transpose(0, 2, 1)[:, list(roles.incomplete)]
-    z = np.concatenate([x, r], axis=1, dtype=float)
-    p, d, n = roles.p, z.shape[1], z.shape[2]
+    p, d, n = roles.p, roles.p + roles.q, values.shape[1]
     if n < 3:
         raise DegenerateDataError("the quadratic-form test requires n >= 3")
-    mean = z.mean(axis=-1, keepdims=True)
-    z -= mean
-    norms = np.sqrt(np.einsum("...i,...i->...", z, z))
+    complete, incomplete = list(roles.complete), list(roles.incomplete)
+
+    def columns(rows):
+        # the block's complete columns, then its response indicators, one
+        # row each, so every dataset's slice has the same strides in a
+        # stack of any size
+        x = values[:, rows].transpose(0, 2, 1)[:, complete]
+        r = mask[:, rows].transpose(0, 2, 1)[:, incomplete]
+        return np.concatenate([x, r], axis=1, dtype=float)
+
+    # three passes over the rows: the column means, the centred column
+    # norms, and a QR of each block of centred unit-norm columns.  A stack
+    # that is one block is gathered once and centred in place once; a
+    # taller one is gathered, and centred in place, once a pass.
+    spans = [slice(lo, lo + _QR_ROWS) for lo in range(0, n, _QR_ROWS)]
+    one = [columns(spans[0])] if len(spans) == 1 else None
+
+    def gathered():
+        return one or map(columns, spans)
+
+    mean = reduce(np.add, (z.sum(axis=-1, keepdims=True) for z in gathered())) / n
+    if one:
+        one[0] -= mean
+
+    def centred():
+        for z in gathered():
+            if not one:
+                z -= mean
+            yield z
+
+    norms = np.sqrt(reduce(np.add, (np.einsum("...i,...i->...", c, c) for c in centred())))
     # a column whose centred norm is within the rounding of its centring
     # (n eps times the norm of its constant part) is constant: it is taken
     # as zero, so that its correlation matrix has a zero eigenvalue
     kept = norms > n * _EPS * np.sqrt(n) * np.abs(mean[..., 0])
-    z *= np.divide(1.0, norms, out=np.zeros_like(norms), where=kept)[..., None]
-    # with fewer rows than columns, T's rows past n stay zero
-    t = np.zeros((len(z), d, d))
-    t[:, : min(n, d)] = np.linalg.qr(np.swapaxes(z, -1, -2), mode="r")
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=kept)[..., None]
+    parts = []
+    for c in centred():
+        c *= scale
+        parts.append(np.linalg.qr(np.swapaxes(c, -1, -2), mode="r"))
+    # the R factor of the blocks' stacked R factors is that of all the rows
+    # (Demmel, Grigori, Hoemmen & Langou 2012); with fewer rows than
+    # columns, T's rows past n stay zero
+    if len(parts) > 1:
+        parts = [np.linalg.qr(np.concatenate(parts, axis=1), mode="r")]
+    t = np.zeros((len(norms), d, d))
+    t[:, : min(n, d)] = parts[0]
     basis, t_r = np.linalg.qr(t[:, :, p:])
     cross = basis[:, :p]
     t_x = t[:, :p, :p]

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,6 +85,16 @@ def draw_mechanism(draw, p, q) -> MechanismSpec:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)
+
+
+def traced_peak(fn, *args):
+    """(peak bytes traced by tracemalloc while ``fn(*args)`` runs, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def make_dataset(rng, n, p, q, miss_prob=0.25, clayton=False):

@@ -141,6 +141,17 @@ class TestTestCommand:
         path.write_bytes(b"a,b\n1,2\n\xff,3\n")
         assert run_cli("test", "--input", str(path)) == 3
 
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_cell_over_the_csv_field_limit_is_data_error(self, tmp_path, capsys, quote):
+        # csv.reader's default field limit is 131,072 characters
+        path = tmp_path / "long.csv"
+        cell = quote + "0" * 131_072 + "1" + quote
+        path.write_text(f"a,b\r\n1.0,2.0\r\n3.0,{cell}\r\n5.0,NA\r\n", newline="")
+        assert run_cli("test", "--input", str(path)) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3, column 'b': cell longer than 131072 characters\n"
+        )
+
     def test_custom_na_token(self, tmp_path):
         path = tmp_path / "tok.csv"
         path.write_text("x,y\n1.0,10.0\n2.0,11.0\n3.0,?\n")

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from mcartest import ColumnRoles, Dataset, DegenerateDataError, SingularMatrixError, em_mvn
 from mcartest.em import _chol, _factor, group_patterns
 
-from conftest import loop_group_patterns, make_dataset
+from conftest import loop_group_patterns, make_dataset, traced_peak
 
 
 def mcar_normal(rng, n, d, miss_prob):
@@ -126,6 +126,23 @@ def test_all_missing_rows_are_dropped(rng):
     without_row = em_mvn(vals[1:], mask[1:])
     np.testing.assert_allclose(with_row.mu, without_row.mu, atol=1e-9)
     np.testing.assert_allclose(with_row.sigma, without_row.sigma, atol=1e-9)
+
+
+def test_fit_with_every_row_kept_allocates_one_data_sized_array(rng):
+    # beside its inputs the fit allocates at most one n x d float array;
+    # the slack is the set-up's n x d bool complement of the mask, its n
+    # kept-row flags, and 64 KiB for everything that does not grow with n
+    n, d = 100_000, 5
+    values = rng.standard_normal((n, d))
+    mask = rng.random((n, d)) >= 0.1
+    mask[:, 0] = True
+    peak, fit = traced_peak(em_mvn, values, mask)
+    assert fit.counts.sum() == n and len(fit.counts) > 1
+    assert peak <= values.nbytes + mask.nbytes + n + 2**16
+    # each pattern's mean is that of its rows with the missing cells zeroed
+    zeroed = np.where(mask, values, 0.0)
+    means = [zeroed[rows].mean(axis=0) for _, rows in group_patterns(mask)]
+    assert fit.means.tobytes() == np.array(means).tobytes()
 
 
 def test_never_observed_column_rejected(rng):

@@ -32,6 +32,7 @@ from conftest import (
     pq_covariance,
     reference_routes,
     spd_eigh,
+    traced_peak,
 )
 
 
@@ -780,3 +781,79 @@ def test_equals_little_univariate_under_offset(p, n, seed, clayton, offset):
         want = None
     got = an_statistic(Dataset(shifted, ds.mask, ds.column_names), roles)
     assert_close(got, want, rel=1e-8)
+
+
+B = mcartest.stats._QR_ROWS
+# row counts about the kernel's block size: one block, one and a row, two and a row
+TALL = [B - 1, B, B + 1, 2 * B + 1]
+
+
+def tall_case(n, p, q, seed, clayton, kind):
+    """A tall dataset; ``kind`` makes it singular through a constant
+    complete column or an exactly collinear pair, b = 2a, over every row."""
+    ds, roles = make_dataset(np.random.default_rng(seed), n, p, q, clayton=clayton)
+    values = np.array(ds.values)
+    if kind == "constant":
+        values[:, p - 1] = 0.3
+    elif kind == "collinear":
+        values[:, 1] = 2.0 * values[:, 0]
+    return Dataset(values, ds.mask, ds.column_names), roles
+
+
+def whole_matrix(values, mask, roles):
+    """``closed_form_batch`` with every row in one block: one np.linalg.qr of
+    the whole centred matrix."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mcartest.stats, "_QR_ROWS", values.shape[1])
+        return closed_form_batch(values, mask, roles)
+
+
+class TestRowBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from(TALL),
+        p=st.integers(1, 3),
+        q=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        clayton=st.booleans(),
+        kind=st.sampled_from(["regular", "regular", "constant", "collinear"]),
+    )
+    def test_blocks_match_the_whole_matrix_qr(self, n, p, q, seed, clayton, kind):
+        if kind == "collinear" and p < 2:
+            p = 2
+        ds, roles = tall_case(n, p, q, seed, clayton, kind)
+        got = closed_form_batch(ds.values[None], ds.mask[None], roles)
+        want = whole_matrix(ds.values[None], ds.mask[None], roles)
+        assert list(got) == list(want)
+        for tag in want:
+            assert [type(e) for e in got[tag].errors] == [type(e) for e in want[tag].errors]
+            if kind != "regular":
+                assert isinstance(got[tag].errors[0], (SingularMatrixError, DegenerateDataError))
+            elif n <= B:
+                # one block is one QR of the whole matrix
+                assert got[tag].statistic.tobytes() == want[tag].statistic.tobytes()
+            else:
+                # relative to the statistic, or to 1 where it is smaller
+                assert_close(got[tag].result(0, 0.05).statistic, want[tag].statistic[0], 1e-12)
+
+    @pytest.mark.parametrize("n", [B + 1, 2 * B + 1])
+    def test_stack_of_tall_datasets_is_bitwise_per_dataset(self, rng, n):
+        datasets = [make_dataset(rng, n, 2, 3, clayton=bool(i % 2))[0] for i in range(3)]
+        datasets.append(tall_case(n, 2, 3, 7, False, "collinear")[0])
+        roles = ColumnRoles((0, 1), (2, 3, 4))
+        whole = closed_form_batch(*stacked(datasets), roles)["an"]
+        for i, ds in enumerate(datasets):
+            alone = closed_form_batch(ds.values[None], ds.mask[None], roles)["an"]
+            assert alone.statistic.tobytes() == whole.statistic[i : i + 1].tobytes()
+            assert alone.p_value.tobytes() == whole.p_value[i : i + 1].tobytes()
+            assert repr(alone.errors[0]) == repr(whole.errors[i])
+        assert isinstance(whole.errors[3], SingularMatrixError)
+
+    def test_memory_does_not_grow_with_rows(self):
+        # the kernel holds O(block) rows beside the data it reads
+        ds, roles = make_dataset(np.random.default_rng(3), 200_000, 2, 3, clayton=True)
+        peaks = [
+            traced_peak(closed_form_batch, ds.values[None, :n], ds.mask[None, :n], roles)[0]
+            for n in (50_000, 200_000)
+        ]
+        assert peaks[1] <= 1.2 * peaks[0]
