@@ -481,11 +481,20 @@ def _na_cell(na_token: str, d: int) -> str:
 def write_csv(ds: Dataset, path, na_token: str = "NA") -> None:
     """Write a dataset; masked cells become ``na_token``.
 
-    Uses repr formatting so a load_csv round trip reproduces the observed
-    values and the mask exactly.  The rows are written ``_BLOCK_ROWS`` at a
-    time: one ``repr`` of each block's values, split into cells, the masked
-    cells replaced by the token, and one write of its lines, byte for byte
-    what csv.writer writes.
+    Every observed value is written as its ``repr``, so a load_csv round
+    trip reproduces the observed values and the mask exactly.  The rows are
+    written ``_BLOCK_ROWS`` at a time: one ``orjson.dumps`` of each block's
+    values, split into cells; the masked cells replaced by the token, and
+    the cells orjson writes in another notation than ``repr`` by their
+    ``repr``; and one write of its lines, byte for byte what csv.writer
+    writes.
+
+    orjson prints each float as its shortest round-trip digits, nearest the
+    value among them, as ``repr`` does, and in the same notation wherever
+    ``repr`` writes positional form: at 1e-4 <= |v| < 1e16, and at zero.
+    Outside that range ``repr`` writes an exponent with a sign and two
+    digits or more (``1e-05``, ``1e+16``) where orjson writes ``1e-5``,
+    ``1e16`` or ``0.00001``, so those cells are written by ``repr``.
 
     Raises
     ------
@@ -493,6 +502,8 @@ def write_csv(ds: Dataset, path, na_token: str = "NA") -> None:
         An observed value is NaN or infinite, which load_csv would reject;
         nothing is written.
     """
+    import orjson
+
     blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, ds.n, _BLOCK_ROWS)]
     for block in blocks:
         bad = ds.mask[block] & ~np.isfinite(ds.values[block])
@@ -507,9 +518,17 @@ def write_csv(ds: Dataset, path, na_token: str = "NA") -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(ds.column_names)
         for block in blocks:
+            values = ds.values[block].ravel()
+            observed = ds.mask[block].ravel()
+            # a 1-D array of floats dumps as its cells joined by ","
+            text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+            cells = text[1:-1].split(",")
+            size = np.abs(values)
+            outside = (size >= 1e16) | ((size < 1e-4) & (size != 0))
+            redo = np.flatnonzero(~observed | outside)
             # the repr of a list of floats is the floats' reprs joined by ", "
-            cells = repr(ds.values[block].ravel().tolist())[1:-1].split(", ")
-            for k in np.flatnonzero(~ds.mask[block]).tolist():
-                cells[k] = na
+            reprs = repr(values[redo].tolist())[1:-1].split(", ")
+            for k, cell, seen in zip(redo.tolist(), reprs, observed[redo].tolist()):
+                cells[k] = cell if seen else na
             rows = zip(*[iter(cells)] * ds.d)
             fh.write("\r\n".join(map(",".join, rows)) + "\r\n")

@@ -366,6 +366,14 @@ def little_mcar_univariate(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05)
     return TESTS["d2_univariate"].run(ds, roles, alpha)
 
 
+def _one_pattern(held) -> bool:
+    """True when the rows of ``held`` with an observed cell share one
+    missingness pattern, or there are none; the copy of those rows is gone
+    once it returns."""
+    kept = held[held.any(axis=1)]
+    return not kept.size or bool((kept == kept[0]).all())
+
+
 def little_general_batch(values, mask, roles: ColumnRoles = None) -> dict:
     """``little_mcar_general`` on each dataset of an (R, n, d) stack, as
     {"d2_general": BatchResult}.
@@ -379,8 +387,7 @@ def little_general_batch(values, mask, roles: ColumnRoles = None) -> dict:
     # empty first entries, so that a stack with no fit still concatenates
     blocks, devs = [np.empty((0, d, d))], [np.empty((0, d))]
     for i, held in enumerate(mask):
-        kept = held[held.any(axis=1)]
-        if not kept.size or (kept == kept[0]).all():
+        if _one_pattern(held):
             errors[i] = DegenerateDataError(
                 "Little's test is undefined for a single missingness pattern"
             )

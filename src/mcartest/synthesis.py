@@ -318,10 +318,14 @@ def generate(spec: DistributionSpec, n: int, rng, names=None) -> Dataset:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    values = generate_block(spec, [rng], np.empty((1, n, spec.dim)))[0]
+    block = generate_block(spec, [rng], np.empty((1, n, spec.dim)))
+    mask = np.ones(block.shape[1:], dtype=bool)
+    # no one else holds these arrays, so the Dataset can keep them as they are
+    block.setflags(write=False)
+    mask.setflags(write=False)
     if names is None:
         names = tuple(f"c{j}" for j in range(1, spec.dim + 1))
-    return Dataset(values, np.ones(values.shape, dtype=bool), names)
+    return Dataset(block[0], mask, names)
 
 
 def fit_mechanism(spec: MechanismSpec, roles: ColumnRoles) -> tuple:

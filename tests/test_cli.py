@@ -703,6 +703,43 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert "dn" in proc.stdout
 
+    def test_only_writing_a_csv_loads_orjson(self, tmp_path):
+        # write_csv imports orjson when it runs: loaded at start-up it would
+        # add ~0.7 MB of RSS to every call, so --help, simulate and test
+        # must not load it; generate shows that the check sees it
+        path = tmp_path / "hand.csv"
+        path.write_text(HAND_CSV)
+        code = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            import mcartest.cli
+
+            def loads_orjson(*args):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    try:
+                        code = mcartest.cli.main(list(args))
+                    except SystemExit as exc:
+                        code = exc.code
+                assert code == 0, (args, code)
+                return "orjson" in sys.modules
+
+            assert not loads_orjson("--help"), "--help"
+            assert not loads_orjson(
+                "simulate", "--out", {str(tmp_path / "sim.csv")!r},
+                "--replications", "3", "--n", "30", "--tests", "an",
+            ), "simulate"
+            assert not loads_orjson("test", "--input", {str(path)!r}, "--tests", "an"), "test"
+            assert loads_orjson(
+                "generate", "--out", {str(tmp_path / "gen.csv")!r}, "--n", "30",
+                "--mechanism", "mcar", "--miss-prob", "0.2",
+            ), "generate"
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_chisq4_margin_imports_scipy_when_used(self):
         # the one caller left of scipy.special imports it on first use
         code = (

@@ -399,7 +399,22 @@ def test_incomplete_override(tmp_path):
         load_csv(path, incomplete=["zz"])
 
 
-SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.1, 1.0 / 3.0]
+# repr writes positional notation at 1e-4 <= |v| < 1e16 and exponent
+# notation outside it; the writer must follow that switch on both sides
+NOTATION_EDGES = [
+    1e-4,
+    float(np.nextafter(1e-4, 0)),
+    1e-5,
+    1e16,
+    float(np.nextafter(1e16, 0)),
+    9999999999999998.0,
+    65537 / 65536,
+    2.5e-310,
+]
+SPECIAL_FLOATS = [
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.1, 1.0 / 3.0,
+    *NOTATION_EDGES, *(-v for v in NOTATION_EDGES),
+]
 
 
 @st.composite
@@ -429,6 +444,25 @@ def test_write_csv_matches_rowwise_writer(tmp_path, monkeypatch, case, na_token)
     monkeypatch.setattr(mcartest.data, "_BLOCK_ROWS", block)
     write_csv(ds, tmp_path / "blocks.csv", na_token=na_token)
     rowwise_write_csv(ds, tmp_path / "rows.csv", na_token=na_token)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_csv_matches_repr_on_dense_floats(tmp_path):
+    # random bit patterns: half at every exponent, which repr writes in
+    # exponent notation, half at the exponents orjson writes; and K * 2**e
+    # with K odd, where the shortest digits more often end in a tie
+    rng = np.random.default_rng(11)
+    signs = rng.choice([-1.0, 1.0], 500_000)
+    anywhere = rng.integers(0, 2**64, 500_000, dtype=np.uint64, endpoint=False).view(float)
+    positional = signs * np.ldexp(1.0 + rng.random(500_000), rng.integers(-14, 54, 500_000))
+    odd = 2.0 * rng.integers(0, 2**19, 200_000) + 1.0
+    ties = signs[:200_000] * np.ldexp(odd, rng.integers(-40, 40, 200_000))
+    values = np.concatenate([anywhere[np.isfinite(anywhere)], positional, ties])
+    values = values[: len(values) // 4 * 4].reshape(-1, 4)
+    mask = rng.random(values.shape) >= 0.05
+    ds = Dataset(values, mask, ("a", "b", "c", "d"))
+    write_csv(ds, tmp_path / "blocks.csv")
+    rowwise_write_csv(ds, tmp_path / "rows.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 

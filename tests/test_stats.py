@@ -449,6 +449,16 @@ class TestLittleGeneral:
         little_mcar_general(ds)
         assert len(calls) == 1
 
+    def test_fit_holds_no_copy_of_the_mask(self):
+        # the single-pattern check's copy of the kept rows is gone before
+        # EM runs, so the kernel peaks where em_mvn alone does
+        ds, roles = make_dataset(np.random.default_rng(3), 20_000, 2, 3, clayton=True)
+        em_peak = traced_peak(mcartest.em.em_mvn, ds.values, ds.mask)[0]
+        peak = traced_peak(
+            mcartest.stats.little_general_batch, ds.values[None], ds.mask[None], roles
+        )[0]
+        assert peak <= em_peak + ds.mask.nbytes // 4
+
     # (seed, mechanism, n) -> (repr(statistic), df, em_iterations,
     # em_converged, em_ridged, n_patterns), pinned exactly: a change in the
     # order of floating-point operations in EM or the d2 sum shows up here

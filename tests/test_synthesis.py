@@ -6,6 +6,7 @@ from scipy import stats as sps
 
 from conftest import draw_distribution, draw_mechanism
 
+import mcartest.synthesis
 from mcartest import (
     ColumnRoles,
     Dataset,
@@ -189,6 +190,21 @@ class TestGenerators:
         ds = generate(spec, 10, rng_stream(6, 0), names=("a", "b"))
         assert ds.column_names == ("a", "b")
         assert ds.n == 10
+
+    def test_dataset_adopts_the_generated_block(self, monkeypatch):
+        # generate's arrays are fresh and no one else holds them, so the
+        # Dataset keeps the block it drew instead of copying it
+        blocks = []
+
+        def recorded(spec, rngs, out):
+            blocks.append(out)
+            return generate_block(spec, rngs, out)
+
+        monkeypatch.setattr(mcartest.synthesis, "generate_block", recorded)
+        ds = generate(DistributionSpec(kind="std_normal", dim=3), 50, rng_stream(6, 0))
+        assert np.shares_memory(ds.values, blocks[0])
+        assert ds.values.tobytes() == blocks[0][0].tobytes()
+        assert not ds.values.flags.writeable and not ds.mask.flags.writeable
 
     def test_pattern_names(self):
         assert pattern_names(2, 3) == ("x1", "x2", "y1", "y2", "y3")
