@@ -94,8 +94,9 @@ def _cmd_test(args, parser) -> int:
     tags = _parse_tests(args.tests, parser)
     na_tokens = set(args.na_token) if args.na_token else None
     incomplete = _split_csv_list(args.roles) if args.roles else None
-    ds, roles = load_csv(args.input, na_tokens=na_tokens, incomplete=incomplete)
     try:
+        # --roles naming no column, or leaving one with missing cells complete
+        ds, roles = load_csv(args.input, na_tokens=na_tokens, incomplete=incomplete)
         tags = resolve_tests(tags, roles.p, roles.q)
     except ValueError as exc:
         parser.error(str(exc))

@@ -194,7 +194,7 @@ def rng_streams(master_seed: int, *labels):
 def _singular_errors(eigenvalues: np.ndarray) -> tuple:
     """Per matrix of a stack: None, or the SingularMatrixError it fails with.
 
-    Row i of ``eigenvalues`` (shape (R, ...)) holds every eigenvalue of
+    Row i of ``eigenvalues`` (shape (R, k)) holds every eigenvalue of
     matrix i.  A matrix fails when its smallest eigenvalue is at or below
     the positive-definiteness threshold, which is scale-aware and floored
     so that near-zero matrices are still flagged: 1e-10 * max(largest, 1).
@@ -202,10 +202,9 @@ def _singular_errors(eigenvalues: np.ndarray) -> tuple:
     variation, or perfectly correlated columns) surfaces here; the
     quadratic-form kernel passes the eigenvalues of Corr(X) (x) Corr(R).
     """
-    w = eigenvalues.reshape(len(eigenvalues), math.prod(eigenvalues.shape[1:]))
-    smallest = w.min(axis=1)
-    threshold = 1e-10 * np.maximum(w.max(axis=1, initial=0.0), 1.0)
-    errors = [None] * len(w)
+    smallest = eigenvalues.min(axis=1)
+    threshold = 1e-10 * np.maximum(eigenvalues.max(axis=1, initial=0.0), 1.0)
+    errors = [None] * len(eigenvalues)
     for i in np.flatnonzero(smallest <= threshold):
         errors[i] = SingularMatrixError(
             f"matrix is singular or not positive definite "

@@ -7,6 +7,8 @@ orange and Little's d2 in blue, the convention used throughout; no plotting
 library is involved and output bytes depend only on the input rows.
 """
 
+import math
+
 from .errors import DataFormatError
 
 __all__ = ["TEST_COLORS", "render_rate_chart"]
@@ -31,24 +33,27 @@ def _clamp01(v: float) -> float:
     return min(1.0, max(0.0, v))
 
 
+def _number(row, field, i):
+    raw = row[field]
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    raise DataFormatError(f"row {i} (test {row['test']!r}): {field} {raw!r} is not a finite number")
+
+
 def _collect_series(rows, x_field):
     """Group (x, rate, ci_low, ci_high) by test tag, sorted by x."""
+    fields = ("test", x_field, "rate", "ci_low", "ci_high")
     series: dict[str, list] = {}
-    for row in rows:
-        tag = row["test"]
-        raw = row[x_field]
-        if raw in (None, ""):
-            raise DataFormatError(
-                f"row for test {tag!r} has no value in field {x_field!r}"
-            )
-        x = float(raw)
-        point = (
-            x,
-            _clamp01(float(row["rate"])),
-            _clamp01(float(row["ci_low"])),
-            _clamp01(float(row["ci_high"])),
-        )
-        series.setdefault(tag, []).append(point)
+    for i, row in enumerate(rows, start=1):
+        missing = [repr(f) for f in fields if f not in row]
+        if missing:
+            raise DataFormatError(f"not a results table: missing {', '.join(missing)}")
+        x, *rates = (_number(row, f, i) for f in fields[1:])
+        series.setdefault(row["test"], []).append((x, *map(_clamp01, rates)))
     for tag, points in series.items():
         xs = [pt[0] for pt in points]
         if len(set(xs)) != len(xs):
@@ -64,9 +69,9 @@ def render_rate_chart(rows, x_field: str, out_path, alpha: float = 0.05) -> None
 
     ``rows``: mappings with keys test, rate, ci_low, ci_high and the swept
     field (``param`` or ``n``).  Values may be strings straight from the
-    results CSV.  Raises DataFormatError when there is nothing to draw
-    (fewer than two distinct x values) or when rows from different sweeps
-    are mixed.
+    results CSV.  Raises DataFormatError when a key is missing or a value
+    is not a finite number, when there is nothing to draw (fewer than two
+    distinct x values), or when rows from different sweeps are mixed.
     """
     rows = list(rows)
     if not rows:

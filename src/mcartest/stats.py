@@ -174,7 +174,9 @@ def closed_form_batch(values, mask, roles: ColumnRoles) -> dict:
     response basis is Q Q_B, so Q_x' Q_r is Q_B's first p rows (Bjorck &
     Golub 1973).  No cross-product of the columns is formed.  T is taken
     ``_QR_ROWS`` rows at a time: the R factor of each block, then one QR of
-    those stacked, so the working memory does not grow with n.
+    those stacked, so the working memory does not grow with n.  Past the
+    QRs, only the eigenvalues of Corr(X) = T_x' T_x and Corr(R) = T_r' T_r
+    are taken: they decide singularity and give ``corr_condition``.
     """
     p, d, n = roles.p, roles.p + roles.q, values.shape[1]
     if n < 3:
@@ -227,18 +229,12 @@ def closed_form_batch(values, mask, roles: ColumnRoles) -> dict:
     # units; the 1e-10 threshold is far above the eigenvalues' rounding
     corr_x = np.linalg.eigvalsh(np.swapaxes(t_x, -1, -2) @ t_x)
     corr_r = np.linalg.eigvalsh(np.swapaxes(t_r, -1, -2) @ t_r)
-    errors = _singular_errors(corr_x[:, :, None] * corr_r[:, None, :])
+    corr = (corr_x[:, :, None] * corr_r[:, None, :]).reshape(len(t), -1)
+    errors = _singular_errors(corr)
     failed = np.array([e is not None for e in errors], dtype=bool)
     statistic[failed] = 0.0
-    # T_x D_x = U_x diag(s_x) V_x' for D_x the column norms, so Cov(X) is
-    # V_x diag(s_x**2) V_x' / (n - 1), and likewise Cov(R); the symmetric
-    # root S^(-1/2) (sqrt(n) g) is then -sqrt(n) vec(V_x U_x' Q_x' Q_r U_r V_r')
-    u_x, s_x, vt_x = np.linalg.svd(t_x * norms[:, None, :p])
-    u_r, s_r, vt_r = np.linalg.svd(t_r * norms[:, None, p:])
-    components = -np.sqrt(n) * (np.swapaxes(u_x @ vt_x, -1, -2) @ cross @ (u_r @ vt_r))
-    # a singular entry's diagnostics are never reported: 1 keeps the
-    # condition number of S finite there
-    low = np.where(failed, 1.0, s_x[:, -1] * s_r[:, -1])
+    # 1 keeps a singular entry's condition number, never reported, finite
+    low = np.where(failed, 1.0, corr.min(axis=1))
     df = p * roles.q
     an = BatchResult(
         method="an",
@@ -247,10 +243,7 @@ def closed_form_batch(values, mask, roles: ColumnRoles) -> dict:
         statistic=statistic,
         p_value=chi2_sf(statistic, df),
         errors=errors,
-        diagnostics={
-            "components": components.reshape(len(components), -1),
-            "sigma_condition": (s_x[:, 0] * s_r[:, 0] / low) ** 2,
-        },
+        diagnostics={"corr_condition": corr.max(axis=1) / low},
     )
     out = {"an": an}
     if roles.q == 1:
@@ -272,10 +265,12 @@ def closed_form_batch(values, mask, roles: ColumnRoles) -> dict:
             diagnostics={"n_observed": n_obs, "n_missing": n - n_obs},
         )
     if p == 1 and roles.q == 1:
-        # the one standardized component is the studentized gap,
-        # sqrt(n) gap / (sd_x sd_r), and its square the statistic
+        # the studentized gap, sqrt(n) gap / (sd_x sd_r), is -sqrt(n) Q_x' Q_r
+        # turned by the signs of T_x and T_r; adding 0.0 makes a zero product
+        # +0.0, so an exact-zero statistic always has the same sign bit
         sd = norms / np.sqrt(n - 1.0)
-        studentized = np.where(failed, 0.0, components[:, 0, 0])
+        signed = np.sign(t_x[:, 0, 0]) * np.sign(t_r[:, 0, 0]) * cross[:, 0, 0] + 0.0
+        studentized = np.where(failed, 0.0, -np.sqrt(n) * signed)
         out["dn"] = replace(
             an,
             method="dn",
@@ -313,12 +308,11 @@ def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> Tes
     columns (see ``closed_form_batch``), so it does not depend on the
     columns' location or units.  S is singular, and SingularMatrixError
     raised, when Corr(X) (x) Corr(R) is: a constant column, a response
-    indicator without variation, or collinear columns.  Diagnostics carry
-    the standardized component vector S^(-1/2) (sqrt(n) g), whose squared
-    sum is the statistic, and the condition number of S.  The test suite
-    checks the statistic against the pq x pq route and the
-    maximum-likelihood moment pair.  Computed as ``closed_form_batch`` of a
-    stack of one.
+    indicator without variation, or collinear columns.  The diagnostic
+    ``corr_condition``, the condition number of Corr(X) (x) Corr(R), is
+    below 1e10 wherever S is not singular.  The test suite checks the
+    statistic against the pq x pq route and the maximum-likelihood moment
+    pair.  Computed as ``closed_form_batch`` of a stack of one.
     """
     return TESTS["an"].run(ds, roles, alpha)
 
@@ -331,7 +325,7 @@ def bivariate_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) ->
     the test is two-sided, its p-value the chi-squared(1) tail of the
     square.  Raises DegenerateDataError wherever the quadratic-form test
     finds Var(X) * Var(R) singular.  Computed as ``closed_form_batch`` of a
-    stack of one, whose one standardized component it is.
+    stack of one: the statistic is the signed root of ``an``'s.
     """
     if roles.p != 1 or roles.q != 1:
         raise DegenerateDataError(

@@ -186,10 +186,9 @@ def pq_covariance(ds, roles, mode="unbiased"):
 def reference_routes(ds, roles):
     """The quadratic-form statistic by two routes the library does not take.
 
-    Returns ``(ml, eigen, components)``: the statistic from the
-    maximum-likelihood gaps and covariance with a linear solve, and the
-    statistic and standardized component vector S^(-1/2) (sqrt(n) g) from
-    an eigendecomposition of the pq x pq covariance S itself.  Raises
+    Returns ``(ml, eigen)``: the statistic from the maximum-likelihood
+    gaps and covariance with a linear solve, and from an
+    eigendecomposition of the pq x pq covariance S itself.  Raises
     SingularMatrixError when either covariance is not positive definite.
     """
     n = ds.n
@@ -200,8 +199,7 @@ def reference_routes(ds, roles):
     ml = n * g_ml @ np.linalg.solve(s_ml, g_ml)
     w, v = spd_eigh(pq_covariance(ds, roles))
     eigen = n * np.sum((v.T @ g) ** 2 / w)
-    components = ((v / np.sqrt(w)) @ v.T) @ (np.sqrt(n) * g)
-    return float(ml), float(eigen), components
+    return float(ml), float(eigen)
 
 
 def little_univariate_reference(ds, roles):

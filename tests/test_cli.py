@@ -523,6 +523,16 @@ class TestUsageErrors:
                 "the d2_univariate test requires q = 1",
                 id="test-d2-univariate-1X2Y",
             ),
+            # --roles naming no column, or leaving one with missing cells complete
+            pytest.param(
+                ["test", "--input", "{1X2Y.csv}", "--roles", "zz"], "no column named 'zz'",
+                id="test-roles-unknown-column",
+            ),
+            pytest.param(
+                ["test", "--input", "{1X2Y.csv}", "--roles", "y1"],
+                "column 'y2' is marked complete but has missing cells",
+                id="test-roles-leave-missing-cells-complete",
+            ),
             # a mechanism that does not fit the columns is caught before any data
             *(
                 pytest.param(command + extra, names, id=f"{command[0]}-{case}")
@@ -627,6 +637,32 @@ class TestPlotCommand:
         merged.write_text("\n".join(lines) + "\n")
         assert run_cli("plot", "--input", str(merged), "--out", str(tmp_path / "m.svg")) == 3
         assert "mixes sweeps" in capsys.readouterr().err
+
+    def test_not_a_results_table(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("x,y\n1.0,2.0\n3.0,NA\n")
+        svg = tmp_path / "chart.svg"
+        assert run_cli("plot", "--input", str(path), "--out", str(svg)) == 3
+        err = capsys.readouterr().err
+        assert "error: not a results table: missing 'test', 'param', 'rate'" in err
+        assert "Traceback" not in err and not svg.exists()
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", ""])
+    def test_rate_that_is_not_a_number(self, tmp_path, capsys, cell):
+        res = self.make_results(tmp_path)
+        with open(res, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[2]["rate"] = cell
+        with open(res, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        svg = tmp_path / "chart.svg"
+        assert run_cli("plot", "--input", str(res), "--out", str(svg)) == 3
+        err = capsys.readouterr().err
+        tag = rows[2]["test"]
+        assert f"error: row 3 (test {tag!r}): rate {cell!r} is not a finite number" in err
+        assert "Traceback" not in err and not svg.exists()
 
 
 class TestEntryPoints:
