@@ -220,56 +220,83 @@ def _parse_block(path, names, rows, tokens, first):
 
 def _parse_plain(lines, d, tokens):
     """``_parse_block``'s (values, mask) of lines in write_csv's plain
-    shape, parsed by numpy's C parser; None where that parse might differ.
+    shape, parsed as one JSON array by orjson; None where that parse might
+    differ.
 
-    A plain block has no quote and no ``#``, and every line ends in CRLF,
-    so its cells are the text between commas and line ends.  The cells
-    that are exactly a token are found by one byte scan.  Each non-empty
-    token is replaced by ``nan`` in the text, longest first, and the block
-    is accepted only if it parses to ``d`` numbers per line, NaN exactly at
-    the token cells and no infinity.  numpy's parser accepts a subset of
-    what ``float`` accepts (no ``_``, no non-ASCII digits) and rounds the
-    same way, and a cell in which a token was replaced parses as NaN or not
-    at all, so an accepted block holds the numbers ``_parse_block`` gives.
+    ``lines`` are split as a file opened with ``newline=""`` splits them, so
+    a CR or LF occurs only at a line's end.  A plain block has no quote and
+    no space, every line ends in CRLF or LF, and every cell is non-empty,
+    so its cells are the text between commas and line ends.  Joined by
+    commas, the lines are one JSON array of the cells, since CR and LF are
+    JSON whitespace.  One byte scan gives each cell's start and length, and
+    each cell that is exactly a token is overwritten by ``0`` padded with
+    spaces.  What is left must be only digits, ``.``, ``-``, ``+``, ``e``,
+    ``E``, commas, line ends and that padding, so every cell is a JSON
+    number or fails to parse.  A JSON number is a spelling that ``float`` accepts too, and
+    orjson rounds it correctly, as ``float`` does; the one spelling it
+    reads otherwise is ``-0``, an integer that loses its sign, so that
+    block is declined.  A block is also declined unless it holds ``d``
+    cells per line, each no longer than ``csv.field_size_limit()``, and
+    only finite numbers, so an accepted block holds the numbers
+    ``_parse_block`` gives.
     """
-    text = "".join(lines)
-    if '"' in text or "#" in text or text.count("\r\n") != len(lines):
+    import orjson
+
+    text = ",".join(lines).encode()
+    if b'"' in text or b" " in text:
         return None
-    # csv.reader gives a blank line no fields; numpy's parser skips it
-    if text.startswith("\r\n") or "\n\r\n" in text:
-        return None
-    raw = np.frombuffer(text.encode(), np.uint8)
-    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\r")))
+    buf = bytearray(b"[")
+    buf += text
+    buf += b"]"
+    del text
+    raw = np.frombuffer(buf, np.uint8)
+    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("]")))
     if len(ends) != len(lines) * d:
         return None
-    starts = np.zeros_like(ends)
-    starts[1:] = ends[:-1] + np.where(raw[ends[:-1]] == ord(","), 1, 2)
-    lengths = ends - starts
-    # csv.reader rejects a cell longer than its field limit
-    if lengths.max() > csv.field_size_limit():
+    # an LF is followed by a comma or the closing bracket, so it ends one
+    # cell: d cells per line, every line ending in LF or CRLF, is an LF
+    # before every d-th cell's end
+    newline = raw[ends - 1] == ord("\n")
+    if not newline[d - 1 :: d].all():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 1
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts - newline
+    lengths -= raw[ends - 1 - newline] == ord("\r")
+    # JSON has no empty cell, and csv.reader rejects a cell longer than its
+    # field limit
+    if lengths.min() == 0 or lengths.max() > csv.field_size_limit():
         return None
     missing = np.zeros(len(ends), bool)
-    for token in tokens:
+    for token in filter(None, tokens):
         code = token.encode()
         at = np.flatnonzero(lengths == len(code))
         for k, byte in enumerate(code):
             at = at[raw[starts[at] + k] == byte]
         missing[at] = True
-    for token in sorted(filter(None, tokens), key=len, reverse=True):
-        text = text.replace(token, "nan")
-    rows = text.split("\r\n")
-    rows.pop()
+        # what a later token matches among these cells is missing already
+        at = starts[at]
+        raw[at] = ord("0")
+        for k in range(1, len(code)):
+            raw[at + k] = ord(" ")
+    if buf.translate(None, b"0123456789.-+eE,\r\n ") != b"[]":
+        return None
+    at = starts[lengths == 2]
+    if ((raw[at] == ord("-")) & (raw[at + 1] == ord("0"))).any():
+        return None
     try:
-        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+        cells = orjson.loads(buf)
+    except orjson.JSONDecodeError:
         return None
-    if values.shape != (len(lines), d):
+    del buf, raw
+    if len(cells) != len(ends):
         return None
-    missing = missing.reshape(values.shape)
-    if not np.array_equal(np.isnan(values), missing) or np.isinf(values).any():
+    values = np.fromiter(cells, float, len(cells))
+    if not np.isfinite(values).all():
         return None
-    values[missing] = 0.0
-    return values, ~missing
+    # a token cell parsed as the placeholder 0, as _parse_block sets it
+    return values.reshape(-1, d), ~missing.reshape(-1, d)
 
 
 def _max_records(path) -> int:
@@ -336,12 +363,12 @@ def _read_blocks(path, fh, names, tokens):
     """Each block's (values, mask) of up to ``_BLOCK_ROWS`` data records of
     ``fh``, a CSV file read past its header.
 
-    Blocks of lines in write_csv's plain shape, which hold one record per
-    line, are parsed by ``_parse_plain``.  From the first block that is not,
-    the rest of the file is read by csv.reader and parsed by
-    ``_parse_block``, which reports every error in the records, so only the
-    block that declines is tried by both parsers and every message is that
-    of the csv.reader parser.
+    Blocks of lines in write_csv's plain shape, with CRLF or LF line ends,
+    hold one record per line and are parsed by ``_parse_plain``.  From the
+    first block that is not, the rest of the file is read by csv.reader and
+    parsed by ``_parse_block``, which reports every error in the records,
+    so only the block that declines is tried by both parsers and every
+    message is that of the csv.reader parser.
     """
     # no name holds a block's lines or arrays while the next block is read
     n = 0
@@ -409,10 +436,13 @@ def load_csv(path, na_tokens=None, incomplete=None):
 
     The records are read and parsed ``_BLOCK_ROWS`` at a time, so no more
     than one block of them is held as strings.  Blocks in the plain shape
-    that ``write_csv`` emits are parsed by numpy's C parser.  From the first
-    block that is not plain, or that might parse differently or hold an
-    error, the rest of the file is read by csv.reader, so the values, the
-    mask and every error message are those of that exact parser.
+    that ``write_csv`` emits, with CRLF or LF line ends, are parsed as one
+    JSON array each by orjson.  That parse is exact: JSON numbers are a
+    subset of what ``float`` accepts, orjson rounds them correctly, and a
+    block with any spelling it might read otherwise is declined.  From the
+    first block that is not plain, or that might parse differently or hold
+    an error, the rest of the file is read by csv.reader, so the values,
+    the mask and every error message are those of that exact parser.
 
     Parameters
     ----------
@@ -487,7 +517,8 @@ def write_csv(ds: Dataset, path, na_token: str = "NA") -> None:
     values, split into cells; the masked cells replaced by the token, and
     the cells orjson writes in another notation than ``repr`` by their
     ``repr``; and one write of its lines, byte for byte what csv.writer
-    writes.
+    writes.  A block in which every cell is masked or takes ``repr`` is
+    formatted by one ``repr`` of its list instead, with no ``orjson.dumps``.
 
     orjson prints each float as its shortest round-trip digits, nearest the
     value among them, as ``repr`` does, and in the same notation wherever
@@ -520,15 +551,21 @@ def write_csv(ds: Dataset, path, na_token: str = "NA") -> None:
         for block in blocks:
             values = ds.values[block].ravel()
             observed = ds.mask[block].ravel()
-            # a 1-D array of floats dumps as its cells joined by ","
-            text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-            cells = text[1:-1].split(",")
             size = np.abs(values)
             outside = (size >= 1e16) | ((size < 1e-4) & (size != 0))
             redo = np.flatnonzero(~observed | outside)
-            # the repr of a list of floats is the floats' reprs joined by ", "
-            reprs = repr(values[redo].tolist())[1:-1].split(", ")
-            for k, cell, seen in zip(redo.tolist(), reprs, observed[redo].tolist()):
-                cells[k] = cell if seen else na
+            if len(redo) == len(values):
+                # no cell keeps orjson's text: the repr of a list of floats
+                # is the floats' reprs joined by ", "
+                cells = repr(values.tolist())[1:-1].split(", ")
+                for k in np.flatnonzero(~observed).tolist():
+                    cells[k] = na
+            else:
+                # a 1-D array of floats dumps as its cells joined by ","
+                text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+                cells = text[1:-1].split(",")
+                reprs = repr(values[redo].tolist())[1:-1].split(", ")
+                for k, cell, seen in zip(redo.tolist(), reprs, observed[redo].tolist()):
+                    cells[k] = cell if seen else na
             rows = zip(*[iter(cells)] * ds.d)
             fh.write("\r\n".join(map(",".join, rows)) + "\r\n")

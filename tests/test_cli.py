@@ -739,42 +739,42 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert "dn" in proc.stdout
 
-    def test_only_writing_a_csv_loads_orjson(self, tmp_path):
-        # write_csv imports orjson when it runs: loaded at start-up it would
-        # add ~0.7 MB of RSS to every call, so --help, simulate and test
-        # must not load it; generate shows that the check sees it
+    def test_only_csv_io_loads_orjson(self, tmp_path):
+        # load_csv and write_csv import orjson when they run: loaded at
+        # start-up it would add ~0.7 MB of RSS to every call, so --help and
+        # simulate must not load it; test and generate show that the check
+        # sees it.  Each command runs in a process of its own.
         path = tmp_path / "hand.csv"
         path.write_text(HAND_CSV)
         code = textwrap.dedent(
-            f"""
+            """
             import contextlib, io, sys
             import mcartest.cli
 
-            def loads_orjson(*args):
-                with contextlib.redirect_stdout(io.StringIO()):
-                    try:
-                        code = mcartest.cli.main(list(args))
-                    except SystemExit as exc:
-                        code = exc.code
-                assert code == 0, (args, code)
-                return "orjson" in sys.modules
-
-            assert not loads_orjson("--help"), "--help"
-            assert not loads_orjson(
-                "simulate", "--out", {str(tmp_path / "sim.csv")!r},
-                "--replications", "3", "--n", "30", "--tests", "an",
-            ), "simulate"
-            assert not loads_orjson("test", "--input", {str(path)!r}, "--tests", "an"), "test"
-            assert loads_orjson(
-                "generate", "--out", {str(tmp_path / "gen.csv")!r}, "--n", "30",
-                "--mechanism", "mcar", "--miss-prob", "0.2",
-            ), "generate"
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = mcartest.cli.main(sys.argv[1:])
+                except SystemExit as exc:
+                    code = exc.code
+            assert code == 0, code
+            print("orjson" in sys.modules)
             """
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
-        )
-        assert proc.returncode == 0, proc.stderr
+        commands = [
+            (["--help"], False),
+            (["simulate", "--out", str(tmp_path / "sim.csv"), "--replications", "3",
+              "--n", "30", "--tests", "an"], False),
+            (["test", "--input", str(path), "--tests", "an"], True),
+            (["generate", "--out", str(tmp_path / "gen.csv"), "--n", "30",
+              "--mechanism", "mcar", "--miss-prob", "0.2"], True),
+        ]
+        for args, loads in commands:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *args], capture_output=True, text=True,
+                env=child_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == str(loads), args[0]
 
     def test_chisq4_margin_imports_scipy_when_used(self):
         # the one caller left of scipy.special imports it on first use

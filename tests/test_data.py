@@ -1,4 +1,5 @@
 import csv
+import decimal
 import io
 import math
 
@@ -466,6 +467,78 @@ def test_write_csv_matches_repr_on_dense_floats(tmp_path):
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+def hard_number_texts(rng):
+    """Spellings of numbers on which a decimal parser can round wrongly or
+    read another value than ``float`` does, by kind."""
+    texts = {}
+    anywhere = rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(float)
+    anywhere = anywhere[np.isfinite(anywhere)].tolist()
+    texts["random bits"] = [repr(v) for v in anywhere]
+    digits = rng.integers(1, 18, len(anywhere)).tolist()
+    texts["shortened"] = [f"%.{k}g" % v for v, k in zip(anywhere, digits)]
+    # decimal midpoints between adjacent doubles, exact and cut to 17-40
+    # digits, which lands just below or just above the tie
+    x = np.ldexp(1.0 + rng.random(6000), rng.integers(-1074, 1024, 6000))
+    x = np.concatenate([x, rng.integers(1, 2**52, 2000, dtype=np.uint64).view(float)])
+    mids = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        for lo, hi, k in zip(
+            x.tolist(), np.nextafter(x, np.inf).tolist(), rng.integers(17, 41, len(x)).tolist()
+        ):
+            mid = (decimal.Decimal(lo) + decimal.Decimal(hi)) / 2
+            mids += [f"{mid:e}", f"{mid:.{k - 1}e}", f"{-mid:.{k - 1}E}"]
+    texts["midpoints"] = mids
+    powers = zip(rng.integers(1, 10**9, 6000).tolist(), rng.integers(1, 8, 6000).tolist())
+    ints = [base**power for base, power in powers]  # up to 63 digits
+    ints += [2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, 10**60 - 1]
+    texts["integers"] = [str(v) for v in ints] + [str(-v) for v in ints]
+    tiny = rng.integers(1, 2**52, 20_000, dtype=np.uint64).view(float).tolist()
+    texts["subnormals"] = [
+        *(repr(v) for v in tiny), *(f"%.{k}g" % v for v, k in zip(tiny, digits)),
+        "2.4703282292062327e-324", "2.4703282292062328e-324", "4.9406564584124654e-324",
+        "2.2250738585072011e-308", "2.2250738585072012e-308", "1e-400", "-1e-400",
+    ]
+    texts["signs and exponents"] = [
+        "-0.0", "0e0", "-0e0", "0.0", "-0E-5", "1E5", "1e+05", "1e-05", "-1E+0", "0", "7",
+    ]
+    texts["largest"] = [
+        "1.7976931348623157e308", "1.7976931348623158e308", "-1.797693134862315807e+308",
+    ]
+    return texts
+
+
+# cells on which the JSON reading of a block may not be trusted
+DECLINED_TEXTS = [
+    "-0", "1.7976931348623159e308", "1e309", "-1e400", "9" * 400, "1" + "0" * 400,
+]
+
+
+def test_plain_parser_matches_float_on_dense_numbers():
+    # every block that the plain parser takes holds float()'s exact bits;
+    # a block is declined only for a cell in DECLINED_TEXTS
+    rng = np.random.default_rng(23)
+    texts = hard_number_texts(rng)
+    texts |= {f"declined {cell}": [cell, "1", "2.5", "NA"] for cell in DECLINED_TEXTS}
+    for kind, cells in texts.items():
+        cells = cells + ["NA"] * (-len(cells) % 4)
+        for start in range(0, len(cells), 2048):
+            block = cells[start : start + 2048]
+            end = "\r\n" if start % 4096 else "\n"
+            lines = [",".join(block[i : i + 4]) + end for i in range(0, len(block), 4)]
+            got = mcartest.data._parse_plain(lines, 4, mcartest.data.DEFAULT_NA_TOKENS)
+            missing = np.array([cell == "NA" for cell in block]).reshape(-1, 4)
+            want = np.array([0.0 if cell == "NA" else float(cell) for cell in block])
+            if kind.startswith("declined"):
+                assert got is None, kind
+                continue
+            assert got is not None, (kind, start)
+            values, mask = got
+            assert mask.tobytes() == (~missing).tobytes(), kind
+            bad = np.flatnonzero(values.ravel().view(np.uint64) != want.view(np.uint64))
+            assert not len(bad), (kind, [block[k] for k in bad[:5]])
+
+
 @pytest.mark.parametrize("block", [1, 4, 5])
 def test_round_trip_across_blocks(tmp_path, monkeypatch, rng, block):
     monkeypatch.setattr(mcartest.data, "_BLOCK_ROWS", block)
@@ -507,11 +580,12 @@ def load_outcome(path, tokens):
 
 
 PLAIN_TOKENS = ["NA", "NaN", "", "?", "-", "1", "a", "nan"]
-# cells that numpy's parser and float() read differently, or that a token
-# replacement could corrupt, plus non-finite values
+# cells that JSON and float() read differently, or that a token overwrite
+# could corrupt, plus non-finite values
 PARSER_TRAPS = [
     "-NA", " NA", "NA ", "nan", "NAN", "-nan", "inf", "Infinity", "1e400", "1_0", "#3",
     '"2"', "١", "1\x0c2", "\x0c", "1\xa0", " 1.5", "+.5", "-0", "0x10", "1,5", "n,a", "1\x002",
+    "01", ".5", "5.", "+1", "true", "null", "[1]", "{}", " 1", "\t1", "1" * 400,
     "0" * csv.field_size_limit() + "1",  # csv.reader rejects a cell this long
 ]
 TOKEN_SETS = [None, {"NA"}, {"?"}, {"-", "NA"}, {"1"}, {"nan"}, {"NA", "a"}, {"", "n,a"}]
@@ -519,19 +593,23 @@ TOKEN_SETS = [None, {"NA"}, {"?"}, {"-", "NA"}, {"1"}, {"nan"}, {"NA", "a"}, {""
 
 @st.composite
 def csv_texts(draw):
-    """(text, na_tokens) of a small CSV file.  Half are in write_csv's plain
-    shape: CRLF line ends, unquoted numbers and the non-empty tokens; the
-    other half add any token, the traps, blank and ragged lines, and LF and
-    CR line ends."""
+    """(text, na_tokens) of a small CSV file in one of three shapes.  A
+    plain file is in write_csv's shape: unquoted numbers and the non-empty
+    tokens, with CRLF or LF line ends.  A trap file is laid out the same,
+    but one of the traps fills cells too.  Any other file adds any token,
+    the traps, blank and ragged lines, and mixes CRLF, LF and CR line
+    ends."""
     d = draw(st.integers(1, 4))
     names = [draw(st.sampled_from([f"c{j}", f'"c,{j}"', f'"say ""{j}"""'])) for j in range(d)]
     tokens = draw(st.sampled_from(TOKEN_SETS))
-    plain = draw(st.booleans())
+    shape = draw(st.sampled_from(["plain", "trap", "any"]))
     number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
     cell = number | st.sampled_from(sorted(filter(None, tokens or {"NA", "NaN"})))
-    end = st.just("\r\n")
+    end = st.just(draw(st.sampled_from(["\r\n", "\n"])))
     kinds = ["row"]
-    if not plain:
+    if shape == "trap":
+        cell = cell | st.just(draw(st.sampled_from(PARSER_TRAPS)))
+    elif shape == "any":
         cell = cell | st.sampled_from(PLAIN_TOKENS) | st.sampled_from(PARSER_TRAPS)
         end = st.sampled_from(["\r\n"] * 8 + ["\n", "\r"])
         kinds = ["row"] * 8 + ["ragged", "blank"]
@@ -544,7 +622,7 @@ def csv_texts(draw):
         width = d + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
         lines.append(",".join(draw(cell) for _ in range(width)) + draw(end))
     text = "".join(lines)
-    if not plain and draw(st.booleans()):
+    if shape == "any" and draw(st.booleans()):
         text = text.rstrip("\r\n")  # no final line end
     return text, tokens
 
@@ -555,11 +633,14 @@ def csv_texts(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(case=csv_texts(), block=st.sampled_from([1, 2, 3, 8192]))
-# an infinity, a cell longer than csv.reader's field limit, and a line that
-# str.splitlines would split in two beside one it would blank
+# an infinity, a cell longer than csv.reader's field limit, a line that
+# str.splitlines would split in two beside one it would blank, and JSON
+# spellings that float() reads otherwise or not at all
 @example(case=("a,b\r\n1.0,inf\r\n", None), block=8192)
 @example(case=("a\r\n" + "0" * csv.field_size_limit() + "1\r\n", None), block=8192)
 @example(case=("a\r\n1\x0c2\r\n\x0c\r\n", {"NA"}), block=8192)
+@example(case=("a,b\n1.5,-0\n", None), block=8192)
+@example(case=("a,b\r\n1.5,true\r\n", None), block=8192)
 def test_load_matches_the_csv_reader_path(tmp_path, monkeypatch, case, block):
     text, tokens = case
     path = tmp_path / "diff.csv"
@@ -575,11 +656,11 @@ def test_load_matches_the_csv_reader_path(tmp_path, monkeypatch, case, block):
         assert got == load_outcome(path, tokens)
 
 
-@pytest.mark.parametrize("last", ["7,8.5\n", "7,\r\n", "7,oops\r\n", '7,"8"\r\n'])
+@pytest.mark.parametrize("last", ["7,8.5\r", "7,\r\n", "7,oops\r\n", '7,"8"\r\n'])
 def test_csv_reader_takes_over_from_the_first_block_that_is_not_plain(
     tmp_path, monkeypatch, last
 ):
-    # nine plain records in three blocks, then a last record the numpy
+    # nine plain records in three blocks, then a last record the plain
     # parser declines: only that block is parsed by the csv.reader path,
     # and the result or the message is that path's
     text = "a,b\r\n" + "".join(f"{i},{i + 0.5}\r\n" for i in range(9)) + last
@@ -610,7 +691,7 @@ def test_csv_reader_takes_over_from_the_first_block_that_is_not_plain(
 @pytest.mark.parametrize("na_token", ["NA", "NaN", "?"])
 def test_write_csv_output_takes_the_plain_path(tmp_path, monkeypatch, rng, block, na_token):
     # the csv.reader path must not run on what write_csv writes, or the
-    # numpy parser's gain is silently lost
+    # plain parser's gain is silently lost
     monkeypatch.setattr(mcartest.data, "_BLOCK_ROWS", block)
     ds, roles = make_dataset(rng, 20, 2, 3)
     values = np.array(ds.values)
