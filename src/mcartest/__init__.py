@@ -9,7 +9,7 @@ from .data import (
     response_matrix,
     write_csv,
 )
-from .em import EmResult, em_mvn
+from .em import EmResult, PatternStats, em_mvn, pattern_stats
 from .errors import (
     DataFormatError,
     DegenerateDataError,
@@ -53,7 +53,9 @@ __all__ = [
     "response_matrix",
     "write_csv",
     "EmResult",
+    "PatternStats",
     "em_mvn",
+    "pattern_stats",
     "DataFormatError",
     "DegenerateDataError",
     "McartestError",

@@ -161,7 +161,7 @@ def _resolve_incomplete(names, incomplete) -> list:
 def _line(path, record: int) -> int:
     """The file line on which data record ``record`` (0 is the first after
     the header) starts; a quoted cell can span lines, so this rescans."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for _ in islice(reader, record + 1):
             pass
@@ -321,7 +321,7 @@ def _long_cell(path, line):
     dialect splits it; None if it has none."""
     limit = csv.field_size_limit()
     column, length, state = 0, 0, "start"
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         for c in chain.from_iterable(islice(fh, line - 1, None)):
             if state == "quoted":
                 if c == '"':
@@ -404,7 +404,7 @@ def _read(path, tokens):
     than one block is held beside them."""
     rows = _max_records(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             try:
                 header = next(csv.reader(fh))
             except StopIteration:

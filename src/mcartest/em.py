@@ -1,14 +1,15 @@
 """EM estimation of a multivariate normal mean and covariance under missingness.
 
-Rows are grouped by missingness pattern once per fit, and each pattern is
-reduced to its size, observed columns, observed-cell mean and scatter about
-that mean, so an iteration touches no row: it is the sweep-operator E-step
-(Little & Rubin; Schafer 1997) on the stack of the patterns' observed
-covariance blocks, factored in one batched Cholesky.  The fit returns the
-patterns' observed columns, sizes and means, which are all Little's d2
-needs of the rows.  The observed-data log-likelihood is evaluated at
-the parameters entering each E-step; EM guarantees the trace is
-non-decreasing, which the tests exploit.
+``pattern_stats`` reduces each dataset of an (R, n, d) stack to one record:
+per missingness pattern its size, observed columns, observed-cell mean and
+scatter about that mean, plus the available-case start.  One stable sort
+over all the stack's rows finds the patterns.  That record is all EM reads,
+and with the fit all Little's d2 reads: ``em_mvn`` fits a record without
+touching a row, each iteration the sweep-operator E-step (Little & Rubin;
+Schafer 1997) on the stack of the patterns' observed covariance blocks,
+factored in one batched Cholesky.  The observed-data log-likelihood is
+evaluated at the parameters entering each E-step; EM guarantees the trace
+is non-decreasing, which the tests exploit.
 """
 
 from dataclasses import dataclass
@@ -17,11 +18,34 @@ import numpy as np
 
 from .errors import DegenerateDataError, SingularMatrixError
 
-__all__ = ["EmResult", "em_mvn", "group_patterns"]
+__all__ = ["EmResult", "PatternStats", "em_mvn", "pattern_stats"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _RIDGE_SCALE = 1e-8
 _VAR_FLOOR = 1e-6
+
+
+@dataclass(frozen=True)
+class PatternStats:
+    """One dataset's rows reduced by missingness pattern.
+
+    ``n`` counts the kept rows, those with at least one observed cell; a
+    row with none forms no pattern.  Row k of ``observed`` (K, d),
+    ``counts`` (K,), ``means`` (K, d) and ``scatter`` (K, d, d) describe the
+    k-th pattern, in order of first appearance: its observed columns, its
+    number of rows, the mean of its observed cells and their scatter about
+    that mean, both zero on the missing columns.  ``mu`` and ``var`` (d,)
+    are each column's available-case mean and variance, EM's start; both
+    are 0 for a column with no observed cell.
+    """
+
+    n: int
+    counts: np.ndarray
+    observed: np.ndarray
+    means: np.ndarray
+    scatter: np.ndarray
+    mu: np.ndarray
+    var: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -31,11 +55,8 @@ class EmResult:
     ``sigma`` is the maximum-likelihood (1/n) estimate.  ``loglik_trace``
     holds the observed-data log-likelihood at the start of every iteration;
     ``ridged`` records whether any observed block needed a diagonal
-    ridge to factor.  Row k of ``observed`` (K, d), ``counts`` (K,) and
-    ``means`` (K, d) describe the k-th pattern of the fit's
-    ``group_patterns`` grouping of the kept rows, those with at least one
-    observed cell: its observed columns, its number of rows and the mean of
-    its observed cells, zero on the missing columns.
+    ridge to factor.  The patterns the fit was made from are its
+    ``PatternStats`` record's.
     """
 
     mu: np.ndarray
@@ -44,9 +65,6 @@ class EmResult:
     converged: bool
     iterations: int
     ridged: bool
-    observed: np.ndarray
-    counts: np.ndarray
-    means: np.ndarray
 
 
 def _chol(a: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -85,60 +103,70 @@ def _factor(stack: np.ndarray, observed: np.ndarray) -> tuple[np.ndarray, bool]:
     return factors, ridged
 
 
-def group_patterns(mask: np.ndarray) -> list:
-    """(observed column indices, row indices) per distinct missingness pattern.
+def pattern_stats(values: np.ndarray, mask: np.ndarray) -> list:
+    """The ``PatternStats`` record of each dataset of an (R, n, d) stack.
 
-    Patterns are listed in order of first appearance and each pattern's rows
-    in ascending order, so every pass over the groups visits the data in one
-    fixed order.  Each row's key is its packed mask bits, so any width works.
+    ``values`` and ``mask`` are the datasets' values and masks (True where
+    observed); values under a False mask entry are never read.  One stable
+    sort of all R * n rows, keyed on (dataset, packed mask bits), puts each
+    pattern's rows in one ascending run, so any width works and every
+    pattern's mean and scatter add its rows in ascending order.
     """
-    packed = np.packbits(mask, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    # a stable sort puts each pattern's rows in one ascending run
-    order = np.argsort(keys, kind="stable")
-    ranked = packed[order]
-    new_run = np.ones(order.size, dtype=bool)
-    new_run[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    starts = np.flatnonzero(new_run)
-    bounds = [*starts.tolist(), order.size]
-    firsts = order[starts]
+    n_sets, n_rows, d = values.shape
+    seen = np.maximum(mask.sum(axis=1), 1)
+    # one R x n x d buffer holds the observed values, then the squared
+    # deviations of the observed cells; the rest of it stays 0
+    dev = np.where(mask, values, 0.0)
+    mu = dev.sum(axis=1) / seen
+    np.subtract(values, mu[:, None, :], out=dev, where=mask)
+    var = np.square(dev, out=dev).sum(axis=1) / seen
+    del dev
+
+    # a row's key is its dataset's index, big-endian in the fewest bytes
+    # that hold it (none for one dataset), then its mask bits
+    width = ((n_sets - 1).bit_length() + 7) // 8
+    keys = np.empty((n_sets, n_rows, width + (d + 7) // 8), np.uint8)
+    index = np.arange(n_sets, dtype=">u8").view(np.uint8).reshape(-1, 1, 8)
+    keys[:, :, :width] = index[:, :, 8 - width :]
+    keys[:, :, width:] = np.packbits(mask, axis=2)
+    keys = keys.reshape(n_sets * n_rows, -1)
+    order = np.argsort(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), kind="stable")
+    keys = keys[order]
+    runs = np.split(order, np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1)
+    del keys
+    # each dataset's patterns in order of first appearance; rows with no
+    # observed cell form no pattern
+    flat, flat_mask = values.reshape(-1, d), mask.reshape(-1, d)
+    runs = [rows for rows in sorted(runs, key=lambda rows: rows[0]) if flat_mask[rows[0]].any()]
+    firsts = np.array([rows[0] for rows in runs], dtype=np.intp)
+    observed = flat_mask[firsts]
+    counts = np.array([rows.size for rows in runs], dtype=float)
+    means = np.empty((len(runs), d))
+    scatter = np.empty((len(runs), d, d))
+    for k, rows in enumerate(runs):
+        z = flat[rows]
+        z[:, ~observed[k]] = 0.0
+        means[k] = z.mean(axis=0)
+        z -= means[k]
+        scatter[k] = z.T @ z
+    cuts = np.searchsorted(firsts // n_rows, np.arange(n_sets + 1)).tolist()
     return [
-        (np.flatnonzero(mask[firsts[g]]), order[bounds[g] : bounds[g + 1]])
-        for g in np.argsort(firsts).tolist()
+        PatternStats(
+            int(counts[lo:hi].sum()), counts[lo:hi], observed[lo:hi], means[lo:hi],
+            scatter[lo:hi], mu[i], var[i],
+        )
+        for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
     ]
 
 
-def _complete_fit(x: np.ndarray) -> EmResult:
-    n, d = x.shape
-    mu = x.mean(axis=0)
-    centered = x - mu
-    sigma = (centered.T @ centered) / n
-    c, ridged = _chol(sigma)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-    z = np.linalg.solve(c, centered.T)
-    return EmResult(
-        mu=mu,
-        sigma=sigma,
-        loglik_trace=(-0.5 * (n * d * _LOG_2PI + n * logdet + float(np.sum(z * z))),),
-        converged=True,
-        iterations=1,
-        ridged=ridged,
-        observed=np.ones((1, d), dtype=bool),
-        counts=np.array([float(n)]),
-        means=mu[None],
-    )
-
-
-def em_mvn(
-    values: np.ndarray, mask: np.ndarray, tol: float = 1e-8, max_iter: int = 500
-) -> EmResult:
-    """Fit a multivariate normal to data with missing cells.
+def em_mvn(patterns: PatternStats, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
+    """Fit a multivariate normal to a dataset with missing cells.
 
     Parameters
     ----------
-    values, mask : (n, d) arrays
-        A dataset's ``values`` and ``mask`` (True where observed); values
-        under a False mask entry are never read.
+    patterns : PatternStats
+        The dataset's record from ``pattern_stats``; for one (n, d) dataset,
+        ``pattern_stats(values[None], mask[None])[0]``.
     tol : float
         Stop when the observed-data log-likelihood changes by less than
         this between iterations.
@@ -148,63 +176,50 @@ def em_mvn(
     Raises
     ------
     DegenerateDataError
-        A column with no observed cells, or fewer usable rows than columns.
+        Fewer kept rows than columns, or a column with no observed cells.
 
     Notes
     -----
-    Rows with no observed cells carry no information and are dropped.
-    With no missing cells at all the maximum-likelihood solution is direct
-    and the trace has a single entry.
+    Rows with no observed cells carry no information and are not in the
+    record.  With no missing cells at all the maximum-likelihood solution
+    is direct and the trace has a single entry.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    keep = mask.any(axis=1)
-    if keep.all():
-        # every row kept: the fit reads the caller's rows and copies none
-        x = np.ascontiguousarray(values)
-    else:
-        x = values[keep]
-        mask = mask[keep]
-    n, d = x.shape
+    n, counts, observed, means, scatter = (
+        patterns.n, patterns.counts, patterns.observed, patterns.means, patterns.scatter
+    )
+    d = observed.shape[1]
     if n <= d:
-        raise DegenerateDataError(
-            f"EM needs more usable rows than columns (n={n}, d={d})"
+        raise DegenerateDataError(f"EM needs more usable rows than columns (n={n}, d={d})")
+    seen = observed.any(axis=0)
+    if not seen.all():
+        raise DegenerateDataError(f"column {int(np.argmin(seen))} has no observed cells")
+
+    if observed.all():
+        # one pattern, every cell observed: the ML fit is direct
+        sigma = scatter[0] / n
+        c, ridged = _chol(sigma)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+        # the rows' squared Mahalanobis distances sum to trace(sigma^-1 scatter)
+        quad = float(np.trace(np.linalg.solve(c, np.linalg.solve(c, scatter[0]).T)))
+        return EmResult(
+            mu=means[0],
+            sigma=sigma,
+            loglik_trace=(-0.5 * (n * d * _LOG_2PI + n * logdet + quad),),
+            converged=True,
+            iterations=1,
+            ridged=ridged,
         )
-    obs_per_col = mask.sum(axis=0)
-    if (obs_per_col == 0).any():
-        j = int(np.argmin(obs_per_col))
-        raise DegenerateDataError(f"column {j} has no observed cells")
 
-    if mask.all():
-        return _complete_fit(x)
+    # available-case start; variances floored so the first E-step never
+    # divides by zero
+    mu = patterns.mu
+    scale = max(float(patterns.var.max()), 1.0)
+    sigma = np.diag(np.maximum(patterns.var, _VAR_FLOOR * scale))
 
-    # available-case initialization; variances floored so the first E-step
-    # never divides by zero.  One n x d buffer holds the masked values, then
-    # the squared deviations of the observed cells.
-    dev = np.multiply(x, mask)
-    mu = dev.sum(axis=0) / obs_per_col
-    np.subtract(x, mu, out=dev)
-    np.copyto(dev, 0.0, where=~mask)
-    var = np.square(dev, out=dev).sum(axis=0) / obs_per_col
-    del dev
-    scale = max(float(var.max()), 1.0)
-    sigma = np.diag(np.maximum(var, _VAR_FLOOR * scale))
-
-    # per pattern: size, observed columns, and the mean of the observed
-    # cells and their scatter about it, both zero on the missing columns
-    patterns = group_patterns(mask)
-    observed = np.array([mask[rows[0]] for _, rows in patterns])
-    counts = np.array([rows.size for _, rows in patterns], dtype=float)
-    means = np.empty((len(patterns), d))
-    scatter = np.empty((len(patterns), d, d))
-    for k, (_, rows) in enumerate(patterns):
-        z = x[rows]
-        z[:, ~observed[k]] = 0.0
-        means[k] = z.mean(axis=0)
-        z -= means[k]
-        scatter[k] = z.T @ z
     both = observed[:, :, None] & observed[:, None, :]
     # n_k on each pattern's missing x missing block
     weight_mm = counts[:, None, None] * (~observed[:, :, None] & ~observed[:, None, :])
@@ -253,7 +268,4 @@ def em_mvn(
         converged=converged,
         iterations=iterations,
         ridged=ridged,
-        observed=observed,
-        counts=counts,
-        means=means,
     )

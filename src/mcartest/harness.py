@@ -14,10 +14,10 @@ runs once over the block (see ``synthesis.generate_block``).  The tests
 then run over the block's arrays through ``stats.run_batch``, which runs
 each distinct batch kernel once: ``an``, ``dn`` and ``d2_univariate`` come
 from one pass of the closed-form kernel.  A kernel's result for one dataset
-does not depend on what else is in the block (``d2_general`` still fits EM
-to each dataset's slice alone inside its kernel).  Which tests exist, which
-kernel each uses and which shapes each applies to is the one registry
-``stats.TESTS``, whose shape rule ``stats.resolve_tests`` applies.
+does not depend on what else is in the block (``d2_general`` fits EM to
+each dataset's own pattern record).  Which tests exist, which kernel each
+uses and which shapes each applies to is the one registry ``stats.TESTS``,
+whose shape rule ``stats.resolve_tests`` applies.
 
 Replications where a test raises a singularity or degeneracy error (for
 example a response column with no missing cells at small n) are counted as

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .data import ColumnRoles, Dataset
-from .em import em_mvn
+from .em import em_mvn, pattern_stats
 from .errors import DegenerateDataError, SingularMatrixError
 from .numerics import _singular_errors, chi2_sf
 
@@ -327,11 +327,6 @@ def bivariate_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) ->
     finds Var(X) * Var(R) singular.  Computed as ``closed_form_batch`` of a
     stack of one: the statistic is the signed root of ``an``'s.
     """
-    if roles.p != 1 or roles.q != 1:
-        raise DegenerateDataError(
-            "the bivariate test requires exactly one complete and one "
-            f"incomplete column (got p={roles.p}, q={roles.q})"
-        )
     return TESTS["dn"].run(ds, roles, alpha)
 
 
@@ -346,44 +341,33 @@ def little_mcar_univariate(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05)
     quadratic-form test; computed as ``closed_form_batch`` of a stack of
     one.
     """
-    if roles.q != 1:
-        raise DegenerateDataError(
-            "the closed form applies to exactly one incomplete column "
-            f"(got q={roles.q})"
-        )
     return TESTS["d2_univariate"].run(ds, roles, alpha)
-
-
-def _one_pattern(held) -> bool:
-    """True when the rows of ``held`` with an observed cell share one
-    missingness pattern, or there are none; the copy of those rows is gone
-    once it returns."""
-    kept = held[held.any(axis=1)]
-    return not kept.size or bool((kept == kept[0]).all())
 
 
 def little_general_batch(values, mask, roles: ColumnRoles = None) -> dict:
     """``little_mcar_general`` on each dataset of an (R, n, d) stack, as
     {"d2_general": BatchResult}.
 
-    Each dataset's slice gets its own EM fit (``roles`` is not used: d2
-    reads the missingness of every column), and the d2 sums of all fits
-    come from one ``np.linalg.eigh`` call over their padded observed
-    blocks; a block is singular by the rule of ``numerics._singular_errors``,
-    as in ``closed_form_batch``.
+    One ``em.pattern_stats`` call reduces the stack to a pattern record per
+    dataset (``roles`` is not used: d2 reads the missingness of every
+    column).  A record with one pattern or none is rejected; each other gets
+    its own EM fit, and the d2 sums of all fits come from one
+    ``np.linalg.eigh`` call over their padded observed blocks, singular by
+    the rule of ``numerics._singular_errors``, as in ``closed_form_batch``.
     """
     n_sets, _, d = values.shape
+    records = pattern_stats(values, mask)
     fits, errors = [None] * n_sets, [None] * n_sets
     # empty first entries, so that a stack with no fit still concatenates
     blocks, devs = [np.empty((0, d, d))], [np.empty((0, d))]
-    for i, held in enumerate(mask):
-        if _one_pattern(held):
+    for i, rec in enumerate(records):
+        if len(rec.counts) <= 1:
             errors[i] = DegenerateDataError(
                 "Little's test is undefined for a single missingness pattern"
             )
             continue
         try:
-            fit = fits[i] = em_mvn(values[i], held)
+            fit = fits[i] = em_mvn(rec)
         except (DegenerateDataError, SingularMatrixError) as exc:
             errors[i] = exc
             continue
@@ -391,10 +375,10 @@ def little_general_batch(values, mask, roles: ColumnRoles = None) -> dict:
         # variance: a mean of its diagonal lies within its eigenvalue range,
         # so the singularity threshold sees the block's own extreme
         # eigenvalues
-        pad = fit.observed @ np.diag(fit.sigma) / fit.observed.sum(axis=1)
-        both = fit.observed[:, :, None] & fit.observed[:, None, :]
+        pad = rec.observed @ np.diag(fit.sigma) / rec.observed.sum(axis=1)
+        both = rec.observed[:, :, None] & rec.observed[:, None, :]
         blocks.append(np.where(both, fit.sigma, pad[:, None, None] * np.eye(d)))
-        devs.append(np.where(fit.observed, fit.means - fit.mu, 0.0))
+        devs.append(np.where(rec.observed, rec.means - fit.mu, 0.0))
     # em_mvn returns an exactly symmetric sigma, so every block is symmetric
     w, v = np.linalg.eigh(np.concatenate(blocks))
     singular = _singular_errors(w)
@@ -408,16 +392,16 @@ def little_general_batch(values, mask, roles: ColumnRoles = None) -> dict:
     p_value = np.ones(n_sets)
     df = np.zeros(n_sets, dtype=int)
     lo = 0
-    for i, fit in enumerate(fits):
+    for i, (rec, fit) in enumerate(zip(records, fits)):
         if fit is None:
             continue
-        hi = lo + len(fit.counts)
-        df[i] = fit.observed.sum() - d
+        hi = lo + len(rec.counts)
+        df[i] = rec.observed.sum() - d
         errors[i] = next((e for e in singular[lo:hi] if e is not None), None)
         if errors[i] is None and df[i] <= 0:
             errors[i] = DegenerateDataError("Little's test has no degrees of freedom here")
         if errors[i] is None:
-            statistic[i] = fit.counts @ terms[lo:hi]
+            statistic[i] = rec.counts @ terms[lo:hi]
             p_value[i] = chi2_sf(statistic[i], int(df[i]))
         lo = hi
     result = BatchResult(
@@ -428,12 +412,12 @@ def little_general_batch(values, mask, roles: ColumnRoles = None) -> dict:
         p_value=p_value,
         errors=tuple(errors),
         diagnostics={
-            "n_patterns": np.array([len(f.counts) if f else 0 for f in fits]),
+            "n_patterns": np.array([len(r.counts) if f else 0 for r, f in zip(records, fits)]),
             "em_iterations": np.array([f.iterations if f else 0 for f in fits]),
             "em_converged": np.array([f.converged if f else False for f in fits]),
             "em_ridged": np.array([f.ridged if f else False for f in fits]),
             # the kept rows, those with an observed cell
-            "n": np.array([int(f.counts.sum()) if f else 0 for f in fits]),
+            "n": np.array([r.n if f else 0 for r, f in zip(records, fits)]),
         },
     )
     return {"d2_general": result}

@@ -260,11 +260,18 @@ def bivariate_reference(ds, roles):
     return z, p_value
 
 
-def loop_group_patterns(mask):
-    """``em.group_patterns`` as a per-row dict loop, keyed by the row's bytes.
+def fit_one(values, mask, **controls):
+    """``em_mvn`` of one (n, d) dataset: the fit of its pattern record, as
+    a stack of one."""
+    return mcartest.em_mvn(mcartest.pattern_stats(values[None], mask[None])[0], **controls)
 
-    The reference for the library's sorted grouping: patterns in order of
-    first appearance, each pattern's rows ascending.
+
+def loop_group_patterns(mask):
+    """One dataset's missingness patterns as a per-row dict loop, keyed by
+    the row's bytes: (observed column indices, row indices) per pattern.
+
+    The reference for ``pattern_stats``' sorted grouping: patterns in order
+    of first appearance, each pattern's rows ascending.
     """
     groups = {}
     for i in range(mask.shape[0]):

@@ -33,7 +33,6 @@ from mcartest import (
     ColumnRoles,
     DistributionSpec,
     MechanismSpec,
-    em_mvn,
     generate,
     mean_product_gap,
     rng_stream,
@@ -45,6 +44,7 @@ from conftest import (
     ACCEPTANCE_LINES,
     bivariate_reference,
     child_env,
+    fit_one,
     little_univariate_reference,
     make_dataset,
     reference_routes,
@@ -242,7 +242,7 @@ def test_09_clayton_generator_quality():
 def test_10_em_sanity():
     rng = np.random.default_rng(110)
     x = rng.standard_normal((60, 3)) * np.array([1.0, 2.0, 0.5]) + 1.0
-    fit = em_mvn(x, np.ones((60, 3), bool))
+    fit = fit_one(x, np.ones((60, 3), bool))
     centered = x - x.mean(axis=0)
     exact = (
         fit.iterations == 1
@@ -254,7 +254,7 @@ def test_10_em_sanity():
     y = rng.standard_normal((300, 3))
     mask = rng.random((300, 3)) >= 0.2
     mask[:, 0] = True
-    fit2 = em_mvn(y, mask)
+    fit2 = fit_one(y, mask)
     trace = np.array(fit2.loglik_trace)
     monotone = bool(np.all(np.diff(trace) >= -1e-9))
     ok = exact and monotone and fit2.converged and fit2.iterations <= 500

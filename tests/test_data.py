@@ -232,6 +232,30 @@ def test_load_non_utf8_is_a_data_error(tmp_path):
         load_csv(path)
 
 
+def test_load_skips_a_byte_order_mark(tmp_path):
+    # Excel and pandas' utf-8-sig start a file with EF BB BF; the names,
+    # values and error positions are those of the same file without it
+    text = "x,y\nNA,1.5\n2.0,3.0\n-4.0,5.0\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    ds, roles = load_csv(marked, incomplete=["x"])
+    want, _ = load_csv(plain, incomplete=["x"])
+    assert ds.column_names == ("x", "y") and roles.incomplete == (0,)
+    assert ds.values.tobytes() == want.values.tobytes()
+    assert ds.mask.tobytes() == want.mask.tobytes()
+    long = '"' + "b" * csv.field_size_limit() + '"""'
+    # a quoted first cell is quoted only once the mark is skipped
+    for bad in (f'"a,b",{long}\n1,2\n', f"x,y\n1,2\n3,{long}\n"):
+        messages = []
+        for path, head in ((plain, b""), (marked, b"\xef\xbb\xbf")):
+            path.write_bytes(head + bad.encode())
+            with pytest.raises(DataFormatError) as info:
+                load_csv(path)
+            messages.append(str(info.value).replace(str(path), "FILE"))
+        assert messages[0] == messages[1]
+
+
 @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
 def test_load_non_finite(tmp_path, cell):
     path = tmp_path / "nonfinite.csv"

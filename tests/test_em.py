@@ -4,10 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mcartest import ColumnRoles, Dataset, DegenerateDataError, SingularMatrixError, em_mvn
-from mcartest.em import _chol, _factor, group_patterns
+from mcartest import (
+    ColumnRoles,
+    Dataset,
+    DegenerateDataError,
+    SingularMatrixError,
+    em_mvn,
+    pattern_stats,
+)
+from mcartest.em import _chol, _factor
 
-from conftest import loop_group_patterns, make_dataset, traced_peak
+from conftest import fit_one, loop_group_patterns, make_dataset, traced_peak
 
 
 def mcar_normal(rng, n, d, miss_prob):
@@ -56,7 +63,7 @@ def test_matches_row_by_row_em(rng):
     # em_mvn's start: available-case means and variances
     mu = np.array([x[mask[:, j], j].mean() for j in range(3)])
     sigma = np.diag([x[mask[:, j], j].var() for j in range(3)])
-    fit = em_mvn(ds.values, ds.mask, tol=1e-300, max_iter=6)
+    fit = fit_one(ds.values, ds.mask, tol=1e-300, max_iter=6)
     ref_mu, ref_sigma, ref_trace = row_by_row_em(x, mask, mu, sigma, 6)
     np.testing.assert_allclose(fit.loglik_trace, ref_trace, rtol=1e-12)
     np.testing.assert_allclose(fit.mu, ref_mu, rtol=1e-10, atol=1e-12)
@@ -65,7 +72,7 @@ def test_matches_row_by_row_em(rng):
 
 def test_complete_data_is_direct_ml(rng):
     x = rng.standard_normal((50, 3))
-    fit = em_mvn(x, np.ones((50, 3), bool))
+    fit = fit_one(x, np.ones((50, 3), bool))
     assert fit.iterations == 1
     assert fit.converged
     assert len(fit.loglik_trace) == 1
@@ -76,7 +83,7 @@ def test_complete_data_is_direct_ml(rng):
 
 def test_loglik_monotone_under_mcar(rng):
     ds = mcar_normal(rng, 300, 3, 0.2)
-    fit = em_mvn(ds.values, ds.mask)
+    fit = fit_one(ds.values, ds.mask)
     assert fit.converged
     trace = np.array(fit.loglik_trace)
     assert len(trace) >= 2
@@ -88,7 +95,7 @@ def test_monotone_pattern_matches_regression_factorization(rng):
     # regression of y on the complete block fitted on observed-y rows
     n = 400
     ds, _ = make_dataset(rng, n, 2, 1, miss_prob=0.3)
-    fit = em_mvn(ds.values, ds.mask, tol=1e-12)
+    fit = fit_one(ds.values, ds.mask, tol=1e-12)
     x = ds.values[:, :2]
     y = ds.values[:, 2]
     obs = ds.mask[:, 2]
@@ -122,27 +129,27 @@ def test_all_missing_rows_are_dropped(rng):
     vals = vals + rng.standard_normal((100, 2)) * 0.3
     mask = np.array(ds.mask[:, [0, 1]])
     mask[0] = False
-    with_row = em_mvn(vals, mask)
-    without_row = em_mvn(vals[1:], mask[1:])
+    with_row = fit_one(vals, mask)
+    without_row = fit_one(vals[1:], mask[1:])
     np.testing.assert_allclose(with_row.mu, without_row.mu, atol=1e-9)
     np.testing.assert_allclose(with_row.sigma, without_row.sigma, atol=1e-9)
 
 
 def test_fit_with_every_row_kept_allocates_one_data_sized_array(rng):
-    # beside its inputs the fit allocates at most one n x d float array;
-    # the slack is the set-up's n x d bool complement of the mask, its n
-    # kept-row flags, and 64 KiB for everything that does not grow with n
+    # beside its inputs the record and the fit allocate at most one n x d
+    # float array; the slack is an n x d bool array, n bytes, and 64 KiB for
+    # everything that does not grow with n
     n, d = 100_000, 5
     values = rng.standard_normal((n, d))
     mask = rng.random((n, d)) >= 0.1
     mask[:, 0] = True
-    peak, fit = traced_peak(em_mvn, values, mask)
-    assert fit.counts.sum() == n and len(fit.counts) > 1
+    peak, fit = traced_peak(fit_one, values, mask)
+    assert fit.converged and fit.iterations > 1
     assert peak <= values.nbytes + mask.nbytes + n + 2**16
     # each pattern's mean is that of its rows with the missing cells zeroed
-    zeroed = np.where(mask, values, 0.0)
-    means = [zeroed[rows].mean(axis=0) for _, rows in group_patterns(mask)]
-    assert fit.means.tobytes() == np.array(means).tobytes()
+    (record,) = pattern_stats(values[None], mask[None])
+    assert record.n == n and len(record.counts) > 1
+    assert record.means.tobytes() == loop_record(values, mask)[2].tobytes()
 
 
 def test_never_observed_column_rejected(rng):
@@ -150,7 +157,7 @@ def test_never_observed_column_rejected(rng):
     mask = np.ones((20, 2), bool)
     mask[:, 1] = False
     with pytest.raises(DegenerateDataError, match="no observed cells"):
-        em_mvn(vals, mask)
+        fit_one(vals, mask)
 
 
 def test_needs_more_rows_than_columns(rng):
@@ -158,56 +165,101 @@ def test_needs_more_rows_than_columns(rng):
     mask = np.ones((3, 3), bool)
     mask[0, 1] = False
     with pytest.raises(DegenerateDataError):
-        em_mvn(vals, mask)
+        fit_one(vals, mask)
 
 
 def test_invalid_controls():
     vals, mask = np.ones((5, 1)), np.ones((5, 1), bool)
     with pytest.raises(ValueError):
-        em_mvn(vals, mask, tol=0.0)
+        fit_one(vals, mask, tol=0.0)
     with pytest.raises(ValueError):
-        em_mvn(vals, mask, max_iter=0)
+        fit_one(vals, mask, max_iter=0)
 
 
 def test_iteration_cap_reported(rng):
     ds = mcar_normal(rng, 200, 3, 0.3)
-    fit = em_mvn(ds.values, ds.mask, tol=1e-300, max_iter=4)
+    fit = fit_one(ds.values, ds.mask, tol=1e-300, max_iter=4)
     assert not fit.converged
     assert fit.iterations == 4
 
 
+@pytest.mark.parametrize("placeholder", [np.nan, np.inf, -np.inf])
+def test_placeholders_are_never_read(rng, placeholder):
+    ds = mcar_normal(rng, 200, 3, 0.3)
+    mask = np.array(ds.mask)
+    mask[[3, 9]] = False  # rows with no observed cell, too
+    zero = fit_one(np.where(mask, ds.values, 0.0), mask)
+    other = fit_one(np.where(mask, ds.values, placeholder), mask)
+    assert other.mu.tobytes() == zero.mu.tobytes()
+    assert other.sigma.tobytes() == zero.sigma.tobytes()
+    assert other.loglik_trace == zero.loglik_trace
+
+
+def loop_record(values, mask):
+    """(counts, observed, means, scatter) of one (n, d) dataset's patterns,
+    from ``loop_group_patterns``: the reference for ``pattern_stats``, each
+    pattern's rows reduced in ascending order."""
+    d = mask.shape[1]
+    zeroed = np.where(mask, values, 0.0)
+    groups = [rows for obs, rows in loop_group_patterns(mask) if obs.size]
+    means = np.array([zeroed[rows].mean(axis=0) for rows in groups]).reshape(-1, d)
+    centred = [zeroed[rows] - m for rows, m in zip(groups, means)]
+    return (
+        np.array([rows.size for rows in groups], dtype=float),
+        np.array([mask[rows[0]] for rows in groups]).reshape(-1, d),
+        means,
+        np.array([c.T @ c for c in centred]).reshape(-1, d, d),
+    )
+
+
 def test_group_patterns_order_and_partition(rng):
     mask = rng.random((200, 4)) >= 0.3
-    groups = group_patterns(mask)
-    rows = np.concatenate([r for _, r in groups])
-    assert np.array_equal(np.sort(rows), np.arange(200))  # a partition
-    firsts = [int(r[0]) for _, r in groups]
+    (record,) = pattern_stats(rng.standard_normal((1, 200, 4)), mask[None])
+    kept = mask[mask.any(axis=1)]
+    assert record.n == len(kept) == record.counts.sum()  # a partition
+    rows = [np.flatnonzero((kept == obs).all(axis=1)) for obs in record.observed]
+    assert [r.size for r in rows] == record.counts.tolist()
+    firsts = [int(r[0]) for r in rows]
     assert firsts == sorted(firsts)  # first-seen order
-    for obs, r in groups:
-        assert np.all(np.diff(r) > 0)  # ascending rows
-        assert np.array_equal(obs, np.flatnonzero(mask[r[0]]))
-        assert (mask[r] == mask[r[0]]).all()
-    assert len(groups) == len({m.tobytes() for m in mask})
+    assert len(record.counts) == len({m.tobytes() for m in kept})
 
 
 @st.composite
-def masks(draw):
-    """A mask whose rows repeat a few distinct patterns, up to 70 columns."""
-    n = draw(st.integers(0, 60))
-    d = draw(st.sampled_from([1, 2, 5, 8, 9, 63, 64, 70]))
+def stacks(draw):
+    """An (R, n, d) value and mask stack whose rows repeat a few distinct
+    patterns, the empty one among them at times, up to 70 columns; the
+    values under a False mask entry are NaN."""
+    n_sets = draw(st.integers(1, 4))
+    d = draw(st.sampled_from([1, 2, 5, 8, 9, 16, 63, 64, 70]))
     pool = draw(arrays(bool, (draw(st.integers(1, 6)), d)))
-    return pool[draw(arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))]
+    if draw(st.booleans()):
+        pool[0] = False  # rows with no observed cell
+    n = draw(st.integers(1, 40))
+    mask = pool[draw(arrays(np.intp, (n_sets, n), elements=st.integers(0, len(pool) - 1)))]
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(mask.shape)
+    return np.where(mask, values, np.nan), mask
 
 
 @settings(max_examples=200, deadline=None)
-@given(mask=masks())
-def test_group_patterns_matches_row_loop(mask):
-    groups = group_patterns(mask)
-    expected = loop_group_patterns(mask)
-    assert len(groups) == len(expected)
-    for (obs, rows), (obs_e, rows_e) in zip(groups, expected):
-        assert obs.dtype == obs_e.dtype and np.array_equal(obs, obs_e)
-        assert rows.dtype == rows_e.dtype and np.array_equal(rows, rows_e)
+@given(stack=stacks())
+def test_group_patterns_matches_row_loop(stack):
+    values, mask = stack
+    records = pattern_stats(values, mask)
+    assert len(records) == len(values)
+    for record, x, m in zip(records, values, mask):
+        counts, observed, means, scatter = loop_record(x, m)
+        assert record.n == int(m.any(axis=1).sum())
+        assert record.counts.dtype == counts.dtype and np.array_equal(record.counts, counts)
+        assert record.observed.dtype == bool and np.array_equal(record.observed, observed)
+        assert record.means.tobytes() == means.tobytes()
+        assert record.scatter.tobytes() == scatter.tobytes()
+        # the available-case start: each column's observed mean and variance
+        seen = m.sum(axis=0)
+        filled = np.where(m, x, 0.0)
+        mu = filled.sum(axis=0) / np.maximum(seen, 1)
+        var = (np.where(m, x - mu, 0.0) ** 2).sum(axis=0) / np.maximum(seen, 1)
+        np.testing.assert_allclose(record.mu, mu, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(record.var, var, rtol=1e-12, atol=1e-15)
 
 
 def test_group_patterns_wide_mask(rng):
@@ -215,31 +267,34 @@ def test_group_patterns_wide_mask(rng):
     mask = rng.random((300, 70)) >= 0.5
     mask[150:] = mask[:150]
     mask[7, 69] = not mask[7, 69]  # differs from row 157 in the last bit only
-    groups = group_patterns(mask)
-    assert len(groups) == 151
-    for (obs, rows), (obs_e, rows_e) in zip(groups, loop_group_patterns(mask)):
-        assert np.array_equal(obs, obs_e) and np.array_equal(rows, rows_e)
+    values = rng.standard_normal((300, 70))
+    (record,) = pattern_stats(values[None], mask[None])
+    counts, observed, means, _ = loop_record(values, mask)
+    assert len(record.counts) == 151
+    assert np.array_equal(record.counts, counts) and np.array_equal(record.observed, observed)
+    assert record.means.tobytes() == means.tobytes()
 
 
-def test_fit_returns_grouping_of_kept_rows(rng):
+def test_record_groups_kept_rows(rng):
     ds = mcar_normal(rng, 120, 3, 0.3)
     mask = np.array(ds.mask)
-    mask[[4, 50]] = False  # dropped, so later rows shift down by one or two
-    fit = em_mvn(ds.values, mask)
-    kept = mask.any(axis=1)
-    z = np.where(mask, ds.values, 0.0)[kept]
-    expected = group_patterns(mask[kept])
-    assert len(fit.observed) == len(fit.counts) == len(fit.means) == len(expected)
-    for k, (obs_e, rows_e) in enumerate(expected):
-        assert np.array_equal(np.flatnonzero(fit.observed[k]), obs_e)
-        assert fit.counts[k] == rows_e.size
-        assert np.array_equal(fit.means[k], z[rows_e].mean(axis=0))
-    assert fit.counts.sum() == 118
+    mask[[4, 50]] = False  # no pattern holds these rows
+    (record,) = pattern_stats(ds.values[None], mask[None])
+    counts, observed, means, _ = loop_record(ds.values, mask)
+    assert record.n == 118 and np.array_equal(record.counts, counts)
+    assert np.array_equal(record.observed, observed) and np.array_equal(record.means, means)
 
-    complete = em_mvn(ds.values, np.ones((120, 3), bool))
+    (complete,) = pattern_stats(ds.values[None], np.ones((1, 120, 3), bool))
     assert np.array_equal(complete.observed, np.ones((1, 3), bool))
     assert np.array_equal(complete.counts, [120])
     assert np.array_equal(complete.means, [ds.values.mean(axis=0)])
+
+    # no kept row: no pattern, and EM rejects the record
+    (empty,) = pattern_stats(ds.values[None], np.zeros((1, 120, 3), bool))
+    assert empty.n == 0 and empty.counts.shape == (0,) and empty.observed.shape == (0, 3)
+    assert not empty.mu.any() and not empty.var.any()
+    with pytest.raises(DegenerateDataError, match="n=0, d=3"):
+        em_mvn(empty)
 
 
 class TestRidgePath:
@@ -300,7 +355,7 @@ class TestRidgePath:
             values = np.column_stack([a, 2.0 * a, rng.standard_normal(60)])
             mask = rng.random((60, 3)) >= 0.2
             mask[:, 0] = True
-            fit = em_mvn(values, mask)
+            fit = fit_one(values, mask)
             assert np.isfinite(fit.sigma).all() and np.isfinite(fit.loglik_trace).all()
             ridged.append(fit.ridged)
         assert any(ridged)

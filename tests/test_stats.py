@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import mcartest.em
 import mcartest.stats
 from mcartest import (
     ColumnRoles,
@@ -22,10 +21,11 @@ from mcartest import (
     rng_stream,
     ustat_mcar_test,
 )
-from mcartest.stats import TESTS, closed_form_batch
+from mcartest.stats import TESTS, closed_form_batch, little_general_batch
 
 from conftest import (
     bivariate_reference,
+    fit_one,
     gap_matrix,
     little_univariate_reference,
     make_dataset,
@@ -379,7 +379,7 @@ class TestBivariate:
 
     def test_requires_single_pair(self, rng):
         ds, roles = make_dataset(rng, 30, 2, 1)
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(ValueError, match="the dn test requires p = 1 and q = 1"):
             bivariate_mcar_test(ds, roles)
 
     def test_zero_variance(self, rng):
@@ -419,7 +419,7 @@ class TestLittleUnivariate:
 
     def test_requires_single_incomplete(self, rng):
         ds, roles = make_dataset(rng, 30, 1, 2)
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(ValueError, match="the d2_univariate test requires q = 1"):
             little_mcar_univariate(ds, roles)
 
     def test_requires_both_groups(self, rng):
@@ -460,26 +460,25 @@ class TestLittleGeneral:
             little_mcar_general(empty)
 
     def test_groups_patterns_once(self, rng, monkeypatch):
+        # one pattern_stats call for the whole stack, and EM reads its records
         calls = []
-        for module in (mcartest.em, mcartest.stats):
-            original = getattr(module, "group_patterns", None)
-            if original is None:
-                continue
+        original = mcartest.stats.pattern_stats
 
-            def counted(mask, original=original):
-                calls.append(mask.shape)
-                return original(mask)
+        def counted(values, mask):
+            calls.append(mask.shape)
+            return original(values, mask)
 
-            monkeypatch.setattr(module, "group_patterns", counted)
-        ds, _ = make_dataset(rng, 200, 2, 3, miss_prob=0.2)
-        little_mcar_general(ds)
-        assert len(calls) == 1
+        monkeypatch.setattr(mcartest.stats, "pattern_stats", counted)
+        values, mask = stacked([make_dataset(rng, 200, 2, 3, miss_prob=0.2)[0] for _ in range(4)])
+        result = mcartest.stats.little_general_batch(values, mask)["d2_general"]
+        assert calls == [(4, 200, 5)]
+        assert result.errors == (None,) * 4
 
     def test_fit_holds_no_copy_of_the_mask(self):
-        # the single-pattern check's copy of the kept rows is gone before
-        # EM runs, so the kernel peaks where em_mvn alone does
+        # the single-pattern check reads the pattern record, so the kernel
+        # peaks where the record and its EM fit alone do
         ds, roles = make_dataset(np.random.default_rng(3), 20_000, 2, 3, clayton=True)
-        em_peak = traced_peak(mcartest.em.em_mvn, ds.values, ds.mask)[0]
+        em_peak = traced_peak(fit_one, ds.values, ds.mask)[0]
         peak = traced_peak(
             mcartest.stats.little_general_batch, ds.values[None], ds.mask[None], roles
         )[0]
@@ -601,6 +600,25 @@ class TestLittleGeneral:
         assert with_row.diagnostics["n"] == without_row.diagnostics["n"] == n_kept < sub.n
         assert base.method == "d2_general"
 
+    @pytest.mark.parametrize("placeholder", [np.nan, np.inf, -np.inf])
+    def test_placeholders_are_never_read(self, placeholder):
+        # the value under a masked cell is a placeholder: a NaN or an
+        # infinity there gives the bits a 0 gives
+        dist = DistributionSpec(kind="clayton", dim=5, theta=1.0, margins=("exp1",) * 5)
+        mech = MechanismSpec(kind="mcar", miss_prob=0.12)
+        roles = ColumnRoles((0, 1), (2, 3, 4))
+        names = ("x1", "x2", "y1", "y2", "y3")
+        for seed in range(5):
+            ds = apply_mechanism(
+                generate(dist, 100, rng_stream(seed, 0)), roles, mech, rng_stream(seed, 1)
+            )
+            zero, other = (
+                little_mcar_general(Dataset(np.where(ds.mask, ds.values, fill), ds.mask, names))
+                for fill in (0.0, placeholder)
+            )
+            assert repr(other.statistic) == repr(zero.statistic)
+            assert other == zero
+
 
 class TestResultRecord:
     def test_record_round_trip(self, rng):
@@ -712,16 +730,17 @@ class TestBatchKernels:
 
     def test_shape_errors_are_raised_for_the_block(self, rng):
         # the closed-form kernel returns the views a shape has; the
-        # per-dataset tests raise for a shape they do not apply to
+        # per-dataset tests raise resolve_tests's ValueError for a shape they
+        # do not apply to
         datasets, roles = kernel_datasets(rng, 12, 2, 2)
         values, mask = stacked(datasets)
         assert list(closed_form_batch(values, mask, roles)) == ["an"]
         assert list(closed_form_batch(values, mask, ColumnRoles((0, 1, 2), (3,)))) == [
             "an", "d2_univariate"
         ]
-        with pytest.raises(DegenerateDataError, match="exactly one complete"):
+        with pytest.raises(ValueError, match="the dn test requires p = 1 and q = 1"):
             bivariate_mcar_test(datasets[0], roles)
-        with pytest.raises(DegenerateDataError, match="exactly one incomplete"):
+        with pytest.raises(ValueError, match="the d2_univariate test requires q = 1"):
             little_mcar_univariate(datasets[0], roles)
         with pytest.raises(DegenerateDataError, match="n >= 3"):
             closed_form_batch(values[:, :2], mask[:, :2], roles)
@@ -894,6 +913,32 @@ def whole_matrix(values, mask, roles):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(mcartest.stats, "_QR_ROWS", values.shape[1])
         return closed_form_batch(values, mask, roles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sets=st.integers(2, 6),
+    n=st.integers(2, 60),
+    d=st.integers(2, 5),
+    miss=st.sampled_from([0.0, 0.1, 0.3, 0.6]),
+)
+def test_d2_general_alone_equals_in_shuffled_stack(seed, n_sets, n, d, miss):
+    # each dataset's entry is bitwise the same whichever stack it is in; the
+    # draws include single patterns, rows and columns with no observed cell,
+    # and n <= d, with NaN placeholders under the masked cells
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n_sets, n, d)) >= miss
+    values = np.where(mask, rng.standard_normal((n_sets, n, d)), np.nan)
+    order = rng.permutation(n_sets)
+    mixed = little_general_batch(values[order], mask[order])["d2_general"]
+    for j, i in enumerate(order.tolist()):
+        alone = little_general_batch(values[i : i + 1], mask[i : i + 1])["d2_general"]
+        assert repr(mixed.errors[j]) == repr(alone.errors[0])
+        assert repr(mixed.statistic[j]) == repr(alone.statistic[0])
+        assert (mixed.df[j], mixed.p_value[j]) == (alone.df[0], alone.p_value[0])
+        for key, entries in mixed.diagnostics.items():
+            assert entries[j] == alone.diagnostics[key][0], key
 
 
 class TestRowBlocks:
