@@ -21,7 +21,13 @@ processes and counts the datasets whose outputs differ in any bit: the
 scales of 1e-6 to 1e6, small integer data (exact zero gaps) and
 degenerate columns, and every statistic, p-value and error, and the
 ``dn`` and ``d2_univariate`` diagnostics, over those and over 1X2Y and
-2X3Y stacks.  ``pairs`` and ``summary`` are those of ``bench/csv_write.py``:
+2X3Y stacks.  A bit count cannot tell a rounding move from a decision
+change, so per test it also reports the error-class changes in each
+direction, the reject flips at alpha = 0.05, and the largest relative move
+of the statistic by decade of the complete columns' |mean|/sd; and per
+side, ``an``'s drift between shifted data and the same data moved back, at
+offsets 1e4 to 1e12.
+``pairs`` and ``summary`` are those of ``bench/csv_write.py``:
 ``perfbench/run.py --trace 0`` on each side, alternating which side goes
 first, then each side's median and quartiles and how many pairs the change
 won.
@@ -111,17 +117,49 @@ out = {}
 for key, values, mask, p, q in stacks():
     roles = ColumnRoles(tuple(range(p)), tuple(range(p, p + q)))
     batches = closed_form_batch(values, mask, roles)
+    # each dataset's largest |mean|/sd over its complete columns
+    x = values[:, :, :p]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.max(np.abs(x.mean(axis=1)) / x.std(axis=1, ddof=1), axis=1)
     out[key] = {
-        tag: {
-            "statistic": b.statistic.tobytes(),
-            "p_value": b.p_value.tobytes(),
-            "errors": [error_text(e) for e in b.errors],
-            "diagnostics": {k: np.asarray(v).tobytes() for k, v in b.diagnostics.items()},
-        }
-        for tag, b in batches.items()
+        "mean_over_sd": ratio.tobytes(),
+        "tests": {
+            tag: {
+                "statistic": b.statistic.tobytes(),
+                "p_value": b.p_value.tobytes(),
+                "errors": [error_text(e) for e in b.errors],
+                "diagnostics": {k: np.asarray(v).tobytes() for k, v in b.diagnostics.items()},
+            }
+            for tag, b in batches.items()
+        },
     }
 with open(sys.argv[1], "wb") as fh:
     pickle.dump(out, fh)
+"""
+
+# run in a child with the side's src first on sys.path: prints, for each
+# offset, an's largest relative drift between 400 2X3Y datasets (n = 100)
+# with the offset added to their complete columns and the same data with it
+# taken off again
+SHIFT_DRIFT = """
+import numpy as np
+from mcartest.data import ColumnRoles
+from mcartest.stats import closed_form_batch
+rng = np.random.default_rng(12345)
+values = rng.standard_normal((400, 100, 5))
+mask = np.ones(values.shape, bool)
+mask[:, :, 2:] = rng.random((400, 100, 3)) >= 0.15
+roles = ColumnRoles((0, 1), (2, 3, 4))
+drift = {}
+for k in (4, 6, 8, 10, 12):
+    shifted = values.copy()
+    shifted[:, :, :2] += 10.0 ** k
+    back = shifted.copy()
+    back[:, :, :2] -= 10.0 ** k
+    a = closed_form_batch(shifted, mask, roles)["an"].statistic
+    b = closed_form_batch(back, mask, roles)["an"].statistic
+    drift[f"1e{k}"] = float(np.max(np.abs(a - b) / np.maximum(b, 1.0)))
+print(repr(drift))
 """
 
 
@@ -154,14 +192,31 @@ def kernel(dirs, out, rounds, repeats, calls):
     _save(out, record)
 
 
-def _differences(parent, change):
-    """Per test: (datasets compared, datasets whose statistic differs in any
-    bit, datasets with any other output differing), over every stack."""
+def _error_class(error):
+    return "valid" if error is None else error[0]
+
+
+def _decade(ratio):
+    """The label of |mean|/sd's decade: all below 1 share one, and a
+    constant column (sd 0) has its own."""
+    if not np.isfinite(ratio):
+        return "constant"
+    return "<1e0" if ratio < 1.0 else f"1e{int(np.floor(np.log10(ratio)))}"
+
+
+def _differences(parent, change, alpha=0.05):
+    """Per test, over every stack: the datasets compared, those whose
+    statistic differs in any bit, and those with any other output differing;
+    the error-class changes by direction; the reject flips at alpha; and,
+    over the datasets valid on both sides, the largest move of the
+    statistic relative to the parent's (or to 1 where that is smaller), by
+    decade of the complete columns' largest |mean|/sd."""
     counts = {}
-    for key, want in parent.items():
-        got = change[key]
-        for tag, w in want.items():
-            g = got[tag]
+    for key, want_stack in parent.items():
+        decades = [_decade(r) for r in np.frombuffer(want_stack["mean_over_sd"])]
+        got_stack = change[key]["tests"]
+        for tag, w in want_stack["tests"].items():
+            g = got_stack[tag]
             stat_w = np.frombuffer(w["statistic"], np.uint64)
             stat_g = np.frombuffer(g["statistic"], np.uint64)
             other = (
@@ -173,10 +228,37 @@ def _differences(parent, change):
                     other |= np.frombuffer(value, np.uint64) != np.frombuffer(
                         g["diagnostics"][name], np.uint64
                     )
-            row = counts.setdefault(tag, [0, 0, 0])
-            row[0] += len(stat_w)
-            row[1] += int(np.sum(stat_w != stat_g))
-            row[2] += int(np.sum(other))
+            row = counts.setdefault(tag, {
+                "datasets_statistic_differs_other_differs": [0, 0, 0],
+                "error_class_changes": {},
+                "reject_flips": {"parent_rejects_change_accepts": 0,
+                                 "parent_accepts_change_rejects": 0},
+                "max_rel_statistic_move_by_decade": {},
+            })
+            bits = row["datasets_statistic_differs_other_differs"]
+            bits[0] += len(stat_w)
+            bits[1] += int(np.sum(stat_w != stat_g))
+            bits[2] += int(np.sum(other))
+            p_w, p_g = np.frombuffer(w["p_value"]), np.frombuffer(g["p_value"])
+            s_w, s_g = np.frombuffer(w["statistic"]), np.frombuffer(g["statistic"])
+            for i, (e_w, e_g) in enumerate(zip(w["errors"], g["errors"])):
+                a, b = _error_class(e_w), _error_class(e_g)
+                if a != b:
+                    changes = row["error_class_changes"]
+                    changes[f"{a} -> {b}"] = changes.get(f"{a} -> {b}", 0) + 1
+                    continue
+                if a != "valid":
+                    continue
+                if (p_w[i] <= alpha) != (p_g[i] <= alpha):
+                    flip = ("parent_rejects_change_accepts" if p_w[i] <= alpha
+                            else "parent_accepts_change_rejects")
+                    row["reject_flips"][flip] += 1
+                move = abs(s_g[i] - s_w[i]) / max(abs(s_w[i]), 1.0)
+                cell = row["max_rel_statistic_move_by_decade"].setdefault(
+                    decades[i], {"datasets": 0, "max_rel_move": 0.0}
+                )
+                cell["datasets"] += 1
+                cell["max_rel_move"] = max(cell["max_rel_move"], float(move))
     return counts
 
 
@@ -192,7 +274,14 @@ def differential(dirs, out):
             )
             outputs[side] = pickle.loads(path.read_bytes())
     counts = _differences(outputs["parent"], outputs["change"])
-    dn = [s["dn"] for s in outputs["change"].values() if "dn" in s]
+    drift = {
+        side: ast.literal_eval(subprocess.run(
+            [sys.executable, "-c", SHIFT_DRIFT], env=_env(dirs[side]), check=True,
+            capture_output=True, text=True,
+        ).stdout)
+        for side in SIDES
+    }
+    dn = [s["tests"]["dn"] for s in outputs["change"].values() if "dn" in s["tests"]]
     valid = [np.array([e is None for e in s["errors"]]) for s in dn]
     zero = [np.frombuffer(s["statistic"]) == 0.0 for s in dn]
     record["differential"] = {
@@ -201,11 +290,23 @@ def differential(dirs, out):
             "stacks with n from 3 to 257, per-column scales 1e-6 to 1e6 and offsets up to "
             "1e8, every fourth stack small integers, and in another fourth every seventh "
             "dataset's complete column constant; 40 stacks each of 1X2Y and 2X3Y); per "
-            "test, the "
-            "datasets compared, those whose statistic differs in any bit, and those whose "
-            "p-value, error, or (dn and d2_univariate) diagnostics differ in any bit"
+            "test, the datasets compared, those whose statistic differs in any bit, and "
+            "those whose p-value, error, or (dn and d2_univariate) diagnostics differ in "
+            "any bit; the error-class changes (parent -> change, 'valid' for no error); "
+            "the reject flips at alpha = 0.05 among datasets valid on both sides; and "
+            "over those, the largest |change - parent| / max(|parent|, 1) of the "
+            "statistic by decade of the dataset's largest complete-column |mean|/sd "
+            "('<1e0' below 1, 'constant' where a complete column has sd 0)"
         ),
-        "datasets_statistic_differs_other_differs": counts,
+        "per_test": counts,
+        "an_shift_drift": {
+            "what": (
+                "an's largest relative drift between 400 2X3Y datasets (n = 100, standard "
+                "normal, incomplete columns missing with probability 0.15) with the offset "
+                "added to their complete columns and the same data with it taken off again"
+            ),
+            **drift,
+        },
         "dn_degenerate": int(sum(np.sum(~v) for v in valid)),
         "dn_valid_statistic_exactly_zero": int(sum(np.sum(v & z) for v, z in zip(valid, zero))),
     }

@@ -35,7 +35,6 @@ calls.  ``little_mcar_general`` reads no roles and calls its kernel.
 """
 
 from dataclasses import asdict, dataclass, field, replace
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -168,59 +167,55 @@ def closed_form_batch(values, mask, roles: ColumnRoles) -> dict:
     The statistic is n * ||Q_x' Q_r||_F^2, Q_x and Q_r orthonormal bases of
     the centred complete columns and response indicators: n times the sum
     of their squared sample canonical correlations (Pillai's trace), which
-    is n * g' S^-1 g.  Both bases come from one Householder QR,
-    [X R] = Q T, of the centred columns each divided by its norm: Q_x is
-    Q's first p columns, and with the small QR T[:, p:] = Q_B T_r the
-    response basis is Q Q_B, so Q_x' Q_r is Q_B's first p rows (Bjorck &
-    Golub 1973).  No cross-product of the columns is formed.  T is taken
-    ``_QR_ROWS`` rows at a time: the R factor of each block, then one QR of
-    those stacked, so the working memory does not grow with n.  Past the
-    QRs, only the eigenvalues of Corr(X) = T_x' T_x and Corr(R) = T_r' T_r
-    are taken: they decide singularity and give ``corr_condition``.
+    is n * g' S^-1 g.  Both bases come from one pass over the rows: a
+    Householder QR of [1 | Z - c], Z = [X R] less c, the first block's
+    column means.  With the ones column first, the trailing block of its R
+    factor is that of the centred columns; each column divided by its norm,
+    the centred norm, it is T in [X R] = Q T for the centred unit-norm
+    columns.  Q_x is Q's first p columns, and with
+    the small QR T[:, p:] = Q_B T_r the response basis is Q Q_B, so
+    Q_x' Q_r is Q_B's first p rows (Bjorck & Golub 1973).  No cross-product
+    of the columns is formed, and the shift keeps a large offset out of the
+    factor.  The QR is taken ``_QR_ROWS`` rows at a time: the R factor of
+    each block, then one QR of those stacked, so the working memory does not
+    grow with n.  Past the QRs, only the eigenvalues of Corr(X) = T_x' T_x
+    and Corr(R) = T_r' T_r are taken: they decide singularity and give
+    ``corr_condition``.
     """
     p, d, n = roles.p, roles.p + roles.q, values.shape[1]
     if n < 3:
         raise DegenerateDataError("the quadratic-form test requires n >= 3")
     complete, incomplete = list(roles.complete), list(roles.incomplete)
-
-    def columns(rows):
-        # the block's complete columns, then its response indicators, one
-        # row each, so every dataset's slice has the same strides in a
-        # stack of any size
-        x = values[:, rows].transpose(0, 2, 1)[:, complete]
-        r = mask[:, rows].transpose(0, 2, 1)[:, incomplete]
-        return np.concatenate([x, r], axis=1, dtype=float)
-
-    # three passes over the rows: the column means, the centred column
-    # norms, and a QR of each block of centred unit-norm columns.  Each
-    # pass gathers every block afresh and centres it in place, so the
-    # working memory is a block whatever n is.
-    spans = [slice(lo, lo + _QR_ROWS) for lo in range(0, n, _QR_ROWS)]
-    mean = reduce(np.add, (columns(s).sum(axis=-1, keepdims=True) for s in spans)) / n
-
-    def centred():
-        for s in spans:
-            z = columns(s)
-            z -= mean
-            yield z
-
-    norms = np.sqrt(reduce(np.add, (np.einsum("...i,...i->...", c, c) for c in centred())))
+    # each block is gathered once: a ones row, then the complete columns and
+    # the response indicators less c, one row each, so every dataset's
+    # slice has the same strides in a stack of any size
+    shift, parts = None, []
+    for lo in range(0, n, _QR_ROWS):
+        rows = values[:, lo : lo + _QR_ROWS].transpose(0, 2, 1)
+        z = np.empty((len(rows), 1 + d, rows.shape[-1]))
+        z[:, 0] = 1.0
+        z[:, 1 : 1 + p] = rows[:, complete]
+        z[:, 1 + p :] = mask[:, lo : lo + _QR_ROWS].transpose(0, 2, 1)[:, incomplete]
+        if shift is None:
+            shift = z[:, 1:].mean(axis=-1, keepdims=True)
+        z[:, 1:] -= shift
+        parts.append(np.linalg.qr(np.swapaxes(z, -1, -2), mode="r"))
+    # the R factor of the blocks' stacked R factors is that of all the rows
+    # (Demmel, Grigori, Hoemmen & Langou 2012)
+    if len(parts) > 1:
+        parts = [np.linalg.qr(np.concatenate(parts, axis=1), mode="r")]
+    # R's first row is sqrt(n) [1, mean - c] up to sign; with fewer rows
+    # than columns, T's rows past n - 1 stay zero
+    head, tail = parts[0][:, 0], parts[0][:, 1:, 1:]
+    norms = np.sqrt(np.einsum("...ij,...ij->...j", tail, tail))
+    mean = shift[..., 0] + head[:, 1:] / head[:, :1]
     # a column whose centred norm is within the rounding of its centring
     # (n eps times the norm of its constant part) is constant: it is taken
     # as zero, so that its correlation matrix has a zero eigenvalue
-    kept = norms > n * _EPS * np.sqrt(n) * np.abs(mean[..., 0])
-    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=kept)[..., None]
-    parts = []
-    for c in centred():
-        c *= scale
-        parts.append(np.linalg.qr(np.swapaxes(c, -1, -2), mode="r"))
-    # the R factor of the blocks' stacked R factors is that of all the rows
-    # (Demmel, Grigori, Hoemmen & Langou 2012); with fewer rows than
-    # columns, T's rows past n stay zero
-    if len(parts) > 1:
-        parts = [np.linalg.qr(np.concatenate(parts, axis=1), mode="r")]
+    kept = norms > n * _EPS * np.sqrt(n) * np.abs(mean)
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=kept)
     t = np.zeros((len(norms), d, d))
-    t[:, : min(n, d)] = parts[0]
+    t[:, : min(n - 1, d)] = tail * scale[:, None, :]
     basis, t_r = np.linalg.qr(t[:, :, p:])
     cross = basis[:, :p]
     t_x = t[:, :p, :p]

@@ -386,12 +386,12 @@ class TestOnePass:
                 "--replications", "40", "--out", str(tmp_path / "r.csv")]
         assert run_cli(*argv) == 0
         # one cell, one block of 40 replications
-        assert qr_calls == [(40, 30, 2), (40, 2, 1)]
+        assert qr_calls == [(40, 30, 3), (40, 2, 1)]
 
     def test_test_factors_the_dataset_once(self, tmp_path, qr_calls):
         path = write_hand(tmp_path)
         assert run_cli("test", "--input", str(path), "--tests", "an,dn,d2") == 0
-        assert qr_calls == [(1, 3, 2), (1, 2, 1)]
+        assert qr_calls == [(1, 3, 3), (1, 2, 1)]
 
 
 # each would run truncated to its integer part: n 100, 2 replications, seed 1, p 1

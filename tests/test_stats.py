@@ -804,11 +804,19 @@ def an_statistic(ds, roles):
         return None
 
 
+def dn_statistic(ds, roles):
+    """``dn``'s signed statistic, or None where it raises DegenerateDataError."""
+    try:
+        return bivariate_mcar_test(ds, roles).statistic
+    except DegenerateDataError:
+        return None
+
+
 def assert_close(got, want, rel):
-    """Both singular, or both statistics within rel of max(want, 1)."""
+    """Both failed, or both statistics within rel of max(|want|, 1)."""
     assert (got is None) == (want is None)
     if want is not None:
-        assert abs(got - want) <= rel * max(want, 1.0)
+        assert abs(got - want) <= rel * max(abs(want), 1.0)
 
 
 CASES = dict(
@@ -834,22 +842,25 @@ def test_power_of_two_column_scale_is_exact(p, q, n, seed, clayton, kind, powers
 @settings(max_examples=200, deadline=None)
 @given(
     **{**CASES, "kind": st.sampled_from(["regular", "constant", "all observed"])},
-    exponents=st.lists(st.floats(0.0, 10.0), min_size=6, max_size=6),
+    exponents=st.lists(st.floats(0.0, 12.0), min_size=6, max_size=6),
     signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=6, max_size=6),
+)
+@example(
+    p=2, q=2, n=3, seed=31225891, clayton=True, kind="regular",
+    exponents=[0.0, 9.5, 0, 0, 0, 0], signs=[-1.0] * 6,
 )
 def test_column_shift_moves_only_the_rounding(p, q, n, seed, clayton, kind, exponents, signs):
     # the shifted values moved back are the numbers the shifted data hold
     # (exactly, once the shift dominates them); the statistic of the shifted
-    # data is theirs up to the kernel's own rounding
+    # data is theirs up to the kernel's own rounding, and so at p = q = 1 is
+    # dn's signed root of it
     ds, roles = invariance_case(p, q, n, seed, clayton, kind)
     shift = np.multiply(signs, np.power(10.0, exponents))[: p + q]
-    shifted = ds.values + shift
-    rounded = Dataset(shifted - shift, ds.mask, ds.column_names)
-    assert_close(
-        an_statistic(Dataset(shifted, ds.mask, ds.column_names), roles),
-        an_statistic(rounded, roles),
-        rel=1e-9,
-    )
+    shifted = Dataset(ds.values + shift, ds.mask, ds.column_names)
+    rounded = Dataset(shifted.values - shift, ds.mask, ds.column_names)
+    statistics = [an_statistic] + [dn_statistic] * (p == q == 1)
+    for statistic in statistics:
+        assert_close(statistic(shifted, roles), statistic(rounded, roles), rel=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -909,7 +920,7 @@ def tall_case(n, p, q, seed, clayton, kind):
 
 def whole_matrix(values, mask, roles):
     """``closed_form_batch`` with every row in one block: one np.linalg.qr of
-    the whole centred matrix."""
+    the whole shifted matrix [1 | Z - c]."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(mcartest.stats, "_QR_ROWS", values.shape[1])
         return closed_form_batch(values, mask, roles)
