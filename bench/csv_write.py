@@ -11,6 +11,7 @@ be run one phase at a time:
     python3 bench/csv_write.py ... --phase trace --pairs 3 --seconds 30
     python3 bench/csv_write.py ... --phase pairs --workload csv_roundtrip --seed 0 --pairs 10
     python3 bench/csv_write.py ... --phase summary
+    python3 bench/csv_write.py ... --phase memory --rows 100000,1000000
 
 ``layers`` writes the seed-0 ``csv_roundtrip`` file with the parent's CLI,
 then times, in one child process per side and round, whole ``write_csv``
@@ -23,10 +24,19 @@ process.  ``trace`` runs
 ``pairs`` runs ``perfbench/run.py --trace 0`` on each side, alternating
 which side goes first.  ``summary`` gives each side's median and
 quartiles, how many pairs the change won, and the parent's quartile spread.
+``memory`` writes the seed-0 ``csv_roundtrip`` file at each ``--rows``
+with the parent's CLI, then, alternating which side goes first, records
+each side's ``generate`` and ``test`` steps' ``ru_maxrss`` and seconds as
+their own processes, checks that both sides generate the same bytes, and
+keeps the largest relative move of a reported statistic and the d2 fit's
+diagnostics; at the first ``--rows`` it also times ``em.pattern_stats`` on
+the loaded file in one child per side and round (best of ``--calls``) and
+takes its ``tracemalloc`` peak.
 """
 
 import argparse
 import ast
+import filecmp
 import json
 import os
 import statistics
@@ -78,6 +88,26 @@ print(repr((calls, tiny_calls, repr_s, orjson_s)))
 """
 
 
+# run in a child with the side's src first on sys.path: argv is the CSV
+# file and the number of calls; prints the seconds of each pattern_stats
+# call on its data, and the tracemalloc peak of one
+TIME_RECORD = """
+import sys, time, tracemalloc
+from mcartest import data
+from mcartest.em import pattern_stats
+ds, _ = data.load_csv(sys.argv[1])
+values, mask = ds.values[None], ds.mask[None]
+calls = []
+for _ in range(int(sys.argv[2])):
+    begin = time.perf_counter()
+    pattern_stats(values, mask)
+    calls.append(time.perf_counter() - begin)
+tracemalloc.start()
+pattern_stats(values, mask)
+print(repr((calls, tracemalloc.get_traced_memory()[1])))
+"""
+
+
 def _env(side_dir):
     return dict(os.environ, PYTHONPATH=str(side_dir / "src"), **BLAS_ENV)
 
@@ -98,7 +128,14 @@ def _save(out, record):
 
 
 def _maxrss_step(side_dir, args, cwd):
-    """(seconds, ru_maxrss MB) of one CLI call as its own process."""
+    """(seconds, ru_maxrss MB) of one CLI call as its own process.
+
+    At exec Linux keeps the high-water RSS of the memory the child
+    replaces, which a vforked child shares with this process: the child's
+    ru_maxrss is at least this process's peak RSS.  So this process
+    compares files in chunks (``filecmp``) and never reads a whole data
+    file into memory; at 1M rows that read set every step's figure.
+    """
     begin = time.perf_counter()
     child = subprocess.Popen(
         [sys.executable, "-m", "mcartest", *args], env=_env(side_dir), cwd=cwd,
@@ -132,7 +169,7 @@ def layers(dirs, out, rounds, calls):
                 times, tiny_times, repr_s, orjson_s = ast.literal_eval(text)
                 write[side].extend(times)
                 tiny[side].extend(tiny_times)
-                same = same and copy.read_bytes() == data.read_bytes()
+                same = same and filecmp.cmp(copy, data, shallow=False)
                 if side == "change":
                     fmt["repr_s"].append(repr_s)
                     fmt["orjson_s"].append(orjson_s)
@@ -144,9 +181,9 @@ def layers(dirs, out, rounds, calls):
                 }
                 for step, args in steps.items():
                     rss[step][side].append(round(_maxrss_step(dirs[side], args, tmp)[1], 2))
-                same = same and out_csv.read_bytes() == data.read_bytes()
-            parent_tiny = (tmp / "parent-tiny.csv").read_bytes()
-            same = same and (tmp / "change-tiny.csv").read_bytes() == parent_tiny
+                same = same and filecmp.cmp(out_csv, data, shallow=False)
+            same = same and filecmp.cmp(tmp / "change-tiny.csv", tmp / "parent-tiny.csv",
+                                        shallow=False)
     record["layers"] = {
         "what": (
             f"in-process write_csv of the seed-0 csv_roundtrip file (100,000 x 5), "
@@ -164,6 +201,78 @@ def layers(dirs, out, rounds, calls):
         "every_file_byte_identical": same,
     }
     _save(out, record)
+
+
+def memory(dirs, out, rows, rounds, calls):
+    record = _load(out)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for count in rows:
+            generate = list(GENERATE)
+            generate[generate.index("--n") + 1] = str(count)
+            data = tmp / f"{count}.csv"
+            _maxrss_step(dirs["parent"], [*generate, "--out", str(data)], tmp)
+            steps = {f"{step}_{s}": {side: [] for side in SIDES}
+                     for step in ("generate", "test") for s in ("mb", "s")}
+            reports, same = {}, True
+            for r in range(rounds):
+                for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+                    out_csv, report = tmp / f"{side}-gen.csv", tmp / f"{side}.json"
+                    args = {
+                        "generate": [*generate, "--out", str(out_csv)],
+                        "test": ["test", "--input", str(data), "--tests", "an,d2",
+                                 "--out", str(report)],
+                    }
+                    for step, argv in args.items():
+                        seconds, mb = _maxrss_step(dirs[side], argv, tmp)
+                        steps[f"{step}_mb"][side].append(round(mb, 2))
+                        steps[f"{step}_s"][side].append(round(seconds, 4))
+                    same = same and filecmp.cmp(out_csv, data, shallow=False)
+                    reports[side] = json.loads(report.read_text())
+            moves = {}
+            for want, got in zip(reports["parent"], reports["change"]):
+                rel = abs(got["statistic"] - want["statistic"]) / abs(want["statistic"])
+                moves[want["method"]] = {
+                    "parent": want["statistic"], "change": got["statistic"],
+                    "rel_move": rel, "same_df_and_diagnostics_but_floats": all(
+                        got["diagnostics"][k] == v for k, v in want["diagnostics"].items()
+                        if not isinstance(v, float)
+                    ) and got["df"] == want["df"],
+                }
+            entry = {
+                **{k: {side: _quartiles(v[side]) for side in SIDES} for k, v in steps.items()},
+                "per_round": steps,
+                "generated_csv_byte_identical": same,
+                "statistics": moves,
+            }
+            if count == rows[0]:
+                timing = {side: [] for side in SIDES}
+                peak = {}
+                for r in range(rounds):
+                    for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+                        text = subprocess.run(
+                            [sys.executable, "-c", TIME_RECORD, str(data), str(calls)],
+                            env=_env(dirs[side]), check=True, capture_output=True, text=True,
+                        ).stdout
+                        times, peak[side] = ast.literal_eval(text)
+                        timing[side].append(round(min(times) * 1e3, 3))
+                entry["pattern_stats_best_ms"] = {
+                    side: {**_quartiles(v), "per_round": v} for side, v in timing.items()
+                }
+                entry["pattern_stats_tracemalloc_peak_mb"] = {
+                    side: round(v / 2**20, 3) for side, v in peak.items()
+                }
+            record.setdefault("memory", {})[f"{count}_rows"] = entry
+            record["memory"]["what"] = (
+                f"the seed-0 csv_roundtrip generate and test steps at each row count, "
+                f"each as its own process: ru_maxrss (MB) and seconds, {rounds} rounds "
+                f"alternating which side goes first; whether both sides generate the same "
+                f"bytes; each reported statistic on both sides and its relative move, and "
+                f"whether df and every non-float diagnostic (EM iterations, patterns) are "
+                f"equal; at {rows[0]} rows, em.pattern_stats on the loaded file in one child "
+                f"per side and round, the best of {calls} calls, and its tracemalloc peak"
+            )
+            _save(out, record)
 
 
 def _bench(side_dir, workload, seed, seconds, trace):
@@ -229,13 +338,16 @@ def main(argv=None):
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, default=Path("BENCH_csv_write.json"))
-    parser.add_argument("--phase", choices=("layers", "trace", "pairs", "summary"), required=True)
+    parser.add_argument(
+        "--phase", choices=("layers", "trace", "pairs", "summary", "memory"), required=True
+    )
     parser.add_argument("--workload", default="csv_roundtrip")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=60.0)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--calls", type=int, default=5)
+    parser.add_argument("--rows", default="100000,1000000")
     args = parser.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out = args.out.resolve()
@@ -247,6 +359,9 @@ def main(argv=None):
     elif args.phase == "pairs":
         key = f"{args.workload}_seed{args.seed}_{args.seconds:g}s"
         pairs(dirs, out, key, args.workload, args.seed, args.seconds, args.pairs, 0)
+    elif args.phase == "memory":
+        rows = [int(v) for v in args.rows.split(",")]
+        memory(dirs, out, rows, args.rounds, args.calls)
     else:
         summary(out)
     return 0

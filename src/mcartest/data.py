@@ -515,8 +515,8 @@ def write_csv(ds: Dataset, path, na_token: str = "NA") -> None:
     trip reproduces the observed values and the mask exactly.  The rows are
     written ``_BLOCK_ROWS`` at a time: one ``orjson.dumps`` of each block's
     values, split into cells; the masked cells replaced by the token, and
-    the cells orjson writes in another notation than ``repr`` by their
-    ``repr``; and one write of its lines, byte for byte what csv.writer
+    the observed cells orjson writes in another notation than ``repr`` by
+    their ``repr``; and one write of its lines, byte for byte what csv.writer
     writes.  A block in which every cell is masked or takes ``repr`` is
     formatted by one ``repr`` of its list instead, with no ``orjson.dumps``.
 
@@ -553,19 +553,20 @@ def write_csv(ds: Dataset, path, na_token: str = "NA") -> None:
             observed = ds.mask[block].ravel()
             size = np.abs(values)
             outside = (size >= 1e16) | ((size < 1e-4) & (size != 0))
-            redo = np.flatnonzero(~observed | outside)
-            if len(redo) == len(values):
+            redo = np.flatnonzero(observed & outside)
+            missing = np.flatnonzero(~observed).tolist()
+            if len(redo) + len(missing) == len(values):
                 # no cell keeps orjson's text: the repr of a list of floats
                 # is the floats' reprs joined by ", "
                 cells = repr(values.tolist())[1:-1].split(", ")
-                for k in np.flatnonzero(~observed).tolist():
-                    cells[k] = na
             else:
                 # a 1-D array of floats dumps as its cells joined by ","
                 text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
                 cells = text[1:-1].split(",")
                 reprs = repr(values[redo].tolist())[1:-1].split(", ")
-                for k, cell, seen in zip(redo.tolist(), reprs, observed[redo].tolist()):
-                    cells[k] = cell if seen else na
+                for k, cell in zip(redo.tolist(), reprs):
+                    cells[k] = cell
+            for k in missing:
+                cells[k] = na
             rows = zip(*[iter(cells)] * ds.d)
             fh.write("\r\n".join(map(",".join, rows)) + "\r\n")

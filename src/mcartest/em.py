@@ -13,9 +13,11 @@ is non-decreasing, which the tests exploit.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
+from .data import _BLOCK_ROWS
 from .errors import DegenerateDataError, SingularMatrixError
 
 __all__ = ["EmResult", "PatternStats", "em_mvn", "pattern_stats"]
@@ -109,31 +111,49 @@ def pattern_stats(values: np.ndarray, mask: np.ndarray) -> list:
     ``values`` and ``mask`` are the datasets' values and masks (True where
     observed); values under a False mask entry are never read.  One stable
     sort of all R * n rows, keyed on (dataset, packed mask bits), puts each
-    pattern's rows in one ascending run, so any width works and every
-    pattern's mean and scatter add its rows in ascending order.
+    pattern's rows in one ascending run, so any width works.  A key of at
+    most 8 bytes sorts as one big-endian unsigned integer, in the order of
+    its bytes.
+
+    No temporary grows with n beyond the sort's key and order: the rows are
+    read ``_BLOCK_ROWS`` at a time.  The available-case start takes two
+    passes over row blocks of the stack, the observed sums and then the
+    squared deviations from their means.  Each pattern's run is folded a
+    block at a time: each block's count, mean and centred scatter, merged
+    into the run's so far by the pairwise update of Chan, Golub & LeVeque
+    (1983).  A run or dataset of one block adds its rows in ascending order,
+    as one pass over it would.
     """
     n_sets, n_rows, d = values.shape
     seen = np.maximum(mask.sum(axis=1), 1)
-    # one R x n x d buffer holds the observed values, then the squared
-    # deviations of the observed cells; the rest of it stays 0
-    dev = np.where(mask, values, 0.0)
-    mu = dev.sum(axis=1) / seen
-    np.subtract(values, mu[:, None, :], out=dev, where=mask)
-    var = np.square(dev, out=dev).sum(axis=1) / seen
-    del dev
+    blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n_rows, _BLOCK_ROWS)]
+    sums = (np.where(mask[:, b], values[:, b], 0.0).sum(axis=1) for b in blocks)
+    mu = reduce(np.add, sums) / seen
+    var = reduce(np.add, (_square_dev(values[:, b], mask[:, b], mu) for b in blocks)) / seen
 
     # a row's key is its dataset's index, big-endian in the fewest bytes
-    # that hold it (none for one dataset), then its mask bits
-    width = ((n_sets - 1).bit_length() + 7) // 8
-    keys = np.empty((n_sets, n_rows, width + (d + 7) // 8), np.uint8)
+    # that hold it (none for one dataset), then its mask bits; up to 8 bytes
+    # it is left-padded with zeros to an unsigned integer's width
+    width, packed = ((n_sets - 1).bit_length() + 7) // 8, (d + 7) // 8
+    size = width + packed
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
+        key_type = np.dtype(f">u{size}")
+    else:
+        key_type = np.dtype((np.void, size))
+    keys = np.zeros((n_sets, n_rows, size), np.uint8)
     index = np.arange(n_sets, dtype=">u8").view(np.uint8).reshape(-1, 1, 8)
-    keys[:, :, :width] = index[:, :, 8 - width :]
-    keys[:, :, width:] = np.packbits(mask, axis=2)
-    keys = keys.reshape(n_sets * n_rows, -1)
-    order = np.argsort(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), kind="stable")
-    keys = keys[order]
-    runs = np.split(order, np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1)
+    keys[:, :, size - packed - width : size - packed] = index[:, :, 8 - width :]
+    keys[:, :, size - packed :] = np.packbits(mask, axis=2)
+    keys = keys.reshape(n_sets * n_rows, size).view(key_type).ravel()
+    order = np.argsort(keys, kind="stable")
+    # where the sorted key changes, a block of the order at a time
+    starts = []
+    for lo in range(0, len(order) - 1, _BLOCK_ROWS):
+        key = keys[order[lo : lo + _BLOCK_ROWS + 1]]
+        starts.extend((np.flatnonzero(key[1:] != key[:-1]) + lo + 1).tolist())
     del keys
+    runs = np.split(order, starts)
     # each dataset's patterns in order of first appearance; rows with no
     # observed cell form no pattern
     flat, flat_mask = values.reshape(-1, d), mask.reshape(-1, d)
@@ -143,12 +163,11 @@ def pattern_stats(values: np.ndarray, mask: np.ndarray) -> list:
     counts = np.array([rows.size for rows in runs], dtype=float)
     means = np.empty((len(runs), d))
     scatter = np.empty((len(runs), d, d))
-    for k, rows in enumerate(runs):
-        z = flat[rows]
-        z[:, ~observed[k]] = 0.0
-        means[k] = z.mean(axis=0)
-        z -= means[k]
-        scatter[k] = z.T @ z
+    for k, (rows, obs) in enumerate(zip(runs, observed)):
+        _, means[k], scatter[k] = reduce(_merge, (
+            _moments(flat[rows[lo : lo + _BLOCK_ROWS]], obs)
+            for lo in range(0, rows.size, _BLOCK_ROWS)
+        ))
     cuts = np.searchsorted(firsts // n_rows, np.arange(n_sets + 1)).tolist()
     return [
         PatternStats(
@@ -157,6 +176,33 @@ def pattern_stats(values: np.ndarray, mask: np.ndarray) -> list:
         )
         for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
     ]
+
+
+def _moments(z: np.ndarray, observed: np.ndarray) -> tuple:
+    """(rows, mean, scatter about the mean) of a block ``z`` of one pattern's
+    rows, a copy whose columns not ``observed`` are zeroed here."""
+    z[:, ~observed] = 0.0
+    mean = z.mean(axis=0)
+    z -= mean
+    return len(z), mean, z.T @ z
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The ``_moments`` of two sets of rows together, from theirs: the
+    pairwise update of Chan, Golub & LeVeque (1983, Am. Stat. 37(3))."""
+    (n_a, mean_a, scatter_a), (n_b, mean_b, scatter_b) = a, b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    outer = np.outer(delta, delta * (n_a * n_b / n))
+    return n, mean_a + delta * (n_b / n), scatter_a + scatter_b + outer
+
+
+def _square_dev(values: np.ndarray, mask: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Per dataset and column of an (R, rows, d) block, the sum of the
+    observed cells' squared deviations from ``mu`` (R, d)."""
+    dev = np.where(mask, values, 0.0)
+    np.subtract(values, mu[:, None, :], out=dev, where=mask)
+    return np.square(dev, out=dev).sum(axis=1)
 
 
 def em_mvn(patterns: PatternStats, tol: float = 1e-8, max_iter: int = 500) -> EmResult:

@@ -289,7 +289,8 @@ def generate_block(spec: DistributionSpec, rngs, out: np.ndarray) -> np.ndarray:
     it row by row.  The Clayton copula is a mixture: one Gamma(1/theta, 1)
     frailty per row, then independent Exp(1) shocks per cell, and
     U = (1 + E/V)^(-1/theta); each margin is applied columnwise to U
-    through its quantile function.  Returns ``out``.
+    through its quantile function: exp1's in place, chisq4's through one
+    new column.  Returns ``out``.
     """
     if spec.kind == "std_normal":
         for rng, values in zip(rngs, out):
@@ -304,7 +305,8 @@ def generate_block(spec: DistributionSpec, rngs, out: np.ndarray) -> np.ndarray:
     out **= -1.0 / spec.theta
     for j, margin in enumerate(spec.margins):
         if margin == "exp1":
-            out[..., j] = -np.log1p(-out[..., j])
+            u = out[..., j]
+            np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
         elif margin == "chisq4":
             out[..., j] = chi2_quantile(out[..., j], 4)
     return out
@@ -381,7 +383,10 @@ def amputate_block(
     above its median (mar_1_to_x) or mean (mar_mean) take the high-group
     rate, and ties go low.  mar_1_to_x's rates solve p_high = x * p_low
     with mean rate p: p_high = 2px/(x+1), p_low = 2p/(x+1), so x = 1 is
-    mcar draw for draw.  ``mar_rank`` masks exactly round(n*p) cells per
+    mcar draw for draw.  A cell is kept where its uniform is at least its
+    row's rate, compared through the control's split as
+    ``np.where(split, u >= p_high, u >= p_low)``: beside the uniforms, the
+    masks made are boolean.  ``mar_rank`` masks exactly round(n*p) cells per
     target, one ``rng.choice`` without replacement weighted by the
     control's average ranks.
     """
@@ -399,12 +404,8 @@ def amputate_block(
             for j, c in zip(targets, controls):
                 held[rng.choice(n, size=m, replace=False, p=probs[c][i]), j] = False
         return
-    uniforms = np.empty((len(values), len(targets), n))
-    for rng, u in zip(rngs, uniforms):
-        rng.random(u.shape, out=u)
-    if spec.kind == "mcar":
-        thresholds = repeat(spec.miss_prob)
-    else:
+    split = None
+    if spec.kind != "mcar":
         # one (p_high, p_low) pair per target; zip stops at the last control
         if spec.kind == "mar_1_to_x":
             p, x = spec.miss_prob, spec.odds
@@ -417,14 +418,24 @@ def amputate_block(
             )
             center = partial(np.mean, axis=-1)
         # targets sharing a control share its split; a row's centre sums
-        # its own control values only, in the order a lone dataset does
+        # its own control values only, in the order a lone dataset does.
+        # The splits come before the draws, so the median's work copy of a
+        # control is gone when they are made
         split = {
             c: values[..., c] > center(values[..., c])[:, None]
             for c in set(controls)
         }
-        thresholds = [np.where(split[c], hi, lo) for c, (hi, lo) in zip(controls, rates)]
-    for j, u, threshold in zip(targets, uniforms.transpose(1, 0, 2), thresholds):
-        mask[..., j] &= u >= threshold
+    uniforms = np.empty((len(values), len(targets), n))
+    for rng, u in zip(rngs, uniforms):
+        rng.random(u.shape, out=u)
+    # each target's (R, n) uniforms, in target order
+    per_target = uniforms.transpose(1, 0, 2)
+    if split is None:
+        for j, u in zip(targets, per_target):
+            mask[..., j] &= u >= spec.miss_prob
+    else:
+        for j, u, c, (hi, lo) in zip(targets, per_target, controls, rates):
+            mask[..., j] &= np.where(split[c], u >= hi, u >= lo)
 
 
 def apply_mechanism(ds: Dataset, roles: ColumnRoles, spec: MechanismSpec, rng) -> Dataset:

@@ -12,6 +12,7 @@ from mcartest import (
     em_mvn,
     pattern_stats,
 )
+import mcartest.em
 from mcartest.em import _chol, _factor
 
 from conftest import fit_one, loop_group_patterns, make_dataset, traced_peak
@@ -135,21 +136,45 @@ def test_all_missing_rows_are_dropped(rng):
     np.testing.assert_allclose(with_row.sigma, without_row.sigma, atol=1e-9)
 
 
-def test_fit_with_every_row_kept_allocates_one_data_sized_array(rng):
-    # beside its inputs the record and the fit allocate at most one n x d
-    # float array; the slack is an n x d bool array, n bytes, and 64 KiB for
-    # everything that does not grow with n
+def record_bound(n, d, key_bytes):
+    """``pattern_stats``' traced peak bound on one (n, d) dataset: the sort's
+    order (8 bytes a row) and key, four float blocks of ``_BLOCK_ROWS`` rows
+    and 64 KiB for everything that grows with neither, the record of a few
+    patterns among it; no n x d array."""
+    return n * (8 + key_bytes) + 4 * mcartest.em._BLOCK_ROWS * d * 8 + 2**16
+
+
+def test_fit_with_every_row_kept_allocates_no_data_sized_array(rng):
+    # the record and the fit allocate no n x d float array beside their
+    # inputs; a 5-column mask's key is one byte
     n, d = 100_000, 5
     values = rng.standard_normal((n, d))
     mask = rng.random((n, d)) >= 0.1
     mask[:, 0] = True
     peak, fit = traced_peak(fit_one, values, mask)
     assert fit.converged and fit.iterations > 1
-    assert peak <= values.nbytes + mask.nbytes + n + 2**16
-    # each pattern's mean is that of its rows with the missing cells zeroed
+    assert peak <= record_bound(n, d, 1) < values.nbytes // 2
+    # each pattern's mean is that of its rows with the missing cells zeroed,
+    # folded over blocks: to rounding, where a run spans more than one
     (record,) = pattern_stats(values[None], mask[None])
     assert record.n == n and len(record.counts) > 1
-    assert record.means.tobytes() == loop_record(values, mask)[2].tobytes()
+    assert record.counts.max() > mcartest.em._BLOCK_ROWS
+    np.testing.assert_allclose(record.means, loop_record(values, mask)[2], rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("d, key_bytes", [(5, 1), (20, 4)])
+def test_record_of_a_long_dataset_holds_no_float_copy(d, key_bytes):
+    # the available-case start and the largest pattern's run, most of the
+    # rows, are read a block at a time; 20 columns pack into a 4-byte key.
+    # Three incomplete columns keep the record itself (K x d x d) small
+    rng = np.random.default_rng(11)
+    n = 200_000
+    values = rng.standard_normal((n, d))
+    mask = np.ones((n, d), bool)
+    mask[:, -3:] = rng.random((n, 3)) >= 0.1
+    peak, (record,) = traced_peak(pattern_stats, values[None], mask[None])
+    assert record.counts.max() > n // 3
+    assert peak <= record_bound(n, d, key_bytes) < values.nbytes // 2
 
 
 def test_never_observed_column_rejected(rng):
@@ -260,6 +285,31 @@ def test_group_patterns_matches_row_loop(stack):
         var = (np.where(m, x - mu, 0.0) ** 2).sum(axis=0) / np.maximum(seen, 1)
         np.testing.assert_allclose(record.mu, mu, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(record.var, var, rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=stacks(), rows=st.sampled_from([1, 2, 7]))
+def test_short_blocks_match_one_block(stack, rows):
+    # blocks of 1, 2 or 7 rows fold each longer run with the pairwise update
+    # and take the start over several blocks; a run, or a dataset's start,
+    # within one block keeps the bits of one pass over it
+    values, mask = stack
+    want = pattern_stats(values, mask)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mcartest.em, "_BLOCK_ROWS", rows)
+        got = pattern_stats(values, mask)
+    for g, w in zip(got, want, strict=True):
+        assert g.n == w.n and np.array_equal(g.counts, w.counts)
+        assert np.array_equal(g.observed, w.observed)
+        short = w.counts <= rows
+        assert g.means[short].tobytes() == w.means[short].tobytes()
+        assert g.scatter[short].tobytes() == w.scatter[short].tobytes()
+        np.testing.assert_allclose(g.means, w.means, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g.scatter, w.scatter, rtol=1e-12, atol=1e-12)
+        if values.shape[1] <= rows:
+            assert (g.mu.tobytes(), g.var.tobytes()) == (w.mu.tobytes(), w.var.tobytes())
+        np.testing.assert_allclose(g.mu, w.mu, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g.var, w.var, rtol=1e-12, atol=1e-12)
 
 
 def test_group_patterns_wide_mask(rng):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from conftest import draw_distribution, draw_mechanism
+from conftest import draw_distribution, draw_mechanism, traced_peak
 
 import mcartest.synthesis
 from mcartest import (
@@ -205,6 +205,28 @@ class TestGenerators:
         assert np.shares_memory(ds.values, blocks[0])
         assert ds.values.tobytes() == blocks[0][0].tobytes()
         assert not ds.values.flags.writeable and not ds.mask.flags.writeable
+
+    def test_generate_and_amputate_hold_one_column_beside_their_arrays(self):
+        # the csv_roundtrip data: an exp1 margin is applied in place, and a
+        # target's cells are kept by comparing its uniforms through its
+        # control's split, with no float threshold per row.  Beside the
+        # returned dataset, the full mask it was made from and amputation's
+        # (targets, n) uniforms, the two peak at one float column
+        n = 200_000
+        dist = DistributionSpec(kind="clayton", dim=5, theta=1.0, margins=("exp1",) * 5)
+        spec = MechanismSpec(kind="mar_1_to_x", miss_prob=0.12, odds=9.0)
+        roles = roles_for(2, 3)
+
+        def both():
+            full = generate(dist, n, rng_stream(0, 0))
+            return apply_mechanism(full, roles, spec, rng_stream(0, 1))
+
+        peak, ds = traced_peak(both)
+        column = n * 8
+        returned = ds.values.nbytes + ds.mask.nbytes
+        assert peak <= returned + ds.mask.nbytes + 3 * column + column + 2**17
+        alone, _ = traced_peak(generate, dist, n, rng_stream(0, 0))
+        assert alone <= returned + column + 2**17
 
     def test_pattern_names(self):
         assert pattern_names(2, 3) == ("x1", "x2", "y1", "y2", "y3")
@@ -558,3 +580,60 @@ def test_blocks_match_one_dataset_calls(case):
         ds = apply_mechanism(full, roles, spec, rng_stream(seed, rep, 1))
         assert values[rep].tobytes() == ds.values.tobytes()
         assert mask[rep].tobytes() == ds.mask.tobytes()
+
+
+def rate_rule_mask(values, roles, spec, rng):
+    """One (n, d) dataset's mask under ``spec``, from the mechanisms' rules
+    as numpy and scipy give them: the reference for ``amputate_block``.
+
+    A per-row rate (``miss_prob``, or the high rate above the control's
+    median or mean and the low one elsewhere) is compared with the
+    target's uniforms as one float threshold per row; mar_rank weighs
+    ``rng.choice`` by scipy's average ranks.
+    """
+    targets, controls = fit_mechanism(spec, roles)
+    n = len(values)
+    mask = np.ones(values.shape, dtype=bool)
+    if spec.kind == "mar_rank":
+        m = int(np.floor(n * spec.miss_prob + 0.5))
+        for j, c in zip(targets, controls):
+            if m:
+                weights = sps.rankdata(values[:, c])
+                mask[rng.choice(n, size=m, replace=False, p=weights / weights.sum()), j] = False
+        return mask
+    uniforms = rng.random((len(targets), n))
+    for t, j in enumerate(targets):
+        if spec.kind == "mcar":
+            rate = spec.miss_prob
+        else:
+            control = values[:, controls[t]]
+            if spec.kind == "mar_1_to_x":
+                p, x = spec.miss_prob, spec.odds
+                high, low = min(2.0 * p * x / (x + 1.0), 1.0), 2.0 * p / (x + 1.0)
+                above = control > np.median(control)
+            else:
+                defaults = mcartest.synthesis.DEFAULT_MAR_MEAN_RATES
+                high, low = (
+                    defaults[t % 2] if spec.p_high is None else (spec.p_high[t], spec.p_low[t])
+                )
+                above = control > control.mean()
+            rate = np.where(above, high, low)
+        mask[:, j] = uniforms[t] >= rate
+    return mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=block_cases())
+def test_block_masks_follow_the_rate_rule(case):
+    # every mechanism, in a block of any size, masks each dataset's cells as
+    # its per-row rate thresholds do
+    p, q, n, reps, seed, dist, spec = case
+    roles = roles_for(p, q)
+    values = generate_block(
+        dist, (rng_stream(seed, rep, 0) for rep in range(reps)), np.empty((reps, n, p + q))
+    )
+    mask = np.ones(values.shape, dtype=bool)
+    amputate_block(values, mask, roles, spec, (rng_stream(seed, rep, 1) for rep in range(reps)))
+    for rep in range(reps):
+        want = rate_rule_mask(values[rep], roles, spec, rng_stream(seed, rep, 1))
+        assert mask[rep].tobytes() == want.tobytes()
