@@ -11,7 +11,7 @@ be run one phase at a time:
     python3 bench/csv_write.py ... --phase trace --pairs 3 --seconds 30
     python3 bench/csv_write.py ... --phase pairs --workload csv_roundtrip --seed 0 --pairs 10
     python3 bench/csv_write.py ... --phase summary
-    python3 bench/csv_write.py ... --phase memory --rows 100000,1000000
+    python3 bench/csv_write.py ... --phase memory
 
 ``layers`` writes the seed-0 ``csv_roundtrip`` file with the parent's CLI,
 then times, in one child process per side and round, whole ``write_csv``
@@ -24,12 +24,12 @@ process.  ``trace`` runs
 ``pairs`` runs ``perfbench/run.py --trace 0`` on each side, alternating
 which side goes first.  ``summary`` gives each side's median and
 quartiles, how many pairs the change won, and the parent's quartile spread.
-``memory`` writes the seed-0 ``csv_roundtrip`` file at each ``--rows``
+``memory`` writes the seed-0 ``csv_roundtrip`` file at each of ``ROWS``
 with the parent's CLI, then, alternating which side goes first, records
 each side's ``generate`` and ``test`` steps' ``ru_maxrss`` and seconds as
 their own processes, checks that both sides generate the same bytes, and
 keeps the largest relative move of a reported statistic and the d2 fit's
-diagnostics; at the first ``--rows`` it also times ``em.pattern_stats`` on
+diagnostics; at the first of ``ROWS`` it also times ``em.pattern_stats`` on
 the loaded file in one child per side and round (best of ``--calls``) and
 takes its ``tracemalloc`` peak.
 """
@@ -54,6 +54,8 @@ GENERATE = [
     "--dist", "clayton", "--margins", "exp1",
     "--mechanism", "mar_1_to_x", "--miss-prob", "0.12", "--odds", "9", "--seed", "0",
 ]
+# the row counts of the memory phase
+ROWS = (100_000, 1_000_000)
 
 # run in a child with the side's src first on sys.path: argv is the CSV
 # file, the number of calls, and the files to write the data and the
@@ -203,11 +205,11 @@ def layers(dirs, out, rounds, calls):
     _save(out, record)
 
 
-def memory(dirs, out, rows, rounds, calls):
+def memory(dirs, out, rounds, calls):
     record = _load(out)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for count in rows:
+        for count in ROWS:
             generate = list(GENERATE)
             generate[generate.index("--n") + 1] = str(count)
             data = tmp / f"{count}.csv"
@@ -245,7 +247,7 @@ def memory(dirs, out, rows, rounds, calls):
                 "generated_csv_byte_identical": same,
                 "statistics": moves,
             }
-            if count == rows[0]:
+            if count == ROWS[0]:
                 timing = {side: [] for side in SIDES}
                 peak = {}
                 for r in range(rounds):
@@ -269,7 +271,7 @@ def memory(dirs, out, rows, rounds, calls):
                 f"alternating which side goes first; whether both sides generate the same "
                 f"bytes; each reported statistic on both sides and its relative move, and "
                 f"whether df and every non-float diagnostic (EM iterations, patterns) are "
-                f"equal; at {rows[0]} rows, em.pattern_stats on the loaded file in one child "
+                f"equal; at {ROWS[0]} rows, em.pattern_stats on the loaded file in one child "
                 f"per side and round, the best of {calls} calls, and its tracemalloc peak"
             )
             _save(out, record)
@@ -347,7 +349,6 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--calls", type=int, default=5)
-    parser.add_argument("--rows", default="100000,1000000")
     args = parser.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out = args.out.resolve()
@@ -360,8 +361,7 @@ def main(argv=None):
         key = f"{args.workload}_seed{args.seed}_{args.seconds:g}s"
         pairs(dirs, out, key, args.workload, args.seed, args.seconds, args.pairs, 0)
     elif args.phase == "memory":
-        rows = [int(v) for v in args.rows.split(",")]
-        memory(dirs, out, rows, args.rounds, args.calls)
+        memory(dirs, out, args.rounds, args.calls)
     else:
         summary(out)
     return 0

@@ -111,9 +111,7 @@ def pattern_stats(values: np.ndarray, mask: np.ndarray) -> list:
     ``values`` and ``mask`` are the datasets' values and masks (True where
     observed); values under a False mask entry are never read.  One stable
     sort of all R * n rows, keyed on (dataset, packed mask bits), puts each
-    pattern's rows in one ascending run, so any width works.  A key of at
-    most 8 bytes sorts as one big-endian unsigned integer, in the order of
-    its bytes.
+    pattern's rows in one ascending run, so any width works.
 
     No temporary grows with n beyond the sort's key and order: the rows are
     read ``_BLOCK_ROWS`` at a time.  The available-case start takes two
@@ -132,26 +130,19 @@ def pattern_stats(values: np.ndarray, mask: np.ndarray) -> list:
     var = reduce(np.add, (_square_dev(values[:, b], mask[:, b], mu) for b in blocks)) / seen
 
     # a row's key is its dataset's index, big-endian in the fewest bytes
-    # that hold it (none for one dataset), then its mask bits; up to 8 bytes
-    # it is left-padded with zeros to an unsigned integer's width
-    width, packed = ((n_sets - 1).bit_length() + 7) // 8, (d + 7) // 8
-    size = width + packed
-    if size <= 8:
-        size = 1 << (size - 1).bit_length()
-        key_type = np.dtype(f">u{size}")
-    else:
-        key_type = np.dtype((np.void, size))
-    keys = np.zeros((n_sets, n_rows, size), np.uint8)
+    # that hold it (none for one dataset), then its mask bits
+    width = ((n_sets - 1).bit_length() + 7) // 8
+    keys = np.empty((n_sets, n_rows, width + (d + 7) // 8), np.uint8)
     index = np.arange(n_sets, dtype=">u8").view(np.uint8).reshape(-1, 1, 8)
-    keys[:, :, size - packed - width : size - packed] = index[:, :, 8 - width :]
-    keys[:, :, size - packed :] = np.packbits(mask, axis=2)
-    keys = keys.reshape(n_sets * n_rows, size).view(key_type).ravel()
-    order = np.argsort(keys, kind="stable")
+    keys[:, :, :width] = index[:, :, 8 - width :]
+    keys[:, :, width:] = np.packbits(mask, axis=2)
+    keys = keys.reshape(n_sets * n_rows, -1)
+    order = np.argsort(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), kind="stable")
     # where the sorted key changes, a block of the order at a time
     starts = []
     for lo in range(0, len(order) - 1, _BLOCK_ROWS):
         key = keys[order[lo : lo + _BLOCK_ROWS + 1]]
-        starts.extend((np.flatnonzero(key[1:] != key[:-1]) + lo + 1).tolist())
+        starts.extend((np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + lo + 1).tolist())
     del keys
     runs = np.split(order, starts)
     # each dataset's patterns in order of first appearance; rows with no
@@ -164,10 +155,10 @@ def pattern_stats(values: np.ndarray, mask: np.ndarray) -> list:
     means = np.empty((len(runs), d))
     scatter = np.empty((len(runs), d, d))
     for k, (rows, obs) in enumerate(zip(runs, observed)):
-        _, means[k], scatter[k] = reduce(_merge, (
-            _moments(flat[rows[lo : lo + _BLOCK_ROWS]], obs)
-            for lo in range(0, rows.size, _BLOCK_ROWS)
-        ))
+        moments = _moments(flat[rows[:_BLOCK_ROWS]], obs)
+        for lo in range(_BLOCK_ROWS, rows.size, _BLOCK_ROWS):
+            moments = _merge(moments, _moments(flat[rows[lo : lo + _BLOCK_ROWS]], obs))
+        _, means[k], scatter[k] = moments
     cuts = np.searchsorted(firsts // n_rows, np.arange(n_sets + 1)).tolist()
     return [
         PatternStats(

@@ -404,9 +404,11 @@ def amputate_block(
             for j, c in zip(targets, controls):
                 held[rng.choice(n, size=m, replace=False, p=probs[c][i]), j] = False
         return
-    split = None
-    if spec.kind != "mcar":
-        # one (p_high, p_low) pair per target; zip stops at the last control
+    # one (p_high, p_low) pair per target; zip stops at the last target
+    if spec.kind == "mcar":
+        split, controls = None, repeat(None)
+        rates = repeat((spec.miss_prob, spec.miss_prob))
+    else:
         if spec.kind == "mar_1_to_x":
             p, x = spec.miss_prob, spec.odds
             rates = repeat((min(2.0 * p * x / (x + 1.0), 1.0), 2.0 * p / (x + 1.0)))
@@ -428,14 +430,8 @@ def amputate_block(
     uniforms = np.empty((len(values), len(targets), n))
     for rng, u in zip(rngs, uniforms):
         rng.random(u.shape, out=u)
-    # each target's (R, n) uniforms, in target order
-    per_target = uniforms.transpose(1, 0, 2)
-    if split is None:
-        for j, u in zip(targets, per_target):
-            mask[..., j] &= u >= spec.miss_prob
-    else:
-        for j, u, c, (hi, lo) in zip(targets, per_target, controls, rates):
-            mask[..., j] &= np.where(split[c], u >= hi, u >= lo)
+    for j, u, c, (hi, lo) in zip(targets, uniforms.transpose(1, 0, 2), controls, rates):
+        mask[..., j] &= u >= lo if split is None else np.where(split[c], u >= hi, u >= lo)
 
 
 def apply_mechanism(ds: Dataset, roles: ColumnRoles, spec: MechanismSpec, rng) -> Dataset:
