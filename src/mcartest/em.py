@@ -2,18 +2,18 @@
 
 ``pattern_stats`` reduces each dataset of an (R, n, d) stack to one record:
 per missingness pattern its size, observed columns, observed-cell mean and
-scatter about that mean, plus the available-case start.  One stable sort
-over all the stack's rows finds the patterns.  That record is all EM reads,
-and with the fit all Little's d2 reads: ``em_mvn`` fits a record without
-touching a row, each iteration the sweep-operator E-step (Little & Rubin;
-Schafer 1997) on the stack of the patterns' observed covariance blocks,
-factored in one batched Cholesky.  The observed-data log-likelihood is
-evaluated at the parameters entering each E-step; EM guarantees the trace
-is non-decreasing, which the tests exploit.
+scatter about that mean, plus the available-case start merged from them.
+One ``np.lexsort`` over the key bytes of all the stack's rows finds the
+patterns.  That record is all EM reads, and with the fit all Little's d2
+reads: ``em_mvn`` fits a record without touching a row, each iteration the
+sweep-operator E-step (Little & Rubin; Schafer 1997) on the stack of the
+patterns' observed covariance blocks, factored in one batched Cholesky.
+The observed-data log-likelihood is evaluated at the parameters entering
+each E-step; EM guarantees the trace is non-decreasing, which the tests
+exploit.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -110,44 +110,38 @@ def pattern_stats(values: np.ndarray, mask: np.ndarray) -> list:
 
     ``values`` and ``mask`` are the datasets' values and masks (True where
     observed); values under a False mask entry are never read.  One stable
-    sort of all R * n rows, keyed on (dataset, packed mask bits), puts each
-    pattern's rows in one ascending run, so any width works.
+    ``np.lexsort`` of all R * n rows over their key bytes (dataset, packed
+    mask bits) puts each pattern's rows in one ascending run, so any width
+    works.
 
     No temporary grows with n beyond the sort's key and order: the rows are
-    read ``_BLOCK_ROWS`` at a time.  The available-case start takes two
-    passes over row blocks of the stack, the observed sums and then the
-    squared deviations from their means.  Each pattern's run is folded a
-    block at a time: each block's count, mean and centred scatter, merged
-    into the run's so far by the pairwise update of Chan, Golub & LeVeque
-    (1983).  A run or dataset of one block adds its rows in ascending order,
-    as one pass over it would.
+    read ``_BLOCK_ROWS`` at a time.  Each pattern's run is folded a block at
+    a time, each block's count, mean and centred scatter merged into the
+    run's so far by the pairwise update of Chan, Golub & LeVeque (1983); a
+    run of one block adds its rows in ascending order, as one pass would.
+    The same update merges the patterns into the available-case start.
     """
     n_sets, n_rows, d = values.shape
-    seen = np.maximum(mask.sum(axis=1), 1)
-    blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n_rows, _BLOCK_ROWS)]
-    sums = (np.where(mask[:, b], values[:, b], 0.0).sum(axis=1) for b in blocks)
-    mu = reduce(np.add, sums) / seen
-    var = reduce(np.add, (_square_dev(values[:, b], mask[:, b], mu) for b in blocks)) / seen
-
-    # a row's key is its dataset's index, big-endian in the fewest bytes
-    # that hold it (none for one dataset), then its mask bits
+    flat, flat_mask = values.reshape(-1, d), mask.reshape(-1, d)
+    # a row's key, a byte column at a time: its dataset's index, big-endian
+    # in the fewest bytes that hold it (none for one dataset), then its
+    # mask bits; lexsort's last key is its first
     width = ((n_sets - 1).bit_length() + 7) // 8
-    keys = np.empty((n_sets, n_rows, width + (d + 7) // 8), np.uint8)
-    index = np.arange(n_sets, dtype=">u8").view(np.uint8).reshape(-1, 1, 8)
-    keys[:, :, :width] = index[:, :, 8 - width :]
-    keys[:, :, width:] = np.packbits(mask, axis=2)
-    keys = keys.reshape(n_sets * n_rows, -1)
-    order = np.argsort(keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), kind="stable")
+    index = np.arange(n_sets, dtype=">u8").view(np.uint8).reshape(-1, 8).T
+    keys = np.zeros((width + (d + 7) // 8, n_sets * n_rows), np.uint8)
+    keys[:width] = np.repeat(index[8 - width :], n_rows, axis=1)
+    for j, bits in enumerate(flat_mask.view(np.uint8).T):
+        keys[width + j // 8] |= bits << np.uint8(7 - j % 8)
+    order = np.lexsort(keys[::-1])
     # where the sorted key changes, a block of the order at a time
     starts = []
     for lo in range(0, len(order) - 1, _BLOCK_ROWS):
-        key = keys[order[lo : lo + _BLOCK_ROWS + 1]]
-        starts.extend((np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + lo + 1).tolist())
+        key = keys[:, order[lo : lo + _BLOCK_ROWS + 1]]
+        starts.extend((np.flatnonzero((key[:, 1:] != key[:, :-1]).any(axis=0)) + lo + 1).tolist())
     del keys
     runs = np.split(order, starts)
     # each dataset's patterns in order of first appearance; rows with no
     # observed cell form no pattern
-    flat, flat_mask = values.reshape(-1, d), mask.reshape(-1, d)
     runs = [rows for rows in sorted(runs, key=lambda rows: rows[0]) if flat_mask[rows[0]].any()]
     firsts = np.array([rows[0] for rows in runs], dtype=np.intp)
     observed = flat_mask[firsts]
@@ -159,7 +153,19 @@ def pattern_stats(values: np.ndarray, mask: np.ndarray) -> list:
         for lo in range(_BLOCK_ROWS, rows.size, _BLOCK_ROWS):
             moments = _merge(moments, _moments(flat[rows[lo : lo + _BLOCK_ROWS]], obs))
         _, means[k], scatter[k] = moments
-    cuts = np.searchsorted(firsts // n_rows, np.arange(n_sets + 1)).tolist()
+    owner = firsts // n_rows
+    slots = (owner[:, None] * d + np.arange(d)).ravel()
+
+    def per_set(terms):  # each dataset's sum over its patterns, (R, d)
+        return np.bincount(slots, terms.ravel(), n_sets * d).reshape(n_sets, d)
+
+    # each column's rows, mean and squared deviations over its patterns
+    weight = counts[:, None] * observed
+    seen = np.maximum(per_set(weight), 1.0)
+    mu = per_set(counts[:, None] * means) / seen
+    square_dev = np.diagonal(scatter, axis1=1, axis2=2) + weight * (means - mu[owner]) ** 2
+    var = per_set(square_dev) / seen
+    cuts = np.searchsorted(owner, np.arange(n_sets + 1)).tolist()
     return [
         PatternStats(
             int(counts[lo:hi].sum()), counts[lo:hi], observed[lo:hi], means[lo:hi],
@@ -186,14 +192,6 @@ def _merge(a: tuple, b: tuple) -> tuple:
     delta = mean_b - mean_a
     outer = np.outer(delta, delta * (n_a * n_b / n))
     return n, mean_a + delta * (n_b / n), scatter_a + scatter_b + outer
-
-
-def _square_dev(values: np.ndarray, mask: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Per dataset and column of an (R, rows, d) block, the sum of the
-    observed cells' squared deviations from ``mu`` (R, d)."""
-    dev = np.where(mask, values, 0.0)
-    np.subtract(values, mu[:, None, :], out=dev, where=mask)
-    return np.square(dev, out=dev).sum(axis=1)
 
 
 def em_mvn(patterns: PatternStats, tol: float = 1e-8, max_iter: int = 500) -> EmResult:

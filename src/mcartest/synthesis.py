@@ -443,4 +443,6 @@ def apply_mechanism(ds: Dataset, roles: ColumnRoles, spec: MechanismSpec, rng) -
     """
     mask = np.array(ds.mask)
     amputate_block(ds.values[None], mask[None], roles, spec, [rng])
+    # no one else holds this mask, so the Dataset can keep it as it is
+    mask.setflags(write=False)
     return ds.with_mask(mask)

@@ -312,6 +312,40 @@ def test_short_blocks_match_one_block(stack, rows):
         np.testing.assert_allclose(g.var, w.var, rtol=1e-12, atol=1e-12)
 
 
+def test_record_of_a_stack_with_two_byte_keys(rng):
+    # 300 datasets take a 2-byte index and 11 columns a 2-byte mask, so the
+    # sort runs over four key bytes; each dataset's record is its own
+    n_sets, n, d = 300, 30, 11
+    pool = rng.random((12, d)) >= 0.4
+    pool[0] = True
+    mask = pool[rng.integers(0, len(pool), (n_sets, n))]
+    values = np.where(mask, rng.standard_normal(mask.shape), np.nan)
+    records = pattern_stats(values, mask)
+    assert len(records) == n_sets
+    for record, x, m in zip(records, values, mask):
+        counts, observed, means, scatter = loop_record(x, m)
+        assert np.array_equal(record.counts, counts)
+        assert np.array_equal(record.observed, observed)
+        assert record.means.tobytes() == means.tobytes()
+        assert record.scatter.tobytes() == scatter.tobytes()
+
+
+def test_start_of_a_long_dataset_is_the_two_pass_moments(rng):
+    # the start merged from the patterns of a dataset longer than four
+    # blocks is, to rounding, each column's observed mean and the mean of
+    # its squared deviations from it
+    n, d = 4 * mcartest.em._BLOCK_ROWS + 123, 4
+    values = rng.standard_normal((n, d)) * [1.0, 1e-3, 1e3, 5.0] + [0.0, 7.0, -3e3, 1e4]
+    mask = rng.random((n, d)) >= [0.0, 0.1, 0.3, 0.6]
+    (record,) = pattern_stats(values[None], mask[None])
+    assert record.counts.max() > mcartest.em._BLOCK_ROWS
+    seen = mask.sum(axis=0)
+    mu = np.where(mask, values, 0.0).sum(axis=0) / seen
+    var = (np.where(mask, values - mu, 0.0) ** 2).sum(axis=0) / seen
+    np.testing.assert_allclose(record.mu, mu, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(record.var, var, rtol=1e-12, atol=0)
+
+
 def test_group_patterns_wide_mask(rng):
     # 70 columns: more mask bits than an int64 key holds
     mask = rng.random((300, 70)) >= 0.5

@@ -206,6 +206,22 @@ class TestGenerators:
         assert ds.values.tobytes() == blocks[0][0].tobytes()
         assert not ds.values.flags.writeable and not ds.mask.flags.writeable
 
+    def test_dataset_adopts_the_amputated_mask(self, monkeypatch):
+        # apply_mechanism's mask is a fresh copy that amputate_block writes
+        # and no one else holds, so the Dataset keeps it instead of copying
+        masks = []
+
+        def recorded(values, mask, roles, spec, rngs):
+            masks.append(mask)
+            return amputate_block(values, mask, roles, spec, rngs)
+
+        monkeypatch.setattr(mcartest.synthesis, "amputate_block", recorded)
+        ds = generate(DistributionSpec(kind="std_normal", dim=3), 50, rng_stream(6, 0))
+        out = amputate(ds, roles_for(1, 2), rng_stream(6, 1), kind="mcar", miss_prob=0.3)
+        assert np.shares_memory(out.mask, masks[0])
+        assert out.mask.tobytes() == masks[0][0].tobytes() and not out.mask.all()
+        assert not out.mask.flags.writeable and not np.shares_memory(out.mask, ds.mask)
+
     def test_generate_and_amputate_hold_one_column_beside_their_arrays(self):
         # the csv_roundtrip data: an exp1 margin is applied in place, and a
         # target's cells are kept by comparing its uniforms through its
