@@ -49,5 +49,5 @@ import csv
 
 with open(results_csv, newline="") as fh:
     rows = list(csv.DictReader(fh))
-render_rate_chart(rows, "param", out_dir / "null_size.svg", alpha=0.05)
+render_rate_chart(rows, out_dir / "null_size.svg", alpha=0.05)
 print(f"wrote {results_csv} and {out_dir / 'null_size.svg'}")

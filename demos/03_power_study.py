@@ -42,7 +42,7 @@ results_csv = out_dir / "mar_power.csv"
 results_to_csv(cells, results_csv)
 with open(results_csv, newline="") as fh:
     rows = list(csv.DictReader(fh))
-render_rate_chart(rows, "param", out_dir / "mar_power.svg", alpha=0.05)
+render_rate_chart(rows, out_dir / "mar_power.svg", alpha=0.05)
 print(f"wrote {results_csv} and {out_dir / 'mar_power.svg'}")
 
 # the same study is one CLI call:

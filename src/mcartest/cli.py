@@ -20,7 +20,7 @@ from .data import ColumnRoles, load_csv, write_csv
 from .errors import McartestError
 from .harness import Scenario, results_to_csv, run_cell, sweep_scenarios
 from .numerics import rng_stream
-from .stats import KNOWN_TESTS, check_alpha, resolve_tests, run_batch
+from .stats import KNOWN_TESTS, check_alpha, run_tests
 from .synthesis import (
     DISTRIBUTION_KINDS,
     MARGIN_KINDS,
@@ -95,13 +95,11 @@ def _cmd_test(args, parser) -> int:
     na_tokens = set(args.na_token) if args.na_token else None
     incomplete = _split_csv_list(args.roles) if args.roles else None
     try:
-        # --roles naming no column, or leaving one with missing cells complete
+        # bad --roles (see load_csv), or a test that does not fit the columns
         ds, roles = load_csv(args.input, na_tokens=na_tokens, incomplete=incomplete)
-        tags = resolve_tests(tags, roles.p, roles.q)
+        results = run_tests(tags, ds, roles, args.alpha)
     except ValueError as exc:
         parser.error(str(exc))
-    batches = run_batch(tags, ds.values[None], ds.mask[None], roles)
-    results = [batch.result(0, args.alpha) for batch in batches.values()]
 
     name = Path(args.input).name
     print(f"{name}: n={ds.n} rows, {roles.p} complete, {roles.q} incomplete columns")
@@ -291,7 +289,7 @@ def _cmd_plot(args, parser) -> int:
 
     with open(args.input, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    render_rate_chart(rows, args.x, args.out, alpha=args.alpha)
+    render_rate_chart(rows, args.out, alpha=args.alpha)
     print(f"chart written to {args.out}")
     return EXIT_OK
 
@@ -391,7 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render a results CSV as SVG")
     p.add_argument("--input", required=True, help="results CSV from simulate")
     p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--x", choices=["param", "n"], default="param")
     p.add_argument("--alpha", type=float, default=0.05)
 
     return parser

@@ -25,6 +25,9 @@ __all__ = ["EmResult", "PatternStats", "em_mvn", "pattern_stats"]
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _RIDGE_SCALE = 1e-8
 _VAR_FLOOR = 1e-6
+# EM's stopping rule: an absolute log-likelihood change, and an iteration cap
+_TOL = 1e-8
+_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,7 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return n, mean_a + delta * (n_b / n), scatter_a + scatter_b + outer
 
 
-def em_mvn(patterns: PatternStats, tol: float = 1e-8, max_iter: int = 500) -> EmResult:
+def em_mvn(patterns: PatternStats) -> EmResult:
     """Fit a multivariate normal to a dataset with missing cells.
 
     Parameters
@@ -202,11 +205,6 @@ def em_mvn(patterns: PatternStats, tol: float = 1e-8, max_iter: int = 500) -> Em
     patterns : PatternStats
         The dataset's record from ``pattern_stats``; for one (n, d) dataset,
         ``pattern_stats(values[None], mask[None])[0]``.
-    tol : float
-        Stop when the observed-data log-likelihood changes by less than
-        this between iterations.
-    max_iter : int
-        Iteration cap; exceeding it returns ``converged=False``.
 
     Raises
     ------
@@ -217,12 +215,10 @@ def em_mvn(patterns: PatternStats, tol: float = 1e-8, max_iter: int = 500) -> Em
     -----
     Rows with no observed cells carry no information and are not in the
     record.  With no missing cells at all the maximum-likelihood solution
-    is direct and the trace has a single entry.
+    is direct and the trace has a single entry.  Otherwise EM stops once the
+    log-likelihood changes by less than ``_TOL``, or returns
+    ``converged=False`` after ``_MAX_ITER`` iterations.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n, counts, observed, means, scatter = (
         patterns.n, patterns.counts, patterns.observed, patterns.means, patterns.scatter
     )
@@ -265,7 +261,7 @@ def em_mvn(patterns: PatternStats, tol: float = 1e-8, max_iter: int = 500) -> Em
     converged = False
     iterations = 0
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         iterations += 1
         # each pattern's observed block, padded with the identity
         factors, used = _factor(np.where(both, sigma, eye), observed)
@@ -292,7 +288,7 @@ def em_mvn(patterns: PatternStats, tol: float = 1e-8, max_iter: int = 500) -> Em
         sigma = ((counts * spread.T) @ spread + within.sum(axis=0)) / n
         sigma = 0.5 * (sigma + sigma.T)
 
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < _TOL:
             converged = True
             break
 

@@ -152,15 +152,15 @@ class CellResult:
     ks_vs_chi2: float = None
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("wilson_interval needs at least one trial")
     phat = successes / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
-    half = z * float(
+    half = _Z95 * float(
         np.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
     ) / denom
     # the interval is exact at the extremes; avoid rounding fuzz there

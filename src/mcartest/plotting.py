@@ -64,18 +64,21 @@ def _collect_series(rows, x_field):
     return series
 
 
-def render_rate_chart(rows, x_field: str, out_path, alpha: float = 0.05) -> None:
+def render_rate_chart(rows, out_path, alpha: float = 0.05) -> None:
     """Write an SVG rate chart for parsed results rows.
 
     ``rows``: mappings with keys test, rate, ci_low, ci_high and the swept
-    field (``param`` or ``n``).  Values may be strings straight from the
-    results CSV.  Raises DataFormatError when a key is missing or a value
-    is not a finite number, when there is nothing to draw (fewer than two
-    distinct x values), or when rows from different sweeps are mixed.
+    field, ``n`` when the rows' n varies and their ``param`` does not, else
+    ``param``.  Values may be strings straight from the results CSV.
+    Raises DataFormatError when a key is missing or a value is not a finite
+    number, when there is nothing to draw (fewer than two distinct x
+    values), or when rows from different sweeps are mixed.
     """
     rows = list(rows)
     if not rows:
         raise DataFormatError("nothing to plot: no input rows")
+    distinct = {field: len({row.get(field) for row in rows}) for field in ("n", "param")}
+    x_field = "n" if distinct["n"] > 1 and distinct["param"] == 1 else "param"
     series = _collect_series(rows, x_field)
     all_x = sorted({x for pts in series.values() for x, *_ in pts})
     if len(all_x) < 2:

@@ -29,9 +29,9 @@ replace are the test suite's independent references.
 and the column shapes it applies to.  ``resolve_tests`` is the one shape
 rule: it resolves the ``d2`` alias and rejects an unknown name or a test
 that does not fit p x q.  ``run_batch`` runs tests on a stack, each
-distinct kernel once.  ``TESTS[tag].run`` is its call on one dataset,
-after checking alpha and the roles; the first three functions are its
-calls.  ``little_mcar_general`` reads no roles and calls its kernel.
+distinct kernel once.  ``run_tests`` is its call on one dataset, after
+checking alpha and the roles, for the CLI and the first three functions.
+``little_mcar_general`` reads no roles and calls its kernel.
 """
 
 from dataclasses import asdict, dataclass, field, replace
@@ -58,6 +58,7 @@ __all__ = [
     "TestSpec",
     "TESTS",
     "run_batch",
+    "run_tests",
     "KNOWN_TESTS",
     "resolve_tests",
 ]
@@ -309,7 +310,7 @@ def ustat_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> Tes
     statistic against the pq x pq route and the maximum-likelihood moment
     pair.  Computed as ``closed_form_batch`` of a stack of one.
     """
-    return TESTS["an"].run(ds, roles, alpha)
+    return run_tests(("an",), ds, roles, alpha)[0]
 
 
 def bivariate_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> TestResult:
@@ -322,7 +323,7 @@ def bivariate_mcar_test(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) ->
     finds Var(X) * Var(R) singular.  Computed as ``closed_form_batch`` of a
     stack of one: the statistic is the signed root of ``an``'s.
     """
-    return TESTS["dn"].run(ds, roles, alpha)
+    return run_tests(("dn",), ds, roles, alpha)[0]
 
 
 def little_mcar_univariate(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05) -> TestResult:
@@ -336,7 +337,7 @@ def little_mcar_univariate(ds: Dataset, roles: ColumnRoles, alpha: float = 0.05)
     quadratic-form test; computed as ``closed_form_batch`` of a stack of
     one.
     """
-    return TESTS["d2_univariate"].run(ds, roles, alpha)
+    return run_tests(("d2_univariate",), ds, roles, alpha)[0]
 
 
 def little_general_batch(values, mask, roles: ColumnRoles = None) -> dict:
@@ -451,14 +452,6 @@ class TestSpec:
     p: int = None
     q: int = None
 
-    def run(self, ds: Dataset, roles: ColumnRoles, alpha: float) -> TestResult:
-        """Test one dataset: ``run_batch`` of a stack of one, after checking
-        alpha and the roles; raises the test's exception for it."""
-        check_alpha(alpha)
-        roles.validate(ds)
-        (tag,) = [tag for tag, spec in TESTS.items() if spec is self]
-        return run_batch((tag,), ds.values[None], ds.mask[None], roles)[tag].result(0, alpha)
-
 
 # The test registry, by resolved wire name.
 TESTS = {
@@ -485,6 +478,16 @@ def run_batch(tags, values, mask, roles: ColumnRoles) -> dict:
         if tag not in results:
             results.update(TESTS[tag].batch(values, mask, roles))
     return {tag: results[tag] for tag in tags}
+
+
+def run_tests(tags, ds: Dataset, roles: ColumnRoles, alpha: float) -> list:
+    """The TestResult of each test of ``resolve_tests(tags, p, q)`` on one
+    dataset: ``run_batch`` of a stack of one, after checking alpha and the
+    roles.  Raises the first failing test's exception."""
+    check_alpha(alpha)
+    roles.validate(ds)
+    batches = run_batch(tags, ds.values[None], ds.mask[None], roles)
+    return [batch.result(0, alpha) for batch in batches.values()]
 
 
 # wire names; "d2" picks the closed form when q = 1 and the general

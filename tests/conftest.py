@@ -4,12 +4,14 @@ import os
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import mcartest
+import mcartest.em
 from mcartest import ColumnRoles, Dataset, DegenerateDataError, response_matrix
 from mcartest.numerics import _singular_errors
 from mcartest.synthesis import (
@@ -260,10 +262,13 @@ def bivariate_reference(ds, roles):
     return z, p_value
 
 
-def fit_one(values, mask, **controls):
+def fit_one(values, mask, tol=mcartest.em._TOL, max_iter=mcartest.em._MAX_ITER):
     """``em_mvn`` of one (n, d) dataset: the fit of its pattern record, as
-    a stack of one."""
-    return mcartest.em_mvn(mcartest.pattern_stats(values[None], mask[None])[0], **controls)
+    a stack of one, with ``tol`` and ``max_iter`` in place of the stopping
+    rule's ``_TOL`` and ``_MAX_ITER``."""
+    record = mcartest.pattern_stats(values[None], mask[None])[0]
+    with mock.patch.multiple(mcartest.em, _TOL=tol, _MAX_ITER=max_iter):
+        return mcartest.em_mvn(record)
 
 
 def loop_group_patterns(mask):

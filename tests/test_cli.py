@@ -357,6 +357,16 @@ MISFIT_MECHANISMS = [
         "need one control per target (2), got 1",
     ),
     (
+        "control-index-not-complete",
+        ["--mechanism", "mar_1_to_x", "--miss-prob", "0.1", "--controls", "1,0"],
+        "control column 1 is not a complete column",
+    ),
+    (
+        "control-unknown-name",
+        ["--mechanism", "mar_1_to_x", "--miss-prob", "0.1", "--controls", "zz,0"],
+        "no column named 'zz'",
+    ),
+    (
         "one-rate-pair-two-targets",
         ["--mechanism", "mar_mean", "--p-high", "0.1", "--p-low", "0.2"],
         "pair per target",
@@ -512,6 +522,35 @@ class TestUsageErrors:
                 "std_normal takes no theta",
                 id="std-normal-theta",
             ),
+            pytest.param(
+                SIMULATE + ["--mechanism", "mar_1_to_x", "--odds", "0.5"],
+                "odds must be >= 1, got 0.5",
+                id="odds-below-one",
+            ),
+            pytest.param(
+                SIMULATE + ["--mechanism", "mar_mean", "--p-high", "0.1,0.2", "--p-low", "0.1"],
+                "p_high and p_low must have equal length",
+                id="mar-mean-unequal-rates",
+            ),
+            pytest.param(
+                SIMULATE + ["--sweep-miss", "0.1", "--sweep-n", "40,50"],
+                "choose one of --sweep-miss and --sweep-n",
+                id="both-sweeps",
+            ),
+            pytest.param(["generate", "--p", "0"], "need --p >= 1", id="generate-p-zero"),
+            pytest.param(["generate", "--n", "0"], "need --n >= 1", id="generate-n-zero"),
+            pytest.param(
+                ["simulate", "--scenario", "{null_kind.json}"], "kind must not be null",
+                id="scenario-null-kind",
+            ),
+            pytest.param(
+                ["simulate", "--scenario", "{zero_dim.json}"], "dim must be positive, got 0",
+                id="scenario-zero-dim",
+            ),
+            pytest.param(
+                ["simulate", "--scenario", "{no_tests.json}"], "no tests selected",
+                id="scenario-no-tests",
+            ),
             # every resolved test's shape rule is checked before the first runs
             pytest.param(
                 ["test", "--input", "{2X1Y.csv}", "--tests", "an,dn"],
@@ -524,6 +563,10 @@ class TestUsageErrors:
                 id="test-d2-univariate-1X2Y",
             ),
             # --roles naming no column, or leaving one with missing cells complete
+            pytest.param(
+                ["test", "--input", "{1X2Y.csv}", "--tests", ","], "at least one test",
+                id="test-no-tests",
+            ),
             pytest.param(
                 ["test", "--input", "{1X2Y.csv}", "--roles", "zz"], "no column named 'zz'",
                 id="test-roles-unknown-column",
@@ -570,6 +613,9 @@ class TestUsageErrors:
                 **good, "mechanism": {"kind": "mcar", "miss_prob": 0.2, "odd": 1},
             },
             "mar_mean_miss_prob": {**good, "mechanism": {"kind": "mar_mean", "miss_prob": 0.2}},
+            "null_kind": {**good, "mechanism": {"kind": None, "miss_prob": 0.2}},
+            "zero_dim": {**good, "distribution": {"kind": "std_normal", "dim": 0}},
+            "no_tests": {**good, "tests": []},
             **{f"fractional_{field}": {**good, field: value} for field, value in FRACTIONAL_FIELDS},
             **{f"quoted_{field}": {**good, field: value} for field, value, _ in QUOTED_FIELDS},
         }
@@ -592,11 +638,11 @@ class TestUsageErrors:
 
 
 class TestPlotCommand:
-    def make_results(self, tmp_path, sweep="0.06,0.12,0.18"):
+    def make_results(self, tmp_path, sweep="0.06,0.12,0.18", flag="--sweep-miss"):
         out = tmp_path / "res.csv"
         code = run_cli(
             "simulate", "--out", str(out), "--n", "40", "--p", "1", "--q", "2",
-            "--mechanism", "mcar", "--sweep-miss", sweep,
+            "--mechanism", "mcar", flag, sweep,
             "--replications", "20", "--seed", "4",
         )
         assert code == 0
@@ -627,6 +673,18 @@ class TestPlotCommand:
         svg = tmp_path / "chart.svg"
         assert run_cli("plot", "--input", str(res), "--out", str(svg)) == 3
         assert "nothing to plot" in capsys.readouterr().err
+        # a header and no rows
+        res.write_text(res.read_text().splitlines()[0] + "\n")
+        assert run_cli("plot", "--input", str(res), "--out", str(svg)) == 3
+        assert "nothing to plot: no input rows" in capsys.readouterr().err
+
+    def test_sample_size_sweep_plots_over_n(self, tmp_path):
+        res = self.make_results(tmp_path, sweep="30,40,50", flag="--sweep-n")
+        svg = tmp_path / "chart.svg"
+        assert run_cli("plot", "--input", str(res), "--out", str(svg)) == 0
+        text = svg.read_text()
+        assert 'font-size="13" text-anchor="middle" font-family="sans-serif">n</text>' in text
+        assert text.count("<polyline") == 2  # one per test
 
     def test_mixed_sweeps_rejected(self, tmp_path, capsys):
         res_a = self.make_results(tmp_path)

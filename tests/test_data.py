@@ -422,6 +422,8 @@ def test_incomplete_override(tmp_path):
 
     with pytest.raises(ValueError, match="no column named"):
         load_csv(path, incomplete=["zz"])
+    with pytest.raises(ValueError, match="incomplete column index 7 out of range"):
+        load_csv(path, incomplete=[7])
 
 
 # repr writes positional notation at 1e-4 <= |v| < 1e16 and exponent

@@ -193,14 +193,6 @@ def test_needs_more_rows_than_columns(rng):
         fit_one(vals, mask)
 
 
-def test_invalid_controls():
-    vals, mask = np.ones((5, 1)), np.ones((5, 1), bool)
-    with pytest.raises(ValueError):
-        fit_one(vals, mask, tol=0.0)
-    with pytest.raises(ValueError):
-        fit_one(vals, mask, max_iter=0)
-
-
 def test_iteration_cap_reported(rng):
     ds = mcar_normal(rng, 200, 3, 0.3)
     fit = fit_one(ds.values, ds.mask, tol=1e-300, max_iter=4)

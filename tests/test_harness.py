@@ -26,7 +26,7 @@ from mcartest.harness import (
     run_grid,
     wilson_interval,
 )
-from mcartest.stats import KNOWN_TESTS, TESTS, resolve_tests
+from mcartest.stats import KNOWN_TESTS, TESTS, resolve_tests, run_tests
 
 
 def scenario(**overrides):
@@ -377,7 +377,7 @@ class TestBlocks:
                 ds = apply_mechanism(full, roles, s.mechanism,
                                      rng_stream(s.master_seed, key, rep, 1))
                 try:
-                    result = TESTS[tag].run(ds, roles, s.alpha)
+                    (result,) = run_tests((tag,), ds, roles, s.alpha)
                 except (SingularMatrixError, DegenerateDataError):
                     continue
                 values.append(result.statistic)

@@ -21,7 +21,7 @@ from mcartest import (
     rng_stream,
     ustat_mcar_test,
 )
-from mcartest.stats import TESTS, closed_form_batch, little_general_batch
+from mcartest.stats import TESTS, closed_form_batch, little_general_batch, run_tests
 
 from conftest import (
     bivariate_reference,
@@ -363,10 +363,10 @@ class TestQuadraticFormTest:
             ustat_mcar_test(ds, roles, alpha=1.5)
         # alpha = 1 is legal and always rejects
         assert ustat_mcar_test(ds, roles, alpha=1.0).reject
-        # every registry runner checks alpha before it tests
-        for spec in TESTS.values():
+        # the one-dataset runner checks alpha before it tests, for every test
+        for tag in TESTS:
             with pytest.raises(ValueError, match="alpha"):
-                spec.run(ds, roles, 0.0)
+                run_tests((tag,), ds, roles, 0.0)
 
 
 class TestBivariate:
@@ -458,6 +458,15 @@ class TestLittleGeneral:
         empty = ds.with_mask(np.zeros((30, 3), dtype=bool))
         with pytest.raises(DegenerateDataError, match="single missingness pattern"):
             little_mcar_general(empty)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_no_degrees_of_freedom_rejected(self, rng, d):
+        # each row observes one column: d patterns of one column each, so
+        # df = d - d = 0
+        mask = np.arange(d) == np.arange(30)[:, None] % d
+        ds = Dataset(rng.standard_normal((30, d)), mask, tuple(f"c{j}" for j in range(d)))
+        with pytest.raises(DegenerateDataError, match="no degrees of freedom"):
+            little_mcar_general(ds)
 
     def test_groups_patterns_once(self, rng, monkeypatch):
         # one pattern_stats call for the whole stack, and EM reads its records
@@ -724,9 +733,9 @@ class TestBatchKernels:
         # roles that leave a column out are an error for every test, d2_general
         # too, although its kernel reads no roles
         ds, _ = make_dataset(rng, 30, 2, 1)
-        for spec in TESTS.values():
+        for tag in TESTS:
             with pytest.raises(ValueError, match="cover every column"):
-                spec.run(ds, ColumnRoles((0,), (2,)), 0.05)
+                run_tests((tag,), ds, ColumnRoles((0,), (2,)), 0.05)
 
     def test_shape_errors_are_raised_for_the_block(self, rng):
         # the closed-form kernel returns the views a shape has; the
@@ -744,9 +753,9 @@ class TestBatchKernels:
             little_mcar_univariate(datasets[0], roles)
         with pytest.raises(DegenerateDataError, match="n >= 3"):
             closed_form_batch(values[:, :2], mask[:, :2], roles)
-        # a registry runner reports the shape rule the CLI reports
+        # the one-dataset runner reports the shape rule the CLI reports
         with pytest.raises(ValueError, match="the dn test requires p = 1 and q = 1"):
-            TESTS["dn"].run(datasets[0], roles, 0.05)
+            run_tests(("dn",), datasets[0], roles, 0.05)
 
 
 @settings(max_examples=300, deadline=None)
