@@ -6,7 +6,6 @@ from .data import (
     DEFAULT_NA_TOKENS,
     infer_roles,
     load_csv,
-    response_matrix,
     write_csv,
 )
 from .em import EmResult, PatternStats, em_mvn, pattern_stats
@@ -50,7 +49,6 @@ __all__ = [
     "DEFAULT_NA_TOKENS",
     "infer_roles",
     "load_csv",
-    "response_matrix",
     "write_csv",
     "EmResult",
     "PatternStats",

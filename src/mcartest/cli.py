@@ -173,6 +173,7 @@ def _apply_flag_defaults(args) -> None:
 
 def _cmd_generate(args, parser) -> int:
     _apply_flag_defaults(args)
+    # the mechanisms amputate incomplete columns against complete controls
     if args.p < 1 or args.q < 1:
         parser.error("need --p >= 1 and --q >= 1")
     if args.n < 1:

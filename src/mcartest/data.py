@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, DegenerateDataError
+from .errors import DataFormatError
 
 DEFAULT_NA_TOKENS = frozenset({"NA", "NaN", ""})
 
@@ -106,16 +106,13 @@ class ColumnRoles:
         return len(self.incomplete)
 
     def validate(self, ds: Dataset) -> None:
-        """Check the roles against a dataset; raise if inconsistent."""
+        """Raise ValueError unless the roles partition the dataset's columns and
+        each complete column is; which tests fit p and q is ``stats.resolve_tests``'s."""
         seen = set(self.complete) | set(self.incomplete)
         if len(self.complete) + len(self.incomplete) != len(seen):
             raise ValueError("complete and incomplete column sets overlap")
         if seen != set(range(ds.d)):
             raise ValueError("roles must cover every column exactly once")
-        if self.p < 1:
-            raise DegenerateDataError(
-                "the tests require at least one fully observed column"
-            )
         for j in self.complete:
             if not ds.mask[:, j].all():
                 raise ValueError(
@@ -129,17 +126,6 @@ def infer_roles(ds: Dataset) -> ColumnRoles:
     complete = [j for j in range(ds.d) if ds.mask[:, j].all()]
     incomplete = [j for j in range(ds.d) if j not in complete]
     return ColumnRoles(tuple(complete), tuple(incomplete))
-
-
-def response_matrix(ds: Dataset, roles: ColumnRoles) -> np.ndarray:
-    """0/1 indicator matrix for the incomplete columns, in roles order.
-
-    Entry (i, v) is 1 iff row i of the v-th incomplete column is observed.
-    """
-    roles.validate(ds)
-    if roles.q == 0:
-        raise DegenerateDataError("no incomplete columns")
-    return ds.mask[:, list(roles.incomplete)].astype(np.int8)
 
 
 def _resolve_incomplete(names, incomplete) -> list:
@@ -466,8 +452,6 @@ def load_csv(path, na_tokens=None, incomplete=None):
         not parse as a finite number, or an entirely missing column.  Of
         the bad cells and ragged lines, the first in the file is reported,
         with the file line on which its record starts.
-    DegenerateDataError
-        No complete columns remain.
     """
     tokens = DEFAULT_NA_TOKENS if na_tokens is None else frozenset(na_tokens)
     path = Path(path)
@@ -488,11 +472,6 @@ def load_csv(path, na_tokens=None, incomplete=None):
         inc = sorted(set(_resolve_incomplete(names, incomplete)))
         comp = [j for j in range(ds.d) if j not in inc]
         roles = ColumnRoles(tuple(comp), tuple(inc))
-    if roles.p < 1:
-        raise DegenerateDataError(
-            f"{path}: every column has missing values; "
-            "the tests require at least one complete column"
-        )
     roles.validate(ds)
     return ds, roles
 

@@ -97,6 +97,7 @@ class Scenario(Spec):
             raise ValueError(
                 f"distribution dim {self.distribution.dim} != p+q = {self.p + self.q}"
             )
+        # the mechanisms amputate incomplete columns against complete controls
         if self.p < 1 or self.q < 1:
             raise ValueError("need p >= 1 complete and q >= 1 incomplete columns")
         if self.n < 3:

@@ -27,11 +27,12 @@ replace are the test suite's independent references.
 
 ``TESTS`` is the one test registry: by wire name, each test's batch kernel
 and the column shapes it applies to.  ``resolve_tests`` is the one shape
-rule: it resolves the ``d2`` alias and rejects an unknown name or a test
-that does not fit p x q.  ``run_batch`` runs tests on a stack, each
-distinct kernel once.  ``run_tests`` is its call on one dataset, after
-checking alpha and the roles, for the CLI and the first three functions.
-``little_mcar_general`` reads no roles and calls its kernel.
+rule: it resolves the ``d2`` alias and rejects an unknown name, q = 0, and
+a test that does not fit p x q (only ``d2_general`` fits p = 0).
+``run_batch`` runs tests on a stack, each distinct kernel once.
+``run_tests`` is its call on one dataset, after checking alpha and the
+roles, for the CLI and the first three functions.  ``little_mcar_general``
+reads no roles and calls its kernel.
 """
 
 from dataclasses import asdict, dataclass, field, replace
@@ -445,12 +446,14 @@ class TestSpec:
     one shape at once and returns {wire name: BatchResult}, for this test
     and any other whose result comes from the same pass.  ``p`` and ``q``,
     when set, are the only numbers of complete and incomplete columns the
-    test applies to; ``resolve_tests`` enforces them.
+    test applies to, and ``min_p`` is the fewest complete columns it
+    needs; ``resolve_tests`` enforces them.
     """
 
     batch: Callable
     p: int = None
     q: int = None
+    min_p: int = 1
 
 
 # The test registry, by resolved wire name.
@@ -458,7 +461,7 @@ TESTS = {
     "an": TestSpec(closed_form_batch),
     "dn": TestSpec(closed_form_batch, p=1, q=1),
     "d2_univariate": TestSpec(closed_form_batch, q=1),
-    "d2_general": TestSpec(little_general_batch),
+    "d2_general": TestSpec(little_general_batch, min_p=0),
 }
 
 
@@ -467,11 +470,8 @@ def run_batch(tags, values, mask, roles: ColumnRoles) -> dict:
     an (R, n, d) stack, for the roles' p and q, in that order.
 
     Each distinct kernel runs once: a test whose result an earlier kernel
-    already returned costs nothing.  Raises DegenerateDataError when no
-    column is incomplete, and then ``resolve_tests``'s ValueError.
+    already returned costs nothing.  Raises ``resolve_tests``'s errors.
     """
-    if roles.q == 0:
-        raise DegenerateDataError("no incomplete columns")
     tags = resolve_tests(tags, roles.p, roles.q)
     results = {}
     for tag in tags:
@@ -490,8 +490,8 @@ def run_tests(tags, ds: Dataset, roles: ColumnRoles, alpha: float) -> list:
     return [batch.result(0, alpha) for batch in batches.values()]
 
 
-# wire names; "d2" picks the closed form when q = 1 and the general
-# (EM-based) statistic otherwise
+# wire names; "d2" picks the closed form when q = 1 and p >= 1, and the
+# general (EM-based) statistic otherwise
 KNOWN_TESTS = (*TESTS, "d2")
 
 
@@ -499,16 +499,21 @@ def resolve_tests(tags, p: int, q: int) -> tuple:
     """The wire names ``tags`` resolved for p complete and q incomplete
     columns, each once, in first-seen order.
 
-    The one shape rule: raises ValueError for a name not in ``KNOWN_TESTS``,
-    and then for a test that does not apply to p and q.
+    The one shape rule: raises ValueError for a name not in ``KNOWN_TESTS``;
+    then DegenerateDataError when q = 0, or when a test needs more complete
+    columns than p; then ValueError for a test that does not apply to p and q.
     """
     for tag in tags:
         if tag not in KNOWN_TESTS:
             raise ValueError(f"unknown test {tag!r}; expected one of {KNOWN_TESTS}")
-    d2 = "d2_univariate" if q == 1 else "d2_general"
+    if q == 0:
+        raise DegenerateDataError("no incomplete columns")
+    d2 = "d2_univariate" if q == 1 and p >= 1 else "d2_general"
     resolved = tuple(dict.fromkeys(d2 if tag == "d2" else tag for tag in tags))
     for tag in resolved:
         spec = TESTS[tag]
+        if p < spec.min_p:
+            raise DegenerateDataError(f"the {tag} test requires at least one complete column")
         if spec.p not in (None, p) or spec.q not in (None, q):
             needs = [f"{k} = {v}" for k, v in (("p", spec.p), ("q", spec.q)) if v]
             raise ValueError(f"the {tag} test requires {' and '.join(needs)}")

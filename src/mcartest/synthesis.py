@@ -338,8 +338,8 @@ def fit_mechanism(spec: MechanismSpec, roles: ColumnRoles) -> tuple:
     column; ``mcar`` has none (None).  Raises DegenerateDataError when the
     targets default to the incomplete columns and there are none, and
     ValueError for a target that is not incomplete, a control that is not
-    complete, or a count of controls or mar_mean rates that does not match
-    the targets.
+    complete (or none to default to), or a count of controls or mar_mean
+    rates that does not match the targets.
     """
     targets = roles.incomplete if spec.target_columns is None else spec.target_columns
     if not targets:
@@ -351,6 +351,8 @@ def fit_mechanism(spec: MechanismSpec, roles: ColumnRoles) -> tuple:
         return targets, None
     controls = spec.controls
     if controls is None:
+        if not roles.complete:
+            raise ValueError(f"{spec.kind}'s controls must be complete columns; there are none")
         controls = tuple(roles.complete[v % roles.p] for v in range(len(targets)))
     elif len(controls) != len(targets):
         raise ValueError(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import mcartest
 import mcartest.em
-from mcartest import ColumnRoles, Dataset, DegenerateDataError, response_matrix
+from mcartest import ColumnRoles, Dataset, DegenerateDataError
 from mcartest.numerics import _singular_errors
 from mcartest.synthesis import (
     MARGIN_KINDS,
@@ -153,6 +153,14 @@ class GapStats:
     unbiased: np.ndarray
     biased: np.ndarray
     n: int
+
+
+def response_matrix(ds, roles):
+    """0/1 indicator matrix for the incomplete columns, in roles order.
+
+    Entry (i, v) is 1 iff row i of the v-th incomplete column is observed.
+    """
+    return ds.mask[:, list(roles.incomplete)].astype(np.int8)
 
 
 def gap_matrix(ds, roles):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mcartest
-from mcartest import Dataset, load_csv, ustat_mcar_test
+from mcartest import Dataset, little_mcar_general, load_csv, ustat_mcar_test, write_csv
 from mcartest.cli import main
 from mcartest.stats import KNOWN_TESTS
 
@@ -132,6 +132,32 @@ class TestTestCommand:
         # d2 alone says the same, though d2_general's kernel reads no roles
         assert run_cli("test", "--input", str(path), "--tests", "d2") == 3
         assert capsys.readouterr().err == "error: no incomplete columns\n"
+
+    def test_no_complete_column(self, tmp_path, capsys):
+        # Little's d2 needs no complete column; the closed-form tests need one
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal((200, 3))
+        path = tmp_path / "no_complete.csv"
+        write_csv(Dataset(values, rng.random((200, 3)) >= 0.1, ("a", "b", "c")), path)
+        out = tmp_path / "rep.json"
+        assert run_cli("test", "--input", str(path), "--tests", "d2", "--out", str(out)) == 0
+        assert "d2_general: statistic=9.30672 df=8" in capsys.readouterr().out
+        (record,) = json.loads(out.read_text())
+        ds, roles = load_csv(path)
+        assert (roles.p, roles.q) == (0, 3)
+        assert record == little_mcar_general(ds).to_record()
+        assert record["statistic"] == pytest.approx(9.306718348741361, rel=1e-12)
+        for tests in (["--tests", "an"], []):
+            assert run_cli("test", "--input", str(path), *tests) == 3
+            err = capsys.readouterr().err
+            assert err == "error: the an test requires at least one complete column\n"
+
+    def test_roles_leaving_no_complete_column(self, tmp_path, capsys):
+        path = tmp_path / "full.csv"
+        path.write_text("a,b\n1.0,2.0\n3.0,4.0\n5.0,6.5\n")
+        assert run_cli("test", "--input", str(path), "--roles", "a,b", "--tests", "an") == 3
+        err = capsys.readouterr().err
+        assert err == "error: the an test requires at least one complete column\n"
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run_cli("test", "--input", str(tmp_path / "nope.csv")) == 3

@@ -17,11 +17,17 @@ from mcartest import (
     little_mcar_general,
     little_mcar_univariate,
     mean_product_gap,
-    response_matrix,
     rng_stream,
     ustat_mcar_test,
 )
-from mcartest.stats import TESTS, closed_form_batch, little_general_batch, run_tests
+from mcartest.stats import (
+    KNOWN_TESTS,
+    TESTS,
+    closed_form_batch,
+    little_general_batch,
+    resolve_tests,
+    run_tests,
+)
 
 from conftest import (
     bivariate_reference,
@@ -31,6 +37,7 @@ from conftest import (
     make_dataset,
     pq_covariance,
     reference_routes,
+    response_matrix,
     spd_eigh,
     traced_peak,
 )
@@ -756,6 +763,27 @@ class TestBatchKernels:
         # the one-dataset runner reports the shape rule the CLI reports
         with pytest.raises(ValueError, match="the dn test requires p = 1 and q = 1"):
             run_tests(("dn",), datasets[0], roles, 0.05)
+
+    @pytest.mark.parametrize("tag", KNOWN_TESTS)
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(3) for q in range(3) if p + q])
+    def test_run_tests_applies_the_one_shape_rule(self, rng, tag, p, q):
+        # a test fails on a layout exactly when resolve_tests rejects it, with
+        # its error; on every other it runs, d2_general with no complete column too
+        ds, roles = make_dataset(rng, 40, p, q)
+        try:
+            resolve_tests([tag], p, q)
+        except (ValueError, DegenerateDataError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                run_tests([tag], ds, roles, 0.05)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        else:
+            if (p, q) == (0, 1):
+                # the one column's kept rows, those observed, are one pattern
+                with pytest.raises(DegenerateDataError, match="single missingness pattern"):
+                    run_tests([tag], ds, roles, 0.05)
+                return
+            (result,) = run_tests([tag], ds, roles, 0.05)
+            assert result.method == resolve_tests([tag], p, q)[0]
 
 
 @settings(max_examples=300, deadline=None)

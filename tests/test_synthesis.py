@@ -526,6 +526,17 @@ class TestDispatcherAndDefaults:
         with pytest.raises(DegenerateDataError, match="no target columns"):
             amputate(ds, roles_for(3, 0), rng, kind="mcar", miss_prob=0.2)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [dict(kind="mar_1_to_x", miss_prob=0.2), dict(kind="mar_rank", miss_prob=0.2),
+         dict(kind="mar_mean")],
+    )
+    def test_default_controls_need_a_complete_column(self, spec):
+        # with no complete column there is no control to default to
+        match = f"{spec['kind']}'s controls must be complete columns; there are none"
+        with pytest.raises(ValueError, match=match):
+            fit_mechanism(MechanismSpec.from_dict(spec), ColumnRoles((), (0, 1)))
+
 
 @st.composite
 def amputation_cases(draw):
