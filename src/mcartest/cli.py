@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .data import ColumnRoles, load_csv, write_csv
@@ -42,7 +43,7 @@ EXIT_DATA = 3
 _TESTS_HELP = f"comma list from {','.join(KNOWN_TESTS)}"
 
 # the data flags (see _add_data_options): the defaults of those that are
-# not spec fields, and the spec fields' flags
+# not spec fields, and the spec fields' flags, whose defaults are the specs'
 _DATA_DEFAULTS = {"n": 100, "p": 1, "q": 2, "dist": "std_normal", "mechanism": "mcar"}
 _DISTRIBUTION_FLAGS = ("theta", "margins")
 _MECHANISM_FLAGS = ("miss_prob", "odds", "controls", "p_high", "p_low")
@@ -93,10 +94,9 @@ def _cmd_test(args, parser) -> int:
         parser.error(str(exc))
     tags = _parse_tests(args.tests, parser)
     na_tokens = set(args.na_token) if args.na_token else None
-    incomplete = _split_csv_list(args.roles) if args.roles else None
+    ds, roles = load_csv(args.input, na_tokens=na_tokens)
     try:
-        # bad --roles (see load_csv), or a test that does not fit the columns
-        ds, roles = load_csv(args.input, na_tokens=na_tokens, incomplete=incomplete)
+        # a test that does not fit the columns
         results = run_tests(tags, ds, roles, args.alpha)
     except ValueError as exc:
         parser.error(str(exc))
@@ -125,29 +125,6 @@ def _rates(text) -> list:
         ) from None
 
 
-def _flag_fields(args, kind, kinds, names) -> dict:
-    """A spec's JSON object from ``kind`` and the flags ``names`` (each dest
-    is its field's name).  A flag the user set is kept whether or not
-    ``kind`` reads it, for the spec to reject; an unset one takes its
-    default (``args.field_defaults``) only where ``kind`` reads it."""
-    doc = {"kind": kind}
-    for name in names:
-        value = getattr(args, name)
-        if value is None and name in kinds[kind]:
-            value = args.field_defaults.get(name)
-        if value is not None:
-            doc[name] = value
-    return doc
-
-
-def _distribution_doc(args) -> dict:
-    doc = _flag_fields(args, args.dist, DISTRIBUTION_KINDS, _DISTRIBUTION_FLAGS)
-    doc["dim"] = dim = args.p + args.q
-    if len(doc.get("margins", ())) == 1:
-        doc["margins"] = doc["margins"] * dim
-    return doc
-
-
 def _column_index(item, names, parser) -> int:
     if item in names:
         return names.index(item)
@@ -157,47 +134,57 @@ def _column_index(item, names, parser) -> int:
         parser.error(f"--controls: no column named {item!r}")
 
 
-def _mechanism_doc(args, names, parser) -> dict:
-    doc = _flag_fields(args, args.mechanism, MECHANISM_KINDS, _MECHANISM_FLAGS)
-    if "controls" in doc:
-        doc["controls"] = [_column_index(item, names, parser) for item in doc["controls"]]
-    return doc
+def _data_doc(args, parser) -> dict:
+    """The data fields of a ``Scenario`` document, from the data flags given.
 
-
-def _apply_flag_defaults(args) -> None:
-    """Give each data flag left out its default (``args.flag_defaults``)."""
-    for name, value in args.flag_defaults.items():
-        if getattr(args, name) is None:
-            setattr(args, name, value)
+    A flag left out is absent from ``args``.  One that no spec field holds
+    takes its value from ``_DATA_DEFAULTS``; a spec field stays out of its
+    spec's document, and the spec gives it its default."""
+    given = {**_DATA_DEFAULTS, **vars(args)}
+    p, q = given["p"], given["q"]
+    dist = {"kind": given["dist"], "dim": p + q}
+    mech = {"kind": given["mechanism"]}
+    for doc, names in ((dist, _DISTRIBUTION_FLAGS), (mech, _MECHANISM_FLAGS)):
+        doc.update((name, given[name]) for name in names if name in given)
+    if len(dist.get("margins", ())) == 1:
+        dist["margins"] = dist["margins"] * (p + q)
+    if "controls" in mech:
+        names = pattern_names(p, q)
+        mech["controls"] = [_column_index(item, names, parser) for item in mech["controls"]]
+    return {
+        "label": f"{p}X{q}Y", "distribution": dist, "p": p, "q": q, "n": given["n"],
+        "mechanism": mech,
+    }
 
 
 def _cmd_generate(args, parser) -> int:
-    _apply_flag_defaults(args)
+    doc = _data_doc(args, parser)
+    n, p, q = doc["n"], doc["p"], doc["q"]
     # the mechanisms amputate incomplete columns against complete controls
-    if args.p < 1 or args.q < 1:
+    if p < 1 or q < 1:
         parser.error("need --p >= 1 and --q >= 1")
-    if args.n < 1:
+    if n < 1:
         parser.error("need --n >= 1")
     if args.seed < 0:
         parser.error(f"need --seed >= 0, got {args.seed}")
-    names = pattern_names(args.p, args.q)
-    roles = ColumnRoles(tuple(range(args.p)), tuple(range(args.p, args.p + args.q)))
+    names = pattern_names(p, q)
+    roles = ColumnRoles(tuple(range(p)), tuple(range(p, p + q)))
     try:
-        dist = DistributionSpec.from_dict(_distribution_doc(args))
-        mech = MechanismSpec.from_dict(_mechanism_doc(args, names, parser))
+        dist = DistributionSpec.from_dict(doc["distribution"])
+        mech = MechanismSpec.from_dict(doc["mechanism"])
         fit_mechanism(mech, roles)
     except ValueError as exc:
         parser.error(str(exc))
-    full = generate(dist, args.n, rng_stream(args.seed, 0), names)
+    full = generate(dist, n, rng_stream(args.seed, 0), names)
     ds = apply_mechanism(full, roles, mech, rng_stream(args.seed, 1))
-    write_csv(ds, args.out, na_token=args.na_token or "NA")
+    write_csv(ds, args.out, na_token=args.na_token)
 
     out = Path(args.out)
     sidecar = out.with_suffix(".json") if out.suffix == ".csv" else Path(str(out) + ".json")
     meta = {
-        "n": args.n,
-        "p": args.p,
-        "q": args.q,
+        "n": n,
+        "p": p,
+        "q": q,
         "columns": list(names),
         "distribution": dist.to_dict(),
         "mechanism": mech.to_dict(),
@@ -207,15 +194,15 @@ def _cmd_generate(args, parser) -> int:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     missing = int((~ds.mask).sum())
-    print(f"wrote {args.out} ({args.n} rows, {missing} missing cells) and {sidecar}")
+    print(f"wrote {args.out} ({n} rows, {missing} missing cells) and {sidecar}")
     return EXIT_OK
 
 
 def _scenario_from_args(args, parser) -> Scenario:
     if args.scenario:
         # a scenario file holds the whole cell, so a data flag would be ignored
-        for name in (*args.flag_defaults, *_DISTRIBUTION_FLAGS, *_MECHANISM_FLAGS):
-            if getattr(args, name) is not None:
+        for name in (*_DATA_DEFAULTS, *_DISTRIBUTION_FLAGS, *_MECHANISM_FLAGS, "tests", "alpha"):
+            if name in args:
                 flag = "--" + name.replace("_", "-")
                 parser.error(f"{flag} cannot be combined with --scenario")
         try:
@@ -228,17 +215,11 @@ def _scenario_from_args(args, parser) -> Scenario:
         if not isinstance(doc, dict):
             parser.error(f"--scenario: {args.scenario} does not hold a JSON object")
     else:
-        _apply_flag_defaults(args)
-        doc = {
-            "label": f"{args.p}X{args.q}Y",
-            "distribution": _distribution_doc(args),
-            "p": args.p,
-            "q": args.q,
-            "n": args.n,
-            "mechanism": _mechanism_doc(args, pattern_names(args.p, args.q), parser),
-            "tests": _parse_tests(args.tests, parser),
-            "alpha": args.alpha,
-        }
+        doc = _data_doc(args, parser)
+        if "tests" in args:
+            doc["tests"] = _parse_tests(args.tests, parser)
+        if "alpha" in args:
+            doc["alpha"] = args.alpha
     # the override flags apply to a scenario file too
     if args.replications is not None:
         doc["replications"] = args.replications
@@ -285,6 +266,10 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_plot(args, parser) -> int:
+    try:
+        check_alpha(args.alpha)
+    except ValueError as exc:
+        parser.error(str(exc))
     # imported here, so that the other commands do not load the SVG plotter
     from .plotting import render_rate_chart
 
@@ -295,49 +280,38 @@ def _cmd_plot(args, parser) -> int:
     return EXIT_OK
 
 
-def _add_data_options(parser, miss_prob) -> None:
+def _add_data_options(parser) -> None:
     """The data-generating options ``generate`` and ``simulate`` share.
 
-    Every flag defaults to None, so that a flag the user set can be told
-    from one left out: ``simulate --scenario`` rejects each one set, and
-    ``_flag_fields`` keeps a spec flag set for a kind that does not read it,
-    for the spec to reject.  ``field_defaults`` holds the spec flags'
-    defaults, ``miss_prob`` among them, which ``_flag_fields`` applies;
-    ``flag_defaults`` those of the others, which ``_apply_flag_defaults``
-    applies (``simulate`` adds ``--tests`` and ``--alpha`` to them)."""
-    parser.add_argument("--n", type=int, help="rows per dataset (default 100)")
-    parser.add_argument("--p", type=int, help="complete columns (default 1)")
-    parser.add_argument("--q", type=int, help="incomplete columns (default 2)")
-    parser.add_argument(
+    Each flag left out is absent from ``args`` (``argparse.SUPPRESS``), so
+    that ``simulate --scenario`` can reject each one given and ``_data_doc``
+    leaves each spec field's default to its spec."""
+    add = partial(parser.add_argument, default=argparse.SUPPRESS)
+    add("--n", type=int, help="rows per dataset (default 100)")
+    add("--p", type=int, help="complete columns (default 1)")
+    add("--q", type=int, help="incomplete columns (default 2)")
+    add(
         "--dist", choices=DISTRIBUTION_KINDS,
         help="data-generating distribution (default std_normal)",
     )
-    parser.add_argument("--theta", type=float, help="Clayton parameter (default 1)")
-    parser.add_argument(
+    add("--theta", type=float, help="Clayton parameter (default 1)")
+    add(
         "--margins", type=_split_csv_list,
         help=f"comma list of {','.join(MARGIN_KINDS)} (one entry, or one per column; "
         "default exp1)",
     )
-    parser.add_argument(
-        "--mechanism", choices=MECHANISM_KINDS,
-        help="missingness mechanism (default mcar)",
-    )
-    parser.add_argument(
+    add("--mechanism", choices=MECHANISM_KINDS, help="missingness mechanism (default mcar)")
+    add(
         "--miss-prob", type=float,
-        help="missingness probability for mcar, mar_1_to_x and mar_rank"
-        + ("" if miss_prob is None else f" (default {miss_prob})"),
+        help="missingness probability for mcar, mar_1_to_x and mar_rank (default 0.12)",
     )
-    parser.add_argument("--odds", type=float, help="odds x for mar_1_to_x (default 9)")
-    parser.add_argument(
+    add("--odds", type=float, help="odds x for mar_1_to_x (default 9)")
+    add(
         "--controls", type=_split_csv_list,
         help="comma list of control column names or indices, one per incomplete column",
     )
-    parser.add_argument("--p-high", type=_rates, help="comma list, mar_mean high-group rates")
-    parser.add_argument("--p-low", type=_rates, help="comma list, mar_mean low-group rates")
-    parser.set_defaults(
-        flag_defaults=_DATA_DEFAULTS,
-        field_defaults={"theta": 1.0, "margins": ["exp1"], "miss_prob": miss_prob},
-    )
+    add("--p-high", type=_rates, help="comma list, mar_mean high-group rates")
+    add("--p-low", type=_rates, help="comma list, mar_mean low-group rates")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -359,18 +333,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--alpha", type=float, default=0.05, help="significance level in (0, 1]"
     )
     t.add_argument("--tests", default="an,d2", help=_TESTS_HELP)
-    t.add_argument(
-        "--roles",
-        help="comma list of column names to treat as incomplete "
-        "(default: columns containing missing cells)",
-    )
     t.add_argument("--out", help="write a machine-readable report (.json or .csv)")
 
     g = sub.add_parser("generate", help="write a synthetic dataset to CSV")
     g.add_argument("--out", required=True, help="output CSV path")
-    _add_data_options(g, miss_prob=None)
+    _add_data_options(g)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--na-token", help="token for missing cells (default NA)")
+    g.add_argument("--na-token", default="NA", help="token for missing cells (default NA)")
 
     s = sub.add_parser("simulate", help="run a Monte-Carlo study")
     s.add_argument("--scenario", help="scenario JSON file")
@@ -382,15 +351,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sweep-miss", type=_rates, help="comma list of missingness probabilities"
     )
     s.add_argument("--sweep-n", type=_rates, help="comma list of sample sizes")
-    _add_data_options(s, miss_prob=0.12)
-    s.add_argument("--tests", help=f"{_TESTS_HELP} (default an,d2)")
-    s.add_argument("--alpha", type=float, help="significance level in (0, 1] (default 0.05)")
-    s.set_defaults(flag_defaults={**_DATA_DEFAULTS, "tests": "an,d2", "alpha": 0.05})
+    _add_data_options(s)
+    s.add_argument("--tests", default=argparse.SUPPRESS, help=f"{_TESTS_HELP} (default an,d2)")
+    s.add_argument(
+        "--alpha", type=float, default=argparse.SUPPRESS,
+        help="significance level in (0, 1] (default 0.05)",
+    )
 
     p = sub.add_parser("plot", help="render a results CSV as SVG")
     p.add_argument("--input", required=True, help="results CSV from simulate")
     p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=0.05, help="nominal level drawn, in (0, 1]")
 
     return parser
 

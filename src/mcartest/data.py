@@ -128,22 +128,6 @@ def infer_roles(ds: Dataset) -> ColumnRoles:
     return ColumnRoles(tuple(complete), tuple(incomplete))
 
 
-def _resolve_incomplete(names, incomplete) -> list:
-    out = []
-    for item in incomplete:
-        if isinstance(item, (int, np.integer)):
-            j = int(item)
-            if not 0 <= j < len(names):
-                raise ValueError(f"incomplete column index {j} out of range")
-        else:
-            try:
-                j = names.index(item)
-            except ValueError:
-                raise ValueError(f"no column named {item!r}") from None
-        out.append(j)
-    return out
-
-
 def _line(path, record: int) -> int:
     """The file line on which data record ``record`` (0 is the first after
     the header) starts; a quoted cell can span lines, so this rescans."""
@@ -417,7 +401,7 @@ def _read(path, tokens):
     return names, values, mask
 
 
-def load_csv(path, na_tokens=None, incomplete=None):
+def load_csv(path, na_tokens=None):
     """Read a rectangular CSV with a header row into a Dataset plus roles.
 
     The records are read and parsed ``_BLOCK_ROWS`` at a time, so no more
@@ -436,14 +420,12 @@ def load_csv(path, na_tokens=None, incomplete=None):
     na_tokens : set of str, optional
         Cell strings treated as missing (exact, case-sensitive match).
         Defaults to {"NA", "NaN", ""}.
-    incomplete : sequence of column names or indices, optional
-        Explicit role override: these columns are treated as incomplete,
-        all others as complete.  By default, columns containing at least
-        one missing cell are incomplete.
 
     Returns
     -------
     (Dataset, ColumnRoles)
+        The roles are ``infer_roles``': the columns with a missing cell are
+        the incomplete ones, the rest the complete ones.
 
     Raises
     ------
@@ -465,15 +447,7 @@ def load_csv(path, na_tokens=None, incomplete=None):
             raise DataFormatError(
                 f"{path}: column {names[j]!r} is entirely missing"
             )
-
-    if incomplete is None:
-        roles = infer_roles(ds)
-    else:
-        inc = sorted(set(_resolve_incomplete(names, incomplete)))
-        comp = [j for j in range(ds.d) if j not in inc]
-        roles = ColumnRoles(tuple(comp), tuple(inc))
-    roles.validate(ds)
-    return ds, roles
+    return ds, infer_roles(ds)
 
 
 def _na_cell(na_token: str, d: int) -> str:

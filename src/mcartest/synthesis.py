@@ -3,7 +3,7 @@
 Generators produce fully observed Datasets: i.i.d. standard normal columns,
 or a Clayton copula with per-column margins (standard exponential,
 chi-squared with 4 df, or uniform).  ``apply_mechanism`` then masks cells of
-the designated incomplete columns under one of four mechanisms:
+the incomplete columns of the given roles under one of four mechanisms:
 
 * ``mcar``       -- every cell independently with one probability
 * ``mar_1_to_x`` -- cells whose control value lies above the control median
@@ -21,13 +21,16 @@ and the mar_1_to_x high-group rate 2px/(x+1) <= 1, the ``p_high``/``p_low``
 rates in [0, 1] and of equal count.  Each kind reads only its own optional
 fields (``MECHANISM_KINDS``): ``miss_prob`` is for mcar, mar_1_to_x and
 mar_rank, ``odds`` for mar_1_to_x, ``controls`` for every kind but mcar,
-``p_high``/``p_low`` for mar_mean, and ``target_columns`` for all.  A field
-the kind does not read is an error, not ignored; a ``DistributionSpec`` is
-held to the same rule (``theta`` and ``margins`` are for clayton only).
-``fit_mechanism`` checks it against the column roles of a dataset: every
-target incomplete, every control complete, one control and one mar_mean
-rate pair per target.  It resolves
-the default targets and controls, and ``amputate_block`` calls it once.
+and ``p_high``/``p_low`` for mar_mean.  A field the kind does not read is
+an error, not ignored; a ``DistributionSpec`` is held to the same rule
+(``theta`` and ``margins`` are for clayton only).  A field the kind reads
+and that is left out takes its default, which the spec alone holds:
+``miss_prob`` 0.12, ``odds`` 9, the stock mar_mean rates, ``theta`` 1 and
+``margins`` exp1 in every column.  ``fit_mechanism`` checks it against the
+column roles of a dataset: the targets are the incomplete columns, every
+control must be complete, and there is one control and one mar_mean rate
+pair per target.  It resolves the default controls, and ``amputate_block``
+calls it once.
 The numeric fields of both specs take numbers only (``check_number``,
 ``check_integer``): a quoted number or a bool from a JSON file is an error,
 not converted.  Both specs, and ``harness.Scenario``, read and write their
@@ -71,10 +74,10 @@ __all__ = [
 DISTRIBUTION_KINDS = {"std_normal": (), "clayton": ("theta", "margins")}
 MARGIN_KINDS = ("exp1", "chisq4", "uniform")
 MECHANISM_KINDS = {
-    "mcar": ("target_columns", "miss_prob"),
-    "mar_1_to_x": ("target_columns", "miss_prob", "odds", "controls"),
-    "mar_rank": ("target_columns", "miss_prob", "controls"),
-    "mar_mean": ("target_columns", "controls", "p_high", "p_low"),
+    "mcar": ("miss_prob",),
+    "mar_1_to_x": ("miss_prob", "odds", "controls"),
+    "mar_rank": ("miss_prob", "controls"),
+    "mar_mean": ("controls", "p_high", "p_low"),
 }
 
 # default per-target (p_high, p_low) pairs for mar_mean, cycled over targets
@@ -179,7 +182,8 @@ class DistributionSpec(Spec):
     """What to sample: independent standard normals or a Clayton copula.
 
     ``theta`` and ``margins`` apply to the copula only; ``margins`` names
-    one marginal distribution per column.
+    one marginal distribution per column.  Left out, they are 1 and exp1
+    in every column.
     """
 
     kind: str
@@ -196,12 +200,12 @@ class DistributionSpec(Spec):
             return
         if self.dim < 2:
             raise ValueError("a copula needs dim >= 2")
-        theta = None if self.theta is None else check_number(self.theta, "theta")
-        if theta is None or theta <= 0.0:
-            raise ValueError(f"clayton theta must be > 0, got {self.theta}")
+        theta = 1.0 if self.theta is None else check_number(self.theta, "theta")
+        if theta <= 0.0:
+            raise ValueError(f"clayton theta must be > 0, got {theta}")
         object.__setattr__(self, "theta", theta)
-        margins = tuple(self.margins) if self.margins is not None else None
-        if margins is None or len(margins) != self.dim:
+        margins = ("exp1",) * self.dim if self.margins is None else tuple(self.margins)
+        if len(margins) != self.dim:
             raise ValueError(f"clayton needs one margin per column ({self.dim})")
         for m in margins:
             if m not in MARGIN_KINDS:
@@ -213,18 +217,17 @@ class DistributionSpec(Spec):
 
 @dataclass(frozen=True)
 class MechanismSpec(Spec):
-    """How to remove cells.
+    """How to remove cells from the incomplete columns (the targets).
 
-    ``target_columns`` are dataset column indices; None means every
-    incomplete column of the roles in effect.  ``controls`` pairs each
-    target with a complete column (None selects a round-robin pairing).
-    ``p_high``/``p_low`` are the per-target group rates for mar_mean;
-    left as None they cycle through the stock configuration
+    ``miss_prob`` is the rate of mcar, mar_1_to_x and mar_rank, 0.12 when
+    left out; ``odds`` is mar_1_to_x's, 9 when left out.  ``controls``
+    pairs each target with a complete column (None selects a round-robin
+    pairing).  ``p_high``/``p_low`` are the per-target group rates for
+    mar_mean; left as None they cycle through the stock configuration
     (0.12, 0.06), (0.02, 0.175).
     """
 
     kind: str
-    target_columns: tuple = None
     miss_prob: float = None
     odds: float = None
     controls: tuple = None
@@ -233,22 +236,13 @@ class MechanismSpec(Spec):
 
     def __post_init__(self):
         _check_kind(self, MECHANISM_KINDS, "mechanism")
-        for name in ("target_columns", "controls"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(
-                    self, name, tuple(check_integer(j, f"{name} entry") for j in value)
-                )
-        if self.target_columns == ():
-            raise ValueError(
-                "target_columns is empty; leave it out to target every incomplete column"
+        if self.controls is not None:
+            object.__setattr__(
+                self, "controls", tuple(check_integer(j, "controls entry") for j in self.controls)
             )
         if "miss_prob" in MECHANISM_KINDS[self.kind]:
-            if self.miss_prob is None:
-                raise ValueError(f"{self.kind} requires miss_prob")
-            object.__setattr__(
-                self, "miss_prob", _check_prob(self.miss_prob, "miss_prob")
-            )
+            miss_prob = 0.12 if self.miss_prob is None else self.miss_prob
+            object.__setattr__(self, "miss_prob", _check_prob(miss_prob, "miss_prob"))
         if self.kind == "mar_1_to_x":
             odds = 9.0 if self.odds is None else check_number(self.odds, "odds")
             if odds < 1.0:
@@ -333,20 +327,16 @@ def generate(spec: DistributionSpec, n: int, rng, names=None) -> Dataset:
 def fit_mechanism(spec: MechanismSpec, roles: ColumnRoles) -> tuple:
     """Check that ``spec`` fits ``roles``; return its (targets, controls).
 
-    Targets default to every incomplete column, and controls to a
-    round-robin pairing: the v-th target with the (v mod p)-th complete
-    column; ``mcar`` has none (None).  Raises DegenerateDataError when the
-    targets default to the incomplete columns and there are none, and
-    ValueError for a target that is not incomplete, a control that is not
-    complete (or none to default to), or a count of controls or mar_mean
-    rates that does not match the targets.
+    The targets are the incomplete columns, in roles order, and controls
+    default to a round-robin pairing: the v-th target with the (v mod p)-th
+    complete column; ``mcar`` has none (None).  Raises DegenerateDataError
+    when there is no incomplete column, and ValueError for a control that
+    is not complete (or none to default to), or a count of controls or
+    mar_mean rates that does not match the targets.
     """
-    targets = roles.incomplete if spec.target_columns is None else spec.target_columns
+    targets = roles.incomplete
     if not targets:
         raise DegenerateDataError("no target columns to amputate")
-    for j in targets:
-        if j not in roles.incomplete:
-            raise ValueError(f"target column {j} is not one of the incomplete columns")
     if spec.kind == "mcar":
         return targets, None
     controls = spec.controls

@@ -58,29 +58,25 @@ def draw_distribution(draw, d) -> DistributionSpec:
 
 
 def draw_mechanism(draw, p, q) -> MechanismSpec:
-    """Any mechanism that fits p complete and q incomplete columns: default
-    or explicit targets, default or explicit (possibly shared) controls."""
+    """Any mechanism that fits p complete and q incomplete columns (the
+    targets; callers draw q): default or explicit (possibly shared)
+    controls, and the default rate or a drawn one."""
     kind = draw(st.sampled_from(tuple(MECHANISM_KINDS)))
-    targets = draw(
-        st.none()
-        | st.lists(st.sampled_from(range(p, p + q)), min_size=1, max_size=q, unique=True)
-    )
-    count = q if targets is None else len(targets)
-    per_target = st.lists(st.integers(0, p - 1), min_size=count, max_size=count)
+    per_target = st.lists(st.integers(0, p - 1), min_size=q, max_size=q)
     controls = None if kind == "mcar" else draw(st.none() | per_target)
-    spec = {"kind": kind, "target_columns": targets, "controls": controls}
+    spec = {"kind": kind, "controls": controls}
     # exact halves of n*p included, where the rounding of mar_rank's count shows
     rate = st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0)
     if kind == "mar_mean":
         if draw(st.booleans()):
-            rates = st.lists(rate, min_size=count, max_size=count)
+            rates = st.lists(rate, min_size=q, max_size=q)
             spec.update(p_high=draw(rates), p_low=draw(rates))
     elif kind == "mar_1_to_x":
         odds = draw(st.floats(1.0, 100.0))
         miss_prob = draw(st.floats(0.0, (odds + 1.0) / (2.0 * odds)))  # p_high <= 1
         spec.update(odds=odds, miss_prob=miss_prob)
     else:
-        spec["miss_prob"] = draw(rate)
+        spec["miss_prob"] = draw(st.none() | rate)
     return MechanismSpec(**spec)
 
 

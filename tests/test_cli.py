@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import json
@@ -13,7 +14,7 @@ import pytest
 
 import mcartest
 from mcartest import Dataset, little_mcar_general, load_csv, ustat_mcar_test, write_csv
-from mcartest.cli import main
+from mcartest.cli import _build_parser, main
 from mcartest.stats import KNOWN_TESTS
 
 from conftest import child_env
@@ -46,6 +47,13 @@ SCENARIO_FLAG_VALUES = {
     "--alpha": "0.05",
 }
 
+# a results CSV that plot draws: an's rate over two missingness probabilities
+RESULTS_CSV = (
+    "label,distribution,n,mechanism,param,test,rate,ci_low,ci_high,degenerate_count,seed\n"
+    "1X2Y,std_normal,40,mcar,0.06,an,0.05,0.01,0.2,0,4\n"
+    "1X2Y,std_normal,40,mcar,0.12,an,0.1,0.03,0.3,0,4\n"
+)
+
 # a cheap valid simulate call; each bad case below overrides one part of it
 SIMULATE = ["simulate", "--n", "40", "--tests", "an", "--replications", "5"]
 
@@ -56,6 +64,12 @@ def run_cli(*argv):
         return main(list(argv))
     except SystemExit as exc:
         return exc.code
+
+
+def _subcommands() -> dict:
+    """The CLI's subcommand parsers, by name."""
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
 
 
 def write_hand(tmp_path):
@@ -152,13 +166,6 @@ class TestTestCommand:
             err = capsys.readouterr().err
             assert err == "error: the an test requires at least one complete column\n"
 
-    def test_roles_leaving_no_complete_column(self, tmp_path, capsys):
-        path = tmp_path / "full.csv"
-        path.write_text("a,b\n1.0,2.0\n3.0,4.0\n5.0,6.5\n")
-        assert run_cli("test", "--input", str(path), "--roles", "a,b", "--tests", "an") == 3
-        err = capsys.readouterr().err
-        assert err == "error: the an test requires at least one complete column\n"
-
     def test_missing_file_is_data_error(self, tmp_path):
         assert run_cli("test", "--input", str(tmp_path / "nope.csv")) == 3
 
@@ -183,12 +190,12 @@ class TestTestCommand:
         path.write_text("x,y\n1.0,10.0\n2.0,11.0\n3.0,?\n")
         assert run_cli("test", "--input", str(path), "--na-token", "?", "--tests", "an") == 0
 
-    def test_roles_override(self, tmp_path):
-        path = tmp_path / "full.csv"
-        path.write_text("a,b\n1.0,9.0\n2.0,8.0\n3.0,7.5\n4.0,6.0\n")
-        # force b incomplete despite having no missing cells: its response
-        # indicator is constant, a data error (singular), not a crash
-        assert run_cli("test", "--input", str(path), "--roles", "b", "--tests", "an") == 3
+    def test_roles_override(self, tmp_path, capsys):
+        # the data decide the roles: a column is incomplete if it has a
+        # missing cell, and there is no flag to say otherwise
+        path = write_hand(tmp_path)
+        assert run_cli("test", "--input", str(path), "--roles", "y", "--tests", "an") == 2
+        assert "unrecognized arguments: --roles y" in capsys.readouterr().err
 
     def test_bad_alpha_is_usage_error(self, tmp_path):
         path = write_hand(tmp_path)
@@ -269,6 +276,29 @@ class TestGenerateCommand:
         assert meta["distribution"]["kind"] == "clayton"
         assert meta["distribution"]["margins"] == ["exp1", "exp1"]
 
+    def test_default_miss_prob(self, tmp_path):
+        # MechanismSpec's default rate, for generate as for simulate
+        outs = [tmp_path / "default.csv", tmp_path / "given.csv"]
+        base = ("generate", "--n", "50", "--seed", "6")
+        assert run_cli(*base, "--out", str(outs[0])) == 0
+        assert run_cli(*base, "--miss-prob", "0.12", "--out", str(outs[1])) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert (tmp_path / "default.json").read_bytes() == (tmp_path / "given.json").read_bytes()
+
+    def test_empty_na_token(self, tmp_path):
+        # the empty token writes empty cells, which load_csv reads as missing
+        outs = [tmp_path / "na.csv", tmp_path / "empty.csv"]
+        base = ("generate", "--n", "40", "--miss-prob", "0.3", "--seed", "2")
+        assert run_cli(*base, "--out", str(outs[0])) == 0
+        assert run_cli(*base, "--na-token", "", "--out", str(outs[1])) == 0
+        text = outs[1].read_text()
+        assert "NA" not in text and ",," in text
+        assert text == outs[0].read_text().replace("NA", "")
+        (want, _), (got, _) = load_csv(outs[0]), load_csv(outs[1])
+        assert (~got.mask).any()
+        assert got.mask.tobytes() == want.mask.tobytes()
+        assert got.values[got.mask].tobytes() == want.values[want.mask].tobytes()
+
     def test_invalid_combo_usage_error(self, tmp_path):
         out = tmp_path / "x.csv"
         # p_high for mar_1_to_x would exceed 1
@@ -337,6 +367,26 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--scenario", str(sc), flag, value, "--out", str(out)) == 2
         assert f"{flag} cannot be combined with --scenario" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_scenario_file_takes_the_spec_defaults(self, tmp_path):
+        # a file may leave out theta, margins and miss_prob, as the flags may
+        full = {
+            **SCENARIO,
+            "distribution": {"kind": "clayton", "dim": 2, "theta": 1, "margins": ["exp1"] * 2},
+            "mechanism": {"kind": "mar_1_to_x", "miss_prob": 0.12},
+        }
+        bare = {
+            **SCENARIO,
+            "distribution": {"kind": "clayton", "dim": 2},
+            "mechanism": {"kind": "mar_1_to_x"},
+        }
+        outs = [tmp_path / "full.csv", tmp_path / "bare.csv"]
+        for out, doc in zip(outs, (full, bare)):
+            sc = tmp_path / f"{out.stem}.json"
+            sc.write_text(json.dumps(doc))
+            assert run_cli("simulate", "--scenario", str(sc), "--out", str(out)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert ",mar_1_to_x,0.12," in outs[1].read_text()
 
     def test_scenario_file_takes_replications_and_seed(self, tmp_path):
         outs = [tmp_path / "flags.csv", tmp_path / "file.csv"]
@@ -481,8 +531,10 @@ class TestUsageErrors:
                 ["simulate", "--scenario", "{bad_distribution.json}"], "'distribution'",
                 id="scenario-distribution-string",
             ),
+            # the targets are the incomplete columns: a file cannot name them
             pytest.param(
-                ["simulate", "--scenario", "{empty_targets.json}"], "target_columns is empty",
+                ["simulate", "--scenario", "{empty_targets.json}"],
+                "unknown field 'target_columns' in MechanismSpec",
                 id="scenario-empty-targets",
             ),
             # a scenario file's integer fields are not truncated
@@ -505,7 +557,7 @@ class TestUsageErrors:
             ),
             pytest.param(
                 ["simulate", "--scenario", "{target_number.json}"],
-                "target_columns must be a list, got 2",
+                "unknown field 'target_columns' in MechanismSpec",
                 id="scenario-target-columns-number",
             ),
             pytest.param(
@@ -588,19 +640,18 @@ class TestUsageErrors:
                 "the d2_univariate test requires q = 1",
                 id="test-d2-univariate-1X2Y",
             ),
-            # --roles naming no column, or leaving one with missing cells complete
             pytest.param(
                 ["test", "--input", "{1X2Y.csv}", "--tests", ","], "at least one test",
                 id="test-no-tests",
             ),
-            pytest.param(
-                ["test", "--input", "{1X2Y.csv}", "--roles", "zz"], "no column named 'zz'",
-                id="test-roles-unknown-column",
-            ),
-            pytest.param(
-                ["test", "--input", "{1X2Y.csv}", "--roles", "y1"],
-                "column 'y2' is marked complete but has missing cells",
-                id="test-roles-leave-missing-cells-complete",
+            # plot draws its alpha as the nominal line: the one alpha rule
+            *(
+                pytest.param(
+                    ["plot", "--input", "{results.csv}", "--alpha", alpha],
+                    f"alpha must be in (0, 1], got {float(alpha)}",
+                    id=f"plot-alpha-{alpha}",
+                )
+                for alpha in ("2", "-1", "0", "nan")
             ),
             # a mechanism that does not fit the columns is caught before any data
             *(
@@ -648,6 +699,7 @@ class TestUsageErrors:
         files = {f"{name}.json": json.dumps(doc) for name, doc in scenarios.items()}
         files["2X1Y.csv"] = "x1,x2,y\n1,2,3\n2,1,NA\n3,5,4\n4,3,1\n"
         files["1X2Y.csv"] = "x,y1,y2\n1,2,3\n2,NA,1\n3,5,NA\n4,3,1\n"
+        files["results.csv"] = RESULTS_CSV
         for name, text in files.items():
             path = tmp_path / name
             path.write_text(text)
@@ -764,6 +816,34 @@ class TestEntryPoints:
             for option in DATA_OPTIONS:
                 entry = re.search(rf"^  {option} \S+(.*(?:\n {{3,}}\S.*)*)", out, re.M)
                 assert entry and entry.group(1).strip(), option
+
+    def test_generate_and_simulate_share_the_data_options(self):
+        # one registration: each data flag takes the same type, choices and
+        # help in both commands, and is absent from args unless given
+        commands = _subcommands()
+        shared = [
+            {
+                a.option_strings[0]: (a.type, a.choices, a.default, a.help)
+                for a in commands[name]._actions
+                if a.option_strings and a.option_strings[0] in DATA_OPTIONS
+            }
+            for name in ("generate", "simulate")
+        ]
+        assert shared[0] == shared[1]
+        assert sorted(shared[0]) == sorted(DATA_OPTIONS)
+        assert {entry[2] for entry in shared[0].values()} == {argparse.SUPPRESS}
+
+    def test_readme_cli_flags_exist(self):
+        # every flag the README's CLI section names is one that a command
+        # takes; the section's own text, before its subsections, which
+        # record measurements and name the benchmark's flags
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = re.search(r"^## CLI\n(.*?)^##", readme, re.M | re.S).group(1)
+        flags = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+        commands = _subcommands().values()
+        known = {flag for command in commands for flag in command._option_string_actions}
+        assert "--miss-prob" in flags and "--scenario" in flags
+        assert flags <= known, sorted(flags - known)
 
     def test_cli_path_loads_no_scipy_ma_or_plotting(self, tmp_path):
         # scipy costs a quarter to a whole second of start-up per call,

@@ -20,7 +20,7 @@ from mcartest import (
     write_csv,
 )
 
-from conftest import make_dataset, response_matrix, rowwise_write_csv, traced_peak
+from conftest import make_dataset, rowwise_write_csv, traced_peak
 
 
 def test_round_trip_exact(tmp_path, rng):
@@ -221,8 +221,8 @@ def test_load_skips_a_byte_order_mark(tmp_path):
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     plain.write_bytes(text.encode())
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
-    ds, roles = load_csv(marked, incomplete=["x"])
-    want, _ = load_csv(plain, incomplete=["x"])
+    ds, roles = load_csv(marked)
+    want, _ = load_csv(plain)
     assert ds.column_names == ("x", "y") and roles.incomplete == (0,)
     assert ds.values.tobytes() == want.values.tobytes()
     assert ds.mask.tobytes() == want.mask.tobytes()
@@ -392,21 +392,14 @@ def test_na_tokens_case_sensitive(tmp_path):
 
 
 def test_incomplete_override(tmp_path):
+    # the data decide the roles: a fully observed column marked incomplete
+    # would have a constant response indicator, which no test can use
     path = tmp_path / "override.csv"
     path.write_text("a,b,c\n1.0,2.0,3.0\n4.0,NA,6.0\n7.0,8.0,9.0\n")
-    ds, roles = load_csv(path, incomplete=["b", "c"])
-    assert roles.incomplete == (1, 2)
-    assert roles.complete == (0,)
-    # column c is fully observed but still treated as missingness-prone
-    np.testing.assert_array_equal(response_matrix(ds, roles)[:, 1], [1, 1, 1])
-
-    ds2, roles2 = load_csv(path, incomplete=[1])
-    assert roles2.incomplete == (1,)
-
-    with pytest.raises(ValueError, match="no column named"):
-        load_csv(path, incomplete=["zz"])
-    with pytest.raises(ValueError, match="incomplete column index 7 out of range"):
-        load_csv(path, incomplete=[7])
+    ds, roles = load_csv(path)
+    assert roles == infer_roles(ds) == ColumnRoles((0, 2), (1,))
+    with pytest.raises(TypeError, match="incomplete"):
+        load_csv(path, incomplete=["b", "c"])
 
 
 # repr writes positional notation at 1e-4 <= |v| < 1e16 and exponent

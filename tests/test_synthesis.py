@@ -56,11 +56,21 @@ class TestSpecs:
         plain = DistributionSpec(kind="std_normal", dim=4)
         assert DistributionSpec.from_dict(plain.to_dict()) == plain
 
+    def test_defaults_live_in_the_specs(self):
+        # a field the kind reads takes the spec's default when left out
+        clayton = DistributionSpec.from_dict({"kind": "clayton", "dim": 3})
+        assert clayton == DistributionSpec(kind="clayton", dim=3, theta=1, margins=["exp1"] * 3)
+        assert DistributionSpec(kind="std_normal", dim=3).to_dict() == {
+            "kind": "std_normal", "dim": 3,
+        }
+        for kind in ("mcar", "mar_1_to_x", "mar_rank"):
+            spec = MechanismSpec.from_dict({"kind": kind})
+            assert spec == MechanismSpec(kind=kind, miss_prob=0.12)
+        assert MechanismSpec(kind="mar_mean").to_dict() == {"kind": "mar_mean"}
+
     def test_mechanism_validation(self):
         with pytest.raises(ValueError):
             MechanismSpec(kind="nope", miss_prob=0.1)
-        with pytest.raises(ValueError):
-            MechanismSpec(kind="mcar")  # missing miss_prob
         with pytest.raises(ValueError):
             MechanismSpec(kind="mcar", miss_prob=1.2)
         with pytest.raises(ValueError):
@@ -83,10 +93,6 @@ class TestSpecs:
             (
                 lambda: MechanismSpec(kind="mar_mean", p_high=(0.1, True), p_low=(0.1, 0.2)),
                 "p_high must be a number, got True",
-            ),
-            (
-                lambda: MechanismSpec(kind="mcar", miss_prob=0.1, target_columns=("1",)),
-                "target_columns entry must be an integer, got '1'",
             ),
             (
                 lambda: MechanismSpec(kind="mar_rank", miss_prob=0.1, controls=(1.5,)),
@@ -124,7 +130,6 @@ class TestSpecs:
     def test_mechanism_round_trip(self):
         spec = MechanismSpec(
             kind="mar_mean",
-            target_columns=(1, 2),
             controls=(0, 0),
             p_high=(0.12, 0.02),
             p_low=(0.06, 0.175),
@@ -445,13 +450,13 @@ class TestMarMean:
         assert abs(frac[2] - 0.0975) < 0.02
 
     def test_shared_control_matches_per_target_reference(self):
+        # the targets are the roles' incomplete columns, in roles order
         ds = generate(DistributionSpec(kind="std_normal", dim=4), 97, rng_stream(22, 0))
-        roles = roles_for(1, 3)
-        rules = [(1, 0, 0.3, 0.05), (2, 0, 0.1, 0.2), (3, 0, 0.02, 0.175)]
+        rules = [(3, 0, 0.3, 0.05), (1, 0, 0.1, 0.2), (2, 0, 0.02, 0.175)]
         targets, controls, p_high, p_low = zip(*rules)
         out = amputate(
-            ds, roles, rng_stream(22, 1), kind="mar_mean",
-            target_columns=targets, controls=controls, p_high=p_high, p_low=p_low,
+            ds, ColumnRoles((0,), targets), rng_stream(22, 1), kind="mar_mean",
+            controls=controls, p_high=p_high, p_low=p_low,
         )
         rng = rng_stream(22, 1)
         want = np.ones((97, 4), dtype=bool)
@@ -494,35 +499,29 @@ class TestDispatcherAndDefaults:
             assert (~out.mask[:, 1:]).any()
 
     def test_draws_follow_target_order(self):
-        # the first target takes the first draw: listing the two targets the
-        # other way round swaps their masks
+        # the first target, the roles' first incomplete column, takes the
+        # first draw: listing the two the other way round swaps their masks
         ds = generate(DistributionSpec(kind="std_normal", dim=3), 60, rng_stream(23, 0))
-        roles = roles_for(1, 2)
         for spec in [
             dict(kind="mcar", miss_prob=0.3),
             dict(kind="mar_1_to_x", miss_prob=0.3),
             dict(kind="mar_rank", miss_prob=0.3),
             dict(kind="mar_mean", p_high=(0.4, 0.4), p_low=(0.1, 0.1)),
         ]:
-            ahead = amputate(ds, roles, rng_stream(23, 1), target_columns=(1, 2), **spec)
-            behind = amputate(ds, roles, rng_stream(23, 1), target_columns=(2, 1), **spec)
+            ahead = amputate(ds, ColumnRoles((0,), (1, 2)), rng_stream(23, 1), **spec)
+            behind = amputate(ds, ColumnRoles((0,), (2, 1)), rng_stream(23, 1), **spec)
             np.testing.assert_array_equal(ahead.mask[:, [1, 2]], behind.mask[:, [2, 1]])
 
     def test_target_validation(self, rng):
         ds = generate(DistributionSpec(kind="std_normal", dim=3), 20, rng)
         roles = roles_for(1, 2)
-        with pytest.raises(ValueError, match="not one of the incomplete"):
-            amputate(ds, roles, rng, kind="mcar", miss_prob=0.2, target_columns=(0,))
         with pytest.raises(ValueError, match="not a complete column"):
             amputate(ds, roles, rng, kind="mar_rank", miss_prob=0.2, controls=(1, 2))
         with pytest.raises(ValueError, match="one control per target"):
             amputate(ds, roles, rng, kind="mar_rank", miss_prob=0.2, controls=(0,))
         with pytest.raises(ValueError, match=r"pair per target \(2\), got 1"):
             amputate(ds, roles, rng, kind="mar_mean", p_high=(0.1,), p_low=(0.2,))
-        # an empty target list is wrong on its own; no incomplete column to
-        # default to is a property of the data
-        with pytest.raises(ValueError, match="target_columns is empty"):
-            MechanismSpec(kind="mcar", miss_prob=0.2, target_columns=())
+        # no incomplete column to amputate is a property of the data
         with pytest.raises(DegenerateDataError, match="no target columns"):
             amputate(ds, roles_for(3, 0), rng, kind="mcar", miss_prob=0.2)
 
