@@ -128,64 +128,24 @@ def infer_roles(ds: Dataset) -> ColumnRoles:
     return ColumnRoles(tuple(complete), tuple(incomplete))
 
 
-def _line(path, record: int) -> int:
-    """The file line on which data record ``record`` (0 is the first after
-    the header) starts; a quoted cell can span lines, so this rescans."""
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for _ in islice(reader, record + 1):
-            pass
-        return reader.line_num + 1
-
-
-def _raise_first_bad_cell(path, names, rows, tokens, first):
-    """Raise DataFormatError for the first unparsable or non-finite cell."""
-    for record, row in enumerate(rows, start=first):
-        for name, cell in zip(names, row):
-            if cell in tokens:
-                continue
-            try:
-                x = float(cell)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {_line(path, record)}, column {name!r}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
-            if not np.isfinite(x):
-                raise DataFormatError(
-                    f"{path}: line {_line(path, record)}, column {name!r}: "
-                    f"non-finite value {cell!r}"
-                )
-
-
-def _parse_block(path, names, rows, tokens, first):
-    """(values, mask) of one block of records, each (records, d).
-
-    ``first`` is the index of the block's first record among the data
-    records.  Cells are parsed up to the block's first ragged line; a bad
-    cell among them comes first in the file, so it is reported instead of
-    that line.
-    """
-    d = len(names)
-    n_good = next((i for i, row in enumerate(rows) if len(row) != d), len(rows))
-    parsed = rows[:n_good]
-    cells = list(chain.from_iterable(parsed))
+def _parse_block(rows, d, tokens):
+    """(values, mask) of one block of csv.reader records, each (records, d);
+    None if a record has other than ``d`` fields or a cell that is neither
+    a token nor a finite number."""
+    if set(map(len, rows)) != {d}:
+        return None
+    cells = list(chain.from_iterable(rows))
     mask = ~np.fromiter(map(tokens.__contains__, cells), bool, len(cells))
     observed = filterfalse(tokens.__contains__, cells)
     try:
         numbers = np.fromiter(map(float, observed), float, mask.sum())
     except ValueError:
-        numbers = None
-    if numbers is None or not np.isfinite(numbers).all():
-        _raise_first_bad_cell(path, names, parsed, tokens, first)
-    if n_good < len(rows):
-        raise DataFormatError(
-            f"{path}: line {_line(path, first + n_good)} has {len(rows[n_good])} "
-            f"fields, expected {d}"
-        )
+        return None
+    if not np.isfinite(numbers).all():
+        return None
     values = np.zeros(len(cells))
     values[mask] = numbers
-    return values.reshape(n_good, d), mask.reshape(n_good, d)
+    return values.reshape(len(rows), d), mask.reshape(len(rows), d)
 
 
 def _parse_plain(lines, d, tokens):
@@ -285,48 +245,53 @@ def _max_records(path) -> int:
     return max(int(lines) - (last in b"\r\n"), 0)
 
 
-def _long_cell(path, line):
-    """Index of the first cell longer than csv.field_size_limit() in the
-    record that starts on file line ``line``, split as csv.reader's default
-    dialect splits it; None if it has none."""
+def _first_error(path, names, tokens) -> DataFormatError:
+    """The error for the first bad record of a CSV file that a parser
+    rejected, with the file line on which that record starts.
+
+    The file is read again, record by record, by csv.reader with its field
+    limit raised, so a record with a cell over the limit is read whole.  In
+    a record, a cell over the limit comes first, then a field count other
+    than ``len(names)``, then the leftmost cell that is not a token and not
+    a finite number.  ``names`` is empty where the header was rejected.
+    """
     limit = csv.field_size_limit()
-    column, length, state = 0, 0, "start"
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        for c in chain.from_iterable(islice(fh, line - 1, None)):
-            if state == "quoted":
-                if c == '"':
-                    state = "quote"  # ends the quoted text unless a quote follows
-                    continue
-            elif state == "quote" and c == '"':
-                state = "quoted"
-            elif c == ",":
-                column, length, state = column + 1, 0, "start"
-                continue
-            elif c in "\r\n":
-                return None
-            elif state == "start" and c == '"':
-                state = "quoted"
-                continue
-            else:
-                state = "field"
-            length += 1
-            if length > limit:
-                return column
-    return None
-
-
-def _long_cell_error(path, names, line) -> DataFormatError:
-    """The error for a record that csv.reader rejects: the only error of its
-    default dialect is a cell longer than its field limit."""
-    column = _long_cell(path, line)
-    if column is None:
-        name = "?"
-    else:
-        name = repr(names[column]) if column < len(names) else str(column + 1)
-    return DataFormatError(
-        f"{path}: line {line}, column {name}: cell longer than "
-        f"{csv.field_size_limit()} characters"
-    )
+    csv.field_size_limit(2**31 - 1)  # fits a C long on every platform
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            line = 1
+            for record, row in enumerate(reader):
+                where = f"{path}: line {line}"
+                line = reader.line_num + 1
+                j = next((j for j, cell in enumerate(row) if len(cell) > limit), None)
+                if j is not None:
+                    name = repr(names[j]) if j < len(names) else j + 1
+                    return DataFormatError(
+                        f"{where}, column {name}: cell longer than {limit} characters"
+                    )
+                if not record:
+                    continue  # the header
+                if len(row) != len(names):
+                    return DataFormatError(
+                        f"{where} has {len(row)} fields, expected {len(names)}"
+                    )
+                for name, cell in zip(names, row):
+                    if cell in tokens:
+                        continue
+                    try:
+                        x = float(cell)
+                    except ValueError:
+                        return DataFormatError(
+                            f"{where}, column {name!r}: cannot parse {cell!r} as a number"
+                        )
+                    if not np.isfinite(x):
+                        return DataFormatError(
+                            f"{where}, column {name!r}: non-finite value {cell!r}"
+                        )
+    finally:
+        csv.field_size_limit(limit)
+    return DataFormatError(f"{path}: the file changed while it was read")
 
 
 def _read_blocks(path, fh, names, tokens):
@@ -336,36 +301,30 @@ def _read_blocks(path, fh, names, tokens):
     Blocks of lines in write_csv's plain shape, with CRLF or LF line ends,
     hold one record per line and are parsed by ``_parse_plain``.  From the
     first block that is not, the rest of the file is read by csv.reader and
-    parsed by ``_parse_block``, which reports every error in the records,
-    so only the block that declines is tried by both parsers and every
-    message is that of the csv.reader parser.
+    parsed by ``_parse_block``, so only the block that declines is tried by
+    both parsers.  A block that csv.reader or ``_parse_block`` rejects
+    raises ``_first_error``.
     """
     # no name holds a block's lines or arrays while the next block is read
-    n = 0
     while lines := list(islice(fh, _BLOCK_ROWS)):
         block = _parse_plain(lines, len(names), tokens)
         if block is None:
             break
-        n += len(lines)
         del lines
         yield block
         del block
     reader = csv.reader(chain(lines, fh))
     del lines  # the reader lets go of each line once it is parsed
-    while True:
-        rows = []
-        try:
-            rows.extend(islice(reader, _BLOCK_ROWS))
-        except csv.Error:
-            # an error in a record before this one comes first in the file,
-            # so that one is raised instead
-            if rows:
-                _parse_block(path, names, rows, tokens, first=n)
-            raise _long_cell_error(path, names, _line(path, n + len(rows))) from None
-        if not rows:
-            return
-        yield _parse_block(path, names, rows, tokens, first=n)
-        n += len(rows)
+    try:
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            block = _parse_block(rows, len(names), tokens)
+            del rows
+            if block is None:
+                raise _first_error(path, names, tokens)
+            yield block
+            del block
+    except csv.Error:
+        raise _first_error(path, names, tokens) from None
 
 
 def _read(path, tokens):
@@ -380,7 +339,7 @@ def _read(path, tokens):
             except StopIteration:
                 raise DataFormatError(f"{path}: empty file, expected a header row") from None
             except csv.Error:
-                raise _long_cell_error(path, [], 1) from None
+                raise _first_error(path, [], tokens) from None
             names = [h.strip() for h in header]
             values = np.empty((rows, len(names)))
             mask = np.empty((rows, len(names)), bool)
@@ -411,8 +370,9 @@ def load_csv(path, na_tokens=None):
     subset of what ``float`` accepts, orjson rounds them correctly, and a
     block with any spelling it might read otherwise is declined.  From the
     first block that is not plain, or that might parse differently or hold
-    an error, the rest of the file is read by csv.reader, so the values,
-    the mask and every error message are those of that exact parser.
+    an error, the rest of the file is read by csv.reader, so the values and
+    the mask are those of that exact parser.  Every error message comes
+    from one more read of the file, record by record, by ``_first_error``.
 
     Parameters
     ----------
@@ -431,9 +391,10 @@ def load_csv(path, na_tokens=None):
     ------
     DataFormatError
         A file that is not UTF-8, ragged rows, a non-missing cell that does
-        not parse as a finite number, or an entirely missing column.  Of
-        the bad cells and ragged lines, the first in the file is reported,
-        with the file line on which its record starts.
+        not parse as a finite number, a cell longer than
+        ``csv.field_size_limit()``, or an entirely missing column.  Of the
+        bad cells and ragged lines, the first in the file is reported, with
+        the file line on which its record starts.
     """
     tokens = DEFAULT_NA_TOKENS if na_tokens is None else frozenset(na_tokens)
     path = Path(path)
@@ -470,8 +431,7 @@ def write_csv(ds: Dataset, path, na_token: str = "NA") -> None:
     values, split into cells; the masked cells replaced by the token, and
     the observed cells orjson writes in another notation than ``repr`` by
     their ``repr``; and one write of its lines, byte for byte what csv.writer
-    writes.  A block in which every cell is masked or takes ``repr`` is
-    formatted by one ``repr`` of its list instead, with no ``orjson.dumps``.
+    writes.
 
     orjson prints each float as its shortest round-trip digits, nearest the
     value among them, as ``repr`` does, and in the same notation wherever
@@ -507,19 +467,14 @@ def write_csv(ds: Dataset, path, na_token: str = "NA") -> None:
             size = np.abs(values)
             outside = (size >= 1e16) | ((size < 1e-4) & (size != 0))
             redo = np.flatnonzero(observed & outside)
-            missing = np.flatnonzero(~observed).tolist()
-            if len(redo) + len(missing) == len(values):
-                # no cell keeps orjson's text: the repr of a list of floats
-                # is the floats' reprs joined by ", "
-                cells = repr(values.tolist())[1:-1].split(", ")
-            else:
-                # a 1-D array of floats dumps as its cells joined by ","
-                text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-                cells = text[1:-1].split(",")
-                reprs = repr(values[redo].tolist())[1:-1].split(", ")
-                for k, cell in zip(redo.tolist(), reprs):
-                    cells[k] = cell
-            for k in missing:
+            # a 1-D array of floats dumps as its cells joined by ","; the
+            # repr of a list of floats is their reprs joined by ", "
+            text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+            cells = text[1:-1].split(",")
+            reprs = repr(values[redo].tolist())[1:-1].split(", ")
+            for k, cell in zip(redo.tolist(), reprs):
+                cells[k] = cell
+            for k in np.flatnonzero(~observed).tolist():
                 cells[k] = na
             rows = zip(*[iter(cells)] * ds.d)
             fh.write("\r\n".join(map(",".join, rows)) + "\r\n")

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-def rng_stream(master_seed: int, *labels: int) -> np.random.Generator:
+def rng_stream(master_seed: int, *labels: int) -> "np.random.Generator":
     """Deterministic random generator for one logical task.
 
     The stream is a pure function of ``(master_seed, labels)``: the same

@@ -31,10 +31,11 @@ column roles of a dataset: the targets are the incomplete columns, every
 control must be complete, and there is one control and one mar_mean rate
 pair per target.  It resolves the default controls, and ``amputate_block``
 calls it once.
-The numeric fields of both specs take numbers only (``check_number``,
-``check_integer``): a quoted number or a bool from a JSON file is an error,
-not converted.  Both specs, and ``harness.Scenario``, read and write their
-JSON through one field-driven pair, ``Spec.to_dict`` and ``Spec.from_dict``.
+The numeric fields of both specs take finite numbers only
+(``check_number``, ``check_integer``): a quoted number, a bool, NaN or an
+infinity from a JSON file is an error, not converted.  Both specs, and
+``harness.Scenario``, read and write their JSON through one field-driven
+pair, ``Spec.to_dict`` and ``Spec.from_dict``.
 
 The Monte-Carlo harness makes R datasets of one shape at a time, as one
 (R, n, d) value array and one mask.  ``generate_block`` and
@@ -46,6 +47,7 @@ mar_rank's control ranks, the masks) runs once over the block.
 """
 
 import numbers
+import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from itertools import cycle, repeat
@@ -86,9 +88,12 @@ DEFAULT_MAR_MEAN_RATES = ((0.12, 0.06), (0.02, 0.175))
 
 def check_number(value, name) -> float:
     """``value`` as a float; ValueError naming the field ``name`` unless it is
-    a real number.  Strings and bools are not numbers here."""
+    a finite real number.  Strings and bools are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    # compared exactly, so an integer too large for a float is not finite
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 

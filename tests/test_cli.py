@@ -2,6 +2,7 @@ import argparse
 import csv
 import importlib
 import json
+import math
 import pkgutil
 import re
 import subprocess
@@ -493,6 +494,13 @@ QUOTED_FIELDS = (
     ("distribution", {"kind": "std_normal", "dim": "3"}, "dim must be an integer, got '3'"),
 )
 
+# (case, flags, message): NaN passes every range check, and inf makes NaN rates
+NON_FINITE_FLAGS = (
+    ("theta-nan", ["--dist", "clayton", "--theta", "nan"], "theta must be finite, got nan"),
+    ("odds-nan", ["--mechanism", "mar_1_to_x", "--odds", "nan"], "odds must be finite, got nan"),
+    ("odds-inf", ["--mechanism", "mar_1_to_x", "--odds", "inf"], "odds must be finite, got inf"),
+)
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -605,6 +613,17 @@ class TestUsageErrors:
                 "odds must be >= 1, got 0.5",
                 id="odds-below-one",
             ),
+            # every number of a spec is finite, as a flag or in a file
+            *(
+                pytest.param(command + extra, message, id=f"{command[0]}-{case}")
+                for command in (["generate"], SIMULATE)
+                for case, extra, message in NON_FINITE_FLAGS
+            ),
+            pytest.param(
+                ["simulate", "--scenario", "{theta_nan.json}"],
+                "Scenario field 'distribution': theta must be finite, got nan",
+                id="scenario-theta-nan",
+            ),
             pytest.param(
                 SIMULATE + ["--mechanism", "mar_mean", "--p-high", "0.1,0.2", "--p-low", "0.1"],
                 "p_high and p_low must have equal length",
@@ -693,6 +712,8 @@ class TestUsageErrors:
             "null_kind": {**good, "mechanism": {"kind": None, "miss_prob": 0.2}},
             "zero_dim": {**good, "distribution": {"kind": "std_normal", "dim": 0}},
             "no_tests": {**good, "tests": []},
+            # json writes and reads NaN as a bare literal
+            "theta_nan": {**good, "distribution": {"kind": "clayton", "dim": 3, "theta": math.nan}},
             **{f"fractional_{field}": {**good, field: value} for field, value in FRACTIONAL_FIELDS},
             **{f"quoted_{field}": {**good, field: value} for field, value, _ in QUOTED_FIELDS},
         }
@@ -939,6 +960,29 @@ class TestEntryPoints:
             )
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == str(loads), args[0]
+
+    def test_import_and_test_load_no_numpy_random(self, tmp_path):
+        # numpy.random, with the secrets and hmac modules it imports, adds
+        # ~2 MB of RSS; the package imports it where it draws, and the test
+        # command draws nothing
+        path = tmp_path / "hand.csv"
+        path.write_text(HAND_CSV)
+        code = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            import mcartest.cli
+
+            assert "numpy.random" not in sys.modules, "import"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = mcartest.cli.main(["test", "--input", {str(path)!r}, "--tests", "an"])
+            assert code == 0, code
+            assert "numpy.random" not in sys.modules, "test"
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_chisq4_margin_imports_scipy_when_used(self):
         # the one caller left of scipy.special imports it on first use

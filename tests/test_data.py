@@ -110,6 +110,29 @@ def test_header_cell_over_the_field_limit(tmp_path):
     assert str(info.value) == f"{path}: line 1, column 2: {LONG_MESSAGE}"
 
 
+def test_load_restores_the_field_limit(tmp_path):
+    # the error's read raises csv.reader's field limit to read the long
+    # cell whole, and sets it back
+    limit = csv.field_size_limit()
+    path = tmp_path / "long.csv"
+    path.write_text("a,b\n1,2\n3," + "0" * limit + "1\n")
+    with pytest.raises(DataFormatError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: line 3, column 'b': {LONG_MESSAGE}"
+    assert csv.field_size_limit() == limit
+
+
+def test_load_error_when_the_second_read_finds_none(tmp_path, monkeypatch):
+    # a file that changed between the parse and the read that names the
+    # error is still a data error
+    path = tmp_path / "changed.csv"
+    path.write_text("a,b\n1,2\n")
+    monkeypatch.setattr(mcartest.data, "_parse_plain", lambda lines, d, tokens: None)
+    monkeypatch.setattr(mcartest.data, "_parse_block", lambda rows, d, tokens: None)
+    with pytest.raises(DataFormatError, match="changed while it was read"):
+        load_csv(path)
+
+
 def test_quoted_line_breaks_leave_no_spare_rows(tmp_path):
     # the arrays are sized by the file's lines; records that span lines
     # leave rows unfilled, which are given back
@@ -348,6 +371,10 @@ LONG = ["0" * csv.field_size_limit() + "1", '1\n""' + "0" * csv.field_size_limit
         max_size=8,
     ),
 )
+# the first error in the file, in one block: a bad cell before a ragged
+# line, and a ragged line before a cell over the field limit
+@example(d=1, rows=[("1", ["x", "1", "1", "1"], 0), ("2", ["1"] * 4, -1)])
+@example(d=1, rows=[("1", ["1"] * 4, -1), ("2", [LONG[0], "1", "1", "1"], 0)])
 def test_load_matches_cell_by_cell_parse(tmp_path, d, rows):
     # the first column is always numeric, so a clean file has a complete
     # column; the others draw odd cells, and some lines are ragged
@@ -442,6 +469,16 @@ def block_datasets(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(case=block_datasets(), na_token=st.sampled_from(["NA", "", "n,a", '"']))
+# blocks with no cell in orjson's notation: all masked, NaN and infinity
+# under the mask, and all observed outside [1e-4, 1e16)
+@example(
+    case=(2, Dataset([[math.nan, 1.5], [-math.inf, 2e-5]], np.zeros((2, 2), bool), ("a", "b"))),
+    na_token="n,a",
+)
+@example(
+    case=(2, Dataset([[1e-5, 1e16], [-2.5e-310, 1e300]], np.ones((2, 2), bool), ("a", "b"))),
+    na_token="",
+)
 def test_write_csv_matches_rowwise_writer(tmp_path, monkeypatch, case, na_token):
     block, ds = case
     monkeypatch.setattr(mcartest.data, "_BLOCK_ROWS", block)
@@ -672,9 +709,9 @@ def test_csv_reader_takes_over_from_the_first_block_that_is_not_plain(
     parsed = []
     parse_block = mcartest.data._parse_block
 
-    def spy(path, names, rows, tokens, first):
-        parsed.append((first, len(rows)))
-        return parse_block(path, names, rows, tokens, first)
+    def spy(rows, d, tokens):
+        parsed.append([row[0] for row in rows])
+        return parse_block(rows, d, tokens)
 
     monkeypatch.setattr(mcartest.data, "_parse_block", spy)
     expected = reference_parse(text)
@@ -686,7 +723,7 @@ def test_csv_reader_takes_over_from_the_first_block_that_is_not_plain(
         ds, _ = load_csv(path)
         assert ds.mask.tobytes() == expected[1].tobytes()
         assert ds.values.tobytes() == expected[0].tobytes()
-    assert parsed == [(9, 1)]
+    assert parsed == [["7"]]
 
 
 @pytest.mark.parametrize("block", [3, 8192])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,24 @@ class TestSpecs:
         # a quoted number, a bool or a bare value from a JSON file is not converted
         with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -(10**400)])
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda x: DistributionSpec(kind="clayton", dim=2, theta=x), "theta"),
+            (lambda x: MechanismSpec(kind="mcar", miss_prob=x), "miss_prob"),
+            (lambda x: MechanismSpec(kind="mar_1_to_x", odds=x), "odds"),
+            (lambda x: MechanismSpec(kind="mar_mean", p_high=(0.1, x), p_low=(0.1, 0.2)), "p_high"),
+            (lambda x: MechanismSpec(kind="mar_mean", p_high=(0.1, 0.2), p_low=(x, 0.2)), "p_low"),
+        ],
+    )
+    def test_fields_reject_non_finite_numbers(self, make, name, value):
+        # one rule for every number: NaN passes every range check, an
+        # infinite odds makes the high-group rate inf/inf, and float() of a
+        # 400-digit integer overflows
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            make(value)
 
     def test_mechanism_round_trip(self):
         spec = MechanismSpec(
