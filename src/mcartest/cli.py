@@ -17,7 +17,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .data import ColumnRoles, load_csv, write_csv
+from .data import load_csv, write_csv
 from .errors import McartestError
 from .harness import Scenario, results_to_csv, run_cell, sweep_scenarios
 from .numerics import rng_stream
@@ -26,10 +26,7 @@ from .synthesis import (
     DISTRIBUTION_KINDS,
     MARGIN_KINDS,
     MECHANISM_KINDS,
-    DistributionSpec,
-    MechanismSpec,
     apply_mechanism,
-    fit_mechanism,
     generate,
     pattern_names,
 )
@@ -158,43 +155,31 @@ def _data_doc(args, parser) -> dict:
 
 
 def _cmd_generate(args, parser) -> int:
-    doc = _data_doc(args, parser)
-    n, p, q = doc["n"], doc["p"], doc["q"]
-    # the mechanisms amputate incomplete columns against complete controls
-    if p < 1 or q < 1:
-        parser.error("need --p >= 1 and --q >= 1")
-    if n < 1:
-        parser.error("need --n >= 1")
-    if args.seed < 0:
-        parser.error(f"need --seed >= 0, got {args.seed}")
-    names = pattern_names(p, q)
-    roles = ColumnRoles(tuple(range(p)), tuple(range(p, p + q)))
     try:
-        dist = DistributionSpec.from_dict(doc["distribution"])
-        mech = MechanismSpec.from_dict(doc["mechanism"])
-        fit_mechanism(mech, roles)
+        cell = Scenario.from_dict({**_data_doc(args, parser), "master_seed": args.seed})
     except ValueError as exc:
         parser.error(str(exc))
-    full = generate(dist, n, rng_stream(args.seed, 0), names)
-    ds = apply_mechanism(full, roles, mech, rng_stream(args.seed, 1))
+    names = pattern_names(cell.p, cell.q)
+    full = generate(cell.distribution, cell.n, rng_stream(cell.master_seed, 0), names)
+    ds = apply_mechanism(full, cell.roles, cell.mechanism, rng_stream(cell.master_seed, 1))
     write_csv(ds, args.out, na_token=args.na_token)
 
     out = Path(args.out)
     sidecar = out.with_suffix(".json") if out.suffix == ".csv" else Path(str(out) + ".json")
     meta = {
-        "n": n,
-        "p": p,
-        "q": q,
+        "n": cell.n,
+        "p": cell.p,
+        "q": cell.q,
         "columns": list(names),
-        "distribution": dist.to_dict(),
-        "mechanism": mech.to_dict(),
-        "seed": args.seed,
+        "distribution": cell.distribution.to_dict(),
+        "mechanism": cell.mechanism.to_dict(),
+        "seed": cell.master_seed,
     }
     with sidecar.open("w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     missing = int((~ds.mask).sum())
-    print(f"wrote {args.out} ({n} rows, {missing} missing cells) and {sidecar}")
+    print(f"wrote {args.out} ({cell.n} rows, {missing} missing cells) and {sidecar}")
     return EXIT_OK
 
 
@@ -345,7 +330,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scenario", help="scenario JSON file")
     s.add_argument("--out", required=True, help="results CSV path")
     s.add_argument("--replications", type=int, help="replications per cell (default 2000)")
-    s.add_argument("--workers", type=int, default=1, help="worker processes")
+    s.add_argument(
+        "--workers", type=int, default=1,
+        help="most worker processes; never more than a cell's blocks of replications",
+    )
     s.add_argument("--seed", type=int, help="master seed override")
     s.add_argument(
         "--sweep-miss", type=_rates, help="comma list of missingness probabilities"

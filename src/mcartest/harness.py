@@ -102,6 +102,11 @@ class Scenario(Spec):
             raise ValueError("need p >= 1 complete and q >= 1 incomplete columns")
         if self.n < 3:
             raise ValueError(f"n must be at least 3, got {self.n}")
+        # the data are an (n, p+q) float64 array, whose bytes numpy must address
+        d = self.p + self.q
+        max_n = np.iinfo(np.intp).max // (8 * d)
+        if self.n > max_n:
+            raise ValueError(f"n must be at most {max_n} for {d} columns, got {self.n}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.master_seed < 0:
@@ -214,21 +219,26 @@ def _blocks(n_rep: int, workers: int, cells_per_rep: int) -> list:
 def run_cell(scenario: Scenario, workers: int = 1) -> CellResult:
     """Run every replication of a scenario and aggregate.
 
-    Replications run in blocks (see ``_blocks``); ``workers`` > 1
-    distributes the blocks over processes.  A replication's outcome does
-    not depend on its block, so the result is identical for any worker
-    count.  Raises DegenerateDataError if some requested test produced no
-    valid replication at all.
+    Replications run in blocks (see ``_blocks``).  ``workers`` bounds the
+    processes: more than one block with ``workers`` > 1 runs on a pool of
+    ``min(workers, blocks)`` processes.  A replication's outcome does not
+    depend on its block, so the result is identical for any worker count.
+    Raises ValueError if ``workers`` < 1, and DegenerateDataError if some
+    requested test produced no valid replication at all.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     n_rep = scenario.replications
     tags = resolve_tests(scenario.tests, scenario.p, scenario.q)
     run = partial(_run_block, scenario, scenario.content_hash(), scenario.roles, tags)
     starts, stops = zip(*_blocks(n_rep, workers, scenario.n * (scenario.p + scenario.q)))
-    if workers > 1:
+    # a pool forks all its processes at the first submit, needed or not
+    processes = min(workers, len(starts))
+    if processes > 1:
         # imported here: multiprocessing adds to every CLI call's start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(run, starts, stops))
     else:
         results = list(map(run, starts, stops))

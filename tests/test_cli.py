@@ -484,6 +484,10 @@ class TestOnePass:
 # each would run truncated to its integer part: n 100, 2 replications, seed 1, p 1
 FRACTIONAL_FIELDS = (("n", 100.7), ("replications", 2.5), ("master_seed", 1.9), ("p", 1.5))
 
+HUGE_N = str(10**30)
+# 1X2Y, the data flags' default shape: 8 bytes a cell, three cells a row
+HUGE_N_MESSAGE = f"n must be at most {np.iinfo(np.intp).max // 24} for 3 columns, got {HUGE_N}"
+
 # each would run as the number it quotes (master_seed true as 1); (field, value, message)
 QUOTED_FIELDS = (
     ("n", "100", "n must be an integer, got '100'"),
@@ -634,8 +638,27 @@ class TestUsageErrors:
                 "choose one of --sweep-miss and --sweep-n",
                 id="both-sweeps",
             ),
-            pytest.param(["generate", "--p", "0"], "need --p >= 1", id="generate-p-zero"),
-            pytest.param(["generate", "--n", "0"], "need --n >= 1", id="generate-n-zero"),
+            # generate takes simulate's data rules, and its messages
+            pytest.param(
+                ["generate", "--p", "0"], "need p >= 1 complete and q >= 1 incomplete columns",
+                id="generate-p-zero",
+            ),
+            pytest.param(["generate", "--n", "0"], "n must be at least 3, got 0", id="generate-n-zero"),
+            pytest.param(
+                ["generate", "--seed", "-1"], "master_seed must be >= 0, got -1",
+                id="generate-negative-seed",
+            ),
+            # an n whose (n, p+q) float64 array numpy cannot address, before allocating it
+            pytest.param(["generate", "--n", HUGE_N], HUGE_N_MESSAGE, id="generate-huge-n"),
+            pytest.param(SIMULATE + ["--n", HUGE_N], HUGE_N_MESSAGE, id="simulate-huge-n"),
+            pytest.param(
+                # --sweep-n reads floats: 1e30 is then the integer nearest it
+                SIMULATE + ["--sweep-n", f"40,{HUGE_N}"],
+                HUGE_N_MESSAGE.replace(HUGE_N, str(int(float(HUGE_N)))), id="sweep-huge-n",
+            ),
+            pytest.param(
+                ["simulate", "--scenario", "{huge_n.json}"], HUGE_N_MESSAGE, id="scenario-huge-n",
+            ),
             pytest.param(
                 ["simulate", "--scenario", "{null_kind.json}"], "kind must not be null",
                 id="scenario-null-kind",
@@ -714,6 +737,7 @@ class TestUsageErrors:
             "no_tests": {**good, "tests": []},
             # json writes and reads NaN as a bare literal
             "theta_nan": {**good, "distribution": {"kind": "clayton", "dim": 3, "theta": math.nan}},
+            "huge_n": {**good, "n": int(HUGE_N)},
             **{f"fractional_{field}": {**good, field: value} for field, value in FRACTIONAL_FIELDS},
             **{f"quoted_{field}": {**good, field: value} for field, value, _ in QUOTED_FIELDS},
         }

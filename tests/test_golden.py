@@ -21,6 +21,8 @@ were keyed in one pass (``numerics.rng_streams``).
 ``test_cli.py``'s report check; it was written by ``mcartest generate``,
 and ``cli_test_1X1Y_n60_an_dn_d2.json`` by ``mcartest test`` on it, while
 ``dn`` and ``d2_univariate`` still had closed-form kernels of their own.
+``generate`` must still write that file's bytes (``GENERATE``), now that
+it builds its dataset from a ``harness.Scenario``.
 """
 
 from pathlib import Path
@@ -93,6 +95,14 @@ CASES = {
 # cases run again with more worker processes; they must give the same bytes
 WORKERS = {"criterion07_1X2Y_mar_1_to_x.csv": 2}
 
+# datasets written by ``mcartest generate``
+GENERATE = {
+    "cli_test_1X1Y_n60.csv": (
+        "--n 60 --p 1 --q 1 --dist clayton --theta 1 --mechanism mar_1_to_x "
+        "--miss-prob 0.2 --seed 13"
+    ),
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_results_csv_matches_golden(name, tmp_path, capsys):
@@ -106,4 +116,11 @@ def test_workers_match_golden(name, workers, tmp_path, capsys):
     out = tmp_path / name
     args = [*CASES[name].split(), "--workers", str(workers), "--out", str(out)]
     assert main(["simulate", *args]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATE))
+def test_generated_csv_matches_golden(name, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(["generate", *GENERATE[name].split(), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()

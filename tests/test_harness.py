@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +70,13 @@ class TestScenario:
     def test_unknown_test(self):
         with pytest.raises(ValueError, match="unknown test"):
             scenario(tests=("zz",))
+
+    def test_n_bound(self):
+        # the largest n whose (n, 3) float64 array numpy can address; no data is made
+        max_n = np.iinfo(np.intp).max // 24
+        assert scenario(n=max_n).n == max_n
+        with pytest.raises(ValueError, match=f"n must be at most {max_n} for 3 columns"):
+            scenario(n=max_n + 1)
 
     def test_json_round_trip(self):
         s = scenario()
@@ -197,6 +206,33 @@ class TestRunCell:
         assert serial.per_test == parallel.per_test
         assert serial.statistics == parallel.statistics
         assert serial.ks_vs_chi2 == parallel.ks_vs_chi2
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_raise(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_cell(scenario(replications=6), workers=workers)
+
+    @pytest.mark.parametrize("workers, replications, pools", [(64, 6, [6]), (3, 1, [])])
+    def test_pool_is_no_larger_than_the_blocks(self, workers, replications, pools, monkeypatch):
+        # a stand-in pool that records its size and maps in this process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        s = scenario(replications=replications)
+        assert run_cell(s, workers=workers) == run_cell(s)
+        assert sizes == pools
 
     def test_counts_add_up(self):
         # tiny n and miss prob: all-observed response draws become degenerate
